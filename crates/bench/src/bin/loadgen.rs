@@ -9,7 +9,6 @@
 //! ```sh
 //! cargo run --release -p gts-bench --bin loadgen                  # in-process server
 //! cargo run --release -p gts-bench --bin loadgen -- --quick       # CI smoke mode
-//! cargo run --release -p gts-bench --bin loadgen -- --delta-mix   # + the delta verb in the mix
 //! cargo run --release -p gts-bench --bin loadgen -- --addr HOST:PORT   # external server
 //! cargo run --release -p gts-bench --bin loadgen -- --spawn target/release/gts
 //! #   spawns `gts serve` on an ephemeral port, drives it, sends the
@@ -41,16 +40,12 @@ use std::io::BufRead;
 use std::time::Instant;
 
 /// The four request kinds of the mixed workload, round-robined across
-/// each connection's stream. `--delta-mix` appends a fifth kind,
-/// `delta`, driven through the `delta` verb instead of `analyze`.
+/// each connection's stream.
 const KINDS: [&str; 4] = ["type_check", "equivalence", "elicit", "execute"];
 
 struct Workload {
     gts: String,
     instance: String,
-    /// A small rewire of the instance (cut one `crossReacting` hop,
-    /// splice past it) for the `delta` verb.
-    delta: String,
 }
 
 /// Renders the medical fixture (Figure 1 / Example 4.1) as wire text.
@@ -64,11 +59,7 @@ fn workload() -> Workload {
     };
     let gts = gts_cli::render_file(&file);
     let instance = gts_cli::raw_instance(&medical_instance(&m, 4, 6), &m.vocab);
-    // Instance names are generated as n0, n1, ... in node-id order; each
-    // chain is (vaccine, pathogen, a0..a5), so n4/n5/n6 are antigens
-    // 2..4 of the first chain.
-    let delta = "del edge n4 crossReacting n5\nadd edge n4 crossReacting n6\n".to_owned();
-    Workload { gts, instance, delta }
+    Workload { gts, instance }
 }
 
 fn spec_for(kind: &str, w: &Workload) -> Json {
@@ -112,9 +103,9 @@ fn mean(values: impl Iterator<Item = u64>) -> f64 {
 
 /// The cold one-shot baseline: for each kind, the latency of parsing
 /// the text and answering through a fresh session + fresh oracle cache.
-fn cold_oneshot(w: &Workload, kinds: &[&str], reps: usize) -> Vec<(usize, u64)> {
+fn cold_oneshot(w: &Workload, reps: usize) -> Vec<(usize, u64)> {
     let mut out = Vec::new();
-    for (ki, kind) in kinds.iter().enumerate() {
+    for (ki, kind) in KINDS.iter().enumerate() {
         let mut best = u64::MAX;
         for _ in 0..reps {
             let start = Instant::now();
@@ -137,19 +128,6 @@ fn cold_oneshot(w: &Workload, kinds: &[&str], reps: usize) -> Vec<(usize, u64)> 
                         gts_cli::parse_instance(&w.instance, &mut vocab).expect("instance parses");
                     Request::Execute { transform: t0, instance: inst.graph, check_target: Some(s1) }
                 }
-                "delta" => {
-                    let mut vocab = file.vocab.clone();
-                    let mut inst =
-                        gts_cli::parse_instance(&w.instance, &mut vocab).expect("instance parses");
-                    let delta = gts_cli::parse_delta(&w.delta, &mut vocab, &mut inst)
-                        .expect("delta parses");
-                    Request::ExecuteDelta {
-                        transform: t0,
-                        instance: inst.graph,
-                        deltas: vec![delta],
-                        check_target: Some(s1),
-                    }
-                }
                 _ => unreachable!(),
             };
             request.run(&mut session).expect("cold request succeeds");
@@ -161,13 +139,7 @@ fn cold_oneshot(w: &Workload, kinds: &[&str], reps: usize) -> Vec<(usize, u64)> 
 }
 
 /// Drives `conns` concurrent connections, `requests` frames each.
-fn drive(
-    addr: &str,
-    w: &Workload,
-    kinds: &[&str],
-    conns: usize,
-    requests: usize,
-) -> (Vec<Sample>, u64) {
+fn drive(addr: &str, w: &Workload, conns: usize, requests: usize) -> (Vec<Sample>, u64) {
     let barrier = std::sync::Arc::new(std::sync::Barrier::new(conns + 1));
     let samples = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..conns)
@@ -180,17 +152,11 @@ fn drive(
                     for i in 0..requests {
                         // Stagger kinds across connections so every kind
                         // is in flight at any moment.
-                        let kind = (c + i) % kinds.len();
+                        let kind = (c + i) % KINDS.len();
                         let start = Instant::now();
-                        let resp = if kinds[kind] == "delta" {
-                            client
-                                .delta(&w.gts, "T0", &w.instance, &w.delta, Some("S1"))
-                                .expect("delta roundtrip")
-                        } else {
-                            client
-                                .analyze(&w.gts, Some("S0"), vec![spec_for(kinds[kind], w)])
-                                .expect("analyze roundtrip")
-                        };
+                        let resp = client
+                            .analyze(&w.gts, Some("S0"), vec![spec_for(KINDS[kind], w)])
+                            .expect("analyze roundtrip");
                         let micros = start.elapsed().as_micros() as u64;
                         let ok = resp.get("ok").and_then(Json::as_bool) == Some(true);
                         local.push(Sample { kind, micros, ok, first_on_connection: i == 0 });
@@ -734,16 +700,6 @@ fn main() {
     let target_rps: Option<f64> = flag("--target-rps").map(|s| s.parse().expect("--target-rps"));
     let seed: u64 = flag("--seed").map(|s| s.parse().expect("--seed")).unwrap_or(0x0DD_B1A5);
     let cold_reps = if quick { 1 } else { 3 };
-    // `--delta-mix` folds the `delta` verb into the round-robin, so the
-    // latency percentiles cover incremental execution under mixed load.
-    let delta_mix = args.iter().any(|a| a == "--delta-mix");
-    let kinds: Vec<&str> = {
-        let mut k = KINDS.to_vec();
-        if delta_mix {
-            k.push("delta");
-        }
-        k
-    };
     let families: Vec<Family> = match flag("--family").as_deref() {
         None => Family::ALL.to_vec(),
         Some(name) => vec![Family::from_name(name)
@@ -824,10 +780,10 @@ fn main() {
     println!("loadgen: {mode} server at {addr}, {conns} connections x {requests} requests");
 
     // ---- Cold one-shot baseline (in-process, fresh state per call). ----
-    let cold = cold_oneshot(&w, &kinds, cold_reps);
+    let cold = cold_oneshot(&w, cold_reps);
     let cold_mean = mean(cold.iter().map(|&(_, us)| us));
     for &(ki, us) in &cold {
-        println!("cold one-shot {:12} {us:>8}us", kinds[ki]);
+        println!("cold one-shot {:12} {us:>8}us", KINDS[ki]);
     }
 
     // ---- Warm the pool: one frame per kind over a single connection,
@@ -838,17 +794,13 @@ fn main() {
     let warmup_micros = {
         let mut warm = Client::connect(addr.as_str()).expect("connect");
         let start = Instant::now();
-        for kind in &kinds {
-            let resp = if *kind == "delta" {
-                warm.delta(&w.gts, "T0", &w.instance, &w.delta, Some("S1")).expect("warmup")
-            } else {
-                warm.analyze(&w.gts, Some("S0"), vec![spec_for(kind, &w)]).expect("warmup")
-            };
+        for kind in KINDS {
+            let resp = warm.analyze(&w.gts, Some("S0"), vec![spec_for(kind, &w)]).expect("warmup");
             assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{}", resp.pretty());
         }
         start.elapsed().as_micros() as u64
     };
-    let (samples, wall_micros) = drive(&addr, &w, &kinds, conns, requests);
+    let (samples, wall_micros) = drive(&addr, &w, conns, requests);
     let failed = samples.iter().filter(|s| !s.ok).count();
     assert_eq!(failed, 0, "{failed} requests failed (queue bounds too tight for the workload?)");
 
@@ -872,7 +824,7 @@ fn main() {
         .set("max", sorted.last().copied().unwrap_or(0));
 
     let mut per_kind = Vec::new();
-    for (ki, kind) in kinds.iter().enumerate() {
+    for (ki, kind) in KINDS.iter().enumerate() {
         let mut ks: Vec<u64> = samples.iter().filter(|s| s.kind == ki).map(|s| s.micros).collect();
         ks.sort_unstable();
         let cold_us = cold.iter().find(|&&(k, _)| k == ki).map(|&(_, us)| us).unwrap_or(0);
@@ -898,24 +850,20 @@ fn main() {
         // Both measured states run after the main drive, so the pool and
         // memos are equally warm, and the rounds interleave on/off so
         // neither state systematically benefits from running later.
-        let analyze_only =
-            |s: &[Sample]| s.iter().filter(|x| kinds[x.kind] != "delta").count() as u64;
-        let (mut on_wall, mut on_n, mut on_analyze, mut off_wall, mut off_n) =
-            (0u64, 0u64, 0u64, 0u64, 0u64);
+        let (mut on_wall, mut on_n, mut off_wall, mut off_n) = (0u64, 0u64, 0u64, 0u64);
         for _ in 0..2 {
-            let (s, wall) = drive(&addr, &w, &kinds, conns, requests);
+            let (s, wall) = drive(&addr, &w, conns, requests);
             assert!(s.iter().all(|s| s.ok), "metrics-on overhead round failed");
             on_wall += wall;
             on_n += s.len() as u64;
-            on_analyze += analyze_only(&s);
             gts_obs::set_enabled(false);
-            let (s, wall) = drive(&addr, &w, &kinds, conns, requests);
+            let (s, wall) = drive(&addr, &w, conns, requests);
             gts_obs::set_enabled(true);
             assert!(s.iter().all(|s| s.ok), "metrics-off overhead round failed");
             off_wall += wall;
             off_n += s.len() as u64;
         }
-        overhead_on_frames = on_analyze;
+        overhead_on_frames = on_n;
         let throughput_on = on_n as f64 / (on_wall as f64 / 1e6);
         let throughput_off = off_n as f64 / (off_wall as f64 / 1e6);
         let overhead_percent = (throughput_off - throughput_on) / throughput_off.max(1e-9) * 100.0;
@@ -1026,14 +974,12 @@ fn main() {
         }
         server_frames.push(e);
     }
-    // Only `analyze` frames count here: warmup sends one frame per kind
-    // (minus the delta warmup frame when mixed), the measured run's
-    // delta-verb samples land on the `delta` histogram instead, and the
-    // pipelining and open-loop sections add their exact frame counts
-    // (the connection sweep is pings only).
-    let analyze_samples = samples.iter().filter(|s| kinds[s.kind] != "delta").count() as u64;
+    // Only `analyze` frames count here: warmup sends one frame per kind,
+    // the measured run one per sample, and the pipelining and open-loop
+    // sections add their exact frame counts (the connection sweep is
+    // pings only).
     let analyze_frames_client = KINDS.len() as u64
-        + analyze_samples
+        + samples.len() as u64
         + overhead_on_frames
         + 2 * families.len() as u64
         + pipelined_analyze_frames
@@ -1094,12 +1040,10 @@ fn main() {
         .set(
             "workload",
             "medical T0 (Example 4.1) over S0: mixed type_check/equivalence/elicit/execute, \
-             one request per frame, resident sessions vs cold one-shot re-analysis \
-             (--delta-mix adds the incremental delta verb to the round-robin)",
+             one request per frame, resident sessions vs cold one-shot re-analysis",
         )
         .set("mode", mode)
         .set("quick", quick)
-        .set("delta_mix", delta_mix)
         .set("connections", conns)
         .set("requests_per_connection", requests)
         .set("total_requests", total)

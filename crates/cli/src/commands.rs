@@ -59,7 +59,7 @@ fn usage() -> String {
      \x20           [--max-sessions N] [--max-session-mb N] delimited JSON protocol; shut down\n\
      \x20           [--deadline-ms N] [--cache-dir DIR]    with `gts client --verb shutdown`);\n\
      \x20           [--flush-ms N] [--slow-ms N]           --slow-ms logs slow frames to stderr,\n\
-     \x20           [--no-metrics] [--idle-ms N]           --no-metrics disables recording,\n\
+     \x20           [--no-metrics] [--idle-ms N]           --no-metrics skips latency histograms,\n\
      \x20           [--max-pipeline N]                     --idle-ms 0 disables idle close\n\
      \x20 client    FILE... [--addr A] [--trace]           the batch suite over the wire, or a\n\
      \x20           [--pipeline] [--auth TOKEN]            control verb against a running server\n\
@@ -612,10 +612,7 @@ fn run_batch(
                             .set("schema", print::schema_block("Elicited", &schema, &file.vocab))
                             .set("certified", certified);
                     }
-                    Ok(Verdict::Executed { output, conforms })
-                    // The batch suite never issues delta requests, but the
-                    // verdicts render identically if one ever reaches here.
-                    | Ok(Verdict::DeltaExecuted { output, conforms, .. }) => {
+                    Ok(Verdict::Executed { output, conforms }) => {
                         entry
                             .set("output_nodes", output.num_nodes() as u64)
                             .set("output_edges", output.num_edges() as u64);

@@ -81,8 +81,8 @@ pub fn parse_instance(src: &str, vocab: &mut Vocab) -> Result<NamedGraph, String
     Ok(NamedGraph { graph, names })
 }
 
-/// Parses the on-disk graph-delta format (`gts run --delta FILE`, the
-/// `delta` protocol verb) against an already-parsed instance. One
+/// Parses the on-disk graph-delta format (`gts run --delta FILE`)
+/// against an already-parsed instance. One
 /// operation per line, names resolved against the instance's node names:
 ///
 /// ```text

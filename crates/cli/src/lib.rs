@@ -261,6 +261,49 @@ edge p1 exhibits a2
     }
 
     #[test]
+    fn cli_run_delta_matches_a_run_on_the_hand_patched_instance() {
+        // Chunk 1 splices a fresh antigen after a1; chunk 2 reconnects it
+        // to a2 and drops one exhibits edge. The fresh name `a3` resolves
+        // across the `---` boundary.
+        const DELTA: &str = "\
+add node a3 Antigen
+del edge a1 crossReacting a2
+add edge a1 crossReacting a3
+---
+add edge a3 crossReacting a2
+del edge p1 exhibits a1
+";
+        const PATCHED: &str = "\
+node v1 Vaccine
+node a1 Antigen
+node a2 Antigen
+node p1 Pathogen
+node a3 Antigen
+edge v1 designTarget a1
+edge a1 crossReacting a3
+edge a3 crossReacting a2
+edge p1 exhibits a2
+";
+        let read = |path: &str| -> Result<String, String> {
+            match path {
+                "patched.graph" => Ok(PATCHED.to_owned()),
+                "d.delta" => Ok(DELTA.to_owned()),
+                other => read_two(other),
+            }
+        };
+        let patched =
+            run(&args("run mem.gts --transform T0 --instance inst.graph --delta d.delta"), &read);
+        assert_eq!(patched.code, 0, "{}", patched.output);
+        let (trailers, body): (Vec<&str>, Vec<&str>) =
+            patched.output.lines().partition(|l| l.starts_with("# delta #"));
+        assert_eq!(trailers.len(), 2, "{}", patched.output);
+        let full = run(&args("run mem.gts --transform T0 --instance patched.graph"), &read);
+        assert_eq!(full.code, 0, "{}", full.output);
+        assert_eq!(body, full.output.lines().collect::<Vec<_>>());
+        assert!(full.output.contains("targets"), "{}", full.output);
+    }
+
+    #[test]
     fn cli_elicit_prints_a_schema() {
         let out = run(&args("elicit mem.gts --transform T0 --source S0"), &read_mem(MEDICAL));
         assert_eq!(out.code, 0, "{}", out.output);

@@ -30,13 +30,6 @@ pub fn frontend() -> Frontend {
         parse_instance: Arc::new(|src, vocab| {
             crate::instance::parse_instance(src, vocab).map(|g| g.graph)
         }),
-        parse_delta: Arc::new(|inst_src, delta_src, vocab| {
-            let mut named = crate::instance::parse_instance(inst_src, vocab)
-                .map_err(|e| format!("instance: {e}"))?;
-            let delta = crate::instance::parse_delta(delta_src, vocab, &mut named)
-                .map_err(|e| format!("delta: {e}"))?;
-            Ok((named.graph, delta))
-        }),
         render_schema: Arc::new(|schema, vocab| print::schema_block("Elicited", schema, vocab)),
     }
 }
@@ -91,10 +84,11 @@ pub fn run_serve(flags: &HashMap<String, String>) -> Result<Outcome, String> {
     if let Some(n) = parse_num(flags, "max-pipeline")? {
         cfg.max_pipeline = n.max(1);
     }
-    // `--no-metrics` turns off metric recording process-wide (spans and
-    // the `metrics`/`stats` verbs keep working; histograms and counters
-    // just stop advancing). The loadgen overhead benchmark uses it to
-    // measure the instrumented-vs-uninstrumented gap.
+    // `--no-metrics` turns off latency-histogram recording process-wide
+    // (spans, counters, and the `metrics`/`stats` verbs keep working;
+    // the histograms and the clock reads feeding them stop). The loadgen
+    // overhead benchmark uses it to measure the instrumented-vs-
+    // uninstrumented gap.
     if flags.contains_key("no-metrics") {
         gts_obs::set_enabled(false);
     }

@@ -49,9 +49,6 @@ pub enum AnalysisError {
     /// Elicitation derived an incoherent statement set (only possible when
     /// uncertified sub-answers were wrong).
     IncoherentElicitation,
-    /// A delta-execution request carried a delta that does not apply to
-    /// its instance (out-of-range or tombstoned node ids).
-    Delta(String),
 }
 
 impl From<ContainmentError> for AnalysisError {

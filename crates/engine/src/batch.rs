@@ -12,7 +12,7 @@
 //! attribute cost per request.
 
 use crate::session::AnalysisSession;
-use gts_core::graph::{Graph, GraphDelta};
+use gts_core::graph::Graph;
 use gts_core::schema::Schema;
 use gts_core::{AnalysisError, Decision, Transformation};
 use gts_exec::ExecOptions;
@@ -54,32 +54,17 @@ pub enum Request {
         /// When set, the output is checked against this schema.
         check_target: Option<Schema>,
     },
-    /// Incremental execution: apply `deltas` to `instance` in order and
-    /// patch the transformation's output through `gts-exec`'s
-    /// [`gts_exec::Incremental`] engine instead of re-running it.
-    ExecuteDelta {
-        /// The transformation whose output is maintained.
-        transform: Transformation,
-        /// The base instance (executed in full once).
-        instance: Graph,
-        /// The deltas to apply, in order.
-        deltas: Vec<GraphDelta>,
-        /// When set, the final output is checked against this schema.
-        check_target: Option<Schema>,
-    },
 }
 
 impl Request {
     /// The request kind as a static label (`type_check`, `equivalence`,
-    /// `elicit`, `execute`, `execute_delta`) — span names and the `kind`
-    /// metric label.
+    /// `elicit`, `execute`) — span names and the `kind` metric label.
     pub fn kind(&self) -> &'static str {
         match self {
             Request::TypeCheck { .. } => "type_check",
             Request::Equivalence { .. } => "equivalence",
             Request::Elicit { .. } => "elicit",
             Request::Execute { .. } => "execute",
-            Request::ExecuteDelta { .. } => "execute_delta",
         }
     }
 
@@ -126,17 +111,6 @@ impl Request {
                     Verdict::Executed { output, conforms }
                 })
             }
-            Request::ExecuteDelta { transform, instance, deltas, check_target } => {
-                transform.validate().map_err(AnalysisError::Transform)?;
-                let mut inc = gts_exec::Incremental::new(&transform, &instance);
-                let mut outcomes = Vec::with_capacity(deltas.len());
-                for delta in &deltas {
-                    outcomes.push(inc.apply_delta(delta).map_err(AnalysisError::Delta)?);
-                }
-                let output = inc.output_graph();
-                let conforms = check_target.map(|s| s.conforms(&output).is_ok());
-                Ok(Verdict::DeltaExecuted { output, outcomes, conforms })
-            }
         }
     }
 }
@@ -147,7 +121,6 @@ struct RequestMetrics {
     equivalence: gts_obs::Histogram,
     elicit: gts_obs::Histogram,
     execute: gts_obs::Histogram,
-    execute_delta: gts_obs::Histogram,
 }
 
 impl RequestMetrics {
@@ -156,7 +129,6 @@ impl RequestMetrics {
             "type_check" => &self.type_check,
             "equivalence" => &self.equivalence,
             "elicit" => &self.elicit,
-            "execute_delta" => &self.execute_delta,
             _ => &self.execute,
         }
     }
@@ -173,7 +145,6 @@ fn request_metrics() -> &'static RequestMetrics {
             equivalence: reg.histogram(name, help, &[("kind", "equivalence")]),
             elicit: reg.histogram(name, help, &[("kind", "elicit")]),
             execute: reg.histogram(name, help, &[("kind", "execute")]),
-            execute_delta: reg.histogram(name, help, &[("kind", "execute_delta")]),
         }
     })
 }
@@ -194,16 +165,6 @@ pub enum Verdict {
     Executed {
         /// The transformation's output on the request's instance.
         output: Graph,
-        /// `Some(true/false)` when the request asked for a conformance
-        /// check against a target schema.
-        conforms: Option<bool>,
-    },
-    /// The output of an incremental delta-execution request.
-    DeltaExecuted {
-        /// The transformation's output on the fully-patched instance.
-        output: Graph,
-        /// Per-delta application reports, in submission order.
-        outcomes: Vec<gts_exec::DeltaOutcome>,
         /// `Some(true/false)` when the request asked for a conformance
         /// check against a target schema.
         conforms: Option<bool>,
@@ -370,59 +331,6 @@ mod tests {
             }
             other => panic!("expected an Executed verdict, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn execute_delta_requests_patch_the_output() {
-        let (v, s, t) = fixture();
-        let a = v.find_node_label("A").unwrap();
-        let r = v.find_edge_label("r").unwrap();
-        let mut g = gts_core::graph::Graph::new();
-        let n0 = g.add_labeled_node([a]);
-        let n1 = g.add_labeled_node([a]);
-        g.add_edge(n0, r, n1);
-        let grow = GraphDelta {
-            added_nodes: vec![gts_core::graph::LabelSet::singleton(a.0)],
-            added_edges: vec![(n1, r, gts_core::graph::NodeId(2))],
-            ..GraphDelta::default()
-        };
-        let shrink = GraphDelta { removed_edges: vec![(n0, r, n1)], ..GraphDelta::default() };
-        let mut batch = Batch::new(AnalysisSession::new(s.clone(), v));
-        batch.push(
-            "delta",
-            Request::ExecuteDelta {
-                transform: t,
-                instance: g,
-                deltas: vec![grow, shrink],
-                check_target: Some(s),
-            },
-        );
-        let (results, _) = batch.run(1);
-        match &results[0].verdict {
-            Ok(Verdict::DeltaExecuted { output, outcomes, conforms }) => {
-                assert_eq!(output.num_nodes(), 3);
-                assert_eq!(output.num_edges(), 1); // n1 -> n2 survives
-                assert_eq!(outcomes.len(), 2);
-                assert_eq!(*conforms, Some(true));
-            }
-            other => panic!("expected a DeltaExecuted verdict, got {other:?}"),
-        }
-        // A delta referencing a missing node surfaces as a Delta error.
-        let (v, s, t) = fixture();
-        let bad =
-            GraphDelta { removed_nodes: vec![gts_core::graph::NodeId(7)], ..GraphDelta::default() };
-        let mut batch = Batch::new(AnalysisSession::new(s, v));
-        batch.push(
-            "bad",
-            Request::ExecuteDelta {
-                transform: t,
-                instance: Default::default(),
-                deltas: vec![bad],
-                check_target: None,
-            },
-        );
-        let (results, _) = batch.run(1);
-        assert!(matches!(results[0].verdict, Err(gts_core::AnalysisError::Delta(_))));
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub enum DeltaStrategy {
 }
 
 /// What applying one delta did — the measurement surface of the `delta`
-/// benchmark section and the wire-level `delta` verb.
+/// benchmark section and the `gts run --delta` trailers.
 #[derive(Clone, Debug, Default)]
 pub struct DeltaOutcome {
     /// Which path satisfied the delta.

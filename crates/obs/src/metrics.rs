@@ -2,22 +2,26 @@
 //! the registry of labeled families.
 //!
 //! Recording is lock-free: every handle wraps `Arc`ed atomics, so the hot
-//! path is a relaxed fetch-add (plus one relaxed load of the process-wide
-//! enable flag). The registry lock is only taken to *resolve* a handle —
-//! callers on hot paths cache handles in `OnceLock` statics.
+//! path is a relaxed fetch-add (histograms add one relaxed load of the
+//! process-wide enable flag). The registry lock is only taken to
+//! *resolve* a handle — callers on hot paths cache handles in `OnceLock`
+//! statics.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Process-wide metrics enable flag ([`set_enabled`]). Checked by every
-/// record operation of every registry, so benchmarks can measure the
-/// metrics-off baseline without rebuilding.
+/// Process-wide metrics enable flag ([`set_enabled`]). Gates histogram
+/// recording (and, at the call sites, the clock reads that feed it), so
+/// benchmarks can measure the metrics-off baseline without rebuilding.
+/// Counters and gauges ignore it: they are the single record of their
+/// events, and the `stats` verb reads them whatever the flag says.
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Turns metric recording on or off process-wide (handles stay valid;
-/// recording while disabled is a no-op). Used by the `loadgen` benchmark
-/// to measure instrumentation overhead and by `gts serve --no-metrics`.
+/// Turns histogram recording on or off process-wide (handles stay valid;
+/// recording a histogram while disabled is a no-op, counters and gauges
+/// keep counting). Used by the `loadgen` benchmark to measure
+/// instrumentation overhead and by `gts serve --no-metrics`.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
@@ -40,9 +44,7 @@ impl Counter {
 
     /// Increments by `n`.
     pub fn add(&self, n: u64) {
-        if enabled() {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -64,17 +66,15 @@ impl Counter {
 pub struct Gauge(Arc<AtomicI64>);
 
 impl Gauge {
-    /// Sets the value. Gauges are typically synchronized at scrape time
-    /// from their source of truth, so `set` ignores the enable flag.
+    /// Sets the value (scrape-time synchronization from a source of
+    /// truth that lives elsewhere).
     pub fn set(&self, v: i64) {
         self.0.store(v, Ordering::Relaxed);
     }
 
     /// Adds `n` (may be negative).
     pub fn add(&self, n: i64) {
-        if enabled() {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -435,11 +435,13 @@ mod tests {
         c.inc();
         h.record(10);
         set_enabled(true);
-        assert_eq!(c.get(), 0);
+        // Only histograms are gated: the counter is its event's one
+        // record, so it counts with the flag off.
+        assert_eq!(c.get(), 1);
         assert_eq!(h.snapshot().count, 0);
         c.inc();
         h.record(10);
-        assert_eq!(c.get(), 1);
+        assert_eq!(c.get(), 2);
         assert_eq!(h.snapshot().count, 1);
     }
 

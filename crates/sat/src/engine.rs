@@ -153,13 +153,12 @@ fn decide_instrumented(
     budget: &Budget,
 ) -> (Verdict, DecideStats) {
     let _span = gts_obs::span("oracle_decide");
-    if !gts_obs::enabled() {
-        return decide_in(ctx, tbox, query, budget);
-    }
-    let start = std::time::Instant::now();
+    let start = gts_obs::enabled().then(std::time::Instant::now);
     let out = decide_in(ctx, tbox, query, budget);
     let m = decide_metrics();
-    m.latency.record(start.elapsed().as_micros() as u64);
+    if let Some(t0) = start {
+        m.latency.record(t0.elapsed().as_micros() as u64);
+    }
     match &out.0 {
         Verdict::Sat(_) => m.sat.inc(),
         Verdict::Unsat => m.unsat.inc(),

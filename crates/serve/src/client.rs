@@ -167,19 +167,6 @@ impl Client {
         self.roundtrip(&proto::analyze_frame(gts, source, requests))
     }
 
-    /// `delta` roundtrip: execute `transform` over `instance`, then
-    /// patch the output incrementally with `delta` text.
-    pub fn delta(
-        &mut self,
-        gts: &str,
-        transform: &str,
-        instance: &str,
-        delta: &str,
-        check_target: Option<&str>,
-    ) -> Result<Json, ClientError> {
-        self.roundtrip(&proto::delta_frame(gts, transform, instance, delta, check_target))
-    }
-
     /// `evict` roundtrip (`None` evicts every resident session).
     pub fn evict(&mut self, fingerprint: Option<&str>) -> Result<Json, ClientError> {
         let mut f = proto::frame("evict");

@@ -28,7 +28,7 @@
 //!
 //! ```text
 //! frame      := version-verb fields*    # plus optional "id", "trace", "auth"
-//! verbs      := ping | stats | metrics | load_schema | analyze | delta
+//! verbs      := ping | stats | metrics | load_schema | analyze
 //!             | evict | cache_export | cache_import | shutdown
 //!
 //! ping       := {"v":V,"op":"ping"}                       # V ∈ {1, 2}
@@ -40,10 +40,6 @@
 //!                [,"deadline_ms":N]    # N >= 1; 0 is a bad_request
 //!                [,"budget":"default"|"large"]
 //!                [,"linger_ms":N]}     # test hook, off by default
-//! delta      := {"v":V,"op":"delta","gts":TEXT[,"source":NAME]
-//!                ,"transform":T,"instance":TEXT,"delta":TEXT
-//!                [,"check_target":S][,"deadline_ms":N]
-//!                [,"budget":"default"|"large"]}
 //! evict      := {"v":V,"op":"evict"[,"fingerprint":HEX16]}
 //! cache_export := {"v":V,"op":"cache_export","fingerprint":HEX16}
 //! cache_import := {"v":V,"op":"cache_import","store":BASE64}
@@ -166,25 +162,6 @@ pub fn analyze_frame(gts: &str, source: Option<&str>, requests: Vec<Json>) -> Js
         f.set("source", s);
     }
     f.set("requests", Json::Arr(requests));
-    f
-}
-
-/// A `delta` frame: execute `transform` over `instance`, then patch the
-/// output incrementally with `delta` (both in the front end's text
-/// syntax; the delta may reference instance node names and declare
-/// fresh ones).
-pub fn delta_frame(
-    gts: &str,
-    transform: &str,
-    instance: &str,
-    delta: &str,
-    check_target: Option<&str>,
-) -> Json {
-    let mut f = frame("delta");
-    f.set("gts", gts).set("transform", transform).set("instance", instance).set("delta", delta);
-    if let Some(t) = check_target {
-        f.set("check_target", t);
-    }
     f
 }
 

@@ -26,7 +26,7 @@ use crate::registry::{
     canonical_key, fingerprint_of, Fingerprint, RegistryConfig, SessionRegistry,
 };
 use gts_core::containment::ContainmentOptions;
-use gts_core::graph::{Graph, GraphDelta, Vocab};
+use gts_core::graph::{Graph, Vocab};
 use gts_core::sat::Budget;
 use gts_core::schema::Schema;
 use gts_core::Transformation;
@@ -34,7 +34,7 @@ use gts_engine::{AnalysisSession, Json, Request, Verdict};
 use gts_net::{CodecError, ConnId, FrameOutput, ReactorConfig, ReactorControl, Service};
 use gts_obs::{Counter, Gauge, Histogram, MetricsRegistry, SpanNode};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -53,10 +53,6 @@ pub struct Compiled {
 pub type CompileFn = dyn Fn(&str) -> Result<Compiled, String> + Send + Sync;
 /// Parses the standalone graph-instance format against a vocabulary.
 pub type ParseInstanceFn = dyn Fn(&str, &mut Vocab) -> Result<Graph, String> + Send + Sync;
-/// Parses an instance text plus a delta text (delta node names resolve
-/// against the instance's names) into the base graph and its delta.
-pub type ParseDeltaFn =
-    dyn Fn(&str, &str, &mut Vocab) -> Result<(Graph, GraphDelta), String> + Send + Sync;
 /// Renders a schema for the wire (`elicit` results).
 pub type RenderSchemaFn = dyn Fn(&Schema, &Vocab) -> String + Send + Sync;
 
@@ -68,8 +64,6 @@ pub struct Frontend {
     pub compile: Arc<CompileFn>,
     /// Parses the standalone graph-instance format against a vocabulary.
     pub parse_instance: Arc<ParseInstanceFn>,
-    /// Parses an instance + delta text pair (the `delta` verb).
-    pub parse_delta: Arc<ParseDeltaFn>,
     /// Renders a schema (used for `elicit` results on the wire).
     pub render_schema: Arc<RenderSchemaFn>,
 }
@@ -140,13 +134,12 @@ impl Default for ServerConfig {
 /// verbs plus two fallbacks — `invalid` for frames that fail to parse
 /// or carry the wrong protocol version, `unknown` for well-formed
 /// frames naming a verb the server does not speak.
-const VERB_LABELS: [&str; 12] = [
+const VERB_LABELS: [&str; 11] = [
     "ping",
     "stats",
     "metrics",
     "load_schema",
     "analyze",
-    "delta",
     "evict",
     "cache_export",
     "cache_import",
@@ -160,23 +153,22 @@ const VERB_LABELS: [&str; 12] = [
 /// the per-frame hot path must not, so every cell is resolved once at
 /// startup. The registry is per-server (not the process-global one) so
 /// that multiple servers in one process — the loopback test suites run
-/// several — each report exactly their own traffic, and the `metrics`
-/// verb's totals agree with the same server's `stats` verb.
+/// several — each report exactly their own traffic.
+///
+/// These cells are the server's only record of the events they count:
+/// the `stats` verb reads them and the `metrics` verb renders them, so
+/// the two surfaces agree by construction.
 struct ProtoMetrics {
     registry: MetricsRegistry,
     verbs: Vec<(&'static str, Counter, Histogram)>,
+    frames_received: Counter,
     requests_total: Counter,
     deadline_skipped: Counter,
-    rejected_overloaded: Counter,
-    rejected_deadline: Counter,
-    rejected_draining: Counter,
-    rejected_quota: Counter,
+    errors_total: Counter,
+    connections_total: Counter,
+    flushes_total: Counter,
     idle_closed: Counter,
     memo_served: Counter,
-    sessions: Gauge,
-    session_bytes: Gauge,
-    inflight: Gauge,
-    queued: Gauge,
     connections_open: Gauge,
 }
 
@@ -201,47 +193,43 @@ impl ProtoMetrics {
                 )
             })
             .collect();
-        let rejected = |reason| {
-            registry.counter(
-                "gts_serve_rejected_total",
-                "Analyze frames refused by admission control, by reason",
-                &[("reason", reason)],
-            )
-        };
-        let gauge = |name, help| registry.gauge(name, help, &[]);
+        let counter = |name, help| registry.counter(name, help, &[]);
         ProtoMetrics {
-            requests_total: registry.counter(
+            frames_received: counter(
+                "gts_serve_frames_received_total",
+                "Non-blank frames received, counted on arrival (the per-verb \
+                 gts_serve_frames_total series tile it)",
+            ),
+            requests_total: counter(
                 "gts_serve_requests_total",
                 "Analysis requests carried by analyze frames (skipped ones included)",
-                &[],
             ),
-            deadline_skipped: registry.counter(
+            deadline_skipped: counter(
                 "gts_serve_deadline_skipped_total",
                 "Requests skipped because their frame's deadline had passed",
-                &[],
             ),
-            rejected_overloaded: rejected("overloaded"),
-            rejected_deadline: rejected("deadline"),
-            rejected_draining: rejected("draining"),
-            rejected_quota: rejected("quota"),
-            idle_closed: registry.counter(
+            errors_total: counter(
+                "gts_serve_errors_total",
+                "Error responses: ok:false frames plus decode-fatal frames",
+            ),
+            connections_total: counter("gts_serve_connections_total", "Connections accepted"),
+            flushes_total: counter(
+                "gts_serve_flushes_total",
+                "Periodic flush ticks of disk-bound sessions",
+            ),
+            idle_closed: counter(
                 "gts_serve_idle_closed_total",
                 "Connections closed by the idle timeout",
-                &[],
             ),
-            memo_served: registry.counter(
+            memo_served: counter(
                 "gts_serve_memo_served_total",
                 "Analyze frames answered from the rendered-response memo",
+            ),
+            connections_open: registry.gauge(
+                "gts_serve_connections_open",
+                "Open client connections",
                 &[],
             ),
-            sessions: gauge("gts_serve_sessions", "Resident analysis sessions (scrape-time)"),
-            session_bytes: gauge(
-                "gts_serve_session_bytes",
-                "Approximate bytes held by resident sessions (scrape-time)",
-            ),
-            inflight: gauge("gts_serve_inflight", "Analyses holding an admission slot"),
-            queued: gauge("gts_serve_queued", "Analyses waiting for an admission slot"),
-            connections_open: gauge("gts_serve_connections_open", "Open client connections"),
             registry,
             verbs,
         }
@@ -261,7 +249,7 @@ impl ProtoMetrics {
     /// Maps a frame's `op` onto its metrics label (`unknown` for verbs
     /// the server does not speak).
     fn verb_label(&self, op: &str) -> &'static str {
-        VERB_LABELS[..10].iter().find(|&&v| v == op).copied().unwrap_or("unknown")
+        VERB_LABELS[..9].iter().find(|&&v| v == op).copied().unwrap_or("unknown")
     }
 }
 
@@ -334,15 +322,6 @@ struct Shared {
     admission: Admission,
     draining: AtomicBool,
     started: Instant,
-    connections_open: AtomicUsize,
-    connections_total: AtomicU64,
-    frames_total: AtomicU64,
-    requests_total: AtomicU64,
-    deadline_skipped: AtomicU64,
-    errors_total: AtomicU64,
-    flushes_total: AtomicU64,
-    idle_closed_total: AtomicU64,
-    memo_served_total: AtomicU64,
     compile_cache: Mutex<CompileCache>,
     response_memo: Mutex<ResponseMemo>,
     obs: ProtoMetrics,
@@ -439,15 +418,6 @@ impl Server {
             frontend,
             draining: AtomicBool::new(false),
             started: Instant::now(),
-            connections_open: AtomicUsize::new(0),
-            connections_total: AtomicU64::new(0),
-            frames_total: AtomicU64::new(0),
-            requests_total: AtomicU64::new(0),
-            deadline_skipped: AtomicU64::new(0),
-            errors_total: AtomicU64::new(0),
-            flushes_total: AtomicU64::new(0),
-            idle_closed_total: AtomicU64::new(0),
-            memo_served_total: AtomicU64::new(0),
             compile_cache: Mutex::new(CompileCache { entries: Vec::new() }),
             response_memo: Mutex::new(ResponseMemo { entries: Vec::new() }),
             obs: ProtoMetrics::new(),
@@ -484,12 +454,7 @@ impl ServerHandle {
 
     /// Connections closed by the idle timeout so far.
     pub fn idle_closed(&self) -> u64 {
-        self.shared.idle_closed_total.load(Ordering::Relaxed)
-    }
-
-    /// Open client connections right now.
-    pub fn connections_open(&self) -> usize {
-        self.shared.connections_open.load(Ordering::SeqCst)
+        self.shared.obs.idle_closed.get()
     }
 
     /// Begins graceful drain (idempotent): stop accepting, reject new
@@ -513,7 +478,7 @@ impl ServerHandle {
 
 /// The protocol layer, driven by the gts-net reactor. `handle` runs on
 /// a worker thread; the lifecycle callbacks run on the reactor thread
-/// and only touch atomics.
+/// and only touch metric cells.
 struct ProtoService {
     shared: Arc<Shared>,
 }
@@ -525,10 +490,10 @@ impl Service for ProtoService {
         if line.is_empty() {
             return FrameOutput::none(); // blank keep-alive lines: uncounted, unanswered
         }
-        shared.frames_total.fetch_add(1, Ordering::Relaxed);
+        shared.obs.frames_received.inc();
         let (response, control, ordered) = dispatch(shared, line);
         if response.get("ok").and_then(Json::as_bool) == Some(false) {
-            shared.errors_total.fetch_add(1, Ordering::Relaxed);
+            shared.obs.errors_total.inc();
         }
         let shutdown = matches!(control, Control::Shutdown);
         if shutdown {
@@ -540,7 +505,7 @@ impl Service for ProtoService {
     }
 
     fn decode_error(&self, _conn: ConnId, err: &CodecError) -> Vec<u8> {
-        self.shared.errors_total.fetch_add(1, Ordering::Relaxed);
+        self.shared.obs.errors_total.inc();
         let msg = match err {
             CodecError::TooBig { .. } => "frame exceeds size bound",
             CodecError::Utf8 => "frame is not valid UTF-8",
@@ -549,16 +514,15 @@ impl Service for ProtoService {
     }
 
     fn on_connect(&self, _conn: ConnId) {
-        self.shared.connections_total.fetch_add(1, Ordering::Relaxed);
-        self.shared.connections_open.fetch_add(1, Ordering::SeqCst);
+        self.shared.obs.connections_total.inc();
+        self.shared.obs.connections_open.add(1);
     }
 
     fn on_disconnect(&self, _conn: ConnId) {
-        self.shared.connections_open.fetch_sub(1, Ordering::SeqCst);
+        self.shared.obs.connections_open.add(-1);
     }
 
     fn on_idle_close(&self, _conn: ConnId) {
-        self.shared.idle_closed_total.fetch_add(1, Ordering::Relaxed);
         self.shared.obs.idle_closed.inc();
     }
 
@@ -570,7 +534,7 @@ impl Service for ProtoService {
         // tick_interval mirrors cfg.flush_interval, so every tick is a
         // flush tick.
         self.shared.registry.flush_all();
-        self.shared.flushes_total.fetch_add(1, Ordering::Relaxed);
+        self.shared.obs.flushes_total.inc();
     }
 
     fn on_exit(&self) {
@@ -592,8 +556,8 @@ enum Control {
 /// Validates a frame's envelope, routes it to its verb handler, and
 /// applies the cross-cutting protocol features: per-verb metrics, `id`
 /// echo, the `trace` span tree, and the slow-request log. Every frame
-/// that [`ProtoService::handle`] counted in `frames_total` goes through
-/// here exactly once, so the per-verb counters tile `frames_total`.
+/// that [`ProtoService::handle`] counted on arrival goes through here
+/// exactly once, so the per-verb counters tile `frames_total`.
 ///
 /// The returned flag is the response's *ordering class*: `true` means
 /// the reactor must hold it until every earlier frame on the connection
@@ -662,7 +626,6 @@ fn route(shared: &Shared, op: &str, frame: &Json) -> (Json, Control) {
         "metrics" => (metrics_frame(shared, frame), Control::Continue),
         "load_schema" => (load_schema(shared, frame), Control::Continue),
         "analyze" => (analyze(shared, frame), Control::Continue),
-        "delta" => (delta_verb(shared, frame), Control::Continue),
         "evict" => (evict(shared, frame), Control::Continue),
         "cache_export" => (cache_export(shared, frame), Control::Continue),
         "cache_import" => (cache_import(shared, frame), Control::Continue),
@@ -734,45 +697,62 @@ fn tenant_of(frame: &Json) -> &str {
     frame.get("auth").and_then(Json::as_str).unwrap_or(DEFAULT_TENANT)
 }
 
-/// Bumps the per-reason rejection counter for an admission refusal.
-fn note_rejection(shared: &Shared, e: crate::AdmissionError) {
-    match e {
-        crate::AdmissionError::Overloaded => shared.obs.rejected_overloaded.inc(),
-        crate::AdmissionError::DeadlineExceeded => shared.obs.rejected_deadline.inc(),
-        crate::AdmissionError::Draining => shared.obs.rejected_draining.inc(),
-        crate::AdmissionError::QuotaExceeded => shared.obs.rejected_quota.inc(),
-    }
-}
-
 /// The `metrics` verb: render this server's registry merged with the
 /// process-global one (oracle, executor, and engine series live there)
-/// in Prometheus text exposition (default) or the JSON mirror. Gauges
-/// are synced at scrape time rather than maintained on every
-/// transition.
+/// in Prometheus text exposition (default) or the JSON mirror.
+///
+/// Series whose source of truth lives elsewhere — the session pool's
+/// occupancy, admission's gauges and counters, the per-tenant table —
+/// are copied into a registry built for this scrape alone, so a tenant
+/// recycled out of the admission table leaves the exposition with it.
 fn metrics_frame(shared: &Shared, frame: &Json) -> Json {
+    let synced = MetricsRegistry::new();
+    let gauge =
+        |name, help, labels: &[(&str, &str)], v: i64| synced.gauge(name, help, labels).set(v);
     let reg = shared.registry.stats();
-    shared.obs.sessions.set(reg.sessions as i64);
-    shared.obs.session_bytes.set(reg.approx_bytes as i64);
+    gauge("gts_serve_sessions", "Resident analysis sessions", &[], reg.sessions as i64);
+    gauge(
+        "gts_serve_session_bytes",
+        "Approximate bytes held by resident sessions",
+        &[],
+        reg.approx_bytes as i64,
+    );
     let adm = shared.admission.stats();
-    shared.obs.inflight.set(adm.inflight as i64);
-    shared.obs.queued.set(adm.queued as i64);
-    shared.obs.connections_open.set(shared.connections_open.load(Ordering::SeqCst) as i64);
-    // Per-tenant gauges are resolved at scrape time: the tenant set is
-    // dynamic and the scrape path is cold.
+    gauge("gts_serve_inflight", "Analyses holding an admission slot", &[], adm.inflight as i64);
+    gauge("gts_serve_queued", "Analyses waiting for an admission slot", &[], adm.queued as i64);
+    synced
+        .counter("gts_serve_admitted_total", "Analyses granted an admission slot", &[])
+        .store(adm.admitted);
+    for (reason, n) in [
+        ("overloaded", adm.rejected_overloaded),
+        ("deadline", adm.rejected_deadline),
+        ("draining", adm.rejected_draining),
+        ("quota", adm.rejected_quota),
+    ] {
+        synced
+            .counter(
+                "gts_serve_rejected_total",
+                "Analyze frames refused by admission control, by reason",
+                &[("reason", reason)],
+            )
+            .store(n);
+    }
     for t in shared.admission.tenant_stats() {
         let labels = &[("tenant", t.tenant.as_str())];
-        shared
-            .obs
-            .registry
-            .gauge("gts_serve_tenant_inflight", "In-flight analyses by tenant", labels)
-            .set(t.inflight as i64);
-        shared
-            .obs
-            .registry
-            .gauge("gts_serve_tenant_admitted", "Analyses admitted by tenant", labels)
-            .set(t.admitted as i64);
+        gauge(
+            "gts_serve_tenant_inflight",
+            "In-flight analyses by tenant",
+            labels,
+            t.inflight as i64,
+        );
+        gauge(
+            "gts_serve_tenant_admitted",
+            "Analyses admitted by tenant",
+            labels,
+            t.admitted as i64,
+        );
     }
-    let regs: [&MetricsRegistry; 2] = [&shared.obs.registry, gts_obs::global()];
+    let regs: [&MetricsRegistry; 3] = [&shared.obs.registry, &synced, gts_obs::global()];
     let format = frame.get("format").and_then(Json::as_str).unwrap_or("prometheus");
     let body = match format {
         "prometheus" => gts_obs::render_prometheus(&regs),
@@ -842,18 +822,19 @@ fn stats_frame(shared: &Shared) -> Json {
         "oracle",
         gts_engine::snapshot_to_json(&gts_engine::oracle_snapshot(&shared.registry.oracle_stats())),
     );
+    let m = &shared.obs;
     let mut server = Json::obj();
     server
         .set("uptime_micros", shared.started.elapsed().as_micros() as u64)
-        .set("connections_open", shared.connections_open.load(Ordering::SeqCst))
-        .set("connections_total", shared.connections_total.load(Ordering::Relaxed))
-        .set("frames_total", shared.frames_total.load(Ordering::Relaxed))
-        .set("requests_total", shared.requests_total.load(Ordering::Relaxed))
-        .set("deadline_skipped", shared.deadline_skipped.load(Ordering::Relaxed))
-        .set("errors_total", shared.errors_total.load(Ordering::Relaxed))
-        .set("flushes_total", shared.flushes_total.load(Ordering::Relaxed))
-        .set("memo_served", shared.memo_served_total.load(Ordering::Relaxed))
-        .set("idle_closed", shared.idle_closed_total.load(Ordering::Relaxed))
+        .set("connections_open", m.connections_open.get())
+        .set("connections_total", m.connections_total.get())
+        .set("frames_total", m.frames_received.get())
+        .set("requests_total", m.requests_total.get())
+        .set("deadline_skipped", m.deadline_skipped.get())
+        .set("errors_total", m.errors_total.get())
+        .set("flushes_total", m.flushes_total.get())
+        .set("memo_served", m.memo_served.get())
+        .set("idle_closed", m.idle_closed.get())
         .set("draining", shared.draining.load(Ordering::SeqCst));
     r.set("server", server);
     r
@@ -1090,9 +1071,7 @@ fn analyze(shared: &Shared, frame: &Json) -> Json {
         if let Some((fp, cached)) = shared.response_memo_get(hash, key) {
             shared.registry.note_resident_hit(fp);
             let n = cached.get("results").and_then(Json::as_arr).map_or(0, |r| r.len() as u64);
-            shared.requests_total.fetch_add(n, Ordering::Relaxed);
             shared.obs.requests_total.add(n);
-            shared.memo_served_total.fetch_add(1, Ordering::Relaxed);
             shared.obs.memo_served.inc();
             return cached;
         }
@@ -1124,10 +1103,7 @@ fn analyze(shared: &Shared, frame: &Json) -> Json {
         .map(|ms| Instant::now() + Duration::from_millis(ms));
     let permit = match shared.admission.admit_for(tenant_of(frame), deadline) {
         Ok(p) => p,
-        Err(e) => {
-            note_rejection(shared, e);
-            return proto::error_frame(Some("analyze"), e.code(), admission_message(e));
-        }
+        Err(e) => return proto::error_frame(Some("analyze"), e.code(), admission_message(e)),
     };
     // Test/benchmark hook: hold the permit without doing work, so suites
     // can exercise backpressure and drain deterministically.
@@ -1148,11 +1124,9 @@ fn analyze(shared: &Shared, frame: &Json) -> Json {
         // Count every request the frame carried — skipped ones included,
         // or `requests_total` under-reports exactly when the server is
         // pressed hardest (the moment the counters matter most).
-        shared.requests_total.fetch_add(1, Ordering::Relaxed);
         shared.obs.requests_total.inc();
         if deadline.is_some_and(|d| Instant::now() >= d) {
             any_skipped = true;
-            shared.deadline_skipped.fetch_add(1, Ordering::Relaxed);
             shared.obs.deadline_skipped.inc();
             let mut entry = Json::obj();
             entry.set("label", label).set("error", proto::DEADLINE_EXCEEDED).set("skipped", true);
@@ -1187,95 +1161,6 @@ fn analyze(shared: &Shared, frame: &Json) -> Json {
             shared.response_memo_put(hash, key, fp, stored);
         }
     }
-    r
-}
-
-/// The `delta` verb: one incremental-execution request per frame. The
-/// shipped instance is executed in full once, then each delta patches
-/// the output through the incremental engine; the response reports the
-/// per-delta strategy (incremental vs full-rebuild fallback) alongside
-/// the patched output's size. Deltas that do not apply to the instance
-/// (out-of-range names/ids, index overflow) come back as `bad_request`.
-fn delta_verb(shared: &Shared, frame: &Json) -> Json {
-    let op = "delta";
-    let (compiled, idx, opts, fp, key) = match resolve_source(shared, frame, op) {
-        Ok(x) => x,
-        Err(e) => return e,
-    };
-    let Some(tname) = frame.get("transform").and_then(Json::as_str) else {
-        return proto::error_frame(Some(op), proto::BAD_REQUEST, "missing `transform` name");
-    };
-    let Some((_, transform)) = compiled.transforms.iter().find(|(n, _)| n == tname) else {
-        return proto::error_frame(
-            Some(op),
-            proto::BAD_REQUEST,
-            format!("no transform named `{tname}` in the shipped text"),
-        );
-    };
-    let Some(inst_text) = frame.get("instance").and_then(Json::as_str) else {
-        return proto::error_frame(Some(op), proto::BAD_REQUEST, "missing `instance` text");
-    };
-    let Some(delta_text) = frame.get("delta").and_then(Json::as_str) else {
-        return proto::error_frame(Some(op), proto::BAD_REQUEST, "missing `delta` text");
-    };
-    let mut vocab = compiled.vocab.clone();
-    let (instance, delta) = {
-        let _span = gts_obs::span("parse");
-        match (shared.frontend.parse_delta)(inst_text, delta_text, &mut vocab) {
-            Ok(x) => x,
-            Err(e) => return proto::error_frame(Some(op), proto::BAD_REQUEST, e),
-        }
-    };
-    let check_target = match frame.get("check_target").and_then(Json::as_str) {
-        Some(name) => match compiled.schemas.iter().find(|(n, _)| n == name) {
-            Some((_, s)) => Some(s.clone()),
-            None => {
-                return proto::error_frame(
-                    Some(op),
-                    proto::BAD_REQUEST,
-                    format!("no schema named `{name}` in the shipped text"),
-                )
-            }
-        },
-        None => None,
-    };
-    let deadline = frame
-        .get("deadline_ms")
-        .and_then(Json::as_u64)
-        .or(shared.cfg.default_deadline_ms)
-        .map(|ms| Instant::now() + Duration::from_millis(ms.max(1)));
-    let permit = match shared.admission.admit_for(tenant_of(frame), deadline) {
-        Ok(p) => p,
-        Err(e) => {
-            note_rejection(shared, e);
-            return proto::error_frame(Some(op), e.code(), admission_message(e));
-        }
-    };
-    let schema = compiled.schemas[idx].1.clone();
-    let (mut session, pool_hit) = shared
-        .registry
-        .checkout(fp, &key, || AnalysisSession::with_options(schema, compiled.vocab.clone(), opts));
-    shared.requests_total.fetch_add(1, Ordering::Relaxed);
-    shared.obs.requests_total.inc();
-    let request = Request::ExecuteDelta {
-        transform: transform.clone(),
-        instance,
-        deltas: vec![delta],
-        check_target,
-    };
-    let start = Instant::now();
-    let verdict = request.run(&mut session);
-    let micros = start.elapsed().as_micros() as u64;
-    drop(permit);
-    if let Err(gts_core::AnalysisError::Delta(msg)) = &verdict {
-        return proto::error_frame(Some(op), proto::BAD_REQUEST, msg.clone());
-    }
-    let entry = verdict_json(shared, &session, format!("delta {tname}"), verdict, micros);
-    let mut r = proto::ok_frame(op);
-    r.set("fingerprint", fp.to_string())
-        .set("source", compiled.schemas[idx].0.as_str())
-        .set("pool", if pool_hit { "hit" } else { "miss" })
-        .set("result", entry);
     r
 }
 
@@ -1399,28 +1284,6 @@ fn verdict_json(
             entry
                 .set("output_nodes", output.num_nodes() as u64)
                 .set("output_edges", output.num_edges() as u64);
-            if let Some(ok) = conforms {
-                entry.set("conforms", ok);
-            }
-        }
-        Ok(Verdict::DeltaExecuted { output, outcomes, conforms }) => {
-            entry
-                .set("output_nodes", output.num_nodes() as u64)
-                .set("output_edges", output.num_edges() as u64);
-            let rendered = outcomes
-                .iter()
-                .map(|o| {
-                    let mut d = Json::obj();
-                    d.set("strategy", format!("{:?}", o.strategy))
-                        .set("touched", o.touched as u64)
-                        .set("affected_sources", o.affected_sources as u64)
-                        .set("rules_reevaluated", o.rules_reevaluated as u64)
-                        .set("facts_added", o.facts_added as u64)
-                        .set("facts_removed", o.facts_removed as u64);
-                    d
-                })
-                .collect();
-            entry.set("deltas", Json::Arr(rendered));
             if let Some(ok) = conforms {
                 entry.set("conforms", ok);
             }

@@ -156,6 +156,12 @@ fn malformed_frames_get_error_responses_and_the_connection_survives() {
         (r#"{"v": 99, "op": "ping"}"#, proto::UNSUPPORTED_VERSION),
         (r#"{"op": "ping"}"#, proto::UNSUPPORTED_VERSION),
         (r#"{"v": 1, "op": "frobnicate"}"#, proto::UNKNOWN_OP),
+        // Incremental execution is a local `gts run --delta` feature, not
+        // a wire verb.
+        (
+            r#"{"v": 2, "op": "delta", "transform": "T", "instance": "", "delta": ""}"#,
+            proto::UNKNOWN_OP,
+        ),
         (r#"{"v": 1, "op": "analyze"}"#, proto::BAD_FRAME),
         (r#"{"v": 1, "op": "analyze", "gts": "schema S {", "requests": []}"#, proto::COMPILE_ERROR),
         (r#"{"v": 1, "op": "load_schema", "gts": "node A"}"#, proto::BAD_REQUEST),
@@ -847,73 +853,158 @@ fn slow_ms_zero_flags_every_frame_without_disturbing_responses() {
     shutdown_and_join(handle);
 }
 
-// ──────────────────────── the delta verb ───────────────────────────────
+// ─────────── observability: one cell per counted event ─────────────────
+
+/// The value of one rendered exposition series (`name{labels}` exactly
+/// as the server prints it), `None` when the series is absent.
+fn series(body: &str, name: &str) -> Option<i64> {
+    body.lines().find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+}
+
+/// Every `stats` counter next to the exposition series backing it, read
+/// from one `stats` frame and the `metrics` frame right after it. The
+/// metrics frame counts itself on arrival, so `frames_total` is offset
+/// by one.
+fn stats_vs_metrics(client: &mut Client) -> Vec<(&'static str, Option<i64>, Option<i64>)> {
+    let stats = client.stats().unwrap();
+    let body = client.metrics(None).unwrap().get("body").and_then(Json::as_str).unwrap().to_owned();
+    let field = |section: &str, key: &str| {
+        stats.get(section).and_then(|s| s.get(key)).and_then(Json::as_i64)
+    };
+    let pairs: [(&str, &str, &str); 14] = [
+        ("server", "connections_open", "gts_serve_connections_open"),
+        ("server", "connections_total", "gts_serve_connections_total"),
+        ("server", "requests_total", "gts_serve_requests_total"),
+        ("server", "deadline_skipped", "gts_serve_deadline_skipped_total"),
+        ("server", "errors_total", "gts_serve_errors_total"),
+        ("server", "flushes_total", "gts_serve_flushes_total"),
+        ("server", "memo_served", "gts_serve_memo_served_total"),
+        ("server", "idle_closed", "gts_serve_idle_closed_total"),
+        ("admission", "admitted", "gts_serve_admitted_total"),
+        ("admission", "rejected_overloaded", "gts_serve_rejected_total{reason=\"overloaded\"}"),
+        ("admission", "rejected_deadline", "gts_serve_rejected_total{reason=\"deadline\"}"),
+        ("admission", "rejected_draining", "gts_serve_rejected_total{reason=\"draining\"}"),
+        ("admission", "rejected_quota", "gts_serve_rejected_total{reason=\"quota\"}"),
+        ("server", "frames_total", "gts_serve_frames_received_total"),
+    ];
+    pairs
+        .iter()
+        .map(|&(section, key, name)| {
+            let offset = if key == "frames_total" { 1 } else { 0 };
+            (key, field(section, key), series(&body, name).map(|v| v - offset))
+        })
+        .collect()
+}
 
 #[test]
-fn delta_verb_patches_execution_output_over_the_wire() {
+fn every_stats_counter_equals_its_metrics_series() {
+    let handle = start(ServerConfig {
+        admission: AdmissionConfig { max_inflight: 1, max_queue: 0 },
+        allow_linger: true,
+        max_frame_bytes: 4096,
+        idle_timeout: Some(Duration::from_millis(800)),
+        flush_interval: Some(Duration::from_millis(50)),
+        ..Default::default()
+    });
+
+    // An idle close: a peer that never sends a frame.
+    let silent = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let t0 = Instant::now();
+    while handle.idle_closed() == 0 {
+        assert!(t0.elapsed() < Duration::from_secs(5), "the silent peer was never idled out");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    drop(silent);
+
+    let mut client = connect(&handle);
+    // An error frame.
+    let resp = client.roundtrip_raw(r#"{"v":2,"op":"frobnicate"}"#).unwrap();
+    assert_eq!(resp.get("error").and_then(Json::as_str), Some(proto::UNKNOWN_OP));
+    // A decode error: an oversized frame, on a connection of its own
+    // (the server answers it and closes).
+    let mut oversized = connect(&handle);
+    let resp = oversized.roundtrip_raw(&"x".repeat(8192)).unwrap();
+    assert_eq!(resp.get("error").and_then(Json::as_str), Some(proto::BAD_FRAME));
+    // A memo hit: the second identical frame.
+    for _ in 0..2 {
+        let resp = client.analyze(TINY, Some("S"), vec![proto::spec_type_check("T", "S")]).unwrap();
+        assert!(ok(&resp), "{}", resp.pretty());
+    }
+    // A deadline skip: the frame's deadline passes while it lingers.
+    let mut f = lingering_frame(200);
+    f.set("deadline_ms", 20u64);
+    assert!(ok(&client.roundtrip(&f).unwrap()));
+    // An overload rejection: the only slot is held by another connection.
+    let addr = handle.addr();
+    let slow = std::thread::spawn(move || {
+        let mut a = Client::connect(addr).unwrap();
+        a.roundtrip(&lingering_frame(300)).unwrap()
+    });
+    let t0 = Instant::now();
+    while handle.admission().stats().inflight == 0 {
+        assert!(t0.elapsed() < Duration::from_secs(5), "the slow frame was never admitted");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let resp = client.roundtrip(&lingering_frame(0)).unwrap();
+    assert_eq!(resp.get("error").and_then(Json::as_str), Some(proto::OVERLOADED));
+    assert!(ok(&slow.join().unwrap()));
+
+    // Flush ticks keep landing in the background, so take the first
+    // stats/metrics pair no tick (or late disconnect) fell between.
+    let mut pairs = stats_vs_metrics(&mut client);
+    for _ in 0..20 {
+        if pairs.iter().all(|(_, stats, metrics)| stats == metrics) {
+            break;
+        }
+        pairs = stats_vs_metrics(&mut client);
+    }
+    for (key, stats, metrics) in &pairs {
+        assert!(stats.is_some(), "stats lacks `{key}`");
+        assert_eq!(stats, metrics, "`{key}`: stats and metrics disagree ({pairs:?})");
+    }
+    let value = |key: &str| pairs.iter().find(|p| p.0 == key).and_then(|p| p.1).unwrap();
+    assert!(value("idle_closed") >= 1);
+    assert!(value("errors_total") >= 3, "unknown verb + oversized frame + overload");
+    assert_eq!(value("memo_served"), 1);
+    assert_eq!(value("deadline_skipped"), 1);
+    assert_eq!(value("rejected_overloaded"), 1);
+    assert!(value("flushes_total") >= 1);
+    assert!(value("connections_total") >= 4);
+    shutdown_and_join(handle);
+}
+
+#[test]
+fn churned_tenants_leave_the_exposition_with_the_admission_table() {
     let handle = start_default();
     let mut client = connect(&handle);
-
-    // Splice a fresh antigen between a1 and a2: the patched output must
-    // match a full execute over the patched instance.
-    let delta = "\
-add node a3 Antigen
-del edge a1 crossReacting a2
-add edge a1 crossReacting a3
-add edge a3 crossReacting a2
-";
-    let resp = client.delta(MEDICAL, "T0", MEDICAL_INSTANCE, delta, Some("S1")).unwrap();
-    assert!(ok(&resp), "{}", resp.pretty());
-    let result = resp.get("result").unwrap();
-    assert_eq!(result.get("conforms").and_then(Json::as_bool), Some(true));
-    let outcomes = result.get("deltas").and_then(Json::as_arr).unwrap();
-    assert_eq!(outcomes.len(), 1);
-    assert!(outcomes[0].get("strategy").and_then(Json::as_str).is_some());
-
-    // Parity: the same patched instance executed in full.
-    let patched_instance = "\
-node v1 Vaccine
-node a1 Antigen
-node a2 Antigen
-node p1 Pathogen
-node a3 Antigen
-edge v1 designTarget a1
-edge p1 exhibits a1
-edge p1 exhibits a2
-edge a1 crossReacting a3
-edge a3 crossReacting a2
-";
-    let full = client
-        .analyze(MEDICAL, Some("S0"), vec![proto::spec_execute("T0", patched_instance, Some("S1"))])
-        .unwrap();
-    assert!(ok(&full), "{}", full.pretty());
-    let full_entry = &results(&full)[0];
-    assert_eq!(
-        result.get("output_nodes").and_then(Json::as_u64),
-        full_entry.get("output_nodes").and_then(Json::as_u64)
-    );
-    assert_eq!(
-        result.get("output_edges").and_then(Json::as_u64),
-        full_entry.get("output_edges").and_then(Json::as_u64)
-    );
-
-    // A delta that does not apply is a bad_request, not a dead server.
-    let resp = client.delta(MEDICAL, "T0", MEDICAL_INSTANCE, "del node ghost", None).unwrap();
-    assert!(!ok(&resp));
-    assert_eq!(resp.get("error").and_then(Json::as_str), Some(proto::BAD_REQUEST));
-
-    // Unknown transform and missing fields are bad requests too.
-    let resp = client.delta(MEDICAL, "NoSuchT", MEDICAL_INSTANCE, "", None).unwrap();
-    assert_eq!(resp.get("error").and_then(Json::as_str), Some(proto::BAD_REQUEST));
-    let mut frame = proto::frame("delta");
-    frame.set("gts", MEDICAL).set("transform", "T0");
-    let resp = client.roundtrip(&frame).unwrap();
-    assert_eq!(resp.get("error").and_then(Json::as_str), Some(proto::BAD_REQUEST));
-
-    // The verb shows up in the per-verb frame metrics.
-    let resp = client.metrics(None).unwrap();
-    let body = resp.get("body").and_then(Json::as_str).unwrap();
-    assert!(body.contains("gts_serve_frames_total{verb=\"delta\"} 4\n"), "{body}");
+    // More distinct `auth` tokens than the admission table keeps, with a
+    // scrape after every batch. `deadline_ms` keeps each frame off the
+    // response memo, so every one goes through admission.
+    for batch in 0..3 {
+        for i in 0..120 {
+            let mut f =
+                proto::analyze_frame(TINY, Some("S"), vec![proto::spec_type_check("T", "S")]);
+            f.set("auth", format!("tenant-{batch}-{i}")).set("deadline_ms", 60_000u64);
+            assert!(ok(&client.roundtrip(&f).unwrap()));
+        }
+        let resp = client.metrics(None).unwrap();
+        let body = resp.get("body").and_then(Json::as_str).unwrap();
+        let mut exported: Vec<&str> = body
+            .lines()
+            .filter_map(|l| l.strip_prefix("gts_serve_tenant_admitted{tenant=\""))
+            .filter_map(|l| l.split_once('"').map(|(t, _)| t))
+            .collect();
+        exported.sort_unstable();
+        let stats = client.stats().unwrap();
+        let Some(Json::Obj(tenants)) = stats.get("admission").and_then(|a| a.get("tenants")) else {
+            panic!("stats lacks the tenant table: {}", stats.pretty())
+        };
+        let listed: Vec<&str> = tenants.iter().map(|(t, _)| t.as_str()).collect();
+        assert_eq!(
+            exported, listed,
+            "batch {batch}: the exposition must list exactly stats' tenants"
+        );
+    }
     shutdown_and_join(handle);
 }
 
