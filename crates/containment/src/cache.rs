@@ -7,8 +7,10 @@
 //! questions over few TBoxes). It bundles:
 //!
 //! * a [`SolverCache`] — per-TBox type universes, saturation fixpoints,
-//!   and realizability memos shared by every `decide` of the pipeline
-//!   (top-level satisfiability *and* the completion's entailment sweep);
+//!   and realizability memos shared by the top-level decides over each
+//!   completed TBox (`contains`, witness search, TBox containment); the
+//!   completion's entailment sweep owns its probe contexts and never
+//!   enters it;
 //! * a completion memo — `complete` is a deterministic function of its
 //!   inputs, and the negation choices of one containment question (and
 //!   repeated questions in a session) regularly complete identical

@@ -19,20 +19,22 @@
 //! is false.
 //!
 //! The `|types|² × |roles|` entailment sweep of each round is the dominant
-//! cost of a *cold* containment analysis. [`complete_with`] therefore (a)
-//! routes every engine call through the caller's [`OracleCache`] so all
-//! probes over one extended TBox share a solver context, and (b) can fan
-//! the sweep out over worker threads (chunked by pair index, merged in
-//! order, so the result matches the sequential sweep whenever the engine
-//! budgets don't bind — warm solver contexts can resolve budget-*bound*
-//! verdicts a cold context would report `Unknown`, see
-//! `gts_sat::SolverCache`).
+//! cost of a *cold* containment analysis. The sweep therefore (a) reasons
+//! through the one type universe its round built, and gives each extended
+//! TBox one solver context that every probe over it shares and that is
+//! dropped with the sweep — rounds add CIs, so no extended TBox recurs —
+//! and (b) can fan out over worker threads (chunked by pair index, merged
+//! in order, so the result matches the sequential sweep whenever the
+//! engine budgets don't bind — warm solver contexts can resolve
+//! budget-*bound* verdicts a cold context would report `Unknown`, see
+//! `gts_sat::SolverCache`). [`complete_with`] memoizes whole completions in
+//! the caller's [`OracleCache`].
 
 use crate::cache::OracleCache;
-use crate::entail::EntailCtx;
+use crate::entail::{EntailCtx, ExistsFast};
 use gts_dl::{HornCi, HornTbox};
 use gts_graph::{EdgeSym, FxHashMap, FxHashSet, LabelSet, NodeLabel};
-use gts_sat::Budget;
+use gts_sat::{Budget, TypeUniverse};
 
 /// Configuration caps for the completion computation.
 #[derive(Clone, Debug)]
@@ -74,9 +76,9 @@ pub fn complete(
     complete_with(tbox, schema_labels, fresh, budget, cfg, None, 1)
 }
 
-/// [`complete`] with a shared [`OracleCache`] (solver contexts + the
-/// completion memo) and a worker-thread count for the entailment sweep
-/// (`0` = available parallelism, `1` = sequential).
+/// [`complete`] with a shared [`OracleCache`] (its completion memo) and a
+/// worker-thread count for the entailment sweep (`0` = available
+/// parallelism, `1` = sequential).
 pub fn complete_with(
     tbox: &HornTbox,
     schema_labels: &LabelSet,
@@ -88,9 +90,9 @@ pub fn complete_with(
 ) -> Completion {
     match cache {
         Some(c) => c.completion_or_insert(tbox, schema_labels, fresh, budget, cfg, || {
-            complete_inner(tbox, schema_labels, fresh, budget, cfg, cache, threads)
+            complete_inner(tbox, schema_labels, fresh, budget, cfg, threads)
         }),
-        None => complete_inner(tbox, schema_labels, fresh, budget, cfg, None, threads),
+        None => complete_inner(tbox, schema_labels, fresh, budget, cfg, threads),
     }
 }
 
@@ -100,7 +102,6 @@ fn complete_inner(
     fresh: (NodeLabel, NodeLabel),
     budget: &Budget,
     cfg: &CompletionConfig,
-    cache: Option<&OracleCache>,
     threads: usize,
 ) -> Completion {
     let mut t = tbox.clone();
@@ -112,13 +113,13 @@ fn complete_inner(
     let mut known_edges: FxHashSet<(LabelSet, EdgeSym, LabelSet)> = FxHashSet::default();
 
     for _round in 0..cfg.max_rounds {
-        let (nodes, universe_complete) = type_universe(&t, schema_labels, cfg.max_nodes);
+        let (universe, nodes, universe_complete) = type_universe(&t, schema_labels, cfg.max_nodes);
         complete &= universe_complete;
 
         // Edge relation of the cycle-search graph H_T.
         let roles = t.used_roles();
         let (edges, sweep_complete) =
-            entail_sweep(&t, &nodes, &roles, fresh, budget, cache, threads, &known_edges);
+            entail_sweep(universe, &nodes, &roles, fresh, budget, threads, &known_edges);
         complete &= sweep_complete;
         for &(i, role, j) in &edges {
             known_edges.insert((nodes[i].clone(), role, nodes[j].clone()));
@@ -168,33 +169,32 @@ fn complete_inner(
 }
 
 /// Evaluates every `(i, role, j)` pair of the cycle-search graph, in pair
-/// order; parallel workers take contiguous chunks and results are merged
-/// by index, so the output never depends on the thread count.
-#[allow(clippy::too_many_arguments)]
+/// order, reasoning through `universe` (the round's, over its TBox);
+/// parallel workers take contiguous chunks, each on a clone of the
+/// universe, and results are merged by index, so the output never depends
+/// on the thread count.
 fn entail_sweep(
-    t: &HornTbox,
+    universe: TypeUniverse,
     nodes: &[LabelSet],
     roles: &[EdgeSym],
     fresh: (NodeLabel, NodeLabel),
     budget: &Budget,
-    cache: Option<&OracleCache>,
     threads: usize,
     known_edges: &FxHashSet<(LabelSet, EdgeSym, LabelSet)>,
 ) -> (Vec<(usize, EdgeSym, usize)>, bool) {
-    let mk_ctx = || {
-        let ctx = EntailCtx::new(t, fresh, budget.clone());
-        match cache {
-            Some(c) => ctx.with_cache(c.solver()),
-            None => ctx,
-        }
-    };
     // Roles with no ∃-CI can never carry an H_T edge: `entails_exists` is
     // false for every consistent premise, and the universe's types are all
     // consistent closures. Skip them wholesale.
     let roles: Vec<EdgeSym> = roles
         .iter()
         .copied()
-        .filter(|&r| t.cis.iter().any(|ci| matches!(ci, HornCi::Exists { role, .. } if *role == r)))
+        .filter(|&r| {
+            universe
+                .tbox()
+                .cis
+                .iter()
+                .any(|ci| matches!(ci, HornCi::Exists { role, .. } if *role == r))
+        })
         .collect();
     // Probe order: for each (role, K') group, premises K by *decreasing*
     // size — entailment is monotone in K, so an engine-certified negative
@@ -225,45 +225,43 @@ fn entail_sweep(
     let workers = resolve_threads(threads, pairs.len());
     let mut complete = true;
     let mut edges = Vec::new();
-    let probe_chunk = |chunk_pairs: &[(usize, usize, usize)]| -> Vec<(bool, bool)> {
-        let ctx = mk_ctx();
-        // Prefetch the per-(K, role) fast-path state once per role the
-        // chunk actually touches, so the inner per-pair check is a few
-        // subset tests with no hashing — and parallel workers don't each
-        // recompute the whole matrix.
-        let mut fast: Vec<Option<Vec<crate::entail::ExistsFast>>> = vec![None; roles.len()];
-        for &(_, ri, _) in chunk_pairs {
-            if fast[ri].is_none() {
-                fast[ri] = Some(nodes.iter().map(|k| ctx.exists_fast(k, roles[ri])).collect());
-            }
-        }
-        chunk_pairs
-            .iter()
-            .map(|&(i, ri, j)| {
-                let role = roles[ri];
-                if known_idx.contains(&(i, role, j)) {
-                    return (true, true);
+    let probe_chunk =
+        |universe: TypeUniverse, chunk_pairs: &[(usize, usize, usize)]| -> Vec<(bool, bool)> {
+            let ctx = EntailCtx::new(universe, fresh, budget.clone());
+            // Compute the per-(K, role) fast-path state once per role the
+            // chunk actually touches, so the inner per-pair check is a few
+            // subset tests with no hashing — and parallel workers don't each
+            // recompute the whole matrix.
+            let mut fast: Vec<Option<Vec<ExistsFast>>> = vec![None; roles.len()];
+            for &(_, ri, _) in chunk_pairs {
+                if fast[ri].is_none() {
+                    fast[ri] = Some(nodes.iter().map(|k| ctx.exists_fast(k, roles[ri])).collect());
                 }
-                let Some(fast_row) = &fast[ri] else { unreachable!("prefetched above") };
-                let fwd = match fast_row[i].decisive(&nodes[j]) {
-                    Some(v) => v,
-                    None => match ctx.entails_exists_after_fast(&nodes[i], role, &nodes[j]) {
+            }
+            chunk_pairs
+                .iter()
+                .map(|&(i, ri, j)| {
+                    let role = roles[ri];
+                    if known_idx.contains(&(i, role, j)) {
+                        return (true, true);
+                    }
+                    let Some(fast_row) = &fast[ri] else { unreachable!("computed above") };
+                    let fwd = match ctx.entails_exists(&fast_row[i], &nodes[i], role, &nodes[j]) {
                         Ok(b) => b,
                         Err(_) => return (false, false),
-                    },
-                };
-                if !fwd {
-                    return (false, true);
-                }
-                match ctx.entails_at_most_one(&nodes[j], role.inv(), &nodes[i]) {
-                    Ok(b) => (b, true),
-                    Err(_) => (false, false),
-                }
-            })
-            .collect()
-    };
+                    };
+                    if !fwd {
+                        return (false, true);
+                    }
+                    match ctx.entails_at_most_one(&nodes[j], role.inv(), &nodes[i]) {
+                        Ok(b) => (b, true),
+                        Err(_) => (false, false),
+                    }
+                })
+                .collect()
+        };
     let results: Vec<Vec<(bool, bool)>> = if workers <= 1 {
-        vec![probe_chunk(&pairs)]
+        vec![probe_chunk(universe, &pairs)]
     } else {
         // Contiguous chunks keep the per-worker memos effective (adjacent
         // pairs share their (role, K') group).
@@ -271,7 +269,7 @@ fn entail_sweep(
         std::thread::scope(|scope| {
             let handles: Vec<_> = pairs
                 .chunks(chunk)
-                .map(|chunk_pairs| scope.spawn(|| probe_chunk(chunk_pairs)))
+                .map(|chunk_pairs| scope.spawn(|| probe_chunk(universe.clone(), chunk_pairs)))
                 .collect();
             handles.into_iter().map(|h| h.join().expect("entailment worker panicked")).collect()
         })
@@ -303,13 +301,18 @@ fn resolve_threads(threads: usize, work_items: usize) -> usize {
 /// The forward-closed type universe: closures of schema-label singletons,
 /// closed under requirement children and edge enrichment. All rule
 /// applications run against a memoizing `TypeUniverse` over `t` (the
-/// construction re-closes and re-propagates the same sets many times).
-fn type_universe(t: &HornTbox, schema_labels: &LabelSet, cap: usize) -> (Vec<LabelSet>, bool) {
-    let mut u = gts_sat::TypeUniverse::new(t);
+/// construction re-closes and re-propagates the same sets many times),
+/// returned with its nodes for the round's entailment sweep.
+fn type_universe(
+    t: &HornTbox,
+    schema_labels: &LabelSet,
+    cap: usize,
+) -> (TypeUniverse, Vec<LabelSet>, bool) {
+    let mut u = TypeUniverse::new(t);
     let mut seen: FxHashMap<LabelSet, ()> = FxHashMap::default();
     let mut nodes: Vec<LabelSet> = Vec::new();
     let push = |set: Option<gts_sat::TypeId>,
-                u: &gts_sat::TypeUniverse,
+                u: &TypeUniverse,
                 nodes: &mut Vec<LabelSet>,
                 seen: &mut FxHashMap<LabelSet, ()>| {
         if let Some(tid) = set {
@@ -369,7 +372,7 @@ fn type_universe(t: &HornTbox, schema_labels: &LabelSet, cap: usize) -> (Vec<Lab
             }
         }
     }
-    (nodes, complete)
+    (u, nodes, complete)
 }
 
 /// BFS path from `from` to `to` through the edge list; returns the edge
@@ -542,7 +545,7 @@ mod tests {
         let mut t = HornTbox::new();
         t.push(HornCi::AllValues { lhs: LabelSet::new(), role: sym(0), rhs: set(&[1]) });
         t.push(HornCi::Exists { lhs: set(&[0]), role: sym(0), rhs: LabelSet::new() });
-        let (nodes, complete_flag) = type_universe(&t, &set(&[0]), 64);
+        let (_, nodes, complete_flag) = type_universe(&t, &set(&[0]), 64);
         assert!(complete_flag);
         assert!(nodes.contains(&set(&[1])));
     }

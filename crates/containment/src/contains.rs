@@ -14,17 +14,17 @@
 //! choices (DESIGN.md §3.4); containment holds iff the final query is
 //! unsatisfiable for *every* disjunct of `P̂` and every choice.
 //!
-//! Every satisfiability question of the pipeline — the per-disjunct
-//! decisions above *and* the entailment probes inside the completion —
-//! runs against an [`OracleCache`]: the caller's shared one
-//! ([`ContainmentOptions::cache`], installed by `gts-engine`'s
-//! `AnalysisSession`), or a call-local one otherwise, so even a single
-//! cold `contains` shares solver state across its dozens of `decide`
-//! calls. With [`ContainmentOptions::threads`] > 1 the independent
-//! `(choice, disjunct)` decisions and the completion's entailment sweep
-//! fan out over worker threads; results are merged in submission order,
-//! so verdicts and witnesses do not depend on the thread count as long
-//! as the engine budgets don't bind (warm solver contexts can resolve
+//! The per-disjunct decisions above run against an [`OracleCache`]: the
+//! caller's shared one ([`ContainmentOptions::cache`], installed by
+//! `gts-engine`'s `AnalysisSession`), or a call-local one otherwise, which
+//! also memoizes the completions. The entailment probes inside a
+//! completion run on solver contexts the sweep owns and drops. With
+//! [`ContainmentOptions::threads`] > 1 the independent
+//! `(choice, disjunct)` decisions fan out over worker threads; the
+//! completion's entailment sweep shards by its own work-size rule (see
+//! [`ContainmentOptions::threads`]). Results are merged in submission
+//! order, so verdicts and witnesses do not depend on the thread count as
+//! long as the engine budgets don't bind (warm solver contexts can resolve
 //! budget-bound verdicts a cold context would report `Unknown`).
 
 use crate::booleanize::booleanize;
@@ -47,11 +47,13 @@ pub struct ContainmentOptions {
     /// Completion caps.
     pub completion: CompletionConfig,
     /// Worker threads for the parallel sections (per-choice satisfiability
-    /// fan-out and the completion's entailment sweep): `1` — and the
-    /// default `0`, which defers to the work-size heuristics — run
-    /// sequentially unless the instance is large enough to shard.
+    /// fan-out and the completion's entailment sweep); `1` runs both
+    /// sequentially. The default `0` shards the sweep over the available
+    /// parallelism (at most 8) once it has 64 pairs per worker, and keeps
+    /// the per-choice fan-out sequential.
     pub threads: usize,
-    /// Shared oracle cache (solver contexts per TBox + completion memo).
+    /// Shared oracle cache (solver contexts per completed TBox + completion
+    /// memo).
     /// `None` (the default) uses a fresh cache per `contains` call;
     /// sessions install one cache for all their questions.
     pub cache: Option<Arc<OracleCache>>,

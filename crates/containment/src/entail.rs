@@ -9,43 +9,42 @@
 //!
 //! A sound syntactic fast path answers most positive instances without an
 //! engine call. The completion sweep asks `|types|² × |roles|` questions
-//! per round, so the context is aggressively indexed and memoized:
+//! per round, so the context is indexed once and owns its probe state:
 //!
 //! * CIs are grouped by kind and role once, so fast paths scan only the
 //!   relevant rules instead of the whole TBox;
-//! * `closure`/`propagate` results are memoized (the sweep revisits the
-//!   same `K` for every `(R, K')` pair);
+//! * the fast paths close and propagate through the round's one
+//!   [`TypeUniverse`], handed over by the sweep;
 //! * the extended TBoxes of the engine encodings depend only on `(R, K')`
-//!   (existentials) or on nothing (at-most), so they are built once and
-//!   shared — which is exactly what lets a [`SolverCache`] reuse one
-//!   solver context across the sweep's engine calls.
+//!   (existentials) or on nothing (at-most), so each gets one solver
+//!   context, built on first use and dropped with the sweep — rounds add
+//!   CIs, so no extended TBox recurs in a later round.
 
-use gts_dl::{HornCi, HornTbox};
+use gts_dl::HornCi;
 use gts_graph::{EdgeSym, FxHashMap, LabelSet, NodeLabel};
 use gts_query::{Atom, C2rpq, Regex, Var};
-use gts_sat::{decide, decide_on, Budget, SolverCache, SolverHandle, UnknownReason, Verdict};
+use gts_sat::{decide_in_ctx, Budget, RealizeCtx, TypeUniverse, UnknownReason, Verdict};
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Entailment oracle over a fixed TBox. The two `fresh` labels must not
-/// occur in the TBox (mint them from the vocabulary once).
-pub struct EntailCtx<'t> {
-    tbox: &'t HornTbox,
+/// Entailment oracle over one completion round's TBox. The two `fresh`
+/// labels must not occur in the TBox (mint them from the vocabulary once).
+pub(crate) struct EntailCtx {
     fresh_b: NodeLabel,
     fresh_b2: NodeLabel,
     budget: Budget,
-    cache: Option<&'t SolverCache>,
     /// `(lhs, rhs)` of `Exists` CIs, grouped by role.
     exists_by_role: FxHashMap<EdgeSym, Vec<(LabelSet, LabelSet)>>,
     /// `(lhs, rhs)` of `AtMostOne` CIs, grouped by role.
     amo_by_role: FxHashMap<EdgeSym, Vec<(LabelSet, LabelSet)>>,
     /// Roles touched by some `∄`-CI (in either orientation).
     notexists_roles: HashSet<EdgeSym>,
-    closure_memo: RefCell<FxHashMap<LabelSet, Option<LabelSet>>>,
-    propagate_memo: RefCell<FxHashMap<(LabelSet, EdgeSym), LabelSet>>,
-    exists_tbox_memo: RefCell<FxHashMap<(EdgeSym, LabelSet), ExtendedTbox>>,
-    amo_tbox_memo: RefCell<Option<ExtendedTbox>>,
+    /// Solver context of the existential encoding's extended TBox, per
+    /// `(role, K')`.
+    exists_ctxs: RefCell<FxHashMap<(EdgeSym, LabelSet), RealizeCtx>>,
+    /// Solver context of the at-most encoding's extended TBox.
+    amo_ctx: RefCell<Option<RealizeCtx>>,
     /// Engine verdicts per `(role, K')`, split by sign. Entailment is
     /// monotone in `K` (a stronger premise keeps every positive verdict,
     /// a weaker one keeps every negative), so a probe is answered without
@@ -53,16 +52,11 @@ pub struct EntailCtx<'t> {
     /// exists.
     exists_verdicts: RefCell<FxHashMap<LabelSet, Vec<(EdgeSym, VerdictLists)>>>,
     amo_verdicts: RefCell<FxHashMap<LabelSet, Vec<(EdgeSym, VerdictLists)>>>,
-    /// Per-`(K, role)` syntactic fast-path state for `entails_exists`: the
-    /// closed targets of the applicable `∃`-CIs do not depend on `K'`, so
-    /// the sweep's inner loop over `K'` reduces to subset tests. Keyed by
-    /// `K` first so probes hash one set and never clone.
-    exists_fast_memo: RefCell<FxHashMap<LabelSet, Vec<(EdgeSym, ExistsFast)>>>,
-    /// Memoizing type universe over the base TBox: the fast paths reason
-    /// over *saturated* types (labels forced in every model), which both
+    /// Type universe over the base TBox: the fast paths reason over
+    /// *saturated* types (labels forced in every model), which both
     /// certifies more positives and licenses the per-`(K, role)`
     /// no-successor fast-false.
-    universe: RefCell<gts_sat::TypeUniverse>,
+    universe: RefCell<TypeUniverse>,
 }
 
 /// Hoisted fast-path state of `entails_exists` for one `(K, role)`.
@@ -84,14 +78,14 @@ pub(crate) enum ExistsFast {
         /// Some forced successor is inconsistent.
         vacuous: bool,
         /// Saturated targets of the applicable rules (maximal only).
-        targets: Arc<Vec<LabelSet>>,
+        targets: Vec<LabelSet>,
     },
 }
 
 impl ExistsFast {
     /// `Some(v)` when the fast path decides `K ⊑ ∃R.K'` for this `K'`
     /// without the engine; `None` sends the probe to the engine.
-    pub(crate) fn decisive(&self, kp: &LabelSet) -> Option<bool> {
+    fn decisive(&self, kp: &LabelSet) -> Option<bool> {
         match self {
             ExistsFast::KInconsistent => Some(true),
             ExistsFast::NoSuccessor => Some(false),
@@ -104,14 +98,6 @@ impl ExistsFast {
             }
         }
     }
-}
-
-/// One engine-encoding TBox with its pre-resolved solver handle, built
-/// once per `(role, K')` (existentials) or once per sweep (at-most).
-#[derive(Clone)]
-struct ExtendedTbox {
-    tbox: Arc<HornTbox>,
-    handle: Option<SolverHandle>,
 }
 
 #[derive(Default)]
@@ -144,14 +130,49 @@ impl VerdictLists {
     }
 }
 
-impl<'t> EntailCtx<'t> {
-    /// Creates the oracle; `fresh` are two concept names unused in `tbox`.
-    pub fn new(tbox: &'t HornTbox, fresh: (NodeLabel, NodeLabel), budget: Budget) -> Self {
+/// The recorded verdict for premise `k` over `(role, K')`, if any.
+fn lookup_verdict(
+    memo: &RefCell<FxHashMap<LabelSet, Vec<(EdgeSym, VerdictLists)>>>,
+    k: &LabelSet,
+    role: EdgeSym,
+    kp: &LabelSet,
+) -> Option<bool> {
+    let memo = memo.borrow();
+    memo.get(kp)?.iter().find(|(r, _)| *r == role).and_then(|(_, l)| l.lookup(k))
+}
+
+fn record_verdict(
+    memo: &RefCell<FxHashMap<LabelSet, Vec<(EdgeSym, VerdictLists)>>>,
+    k: &LabelSet,
+    role: EdgeSym,
+    kp: &LabelSet,
+    v: bool,
+) {
+    let mut memo = memo.borrow_mut();
+    let rows = memo.entry(kp.clone()).or_default();
+    match rows.iter_mut().find(|(r, _)| *r == role) {
+        Some((_, l)) => l.record(k, v),
+        None => {
+            let mut l = VerdictLists::default();
+            l.record(k, v);
+            rows.push((role, l));
+        }
+    }
+}
+
+impl EntailCtx {
+    /// Creates the oracle over the TBox of `universe`; `fresh` are two
+    /// concept names unused in it.
+    pub(crate) fn new(
+        universe: TypeUniverse,
+        fresh: (NodeLabel, NodeLabel),
+        budget: Budget,
+    ) -> Self {
         let mut exists_by_role: FxHashMap<EdgeSym, Vec<(LabelSet, LabelSet)>> =
             FxHashMap::default();
         let mut amo_by_role: FxHashMap<EdgeSym, Vec<(LabelSet, LabelSet)>> = FxHashMap::default();
         let mut notexists_roles: HashSet<EdgeSym> = HashSet::new();
-        for ci in &tbox.cis {
+        for ci in &universe.tbox().cis {
             match ci {
                 HornCi::Exists { lhs, role, rhs } => {
                     exists_by_role.entry(*role).or_default().push((lhs.clone(), rhs.clone()));
@@ -167,75 +188,37 @@ impl<'t> EntailCtx<'t> {
             }
         }
         EntailCtx {
-            tbox,
             fresh_b: fresh.0,
             fresh_b2: fresh.1,
             budget,
-            cache: None,
             exists_by_role,
             amo_by_role,
             notexists_roles,
-            closure_memo: RefCell::new(FxHashMap::default()),
-            propagate_memo: RefCell::new(FxHashMap::default()),
-            exists_tbox_memo: RefCell::new(FxHashMap::default()),
-            amo_tbox_memo: RefCell::new(None),
+            exists_ctxs: RefCell::new(FxHashMap::default()),
+            amo_ctx: RefCell::new(None),
             exists_verdicts: RefCell::new(FxHashMap::default()),
             amo_verdicts: RefCell::new(FxHashMap::default()),
-            exists_fast_memo: RefCell::new(FxHashMap::default()),
-            universe: RefCell::new(gts_sat::TypeUniverse::new(tbox)),
+            universe: RefCell::new(universe),
         }
-    }
-
-    /// `true` iff some `∃`-CI uses `role` — without one, `entails_exists`
-    /// is false for every consistent premise (the sweep uses this to skip
-    /// whole roles).
-    pub fn has_exists_on(&self, role: EdgeSym) -> bool {
-        self.exists_by_role.contains_key(&role)
-    }
-
-    /// Routes the engine calls of this context through a persistent
-    /// [`SolverCache`].
-    pub fn with_cache(mut self, cache: &'t SolverCache) -> Self {
-        self.cache = Some(cache);
-        self
     }
 
     fn node_tests(set: &LabelSet) -> Regex {
         Regex::concat_all(set.iter().map(|l| Regex::node(NodeLabel(l))))
     }
 
-    fn closure(&self, set: &LabelSet) -> Option<LabelSet> {
-        if let Some(c) = self.closure_memo.borrow().get(set) {
-            return c.clone();
+    /// A fresh solver context over the base TBox plus `extra`.
+    fn extend(&self, extra: impl IntoIterator<Item = HornCi>) -> RealizeCtx {
+        let mut t = self.universe.borrow().tbox().clone();
+        for ci in extra {
+            t.push(ci);
         }
-        let c = self.tbox.closure(set);
-        self.closure_memo.borrow_mut().insert(set.clone(), c.clone());
-        c
+        RealizeCtx::new(TypeUniverse::with_arc(Arc::new(t)), self.budget.clone())
     }
 
-    fn propagate(&self, set: &LabelSet, role: EdgeSym) -> LabelSet {
-        let key = (set.clone(), role);
-        if let Some(p) = self.propagate_memo.borrow().get(&key) {
-            return p.clone();
-        }
-        let p = self.tbox.propagate(set, role);
-        self.propagate_memo.borrow_mut().insert(key, p.clone());
-        p
-    }
-
-    fn extend(&self, build: impl FnOnce() -> HornTbox) -> ExtendedTbox {
-        let tbox = Arc::new(build());
-        let handle = self.cache.map(|c| c.handle(&tbox, &self.budget));
-        ExtendedTbox { tbox, handle }
-    }
-
-    fn decide(&self, t: &ExtendedTbox, q: &C2rpq) -> Result<bool, UnknownReason> {
+    fn decide(&self, ctx: &mut RealizeCtx, q: &C2rpq) -> Result<bool, UnknownReason> {
         let _span = gts_obs::span("entailment_probe");
         let start = gts_obs::enabled().then(std::time::Instant::now);
-        let verdict = match (&t.handle, self.cache) {
-            (Some(handle), Some(cache)) => decide_on(handle, &t.tbox, q, &self.budget, cache).0,
-            _ => decide(&t.tbox, q, &self.budget),
-        };
+        let verdict = decide_in_ctx(ctx, q, &self.budget).0;
         if let Some(t0) = start {
             static HIST: std::sync::OnceLock<gts_obs::Histogram> = std::sync::OnceLock::new();
             HIST.get_or_init(|| {
@@ -254,64 +237,54 @@ impl<'t> EntailCtx<'t> {
         }
     }
 
-    /// The hoisted `(K, role)` fast-path state (memoized).
+    /// The hoisted `(K, role)` fast-path state of `entails_exists`; the
+    /// sweep computes it once per row and passes it to every probe.
     pub(crate) fn exists_fast(&self, k: &LabelSet, role: EdgeSym) -> ExistsFast {
-        if let Some(rows) = self.exists_fast_memo.borrow().get(k) {
-            if let Some((_, f)) = rows.iter().find(|(r, _)| *r == role) {
-                return f.clone();
+        let mut u = self.universe.borrow_mut();
+        // Inconsistent closure or dead saturation: K is unsatisfiable in
+        // every model, so it entails everything.
+        let Some(sat) = u.close(k).and_then(|tid| u.saturate(tid)) else {
+            return ExistsFast::KInconsistent;
+        };
+        // Every model's K-node carries at least the saturated labels, so
+        // reasoning over them is sound and strictly stronger than over
+        // clo(K).
+        let sat_labels = u.labels(sat).clone();
+        let mut vacuous = false;
+        let mut targets = Vec::new();
+        if let Some(cis) = self.exists_by_role.get(&role) {
+            let push = (*u.propagate_set(&sat_labels, role)).clone();
+            for (lhs, rhs) in cis {
+                if lhs.is_subset(&sat_labels) {
+                    match u.close(&rhs.union(&push)).and_then(|t| u.saturate(t)) {
+                        // The forced successor's saturated type: any actual
+                        // witness carries at least these labels.
+                        Some(ct) => targets.push(u.labels(ct).clone()),
+                        // The forced successor is inconsistent: K is
+                        // unsatisfiable, so every CI holds vacuously.
+                        None => vacuous = true,
+                    }
+                }
             }
         }
-        let mut u = self.universe.borrow_mut();
-        let fast = match u.close(k).and_then(|tid| u.saturate(tid)) {
-            // Inconsistent closure or dead saturation: K is unsatisfiable
-            // in every model, so it entails everything.
-            None => ExistsFast::KInconsistent,
-            Some(sat) => {
-                // Every model's K-node carries at least the saturated
-                // labels, so reasoning over them is sound and strictly
-                // stronger than over clo(K).
-                let sat_labels = u.labels(sat).clone();
-                let mut vacuous = false;
-                let mut targets = Vec::new();
-                if let Some(cis) = self.exists_by_role.get(&role) {
-                    let push = (*u.propagate_set(&sat_labels, role)).clone();
-                    for (lhs, rhs) in cis {
-                        if lhs.is_subset(&sat_labels) {
-                            match u.close(&rhs.union(&push)).and_then(|t| u.saturate(t)) {
-                                // The forced successor's saturated type:
-                                // any actual witness carries at least
-                                // these labels.
-                                Some(ct) => targets.push(u.labels(ct).clone()),
-                                // The forced successor is inconsistent: K
-                                // is unsatisfiable, so every CI holds
-                                // vacuously.
-                                None => vacuous = true,
-                            }
-                        }
-                    }
-                }
-                if targets.is_empty() && !vacuous {
-                    ExistsFast::NoSuccessor
-                } else {
-                    // Only maximal targets matter for coverage tests.
-                    let all = std::mem::take(&mut targets);
-                    for t in &all {
-                        if !all.iter().any(|o| o != t && t.is_subset(o)) && !targets.contains(t) {
-                            targets.push(t.clone());
-                        }
-                    }
-                    ExistsFast::Targets { vacuous, targets: Arc::new(targets) }
-                }
+        if targets.is_empty() && !vacuous {
+            return ExistsFast::NoSuccessor;
+        }
+        // Only maximal targets matter for coverage tests.
+        let all = std::mem::take(&mut targets);
+        for t in &all {
+            if !all.iter().any(|o| o != t && t.is_subset(o)) && !targets.contains(t) {
+                targets.push(t.clone());
             }
-        };
-        drop(u);
-        self.exists_fast_memo.borrow_mut().entry(k.clone()).or_default().push((role, fast.clone()));
-        fast
+        }
+        ExistsFast::Targets { vacuous, targets }
     }
 
-    /// `T ⊨ K ⊑ ∃R.K'` (unrestricted models).
-    pub fn entails_exists(
+    /// `T ⊨ K ⊑ ∃R.K'` (unrestricted models), given `fast`, the
+    /// [`EntailCtx::exists_fast`] state of `(K, role)`.
+    pub(crate) fn entails_exists(
         &self,
+        fast: &ExistsFast,
         k: &LabelSet,
         role: EdgeSym,
         kp: &LabelSet,
@@ -320,59 +293,24 @@ impl<'t> EntailCtx<'t> {
         // the saturated K and its saturated target covers K', or no ∃-CI
         // fires at all. The per-(K, role) state is hoisted, so each probe
         // is a handful of subset tests.
-        if let Some(v) = self.exists_fast(k, role).decisive(kp) {
+        if let Some(v) = fast.decisive(kp) {
             return Ok(v);
         }
-        self.entails_exists_after_fast(k, role, kp)
-    }
-
-    /// [`EntailCtx::entails_exists`] for callers that already ran the
-    /// hoisted fast path (the completion sweep prefetches it per
-    /// `(K, role)`).
-    pub(crate) fn entails_exists_after_fast(
-        &self,
-        k: &LabelSet,
-        role: EdgeSym,
-        kp: &LabelSet,
-    ) -> Result<bool, UnknownReason> {
         // Fast false: without any ∃-CI on this role, a tree model of clo(K)
         // omitting the successor exists; if clo(K) is only *semantically*
         // unsatisfiable the resulting missed H_T edge is harmless (every
         // finmod cycle through an unsatisfiable type reverses vacuously —
         // see the completion module docs).
-        if !self.has_exists_on(role) {
+        if !self.exists_by_role.contains_key(&role) {
             return Ok(false);
         }
         // Monotonicity shortcut before the engine: replay a recorded
         // verdict for a weaker/stronger premise over the same (role, K').
-        if let Some(rows) = self.exists_verdicts.borrow().get(kp) {
-            if let Some(v) = rows.iter().find(|(r, _)| *r == role).and_then(|(_, l)| l.lookup(k)) {
-                return Ok(v);
-            }
+        if let Some(v) = lookup_verdict(&self.exists_verdicts, k, role, kp) {
+            return Ok(v);
         }
         // Exact check via Corollary E.7. The extended TBox depends only on
-        // (role, K'), so it is built (and its solver handle resolved) once
-        // per sweep — one solver context serves every K probed here.
-        let t = {
-            let key = (role, kp.clone());
-            let mut memo = self.exists_tbox_memo.borrow_mut();
-            memo.entry(key)
-                .or_insert_with(|| {
-                    self.extend(|| {
-                        let mut t = self.tbox.clone();
-                        t.push(HornCi::AllValues {
-                            lhs: kp.clone(),
-                            role: role.inv(),
-                            rhs: LabelSet::singleton(self.fresh_b2.0),
-                        });
-                        t.push(HornCi::Bottom {
-                            lhs: LabelSet::from_iter([self.fresh_b.0, self.fresh_b2.0]),
-                        });
-                        t
-                    })
-                })
-                .clone()
-        };
+        // (role, K'), so one solver context serves every K probed here.
         let mut tests = k.clone();
         tests.insert(self.fresh_b.0);
         let q = C2rpq::new(
@@ -380,22 +318,26 @@ impl<'t> EntailCtx<'t> {
             vec![],
             vec![Atom { x: Var(0), y: Var(0), regex: Self::node_tests(&tests) }],
         );
-        let v = self.decide(&t, &q)?;
-        let mut memo = self.exists_verdicts.borrow_mut();
-        let rows = memo.entry(kp.clone()).or_default();
-        match rows.iter_mut().find(|(r, _)| *r == role) {
-            Some((_, l)) => l.record(k, v),
-            None => {
-                let mut l = VerdictLists::default();
-                l.record(k, v);
-                rows.push((role, l));
-            }
-        }
+        let v = {
+            let mut ctxs = self.exists_ctxs.borrow_mut();
+            let ctx = ctxs.entry((role, kp.clone())).or_insert_with(|| {
+                self.extend([
+                    HornCi::AllValues {
+                        lhs: kp.clone(),
+                        role: role.inv(),
+                        rhs: LabelSet::singleton(self.fresh_b2.0),
+                    },
+                    HornCi::Bottom { lhs: LabelSet::from_iter([self.fresh_b.0, self.fresh_b2.0]) },
+                ])
+            });
+            self.decide(ctx, &q)?
+        };
+        record_verdict(&self.exists_verdicts, k, role, kp, v);
         Ok(v)
     }
 
     /// `T ⊨ K ⊑ ∃≤1 R.K'` (unrestricted models).
-    pub fn entails_at_most_one(
+    pub(crate) fn entails_at_most_one(
         &self,
         k: &LabelSet,
         role: EdgeSym,
@@ -404,23 +346,23 @@ impl<'t> EntailCtx<'t> {
         // Syntactic fast path: an at-most CI firing on clo(K) whose counted
         // set is covered by the (propagation-enriched) successor type.
         let amo_on_role = self.amo_by_role.get(&role);
-        if let Some(clo_k) = self.closure(k) {
-            if let Some(cis) = amo_on_role {
-                let push = self.propagate(&clo_k, role);
-                let enriched = match self.closure(&kp.union(&push)) {
-                    Some(e) => e,
-                    None => return Ok(true), // no K'-successor can even exist
-                };
-                for (lhs, rhs) in cis {
-                    if lhs.is_subset(&clo_k) && rhs.is_subset(&enriched) {
-                        return Ok(true);
-                    }
-                }
-            } else if self.closure(&kp.union(&self.propagate(&clo_k, role))).is_none() {
+        {
+            let mut u = self.universe.borrow_mut();
+            let Some(clo_k) = u.close(k).map(|tid| u.labels(tid).clone()) else {
+                return Ok(true);
+            };
+            let push = u.propagate_set(&clo_k, role);
+            let Some(enriched) = u.close(&kp.union(&push)) else {
                 return Ok(true); // no K'-successor can even exist
+            };
+            let enriched = u.labels(enriched);
+            if amo_on_role
+                .into_iter()
+                .flatten()
+                .any(|(lhs, rhs)| lhs.is_subset(&clo_k) && rhs.is_subset(enriched))
+            {
+                return Ok(true);
             }
-        } else {
-            return Ok(true);
         }
         // Fast false: with no at-most constraint on this role and no
         // ∄-constraint touching it (in either direction), a model with two
@@ -431,27 +373,12 @@ impl<'t> EntailCtx<'t> {
             return Ok(false);
         }
         // Monotonicity shortcut before the engine (see `entails_exists`).
-        if let Some(rows) = self.amo_verdicts.borrow().get(kp) {
-            if let Some(v) = rows.iter().find(|(r, _)| *r == role).and_then(|(_, l)| l.lookup(k)) {
-                return Ok(v);
-            }
+        if let Some(v) = lookup_verdict(&self.amo_verdicts, k, role, kp) {
+            return Ok(v);
         }
         // Exact check via Corollary E.7: two R-steps into K'-nodes marked
         // B and B' respectively, with B⊓B' ⊑ ⊥. The extended TBox is the
         // same for every (K, R, K') — one solver context serves the sweep.
-        let t = {
-            let mut memo = self.amo_tbox_memo.borrow_mut();
-            memo.get_or_insert_with(|| {
-                self.extend(|| {
-                    let mut t = self.tbox.clone();
-                    t.push(HornCi::Bottom {
-                        lhs: LabelSet::from_iter([self.fresh_b.0, self.fresh_b2.0]),
-                    });
-                    t
-                })
-            })
-            .clone()
-        };
         let step = |marker: NodeLabel| {
             let mut tgt = kp.clone();
             tgt.insert(marker.0);
@@ -466,17 +393,16 @@ impl<'t> EntailCtx<'t> {
                 Atom { x: Var(0), y: Var(2), regex: step(self.fresh_b2) },
             ],
         );
-        let v = self.decide(&t, &q)?;
-        let mut memo = self.amo_verdicts.borrow_mut();
-        let rows = memo.entry(kp.clone()).or_default();
-        match rows.iter_mut().find(|(r, _)| *r == role) {
-            Some((_, l)) => l.record(k, v),
-            None => {
-                let mut l = VerdictLists::default();
-                l.record(k, v);
-                rows.push((role, l));
-            }
-        }
+        let v = {
+            let mut ctx = self.amo_ctx.borrow_mut();
+            let ctx = ctx.get_or_insert_with(|| {
+                self.extend([HornCi::Bottom {
+                    lhs: LabelSet::from_iter([self.fresh_b.0, self.fresh_b2.0]),
+                }])
+            });
+            self.decide(ctx, &q)?
+        };
+        record_verdict(&self.amo_verdicts, k, role, kp, v);
         Ok(v)
     }
 }
@@ -484,6 +410,7 @@ impl<'t> EntailCtx<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gts_dl::HornTbox;
     use gts_graph::{EdgeLabel, Vocab};
 
     fn fresh(v: &mut Vocab) -> (NodeLabel, NodeLabel) {
@@ -495,6 +422,13 @@ mod tests {
     fn sym(i: u32) -> EdgeSym {
         EdgeSym::fwd(EdgeLabel(i))
     }
+    fn ctx(t: &HornTbox, v: &mut Vocab) -> EntailCtx {
+        EntailCtx::new(TypeUniverse::new(t), fresh(v), Budget::default())
+    }
+    /// `entails_exists` with its hoisted fast-path state computed inline.
+    fn exists(ctx: &EntailCtx, k: &LabelSet, role: EdgeSym, kp: &LabelSet) -> bool {
+        ctx.entails_exists(&ctx.exists_fast(k, role), k, role, kp).unwrap()
+    }
 
     #[test]
     fn direct_ci_is_entailed() {
@@ -503,16 +437,16 @@ mod tests {
         let _ = v.node_label("B");
         let mut t = HornTbox::new();
         t.push(HornCi::Exists { lhs: set(&[0]), role: sym(0), rhs: set(&[1]) });
-        let ctx = EntailCtx::new(&t, fresh(&mut v), Budget::default());
-        assert!(ctx.entails_exists(&set(&[0]), sym(0), &set(&[1])).unwrap());
+        let ctx = ctx(&t, &mut v);
+        assert!(exists(&ctx, &set(&[0]), sym(0), &set(&[1])));
         // Weakening the target keeps entailment.
-        assert!(ctx.entails_exists(&set(&[0]), sym(0), &LabelSet::new()).unwrap());
+        assert!(exists(&ctx, &set(&[0]), sym(0), &LabelSet::new()));
         // Strengthening the premise keeps entailment.
-        assert!(ctx.entails_exists(&set(&[0, 1]), sym(0), &set(&[1])).unwrap());
+        assert!(exists(&ctx, &set(&[0, 1]), sym(0), &set(&[1])));
         // A stronger target is not entailed.
-        assert!(!ctx.entails_exists(&set(&[0]), sym(0), &set(&[0, 1])).unwrap());
+        assert!(!exists(&ctx, &set(&[0]), sym(0), &set(&[0, 1])));
         // Nothing about other roles.
-        assert!(!ctx.entails_exists(&set(&[0]), sym(1), &set(&[1])).unwrap());
+        assert!(!exists(&ctx, &set(&[0]), sym(1), &set(&[1])));
     }
 
     #[test]
@@ -525,8 +459,8 @@ mod tests {
         let mut t = HornTbox::new();
         t.push(HornCi::Exists { lhs: set(&[0]), role: sym(0), rhs: set(&[1]) });
         t.push(HornCi::AllValues { lhs: set(&[0]), role: sym(0), rhs: set(&[2]) });
-        let ctx = EntailCtx::new(&t, fresh(&mut v), Budget::default());
-        assert!(ctx.entails_exists(&set(&[0]), sym(0), &set(&[1, 2])).unwrap());
+        let ctx = ctx(&t, &mut v);
+        assert!(exists(&ctx, &set(&[0]), sym(0), &set(&[1, 2])));
     }
 
     #[test]
@@ -535,8 +469,8 @@ mod tests {
         let _ = v.node_label("A");
         let mut t = HornTbox::new();
         t.push(HornCi::Bottom { lhs: set(&[0]) });
-        let ctx = EntailCtx::new(&t, fresh(&mut v), Budget::default());
-        assert!(ctx.entails_exists(&set(&[0]), sym(0), &set(&[5])).unwrap());
+        let ctx = ctx(&t, &mut v);
+        assert!(exists(&ctx, &set(&[0]), sym(0), &set(&[5])));
         assert!(ctx.entails_at_most_one(&set(&[0]), sym(0), &set(&[5])).unwrap());
     }
 
@@ -548,7 +482,7 @@ mod tests {
         }
         let mut t = HornTbox::new();
         t.push(HornCi::AtMostOne { lhs: set(&[0]), role: sym(0), rhs: set(&[1]) });
-        let ctx = EntailCtx::new(&t, fresh(&mut v), Budget::default());
+        let ctx = ctx(&t, &mut v);
         assert!(ctx.entails_at_most_one(&set(&[0]), sym(0), &set(&[1])).unwrap());
         // Counting a *larger* conjunction (fewer successors) stays ≤ 1.
         assert!(ctx.entails_at_most_one(&set(&[0]), sym(0), &set(&[1, 0])).unwrap());
@@ -565,36 +499,7 @@ mod tests {
         let _ = v.node_label("A");
         let mut t = HornTbox::new();
         t.push(HornCi::NotExists { lhs: set(&[0]), role: sym(0), rhs: LabelSet::new() });
-        let ctx = EntailCtx::new(&t, fresh(&mut v), Budget::default());
+        let ctx = ctx(&t, &mut v);
         assert!(ctx.entails_at_most_one(&set(&[0]), sym(0), &LabelSet::new()).unwrap());
-    }
-
-    #[test]
-    fn cached_entailment_matches_uncached() {
-        let mut v = Vocab::new();
-        for n in ["A", "B"] {
-            v.node_label(n);
-        }
-        let mut t = HornTbox::new();
-        t.push(HornCi::Exists { lhs: set(&[0]), role: sym(0), rhs: set(&[1]) });
-        t.push(HornCi::NotExists { lhs: set(&[1]), role: sym(0), rhs: LabelSet::new() });
-        let f = fresh(&mut v);
-        let cache = SolverCache::new();
-        let plain = EntailCtx::new(&t, f, Budget::default());
-        let cached = EntailCtx::new(&t, f, Budget::default()).with_cache(&cache);
-        for k in [set(&[0]), set(&[1]), LabelSet::new()] {
-            for role in [sym(0), sym(0).inv(), sym(1)] {
-                for kp in [set(&[0]), set(&[1]), LabelSet::new()] {
-                    assert_eq!(
-                        plain.entails_exists(&k, role, &kp).ok(),
-                        cached.entails_exists(&k, role, &kp).ok()
-                    );
-                    assert_eq!(
-                        plain.entails_at_most_one(&k, role, &kp).ok(),
-                        cached.entails_at_most_one(&k, role, &kp).ok()
-                    );
-                }
-            }
-        }
     }
 }

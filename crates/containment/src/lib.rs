@@ -10,7 +10,7 @@
 //! * [`rollup_negation`] — Lemma C.2 (acyclic queries to Horn TBoxes);
 //! * [`complete`] — finmod-cycle reversal / Theorem 5.4 (finite ↔
 //!   unrestricted satisfiability);
-//! * [`EntailCtx`] — CI entailment via Corollary E.7;
+//! * `entail` — CI entailment via Corollary E.7, for the completion sweep;
 //! * [`contains`] — the top-level decision procedure;
 //! * `oracle` helpers — brute-force finite differential oracles.
 //!
@@ -52,7 +52,6 @@ pub use completion::{complete, complete_with, Completion, CompletionConfig};
 pub use contains::{
     contains, satisfiable_modulo_schema, ContainmentAnswer, ContainmentError, ContainmentOptions,
 };
-pub use entail::EntailCtx;
 pub use hatp::{hat_query, hat_regex, hat_union};
 pub use nre::{contains_nre, nest_tbox};
 pub use oracle::{

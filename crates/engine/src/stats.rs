@@ -14,7 +14,11 @@ use gts_obs::{Snapshot, Value};
 
 /// The canonical oracle-cache stats object (solver + completion layers).
 /// Field names are stable wire surface — `gts batch --stats`, the serve
-/// `stats` verb, and the benchmarks all expose exactly this shape.
+/// `stats` verb, and the benchmarks all expose exactly this shape. The
+/// solver fields (`decides`, `solver_*`, `cores_*`, `types_interned`,
+/// `realize_*`) count only the decides routed through the session's
+/// solver cache; the completion sweep's entailment probes are not among
+/// them (they still count in `gts_sat_decide_total`).
 pub fn oracle_snapshot(oracle: &OracleCacheStats) -> Snapshot {
     let mut s = Snapshot::new();
     s.set("decides", oracle.solver.decides)

@@ -134,29 +134,6 @@ fn rate(hits: u64, misses: u64) -> f64 {
     }
 }
 
-/// Cache-effectiveness counters of a [`SolverCache`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SolverCacheStats {
-    /// `decide_cached` calls that found a warm context.
-    pub hits: u64,
-    /// `decide_cached` calls that created a fresh context.
-    pub misses: u64,
-    /// Distinct (TBox, budget) entries currently held.
-    pub entries: usize,
-}
-
-impl SolverCacheStats {
-    /// Fraction of calls served warm (`0.0` when none were made).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// The canonical identity of a cache entry: the CI *set* plus the budget
 /// (budgets bound enumeration caps, so they are part of the verdict).
 struct CacheKey {
@@ -262,11 +239,11 @@ pub struct SolverCache {
 
 impl std::fmt::Debug for SolverCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.stats();
+        let stats = self.oracle_stats();
         f.debug_struct("SolverCache")
             .field("entries", &stats.entries)
-            .field("hits", &stats.hits)
-            .field("misses", &stats.misses)
+            .field("hits", &stats.cache_hits)
+            .field("misses", &stats.cache_misses)
             .finish()
     }
 }
@@ -275,16 +252,6 @@ impl SolverCache {
     /// An empty cache.
     pub fn new() -> Self {
         SolverCache::default()
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> SolverCacheStats {
-        let entries = self.entries.lock().unwrap().values().map(Vec::len).sum();
-        SolverCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries,
-        }
     }
 
     /// Number of distinct (TBox, budget) entries.
@@ -482,28 +449,10 @@ impl SolverCache {
     }
 
     /// Snapshot of every entry, taken without holding the map lock while
-    /// touching entry contexts (stats readers must not stall `handle`).
+    /// touching entry contexts (an export must not stall `handle`).
     fn snapshot_entries(&self) -> Vec<Arc<Entry>> {
         let map = self.entries.lock().unwrap();
         map.values().flat_map(|bucket| bucket.iter()).cloned().collect()
-    }
-
-    /// Sum of interned type counts over all entries (for statistics).
-    pub fn types_interned(&self) -> usize {
-        self.snapshot_entries().iter().map(|e| e.ctx.lock().unwrap().types.len()).sum()
-    }
-
-    /// Aggregated realizability-memo counters over all entries.
-    pub fn realize_stats(&self) -> crate::realize::RealizeStats {
-        let mut out = crate::realize::RealizeStats::default();
-        for e in self.snapshot_entries() {
-            let s = e.ctx.lock().unwrap().stats();
-            out.status_hits += s.status_hits;
-            out.status_misses += s.status_misses;
-            out.options_hits += s.options_hits;
-            out.options_misses += s.options_misses;
-        }
-        out
     }
 }
 
@@ -545,9 +494,9 @@ mod tests {
         cache.with_ctx(&t1, &budget, |_| ());
         cache.with_ctx(&t1, &budget, |_| ());
         cache.with_ctx(&t2, &budget, |_| ());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 2));
-        assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-9);
+        let stats = cache.oracle_stats();
+        assert_eq!((stats.cache_hits, stats.cache_misses, stats.entries), (1, 2, 2));
+        assert!((stats.cache_hit_rate() - 1.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -595,6 +544,6 @@ mod tests {
         });
         let types = cache.with_ctx(&t, &budget, |ctx| ctx.types.len());
         assert_eq!(types, 1, "interned types survive between calls");
-        assert_eq!(cache.types_interned(), 1);
+        assert_eq!(cache.oracle_stats().types_interned, 1);
     }
 }

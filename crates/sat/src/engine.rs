@@ -10,10 +10,11 @@
 //! independent because models of Horn TBoxes are closed under disjoint
 //! union.
 //!
-//! Two entry points share the same search: [`decide`] builds a fresh
-//! solver context per call, while [`decide_cached`] borrows a persistent
-//! per-TBox context from a [`SolverCache`] so repeated calls over one TBox
-//! skip re-interning types and re-deciding realizability fixpoints. Both
+//! Three entry points share the same search: [`decide`] builds a fresh
+//! solver context per call, [`decide_cached`] borrows a persistent
+//! per-TBox context from a [`SolverCache`], and [`decide_in_ctx`] runs on a
+//! context the caller owns. The last two let repeated calls over one TBox
+//! skip re-interning types and re-deciding realizability fixpoints. All
 //! return the same verdicts (the differential suites enforce it).
 
 use crate::budget::{Budget, UnknownReason, Verdict, Witness};
@@ -101,8 +102,8 @@ pub fn decide_cached(
 
 /// [`decide_cached`] against a pre-resolved [`crate::SolverHandle`] — skips the
 /// per-call CI-set hashing of the cache lookup, which matters when one
-/// extended TBox is probed hundreds of times (the completion's entailment
-/// sweep).
+/// TBox is decided repeatedly (every disjunct of a containment question
+/// over one completed TBox).
 pub fn decide_on(
     handle: &crate::cache::SolverHandle,
     tbox: &HornTbox,
@@ -114,6 +115,21 @@ pub fn decide_on(
         cache.with_handle(handle, budget, |ctx| decide_instrumented(ctx, tbox, query, budget));
     cache.record_decide(stats.cores_tried, stats.cores_deduped);
     (verdict, stats)
+}
+
+/// [`decide`] on a caller-owned context over the TBox of `ctx.types`. The
+/// context keeps its memo tables between calls, like a [`SolverCache`]
+/// entry, but lives only as long as its owner (the completion's entailment
+/// sweep holds one per extended TBox). Counted by the same span and
+/// metrics as every other decide; not by any [`SolverCache`].
+pub fn decide_in_ctx(
+    ctx: &mut RealizeCtx,
+    query: &C2rpq,
+    budget: &Budget,
+) -> (Verdict, DecideStats) {
+    ctx.begin_call(budget.clone());
+    let tbox = ctx.types.tbox_arc();
+    decide_instrumented(ctx, &tbox, query, budget)
 }
 
 /// The process-global metric cells of the decide hot path, resolved once.
@@ -943,6 +959,6 @@ mod tests {
                 );
             }
         }
-        assert!(cache.stats().hits > 0);
+        assert!(cache.oracle_stats().cache_hits > 0);
     }
 }

@@ -45,10 +45,11 @@ mod realize;
 mod types;
 
 pub use budget::{Budget, UnknownReason, Verdict, Witness};
-pub use cache::{tbox_fingerprint, OracleStats, SolverCache, SolverCacheStats, SolverHandle};
+pub use cache::{tbox_fingerprint, OracleStats, SolverCache, SolverHandle};
 pub use chase::{ChaseFail, Core};
 pub use engine::{
-    decide, decide_cached, decide_on, decide_with_stats, universal_constraints_hold, DecideStats,
+    decide, decide_cached, decide_in_ctx, decide_on, decide_with_stats, universal_constraints_hold,
+    DecideStats,
 };
 pub use portable::{portable_tbox_key, ImportReport};
 pub use realize::{Cand, RealizeCtx, RealizeStats};

@@ -208,3 +208,27 @@ fn threaded_batch_matches_cold_path_on_medical() {
     // while deciding), so entries can undercut misses — never exceed them.
     assert!(stats.entries <= stats.misses as usize, "stats: {stats:?}");
 }
+
+/// The completion sweep's solver contexts live only as long as the sweep:
+/// a session keeps at most one solver entry per completed TBox it decides
+/// over, never one per extended TBox the sweep probed.
+#[test]
+fn session_solver_entries_stay_within_completions() {
+    use gts_corpus::{scenario, Family, Params};
+    for family in [Family::Medical, Family::Fhir, Family::Retail] {
+        let sc = scenario(family, &Params::quick());
+        let source = sc.schema(&sc.primary.source).expect("primary source").clone();
+        let t = sc.transform(&sc.primary.transform).expect("primary transform");
+        let mut session = AnalysisSession::new(source, sc.vocab.clone());
+        session.elicit(t).expect("elicit");
+        let stats = session.oracle_stats();
+        assert!(stats.completion_misses > 0, "{}: the elicitation completed TBoxes", family.name());
+        assert!(
+            stats.solver.entries as u64 <= stats.completion_misses,
+            "{}: {} solver entries for {} completions",
+            family.name(),
+            stats.solver.entries,
+            stats.completion_misses
+        );
+    }
+}

@@ -111,7 +111,7 @@ fn cached_decide_agrees_with_fresh_on_random_instances() {
                 assert!(stats.types_interned > 0 || tbox.is_empty() || stats.cores_tried > 0);
             }
         }
-        assert!(cache.stats().hits > 0, "second pass must be warm");
+        assert!(cache.oracle_stats().cache_hits > 0, "second pass must be warm");
     }
 }
 
@@ -137,9 +137,9 @@ fn cross_tbox_isolation() {
         assert!(decide_cached(&t2, &q, &budget, &cache).0.is_sat());
         assert!(decide_cached(&t3, &q, &budget, &cache).0.is_sat());
     }
-    let stats = cache.stats();
+    let stats = cache.oracle_stats();
     assert_eq!(stats.entries, 3, "one context per TBox fingerprint");
-    assert!(stats.hits >= 6);
+    assert!(stats.cache_hits >= 6);
 }
 
 /// Budgets are part of the cache key: the same TBox under different
@@ -153,7 +153,7 @@ fn budgets_key_separate_contexts() {
     let (v1, _) = decide_cached(&t, &q, &Budget::default(), &cache);
     let (v2, _) = decide_cached(&t, &q, &Budget::large(), &cache);
     assert!(v1.is_sat() && v2.is_sat());
-    assert_eq!(cache.stats().entries, 2);
+    assert_eq!(cache.oracle_stats().entries, 2);
 }
 
 /// Cached and thread-fanned completions equal the plain completion on
