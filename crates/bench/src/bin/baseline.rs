@@ -1,9 +1,7 @@
 //! Seeds the performance trajectory: measures the paper's three analyses
 //! cold (fresh state per call) and through a cached `AnalysisSession`
 //! (cold first run, warm re-run), plus a repeated-containment benchmark
-//! and a **cold-oracle** section (the per-TBox solver cache measured in
-//! isolation: fresh verdict memo, warm `SolverCache`), plus a
-//! **disk-cache** section (cold-start-to-first-verdict with and without
+//! and a **disk-cache** section (cold-start-to-first-verdict with and without
 //! a warm on-disk store — the `--cache-dir` warm-start story), and
 //! writes the machine-readable report `BENCH_baseline.json`. Also measures
 //! transformation *execution* — naive `Transformation::apply` vs the
@@ -30,12 +28,10 @@
 //! builds with peak RSS and the memory-budget gate).
 
 use gts_bench::{fig2, medical, medical_instance};
-use gts_core::containment::OracleCache;
 use gts_core::prelude::*;
 use gts_corpus::{scenario, Family, Params};
 use gts_engine::{AnalysisSession, Json};
 use gts_exec::{execute_with, output_facts, ExecOptions, IndexedGraph};
-use std::sync::Arc;
 use std::time::Instant;
 
 fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
@@ -84,55 +80,8 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, u64) {
     (out, best)
 }
 
-/// The cold-oracle comparison: the same analysis with an *empty* verdict
-/// memo each time, against a cold vs a pre-warmed `SolverCache`. The gap
-/// is exactly what persistent per-TBox solver state buys on first-time
-/// questions (the "cold oracle" a high-traffic deployment pays on every
-/// novel (schema, query) pair).
-fn cold_oracle_row(name: &'static str, reps: usize, run: impl Fn(&mut AnalysisSession)) -> Json {
-    // Cold: fresh session, fresh oracle cache.
-    let (_, cold) = best_of(reps, || {
-        let m = medical();
-        let mut session = AnalysisSession::new(m.s0.clone(), m.vocab);
-        run(&mut session);
-    });
-    // Cached-cold: fresh session (empty verdict memo) sharing a SolverCache
-    // warmed by one prior run of the same analysis.
-    let m = medical();
-    let warm_cache = Arc::new(OracleCache::new());
-    let opts = ContainmentOptions::default().with_cache(Arc::clone(&warm_cache));
-    let mut warmup = AnalysisSession::with_options(m.s0.clone(), m.vocab.clone(), opts.clone());
-    run(&mut warmup);
-    let (_, cached_cold) = best_of(reps, || {
-        let m = medical();
-        let mut session = AnalysisSession::with_options(m.s0.clone(), m.vocab, opts.clone());
-        run(&mut session);
-    });
-    let stats = warm_cache.stats();
-    let mut e = Json::obj();
-    e.set("name", name)
-        .set("cold_micros", cold)
-        .set("cached_cold_micros", cached_cold)
-        .set("cached_cold_speedup", ratio(cold, cached_cold))
-        .set("decides", stats.solver.decides)
-        .set("solver_cache_hit_rate", stats.solver.cache_hit_rate())
-        .set("cores_tried", stats.solver.cores_tried)
-        .set("cores_deduped", stats.solver.cores_deduped)
-        .set("types_interned", stats.solver.types_interned as u64)
-        .set("realize_hits", stats.solver.realize_hits)
-        .set("realize_misses", stats.solver.realize_misses)
-        .set("realize_hit_rate", stats.solver.realize_hit_rate())
-        .set("completion_hits", stats.completion_hits)
-        .set("completion_misses", stats.completion_misses);
-    println!(
-        "cold oracle {name:20} cold {cold:>8}us | cached-cold {cached_cold:>8}us ({:.1}x)",
-        ratio(cold, cached_cold)
-    );
-    e
-}
-
 /// The disk-cache comparison: cold-start-to-first-verdict — fresh
-/// process state (empty memo, empty oracle cache) through the first
+/// process state (empty memo) through the first
 /// completed analysis — against the same start hydrated from a warm
 /// on-disk store under a throwaway cache dir. The warm timer *includes*
 /// reading and decoding the store file, so the ratio is exactly what
@@ -329,7 +278,7 @@ fn delta_section(quick: bool, reps: usize) -> Json {
     let edges = g.num_edges();
     let mut ks = vec![1, (edges / 2000).max(2), (edges / 200).max(3)];
     ks.dedup();
-    let inline = ExecOptions { threads: 1, ..Default::default() };
+    let inline = ExecOptions { threads: 1 };
     let mut inc = gts_exec::Incremental::new(&m.t0, &g);
     let mut rows = Vec::new();
     for k in ks {
@@ -409,7 +358,7 @@ fn exec_report(out_path: &str, quick: bool, scale: bool) {
                     gts_core::Rule::Edge(r) => &r.body,
                 })
                 .collect();
-        let inline = ExecOptions { threads: 1, ..Default::default() };
+        let inline = ExecOptions { threads: 1 };
         // Rule-body evaluation: per-pair NFA products vs indexed product-BFS.
         let (_, naive_eval) =
             best_of(reps, || bodies.iter().map(|b| b.eval(&g).len()).sum::<usize>());
@@ -516,7 +465,7 @@ fn family_section(families: &[Family], params: &Params, reps: usize) -> Json {
         let (_, s_warm) = timed(|| session.type_check(&t, &target).expect("type check"));
         let (_, elicit) = timed(|| session.elicit(&t).expect("elicit"));
 
-        let inline = ExecOptions { threads: 1, ..Default::default() };
+        let inline = ExecOptions { threads: 1 };
         let (out, exec) = best_of(reps, || execute_with(&t, &inst.graph, &inline));
         let conforms = target.conforms(&out).is_ok();
 
@@ -623,17 +572,6 @@ fn main() {
         });
     }
 
-    // ---- Cold-oracle section: fresh verdict memos, cold vs warmed
-    // SolverCache — persistent per-TBox solver state in isolation. ----
-    let elicit_oracle = cold_oracle_row("elicit_medical", reps, |s| {
-        let m = medical();
-        s.elicit(&m.t0).expect("elicit");
-    });
-    let check_oracle = cold_oracle_row("type_check_medical", reps, |s| {
-        let m = medical();
-        s.type_check(&m.t0, &m.s1).expect("type check");
-    });
-
     // ---- Disk-cache section: cold-start-to-first-verdict against a
     // warm on-disk store (what `--cache-dir` buys a restart). ----
     let disk_cache = disk_cache_section(reps);
@@ -694,12 +632,10 @@ fn main() {
 
     // ---- Assemble the report. ----
     let stats = session.stats();
-    let oracle = session.oracle_stats();
     let (nfa_hits, nfa_misses) = gts_core::query::nfa_cache_stats();
     let mut doc = Json::obj();
     doc.set("schema_version", 2u64).set("generated_by", "gts-bench baseline");
     doc.set("analyses", Json::Arr(rows.iter().map(AnalysisRow::json).collect()));
-    doc.set("cold_oracle", Json::Arr(vec![elicit_oracle, check_oracle]));
     doc.set("disk_cache", disk_cache);
     doc.set("families", families_json);
     doc.set("repeated_containment", repeated);
@@ -710,20 +646,6 @@ fn main() {
         .set("entries", stats.entries)
         .set("hit_rate", stats.hit_rate());
     doc.set("containment_cache", cache);
-    let mut solver = Json::obj();
-    solver
-        .set("decides", oracle.solver.decides)
-        .set("cache_hits", oracle.solver.cache_hits)
-        .set("cache_misses", oracle.solver.cache_misses)
-        .set("cache_hit_rate", oracle.solver.cache_hit_rate())
-        .set("entries", oracle.solver.entries as u64)
-        .set("cores_tried", oracle.solver.cores_tried)
-        .set("cores_deduped", oracle.solver.cores_deduped)
-        .set("types_interned", oracle.solver.types_interned as u64)
-        .set("realize_hit_rate", oracle.solver.realize_hit_rate())
-        .set("completion_hits", oracle.completion_hits)
-        .set("completion_misses", oracle.completion_misses);
-    doc.set("solver_cache", solver);
     let mut nfa = Json::obj();
     nfa.set("hits", nfa_hits)
         .set("misses", nfa_misses)
@@ -742,15 +664,6 @@ fn main() {
         stats.misses,
         stats.entries,
         stats.hit_rate() * 100.0
-    );
-    println!(
-        "solver cache: {} decides ({:.0}% context-warm), {} cores tried, {} types interned, \
-         realize hit rate {:.0}%",
-        oracle.solver.decides,
-        oracle.solver.cache_hit_rate() * 100.0,
-        oracle.solver.cores_tried,
-        oracle.solver.types_interned,
-        oracle.solver.realize_hit_rate() * 100.0
     );
     std::fs::write(&out_path, doc.pretty())
         .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));

@@ -27,7 +27,7 @@
 //! at once).
 //!
 //! The cold baseline re-parses the `.gts` text and builds a fresh
-//! session (fresh oracle cache) per request — exactly the work a
+//! session (fresh verdict memo) per request — exactly the work a
 //! one-shot `gts` invocation repeats every time, *minus* process spawn
 //! and schema-file I/O, so the reported resident speedup is a floor.
 
@@ -102,7 +102,7 @@ fn mean(values: impl Iterator<Item = u64>) -> f64 {
 }
 
 /// The cold one-shot baseline: for each kind, the latency of parsing
-/// the text and answering through a fresh session + fresh oracle cache.
+/// the text and answering through a fresh session.
 fn cold_oneshot(w: &Workload, reps: usize) -> Vec<(usize, u64)> {
     let mut out = Vec::new();
     for (ki, kind) in KINDS.iter().enumerate() {

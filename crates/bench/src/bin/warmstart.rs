@@ -1,4 +1,4 @@
-//! Warm-start smoke for the persistent oracle store: runs the medical
+//! Warm-start smoke for the persistent verdict store: runs the medical
 //! suite through an `AnalysisSession` optionally bound to `--cache-dir`,
 //! checks every answer against a fresh disk-free session (the
 //! differential guard), and prints one machine-scrapable line:
@@ -11,7 +11,9 @@
 //! hydrate (`hydrated>0`) and beat the first run's first-verdict time —
 //! and once with `--corrupt`, which truncates the store mid-record
 //! before opening it to prove the tolerant decoder falls back to the
-//! clean prefix (or cold) without changing any verdict.
+//! clean prefix (or cold) without changing any verdict. The corrupt
+//! run's final flush rewrites the store whole, so a run after it reports
+//! `degraded=0` and hydrates every verdict again.
 //!
 //! ```sh
 //! cargo run --release -p gts-bench --bin warmstart -- --cache-dir DIR

@@ -22,10 +22,9 @@
 
 use crate::parse::GtsFile;
 use crate::print;
-use gts_core::containment::{contains_nre, ContainmentOptions, OracleCache, OracleCacheStats};
+use gts_core::containment::{contains_nre, ContainmentOptions};
 use gts_engine::{AnalysisSession, Batch, CacheStats, Json, Request, Verdict};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Outcome of one command: exit code plus the text to print.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -71,10 +70,10 @@ fn usage() -> String {
      \x20           [--seed N] [--scale N]                 fixtures, or self-check determinism,\n\
      \x20                                                  conformance, and expected verdicts\n\
      \x20 (batch/client accept `-` as FILE to read the .gts source from stdin)\n\
-     \x20 (check/equiv/elicit/contains/safety also take --stats: append oracle statistics)\n\
      \x20 (single-file analysis commands take --trace: append the run's span tree)\n\
-     \x20 (analysis commands + batch/serve take --cache-dir DIR — or the GTS_CACHE_DIR env var —\n\
-     \x20  to persist oracle state across runs in DIR/*.gtsc; --no-cache forces a stateless run)\n"
+     \x20 (check/equiv/elicit + batch/serve take --cache-dir DIR — or the GTS_CACHE_DIR env var —\n\
+     \x20  to persist containment verdicts across runs in DIR/*.gtsc; --no-cache forces a\n\
+     \x20  stateless run)\n"
         .into()
 }
 
@@ -156,17 +155,12 @@ fn run_inner(
     };
     let src = read(path)?;
     let mut file = GtsFile::parse(&src).map_err(|e| format!("{path}:{e}"))?;
-    // `--stats` installs a shared oracle cache so the run's solver work
-    // can be reported afterwards (it also speeds multi-question commands).
-    let want_stats = flags.contains_key("stats");
-    let cache = Arc::new(OracleCache::new());
-    let opts =
-        ContainmentOptions { cache: Some(Arc::clone(&cache)), ..ContainmentOptions::default() };
+    let opts = ContainmentOptions::default();
     // Persistent disk cache (--cache-dir / GTS_CACHE_DIR, vetoed by
     // --no-cache): analysis commands bind an `AnalysisSession` over the
-    // command's source schema to its store file, hydrating prior verdict
-    // memos, completion memos, and solver snapshots before the first
-    // question, and flushing what this run learned on drop.
+    // command's source schema to its store file, hydrating prior verdicts
+    // before the first question, and flushing what this run learned on
+    // drop.
     let cache_dir = cache_dir_from(&flags);
     let bind_session =
         |schema: &gts_core::schema::Schema, vocab: &gts_core::graph::Vocab| -> AnalysisSession {
@@ -177,14 +171,6 @@ fn run_inner(
             }
             session
         };
-    let finish_stats = |outcome: Result<Outcome, String>| -> Result<Outcome, String> {
-        let mut o = outcome?;
-        if want_stats {
-            o.output.push_str(&oracle_stats_block(&cache.stats()));
-        }
-        Ok(o)
-    };
-
     let lookup_schema = |file: &GtsFile, name: &str| -> Result<gts_core::schema::Schema, String> {
         file.schema(name).cloned().ok_or_else(|| format!("no schema named `{name}` in {path}"))
     };
@@ -312,11 +298,7 @@ fn run_inner(
             } else if flags.contains_key("naive") {
                 t.apply(&inst.graph)
             } else {
-                gts_exec::execute_with(
-                    &t,
-                    &inst.graph,
-                    &gts_exec::ExecOptions { threads, ..Default::default() },
-                )
+                gts_exec::execute_with(&t, &inst.graph, &gts_exec::ExecOptions { threads })
             };
             let mut output = if flags.contains_key("dot") {
                 out_graph.to_dot(&file.vocab)
@@ -365,11 +347,8 @@ fn run_inner(
                 .cloned()
                 .ok_or_else(|| format!("no query named `{}` in {path}", flags["q"]))?;
             let s = lookup_schema(file, need(&flags, "schema")?)?;
-            // Containment runs through the free function (NRE queries are
-            // not session requests), but a disk-bound anchor session over
-            // the same schema hydrates the shared oracle cache first and
-            // flushes what this run adds to it when dropped.
-            let _warm = cache_dir.as_ref().map(|_| bind_session(&s, &file.vocab));
+            // Containment runs through the free function: NRE queries are
+            // not session requests, so no verdict memo (or store) applies.
             let ans = contains_nre(&p, &q, &s, &mut file.vocab, &opts)
                 .map_err(|e| format!("containment failed: {e:?}"))?;
             let mut o = verdict_outcome("containment", ans.holds, ans.certified);
@@ -423,7 +402,6 @@ fn run_inner(
                     .ok_or_else(|| format!("unknown node label `{name}`"))?;
                 literals.insert(l.0);
             }
-            let _warm = cache_dir.as_ref().map(|_| bind_session(&s, &file.vocab));
             let report = gts_core::check_literal_safety(&t, &s, &literals, &mut file.vocab, &opts)
                 .map_err(|e| format!("literal safety check failed: {e:?}"))?;
             let d = report.decision();
@@ -439,7 +417,7 @@ fn run_inner(
     // rendered span tree as comment lines (file parsing happened above,
     // so the tree covers the analysis itself: oracle decides, saturation,
     // completion sweeps, executor phases).
-    let result = if flags.contains_key("trace") {
+    if flags.contains_key("trace") {
         let (result, tree) = gts_obs::trace("command", || run_cmd(&mut file));
         result.map(|mut o| {
             o.output.push_str("# span tree:\n");
@@ -452,28 +430,7 @@ fn run_inner(
         })
     } else {
         run_cmd(&mut file)
-    };
-    finish_stats(result)
-}
-
-/// Renders the oracle statistics of one CLI run (the `--stats` flag).
-fn oracle_stats_block(stats: &OracleCacheStats) -> String {
-    let s = &stats.solver;
-    format!(
-        "# oracle: {} decides ({:.0}% context-warm), {} cores tried ({} deduped), {} types \
-         interned\n# realize memo: {} hits / {} misses ({:.0}% hit rate); completions: {} \
-         memoized / {} computed\n",
-        s.decides,
-        s.cache_hit_rate() * 100.0,
-        s.cores_tried,
-        s.cores_deduped,
-        s.types_interned,
-        s.realize_hits,
-        s.realize_misses,
-        s.realize_hit_rate() * 100.0,
-        stats.completion_hits,
-        stats.completion_misses,
-    )
+    }
 }
 
 /// One named entry of the standard analysis suite (shared by `gts
@@ -567,7 +524,6 @@ fn run_batch(
         let mut entries = 0usize;
         let mut approx_bytes = 0usize;
         let mut hydrated = 0u64;
-        let mut oracle = OracleCacheStats::default();
         for (source_name, items) in suite(&file) {
             let source = file.schema(&source_name).expect("suite names file schemas").clone();
             let mut session = AnalysisSession::new(source, file.vocab.clone());
@@ -598,7 +554,6 @@ fn run_batch(
             entries += stats.entries;
             approx_bytes += stats.approx_bytes;
             hydrated += stats.hydrated;
-            oracle.absorb(&session.oracle_stats());
             for r in results {
                 let mut entry = Json::obj();
                 entry.set("label", r.label.as_str()).set("micros", r.micros);
@@ -637,11 +592,7 @@ fn run_batch(
         let mut fj = Json::obj();
         fj.set("file", path.as_str())
             .set("results", Json::Arr(results_json))
-            .set("containment_cache", cache)
-            // The canonical oracle shape — identical to the serve `stats`
-            // verb's `oracle` object and the analyze response, by
-            // construction (they all call the same builder).
-            .set("oracle", gts_engine::snapshot_to_json(&gts_engine::oracle_snapshot(&oracle)));
+            .set("containment_cache", cache);
         if flags.contains_key("stats") {
             // The occupancy counters the server's session registry
             // budgets against, summed over this file's source sessions —

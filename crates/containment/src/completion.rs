@@ -27,10 +27,10 @@
 //! in order, so the result matches the sequential sweep whenever the
 //! engine budgets don't bind — warm solver contexts can resolve
 //! budget-*bound* verdicts a cold context would report `Unknown`, see
-//! `gts_sat::SolverCache`). [`complete_with`] memoizes whole completions in
-//! the caller's [`OracleCache`].
+//! `gts_sat::decide_in_ctx`). Completions are not memoized: the negation
+//! choices of one question complete distinct TBoxes, and repeated
+//! questions are answered by the session's verdict memo above this crate.
 
-use crate::cache::OracleCache;
 use crate::entail::{EntailCtx, ExistsFast};
 use gts_dl::{HornCi, HornTbox};
 use gts_graph::{EdgeSym, FxHashMap, FxHashSet, LabelSet, NodeLabel};
@@ -73,27 +73,35 @@ pub fn complete(
     budget: &Budget,
     cfg: &CompletionConfig,
 ) -> Completion {
-    complete_with(tbox, schema_labels, fresh, budget, cfg, None, 1)
+    complete_with(tbox, schema_labels, fresh, budget, cfg, 1)
 }
 
-/// [`complete`] with a shared [`OracleCache`] (its completion memo) and a
-/// worker-thread count for the entailment sweep (`0` = available
-/// parallelism, `1` = sequential).
+/// [`complete`] with a worker-thread count for the entailment sweep (`0`
+/// = available parallelism, `1` = sequential). Runs in a `completion` span
+/// and records its latency in `gts_containment_completion_micros`.
 pub fn complete_with(
     tbox: &HornTbox,
     schema_labels: &LabelSet,
     fresh: (NodeLabel, NodeLabel),
     budget: &Budget,
     cfg: &CompletionConfig,
-    cache: Option<&OracleCache>,
     threads: usize,
 ) -> Completion {
-    match cache {
-        Some(c) => c.completion_or_insert(tbox, schema_labels, fresh, budget, cfg, || {
-            complete_inner(tbox, schema_labels, fresh, budget, cfg, threads)
-        }),
-        None => complete_inner(tbox, schema_labels, fresh, budget, cfg, threads),
+    let _span = gts_obs::span("completion");
+    let start = gts_obs::enabled().then(std::time::Instant::now);
+    let c = complete_inner(tbox, schema_labels, fresh, budget, cfg, threads);
+    if let Some(t0) = start {
+        static HIST: std::sync::OnceLock<gts_obs::Histogram> = std::sync::OnceLock::new();
+        HIST.get_or_init(|| {
+            gts_obs::global().histogram(
+                "gts_containment_completion_micros",
+                "Latency of TBox completion computations",
+                &[],
+            )
+        })
+        .record(t0.elapsed().as_micros() as u64);
     }
+    c
 }
 
 fn complete_inner(
@@ -550,7 +558,7 @@ mod tests {
         assert!(nodes.contains(&set(&[1])));
     }
 
-    /// Cached + multi-threaded completion returns byte-identical results.
+    /// Multi-threaded completion returns byte-identical results.
     #[test]
     fn cached_and_threaded_completions_agree() {
         let mut v = Vocab::new();
@@ -564,15 +572,8 @@ mod tests {
         let budget = Budget::default();
         let cfg = CompletionConfig::default();
         let plain = complete(&t, &set(&[0]), f, &budget, &cfg);
-        let cache = OracleCache::new();
-        let cached = complete_with(&t, &set(&[0]), f, &budget, &cfg, Some(&cache), 1);
-        let threaded = complete_with(&t, &set(&[0]), f, &budget, &cfg, None, 4);
-        assert_eq!(plain.tbox, cached.tbox);
+        let threaded = complete_with(&t, &set(&[0]), f, &budget, &cfg, 4);
         assert_eq!(plain.tbox, threaded.tbox);
-        assert_eq!(plain.complete, cached.complete);
-        // Second cached call is a memo hit.
-        let again = complete_with(&t, &set(&[0]), f, &budget, &cfg, Some(&cache), 1);
-        assert_eq!(again.tbox, cached.tbox);
-        assert_eq!(cache.stats().completion_hits, 1);
+        assert_eq!(plain.complete, threaded.complete);
     }
 }

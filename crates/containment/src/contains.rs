@@ -14,30 +14,30 @@
 //! choices (DESIGN.md §3.4); containment holds iff the final query is
 //! unsatisfiable for *every* disjunct of `P̂` and every choice.
 //!
-//! The per-disjunct decisions above run against an [`OracleCache`]: the
-//! caller's shared one ([`ContainmentOptions::cache`], installed by
-//! `gts-engine`'s `AnalysisSession`), or a call-local one otherwise, which
-//! also memoizes the completions. The entailment probes inside a
-//! completion run on solver contexts the sweep owns and drops. With
-//! [`ContainmentOptions::threads`] > 1 the independent
-//! `(choice, disjunct)` decisions fan out over worker threads; the
-//! completion's entailment sweep shards by its own work-size rule (see
-//! [`ContainmentOptions::threads`]). Results are merged in submission
-//! order, so verdicts and witnesses do not depend on the thread count as
-//! long as the engine budgets don't bind (warm solver contexts can resolve
-//! budget-bound verdicts a cold context would report `Unknown`).
+//! Each choice's completed TBox `T*` gets one solver context, owned by
+//! the call for as long as it runs: every disjunct of `P̂` is decided
+//! through it, so they share interned types and realizability fixpoints
+//! (exact replay, see `gts_sat::decide_in_ctx`). Nothing outlives the
+//! call; reuse across questions is the verdict memo of `gts-engine`'s
+//! `AnalysisSession`. The entailment probes inside a completion run on
+//! contexts the sweep owns and drops. With
+//! [`ContainmentOptions::threads`] > 1 the independent choices fan out
+//! over worker threads; the completion's entailment sweep shards by its
+//! own work-size rule (see [`ContainmentOptions::threads`]). Results are
+//! merged in submission order, so verdicts and witnesses do not depend on
+//! the thread count as long as the engine budgets don't bind (a sweep
+//! worker's warm contexts can resolve budget-bound verdicts a cold context
+//! would report `Unknown`).
 
 use crate::booleanize::booleanize;
-use crate::cache::{OracleCache, OracleCacheStats};
 use crate::completion::{complete_with, Completion, CompletionConfig};
 use crate::hatp::hat_union;
 use crate::rollup::{rollup_negation, RollupError};
 use gts_dl::HornTbox;
 use gts_graph::{Graph, Vocab};
 use gts_query::{C2rpq, Uc2rpq};
-use gts_sat::{Budget, Verdict};
+use gts_sat::{Budget, RealizeCtx, TypeUniverse, Verdict};
 use gts_schema::Schema;
-use std::sync::Arc;
 
 /// Options for [`contains`].
 #[derive(Clone, Debug, Default)]
@@ -52,19 +52,6 @@ pub struct ContainmentOptions {
     /// parallelism (at most 8) once it has 64 pairs per worker, and keeps
     /// the per-choice fan-out sequential.
     pub threads: usize,
-    /// Shared oracle cache (solver contexts per completed TBox + completion
-    /// memo).
-    /// `None` (the default) uses a fresh cache per `contains` call;
-    /// sessions install one cache for all their questions.
-    pub cache: Option<Arc<OracleCache>>,
-}
-
-impl ContainmentOptions {
-    /// These options with a shared oracle cache installed.
-    pub fn with_cache(mut self, cache: Arc<OracleCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
 }
 
 /// The answer to a containment question.
@@ -79,10 +66,6 @@ pub struct ContainmentAnswer {
     /// For `!holds`: the core of a model of `(T̂_S ∪ T¬Q)*` satisfying `P̂`
     /// (evidence of a finite counterexample's existence via Theorem 5.4).
     pub witness: Option<Graph>,
-    /// Oracle work attributed to this call (decides, cores, cache reuse;
-    /// see [`OracleCacheStats`]). Gauges (`entries`, `types_interned`)
-    /// report the cache state after the call.
-    pub stats: OracleCacheStats,
 }
 
 /// Why containment could not be decided at all.
@@ -112,15 +95,6 @@ pub fn contains(
     contains_lowered(p, q, &HornTbox::new(), s, vocab, opts)
 }
 
-/// Resolves the oracle cache for one call: the shared session cache, or a
-/// call-local one.
-pub(crate) fn call_cache(opts: &ContainmentOptions) -> Arc<OracleCache> {
-    match &opts.cache {
-        Some(c) => Arc::clone(c),
-        None => Arc::new(OracleCache::new()),
-    }
-}
-
 /// The per-(choice, disjunct) satisfiability outcomes of one choice.
 struct ChoiceResult {
     completion_ok: bool,
@@ -133,7 +107,6 @@ struct ChoiceResult {
 fn solve_choice(
     choice: &HornTbox,
     shared: &SharedInputs<'_>,
-    cache: &OracleCache,
     opts: &ContainmentOptions,
 ) -> ChoiceResult {
     let t = HornTbox::merged([shared.hat_ts, choice, shared.extra]);
@@ -144,13 +117,12 @@ fn solve_choice(
         shared.fresh,
         &opts.budget,
         &opts.completion,
-        Some(cache),
         opts.threads,
     );
     let mut verdicts = Vec::new();
-    let handle = cache.solver().handle(&t_star, &opts.budget);
+    let mut ctx = RealizeCtx::new(TypeUniverse::new(&t_star), opts.budget.clone());
     for pd in shared.p_hat_disjuncts {
-        let (v, _) = gts_sat::decide_on(&handle, &t_star, pd, &opts.budget, cache.solver());
+        let (v, _) = gts_sat::decide_in_ctx(&mut ctx, pd, &opts.budget);
         let is_sat = v.is_sat();
         verdicts.push(v);
         if is_sat {
@@ -211,13 +183,10 @@ fn contains_lowered_inner(
             return Err(ContainmentError::ArityMismatch);
         }
     }
-    let cache = call_cache(opts);
-    let stats_before = cache.stats();
     let finish = |holds: bool, certified: bool, witness: Option<Graph>| ContainmentAnswer {
         holds,
         certified,
         witness,
-        stats: cache.stats().delta_since(&stats_before),
     };
     // Syntactic shortcut: disjuncts of P that literally appear in Q are
     // contained; only the rest needs the semantic pipeline. (This also
@@ -278,13 +247,12 @@ fn contains_lowered_inner(
             let handles: Vec<_> = unique_choices
                 .chunks(chunk)
                 .map(|choices| {
-                    let cache = &cache;
                     let shared = &shared;
                     let choice_opts = &choice_opts;
                     scope.spawn(move || {
                         choices
                             .iter()
-                            .map(|choice| solve_choice(choice, shared, cache, choice_opts))
+                            .map(|choice| solve_choice(choice, shared, choice_opts))
                             .collect::<Vec<_>>()
                     })
                 })
@@ -296,7 +264,7 @@ fn contains_lowered_inner(
         // choices' completions cannot change a non-containment verdict.
         let mut out = Vec::new();
         for choice in &unique_choices {
-            let result = solve_choice(choice, &shared, &cache, opts);
+            let result = solve_choice(choice, &shared, opts);
             let sat = result.verdicts.iter().any(Verdict::is_sat);
             out.push(result);
             if sat {
@@ -400,8 +368,6 @@ mod tests {
         assert!(!bwd.holds, "s-edge witnesses non-containment");
         assert!(bwd.certified);
         assert!(bwd.witness.is_some());
-        // The call did real oracle work and attributed it.
-        assert!(bwd.stats.solver.decides > 0);
     }
 
     /// Schema-enabled containment: if the schema forbids s-edges, then
@@ -662,39 +628,6 @@ mod tests {
         ));
         assert!(contains(&fwd, &bwd, &s, &mut v, &opts()).unwrap().holds);
         assert!(contains(&bwd, &fwd, &s, &mut v, &opts()).unwrap().holds);
-    }
-
-    /// A shared cache across repeated questions replays solver state; the
-    /// verdicts match the cold path.
-    #[test]
-    fn shared_cache_agrees_with_cold_path() {
-        let mut v = Vocab::new();
-        let a = v.node_label("A");
-        let r = v.edge_label("r");
-        let sl = v.edge_label("s");
-        let mut s = Schema::new();
-        s.set_edge(a, r, a, Mult::Star, Mult::Star);
-        s.set_edge(a, sl, a, Mult::Plus, Mult::Opt);
-        let mk = |re: Regex| {
-            Uc2rpq::single(C2rpq::new(2, vec![], vec![Atom { x: Var(0), y: Var(1), regex: re }]))
-        };
-        let queries = [
-            mk(Regex::edge(r)),
-            mk(Regex::edge(sl)),
-            mk(Regex::edge(r).then(Regex::edge(sl))),
-            mk(Regex::edge(sl).then(Regex::edge(sl).star())),
-        ];
-        let shared = opts().with_cache(Arc::new(OracleCache::new()));
-        for p in &queries {
-            for q in &queries {
-                let cold = contains(p, q, &s, &mut v.clone(), &opts()).unwrap();
-                let warm = contains(p, q, &s, &mut v.clone(), &shared).unwrap();
-                assert_eq!(cold.holds, warm.holds, "p={p:?} q={q:?}");
-                assert_eq!(cold.certified, warm.certified, "p={p:?} q={q:?}");
-            }
-        }
-        let stats = shared.cache.as_ref().unwrap().stats();
-        assert!(stats.solver.cache_hits > 0, "shared cache must be reused: {stats:?}");
     }
 
     /// Thread-count must not change verdicts (parallel fan-out merge).

@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 mod booleanize;
-mod cache;
 mod completion;
 mod contains;
 mod entail;
@@ -47,7 +46,6 @@ mod tbox_containment;
 mod witness;
 
 pub use booleanize::{booleanize, Booleanized};
-pub use cache::{OracleCache, OracleCacheStats};
 pub use completion::{complete, complete_with, Completion, CompletionConfig};
 pub use contains::{
     contains, satisfiable_modulo_schema, ContainmentAnswer, ContainmentError, ContainmentOptions,

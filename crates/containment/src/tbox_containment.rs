@@ -19,12 +19,12 @@
 //!   schema-specific; Booleanize against a schema first if needed).
 
 use crate::completion::{complete_with, Completion};
-use crate::contains::{call_cache, ContainmentAnswer, ContainmentError, ContainmentOptions};
+use crate::contains::{ContainmentAnswer, ContainmentError, ContainmentOptions};
 use crate::rollup::rollup_negation;
 use gts_dl::HornTbox;
 use gts_graph::Vocab;
 use gts_query::{C2rpq, Uc2rpq};
-use gts_sat::{decide_cached, Verdict};
+use gts_sat::{decide_in_ctx, RealizeCtx, TypeUniverse, Verdict};
 
 /// Decides *finite* containment `P ⊆_T Q` over all finite graphs
 /// satisfying the Horn-ALCIF TBox `T`, for Boolean `P` and Boolean acyclic
@@ -39,14 +39,7 @@ pub fn contains_finite_modulo_tbox(
     if !p.is_boolean() || !q.is_boolean() {
         return Err(ContainmentError::NotBoolean);
     }
-    let cache = call_cache(opts);
-    let stats_before = cache.stats();
-    let finish = |holds, certified, witness| ContainmentAnswer {
-        holds,
-        certified,
-        witness,
-        stats: cache.stats().delta_since(&stats_before),
-    };
+    let finish = |holds, certified, witness| ContainmentAnswer { holds, certified, witness };
     let p = Uc2rpq {
         disjuncts: p.disjuncts.iter().filter(|d| !q.disjuncts.contains(d)).cloned().collect(),
     };
@@ -64,17 +57,11 @@ pub fn contains_finite_modulo_tbox(
     for choice in &choices {
         let t = HornTbox::merged([tbox, choice]);
         let seeds = t.used_labels();
-        let Completion { tbox: t_star, complete: completion_ok, .. } = complete_with(
-            &t,
-            &seeds,
-            fresh,
-            &opts.budget,
-            &opts.completion,
-            Some(&cache),
-            opts.threads,
-        );
+        let Completion { tbox: t_star, complete: completion_ok, .. } =
+            complete_with(&t, &seeds, fresh, &opts.budget, &opts.completion, opts.threads);
+        let mut ctx = RealizeCtx::new(TypeUniverse::new(&t_star), opts.budget.clone());
         for pd in &p.disjuncts {
-            match decide_cached(&t_star, pd, &opts.budget, cache.solver()).0 {
+            match decide_in_ctx(&mut ctx, pd, &opts.budget).0 {
                 Verdict::Sat(w) => {
                     return Ok(finish(false, completion_ok, Some(w.core)));
                 }
@@ -102,19 +89,11 @@ pub fn finitely_satisfiable_modulo_tbox(
     if !p.is_boolean() {
         return Err(ContainmentError::NotBoolean);
     }
-    let cache = call_cache(opts);
     let fresh = (vocab.fresh_node_label("B"), vocab.fresh_node_label("B"));
     let seeds = tbox.used_labels();
-    let Completion { tbox: t_star, complete: completion_ok, .. } = complete_with(
-        tbox,
-        &seeds,
-        fresh,
-        &opts.budget,
-        &opts.completion,
-        Some(&cache),
-        opts.threads,
-    );
-    match decide_cached(&t_star, p, &opts.budget, cache.solver()).0 {
+    let Completion { tbox: t_star, complete: completion_ok, .. } =
+        complete_with(tbox, &seeds, fresh, &opts.budget, &opts.completion, opts.threads);
+    match gts_sat::decide(&t_star, p, &opts.budget) {
         // SAT modulo a partial completion does not yet witness a finite
         // model; UNSAT modulo a partial completion *does* refute one.
         Verdict::Sat(_) => Ok((true, completion_ok)),

@@ -28,7 +28,7 @@ use crate::rollup::rollup_negation;
 use gts_dl::HornTbox;
 use gts_graph::{EdgeSym, FxHashMap, Graph, NodeId, NodeLabel, Vocab};
 use gts_query::Uc2rpq;
-use gts_sat::{decide_cached, Verdict};
+use gts_sat::{decide_in_ctx, RealizeCtx, TypeUniverse, Verdict};
 use gts_schema::{Mult, Schema};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -94,7 +94,6 @@ pub fn finite_counterexample<R: Rng>(
     let schema_label_set = b.schema.node_label_set();
     let fresh = (vocab.fresh_node_label("B"), vocab.fresh_node_label("B"));
 
-    let cache = crate::contains::call_cache(opts);
     let mut saw_sat_or_unknown = false;
     for choice in &choices {
         let t = HornTbox::merged([&hat_ts, choice]);
@@ -104,11 +103,11 @@ pub fn finite_counterexample<R: Rng>(
             fresh,
             &opts.budget,
             &opts.completion,
-            Some(&cache),
             opts.threads,
         );
+        let mut ctx = RealizeCtx::new(TypeUniverse::new(&t_star), opts.budget.clone());
         for pd in &p_hat.disjuncts {
-            match decide_cached(&t_star, pd, &opts.budget, cache.solver()).0 {
+            match decide_in_ctx(&mut ctx, pd, &opts.budget).0 {
                 Verdict::Sat(w) => {
                     saw_sat_or_unknown = true;
                     if let Some(cex) =

@@ -102,11 +102,8 @@ impl Request {
                     // Callers already parallelize across requests; keep
                     // each execution single-threaded to avoid
                     // oversubscription.
-                    let output = gts_exec::execute_with(
-                        &transform,
-                        &instance,
-                        &ExecOptions { threads: 1, ..Default::default() },
-                    );
+                    let output =
+                        gts_exec::execute_with(&transform, &instance, &ExecOptions { threads: 1 });
                     let conforms = check_target.map(|s| s.conforms(&output).is_ok());
                     Verdict::Executed { output, conforms }
                 })

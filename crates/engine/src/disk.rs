@@ -1,27 +1,24 @@
 //! The session ⇄ store bridge: persisting an [`crate::AnalysisSession`]'s
-//! cached oracle state to a `gts-store` record log and replaying it.
+//! verdict memo to a `gts-store` record log and replaying it.
 //!
-//! ## Record kinds
+//! ## Records
 //!
-//! | kind | payload | semantics |
-//! |------|---------|-----------|
-//! | [`KIND_VERDICT`] | canonical pair key, flags byte | one containment verdict; appended incrementally, first-wins on replay |
-//! | [`KIND_COMPLETION`] | self-contained completion memo entry | appended incrementally, first-wins on replay |
-//! | [`KIND_SOLVER`] | portable TBox key + `gts_sat` portable context snapshot | whole-context snapshot; **last**-wins on replay (later snapshots carry supersets) |
-//!
-//! Every payload is self-describing and exact-keyed, so replay can never
-//! install state under the wrong question — the store header already
-//! pins the session identity (vocabulary, schema, budgets), and solver /
-//! completion records additionally carry their full TBox key material.
+//! A store holds one record kind, [`KIND_VERDICT`]: a canonical pair key
+//! and a flags byte, one containment verdict each, first-wins on replay.
+//! The store header pins the session identity (vocabulary, schema,
+//! budgets), so replay can never install a verdict under the wrong
+//! question. Older versions also wrote kinds 2 and 3 (per-TBox solver
+//! snapshots and completion-memo entries); the loader skips them like any
+//! unknown kind, and the next flush rewrites the file without them.
 //!
 //! ## Flush strategy
 //!
-//! A [`DiskBinding`] tracks what the file already holds and appends only
-//! the delta: new verdicts and completions individually, and a fresh
-//! snapshot of any per-TBox solver context whose serialized size grew.
-//! When accumulated appends dwarf a full snapshot (re-appended solver
-//! snapshots supersede their predecessors in place), the flush compacts
-//! by installing a fresh full store atomically. Flushes happen on demand
+//! A [`DiskBinding`] tracks which verdicts the file already holds and
+//! appends only new ones. Verdicts are never superseded, so appends alone
+//! keep the file minimal — except after a load that dropped a corrupt
+//! tail (new records appended behind it would be unreachable) or met
+//! retired record kinds: the first flush after such a load rewrites the
+//! file as one fresh snapshot. Flushes happen on demand
 //! ([`crate::AnalysisSession::flush_disk`], the server's periodic flush)
 //! and when the last session clone holding the binding drops.
 //!
@@ -31,7 +28,6 @@
 //! wrong.
 
 use crate::session::Memo;
-use gts_core::containment::OracleCache;
 use gts_core::Decision;
 use gts_store::{append_records, load_file, Dec, Enc, LoadStatus, Loaded, Record};
 use std::path::{Path, PathBuf};
@@ -39,20 +35,12 @@ use std::sync::{Arc, Mutex};
 
 /// Record kind: one canonical containment verdict.
 pub const KIND_VERDICT: u8 = 1;
-/// Record kind: one per-TBox solver-context snapshot.
-pub const KIND_SOLVER: u8 = 2;
-/// Record kind: one completion-memo entry.
-pub const KIND_COMPLETION: u8 = 3;
 
 /// What replaying a store contributed to a session.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HydrateReport {
     /// Containment verdicts installed into the memo.
     pub verdicts: usize,
-    /// Completion-memo entries installed.
-    pub completions: usize,
-    /// Per-TBox solver snapshots staged for lazy hydration.
-    pub solver_snapshots: usize,
     /// `true` when a corrupt tail was dropped (the records above are the
     /// clean prefix — still sound, just fewer).
     pub degraded: bool,
@@ -61,14 +49,14 @@ pub struct HydrateReport {
 impl HydrateReport {
     /// Total entries contributed.
     pub fn total(&self) -> usize {
-        self.verdicts + self.completions + self.solver_snapshots
+        self.verdicts
     }
 }
 
 /// What one flush wrote.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlushReport {
-    /// Records written (appended, or total in the compacted store).
+    /// Records written (appended, or total in the rewritten store).
     pub records: usize,
     /// Bytes written.
     pub bytes: usize,
@@ -94,122 +82,47 @@ fn decode_verdict(payload: &[u8]) -> Option<(String, Decision)> {
     Some((key, Decision { holds: flags & 1 != 0, certified: flags & 2 != 0 }))
 }
 
-fn solver_record(key: &[u8], payload: &[u8]) -> Record {
-    let mut e = Enc::new();
-    e.bytes(key);
-    e.bytes(payload);
-    Record { kind: KIND_SOLVER, payload: e.finish() }
-}
-
-fn decode_solver(payload: &[u8]) -> Option<(Vec<u8>, Vec<u8>)> {
-    let (key, snap) = decode_solver_borrowed(payload)?;
-    Some((key.to_vec(), snap.to_vec()))
-}
-
-/// The zero-copy view of a solver record — for passes that only hash or
-/// measure (multi-kilobyte snapshots make the owned decode a real cost).
-fn decode_solver_borrowed(payload: &[u8]) -> Option<(&[u8], &[u8])> {
-    let mut d = Dec::new(payload);
-    let key = d.bytes()?;
-    let snap = d.bytes()?;
-    if !d.done() {
-        return None;
-    }
-    Some((key, snap))
-}
-
-/// Replays decoded store records into a session's memo and oracle cache.
-/// Verdicts and completions install directly (first wins — locally
-/// decided state is never overridden); solver snapshots are staged in the
-/// [`gts_sat::SolverCache`] and claimed lazily when their TBox is first
-/// probed. Used by both the disk path and the wire path (`cache_import`).
-pub(crate) fn apply_records(
-    loaded: &Loaded,
-    memo: &Mutex<Memo>,
-    cache: &OracleCache,
-) -> HydrateReport {
+/// Replays the verdict records of a decoded store into a session's memo
+/// (first wins — locally decided verdicts are never overridden). Used by
+/// both the disk path and the wire path (`cache_import`).
+pub(crate) fn apply_records(loaded: &Loaded, memo: &Mutex<Memo>) -> HydrateReport {
     let mut report = HydrateReport {
         degraded: loaded.status == LoadStatus::TruncatedTail,
         ..HydrateReport::default()
     };
-    let mut solver_pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    let mut completion_payloads: Vec<&[u8]> = Vec::new();
-    {
-        let mut memo = memo.lock().unwrap();
-        for rec in &loaded.records {
-            match rec.kind {
-                KIND_VERDICT => {
-                    if let Some((key, d)) = decode_verdict(&rec.payload) {
-                        if let std::collections::hash_map::Entry::Vacant(e) = memo.map.entry(key) {
-                            e.insert(d);
-                            report.verdicts += 1;
-                        }
-                    }
-                }
-                KIND_SOLVER => {
-                    if let Some(pair) = decode_solver(&rec.payload) {
-                        solver_pairs.push(pair);
-                    }
-                }
-                KIND_COMPLETION => completion_payloads.push(&rec.payload),
-                // Unknown kinds: a newer writer under the same format
-                // version added a record type we cannot use — skip.
-                _ => {}
+    let mut memo = memo.lock().unwrap();
+    // Other kinds — retired ones, or a newer writer's under the same
+    // format version — carry nothing a session can use: skip.
+    for rec in loaded.records.iter().filter(|r| r.kind == KIND_VERDICT) {
+        if let Some((key, d)) = decode_verdict(&rec.payload) {
+            if let std::collections::hash_map::Entry::Vacant(e) = memo.map.entry(key) {
+                e.insert(d);
+                report.verdicts += 1;
             }
         }
-        memo.hydrated += report.verdicts as u64;
     }
-    report.completions = cache.import_completions(completion_payloads.iter().copied());
-    // `import_portable` keeps the last snapshot per exact key, matching
-    // the log's supersession order.
-    report.solver_snapshots = cache.solver().import_portable(solver_pairs);
+    memo.hydrated += report.verdicts as u64;
     report
 }
 
-/// Serializes the full current cached state as store records (all
-/// verdicts, all completions, all solver snapshots).
-fn full_records(memo: &Mutex<Memo>, cache: &OracleCache) -> Vec<Record> {
-    let mut records: Vec<Record> = Vec::new();
-    {
-        let memo = memo.lock().unwrap();
-        records.extend(memo.map.iter().map(|(k, &d)| verdict_record(k, d)));
-    }
-    records.extend(
-        cache
-            .export_completions()
-            .into_iter()
-            .map(|p| Record { kind: KIND_COMPLETION, payload: p }),
-    );
-    records
-        .extend(cache.solver().export_portable().into_iter().map(|(k, p)| solver_record(&k, &p)));
-    records
+/// Serializes every verdict of `memo` as store-file bytes.
+pub(crate) fn export_store_bytes(identity: &str, memo: &Mutex<Memo>) -> Vec<u8> {
+    let memo = memo.lock().unwrap();
+    let records: Vec<Record> = memo.map.iter().map(|(k, &d)| verdict_record(k, d)).collect();
+    gts_store::encode_store(identity, &records)
 }
 
-/// Serializes a session's full cached state as store-file bytes.
-pub(crate) fn export_store_bytes(
-    identity: &str,
-    memo: &Mutex<Memo>,
-    cache: &OracleCache,
-) -> Vec<u8> {
-    gts_store::encode_store(identity, &full_records(memo, cache))
-}
-
-/// Tracking of what the bound file already holds, so flushes append only
-/// deltas. All sets key by [`gts_store::hash64`] of the record's
-/// identifying material (in-memory only, never persisted) — a hash
-/// collision merely skips persisting one record (the next full
-/// compaction picks it up), never corrupts replay.
+/// What the bound file already holds, so flushes append only new
+/// verdicts.
 #[derive(Default)]
 struct PersistState {
+    /// [`gts_store::hash64`] of every persisted verdict key (in-memory
+    /// only, never persisted — a hash collision merely skips persisting
+    /// one verdict, never corrupts replay).
     verdict_keys: gts_core::graph::FxHashSet<u64>,
-    completion_payloads: gts_core::graph::FxHashSet<u64>,
-    /// Portable-key FNV → serialized snapshot length last persisted (the
-    /// payload only ever grows, so a changed length marks new state).
-    solver_sizes: gts_core::graph::FxHashMap<u64, usize>,
-    /// Bytes appended since the store was last written whole.
-    appended_bytes: usize,
-    /// Size of the file when last written whole (header + records).
-    base_bytes: usize,
+    /// Set when the file must be rewritten whole on the next flush: its
+    /// load dropped a corrupt tail or met retired record kinds.
+    needs_rewrite: bool,
 }
 
 /// A session's live connection to its on-disk store. Shared (`Arc`) by
@@ -222,42 +135,33 @@ pub struct DiskBinding {
     /// by the identity it was hydrated under).
     identity: String,
     memo: Arc<Mutex<Memo>>,
-    cache: Arc<OracleCache>,
     state: Mutex<PersistState>,
 }
 
 impl DiskBinding {
     /// Opens (or prepares to create) the store at `path`, replaying its
-    /// clean records into `memo`/`cache`.
+    /// clean verdicts into `memo`.
     pub(crate) fn open(
         path: PathBuf,
         identity: String,
         memo: Arc<Mutex<Memo>>,
-        cache: Arc<OracleCache>,
     ) -> (DiskBinding, HydrateReport) {
         let loaded = load_file(&path, Some(&identity));
-        let report = apply_records(&loaded, &memo, &cache);
-        let mut state = PersistState { base_bytes: loaded.bytes, ..PersistState::default() };
+        let report = apply_records(&loaded, &memo);
+        // Kinds 2 and 3 are the retired solver-snapshot and
+        // completion-memo records.
+        let mut state = PersistState {
+            needs_rewrite: report.degraded
+                || loaded.records.iter().any(|r| matches!(r.kind, 2 | 3)),
+            ..PersistState::default()
+        };
         // Everything the file already holds needs no re-append.
-        for rec in &loaded.records {
-            match rec.kind {
-                KIND_VERDICT => {
-                    if let Some((key, _)) = decode_verdict(&rec.payload) {
-                        state.verdict_keys.insert(gts_store::hash64(key.as_bytes()));
-                    }
-                }
-                KIND_SOLVER => {
-                    if let Some((key, snap)) = decode_solver_borrowed(&rec.payload) {
-                        state.solver_sizes.insert(gts_store::hash64(key), snap.len());
-                    }
-                }
-                KIND_COMPLETION => {
-                    state.completion_payloads.insert(gts_store::hash64(&rec.payload));
-                }
-                _ => {}
+        for rec in loaded.records.iter().filter(|r| r.kind == KIND_VERDICT) {
+            if let Some((key, _)) = decode_verdict(&rec.payload) {
+                state.verdict_keys.insert(gts_store::hash64(key.as_bytes()));
             }
         }
-        let binding = DiskBinding { path, identity, memo, cache, state: Mutex::new(state) };
+        let binding = DiskBinding { path, identity, memo, state: Mutex::new(state) };
         (binding, report)
     }
 
@@ -271,58 +175,45 @@ impl DiskBinding {
         &self.identity
     }
 
-    /// Writes everything cached since the last flush: appends the delta,
-    /// or compacts into a fresh snapshot when superseded records dominate
-    /// the file. A flush with nothing new writes nothing.
+    /// Writes every verdict decided since the last flush: appends them,
+    /// or rewrites the file as one fresh snapshot when its load left it
+    /// degraded or holding retired records. A flush with nothing to do
+    /// writes nothing.
     pub fn flush(&self) -> std::io::Result<FlushReport> {
         let mut state = self.state.lock().unwrap();
-        let mut delta: Vec<Record> = Vec::new();
-        {
+        let rewrite = state.needs_rewrite;
+        let records: Vec<Record> = {
             let memo = self.memo.lock().unwrap();
-            for (key, &d) in &memo.map {
-                if state.verdict_keys.insert(gts_store::hash64(key.as_bytes())) {
-                    delta.push(verdict_record(key, d));
-                }
+            if rewrite {
+                state.verdict_keys =
+                    memo.map.keys().map(|k| gts_store::hash64(k.as_bytes())).collect();
+                memo.map.iter().map(|(k, &d)| verdict_record(k, d)).collect()
+            } else {
+                memo.map
+                    .iter()
+                    .filter(|(k, _)| state.verdict_keys.insert(gts_store::hash64(k.as_bytes())))
+                    .map(|(k, &d)| verdict_record(k, d))
+                    .collect()
             }
+        };
+        if rewrite {
+            let bytes = gts_store::encode_store(&self.identity, &records);
+            gts_store::install_snapshot(&self.path, &bytes).map_err(std::io::Error::other)?;
+            state.needs_rewrite = false;
+            return Ok(FlushReport { records: records.len(), bytes: bytes.len(), compacted: true });
         }
-        for payload in self.cache.export_completions() {
-            if state.completion_payloads.insert(gts_store::hash64(&payload)) {
-                delta.push(Record { kind: KIND_COMPLETION, payload });
-            }
-        }
-        for (key, payload) in self.cache.solver().export_portable() {
-            let h = gts_store::hash64(&key);
-            if state.solver_sizes.get(&h) != Some(&payload.len()) {
-                state.solver_sizes.insert(h, payload.len());
-                delta.push(solver_record(&key, &payload));
-            }
-        }
-        if delta.is_empty() {
+        if records.is_empty() {
             return Ok(FlushReport::default());
         }
-        let delta_bytes: usize = delta.iter().map(|r| 8 + 1 + r.payload.len()).sum();
-        // Compact when appends (largely superseded solver snapshots)
-        // outweigh a fresh full store.
-        let compact = state.appended_bytes + delta_bytes > (state.base_bytes.max(1 << 16)) * 4;
-        if compact {
-            let bytes =
-                gts_store::encode_store(&self.identity, &full_records(&self.memo, &self.cache));
-            gts_store::install_snapshot(&self.path, &bytes).map_err(std::io::Error::other)?;
-            state.base_bytes = bytes.len();
-            state.appended_bytes = 0;
-            Ok(FlushReport { records: delta.len(), bytes: bytes.len(), compacted: true })
-        } else {
-            let written = append_records(&self.path, &self.identity, &delta)?;
-            state.appended_bytes += written;
-            Ok(FlushReport { records: delta.len(), bytes: written, compacted: false })
-        }
+        let written = append_records(&self.path, &self.identity, &records)?;
+        Ok(FlushReport { records: records.len(), bytes: written, compacted: false })
     }
 }
 
 impl Drop for DiskBinding {
     fn drop(&mut self) {
         // Best-effort: a failing final flush must not panic in drop; the
-        // cache degrades to whatever the last successful flush persisted.
+        // store degrades to whatever the last successful flush persisted.
         let _ = self.flush();
     }
 }

@@ -77,4 +77,4 @@ pub use batch::{Batch, BatchResult, Request, Verdict};
 pub use disk::{DiskBinding, FlushReport, HydrateReport};
 pub use json::{Json, JsonError};
 pub use session::{AnalysisSession, CacheStats};
-pub use stats::{oracle_snapshot, session_cache_snapshot, snapshot_to_json};
+pub use stats::{session_cache_snapshot, snapshot_to_json};

@@ -1,6 +1,10 @@
 //! Per-(schema, vocabulary) analysis sessions with a memoized containment
 //! oracle.
 //!
+//! The verdict memo is the only state a session reuses across questions:
+//! each containment call owns the solver contexts it decides over and
+//! drops them when it returns.
+//!
 //! Every analysis of the paper is a polynomial Turing reduction to
 //! `P ⊆_S Q` for a *fixed* source schema `S`, and the reduction asks many
 //! overlapping questions: trimming re-tests the same rule bodies type
@@ -19,9 +23,7 @@
 //! the cold path would recompute (the differential suites in
 //! `crates/tests` enforce this).
 
-use gts_core::containment::{
-    contains, ContainmentError, ContainmentOptions, OracleCache, OracleCacheStats,
-};
+use gts_core::containment::{contains, ContainmentError, ContainmentOptions};
 use gts_core::graph::{FxHashMap, Vocab};
 use gts_core::query::{C2rpq, Uc2rpq, Var};
 use gts_core::schema::Schema;
@@ -107,15 +109,7 @@ impl AnalysisSession {
     /// A session with explicit engine budgets. Budgets are part of the
     /// session identity: cached verdicts are only replayed for questions
     /// asked under the same options.
-    ///
-    /// When `opts` carries no [`OracleCache`], the session installs a
-    /// fresh one: all its questions (including the very first — the "cold
-    /// oracle" path) then share per-TBox solver state and memoized
-    /// completions, on top of the verdict-level memo.
-    pub fn with_options(schema: Schema, vocab: Vocab, mut opts: ContainmentOptions) -> Self {
-        if opts.cache.is_none() {
-            opts.cache = Some(Arc::new(OracleCache::new()));
-        }
+    pub fn with_options(schema: Schema, vocab: Vocab, opts: ContainmentOptions) -> Self {
         let identity = Arc::new(crate::identity::canonical_key(&schema, &vocab, &opts));
         AnalysisSession {
             schema,
@@ -125,12 +119,6 @@ impl AnalysisSession {
             identity,
             disk: None,
         }
-    }
-
-    /// Cumulative oracle statistics (solver-cache reuse, core search,
-    /// completion memo) across every question this session answered.
-    pub fn oracle_stats(&self) -> OracleCacheStats {
-        self.opts.cache.as_ref().map(|c| c.stats()).unwrap_or_default()
     }
 
     /// The session's source schema.
@@ -189,16 +177,15 @@ impl AnalysisSession {
     }
 
     /// Binds this session (and every clone made *after* this call) to the
-    /// on-disk store for its identity under `cache_dir`: existing state is
-    /// hydrated into the memo and oracle cache now, and new state is
-    /// flushed on [`AnalysisSession::flush_disk`] and when the last bound
-    /// clone drops. Returns what the store contributed.
+    /// on-disk store for its identity under `cache_dir`: existing verdicts
+    /// are hydrated into the memo now, and new ones are flushed on
+    /// [`AnalysisSession::flush_disk`] and when the last bound clone
+    /// drops. Returns what the store contributed.
     pub fn attach_disk(&mut self, cache_dir: &std::path::Path) -> crate::disk::HydrateReport {
         let identity = self.identity();
         let path = gts_store::store_path(cache_dir, crate::identity::fingerprint_of(&identity));
-        let cache = Arc::clone(self.opts.cache.as_ref().expect("with_options installs a cache"));
         let (binding, report) =
-            crate::disk::DiskBinding::open(path, identity, Arc::clone(&self.memo), cache);
+            crate::disk::DiskBinding::open(path, identity, Arc::clone(&self.memo));
         self.disk = Some(Arc::new(binding));
         report
     }
@@ -230,20 +217,17 @@ impl AnalysisSession {
         ) {
             return None;
         }
-        let cache = self.opts.cache.as_ref().expect("with_options installs a cache");
-        Some(crate::disk::apply_records(&loaded, &self.memo, cache))
+        Some(crate::disk::apply_records(&loaded, &self.memo))
     }
 
-    /// Serializes this session's full cached state (verdict memo,
-    /// completion memo, per-TBox solver snapshots) as store bytes — the
+    /// Serializes this session's verdict memo as store bytes — the
     /// payload of the server's `cache_export` verb, installable on disk
     /// via [`gts_store::install_snapshot`] or into a twin session via
     /// [`AnalysisSession::hydrate_from_bytes`].
     pub fn export_store_bytes(&self) -> Vec<u8> {
         let identity =
             self.disk.as_ref().map(|d| d.identity().to_owned()).unwrap_or_else(|| self.identity());
-        let cache = self.opts.cache.as_ref().expect("with_options installs a cache");
-        crate::disk::export_store_bytes(&identity, &self.memo, cache)
+        crate::disk::export_store_bytes(&identity, &self.memo)
     }
 
     /// Flushes new cached state to the bound store, if any. `None` when

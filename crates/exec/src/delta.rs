@@ -31,7 +31,7 @@
 //! returned [`DeltaOutcome`] (the crossover the `delta` benchmark section
 //! measures).
 
-use crate::exec::{assemble, eval_c2rpq_with, phase_metrics, EdgeFact, ExecOptions, NodeFact};
+use crate::exec::{assemble, eval_c2rpq_with, phase_metrics, EdgeFact, NodeFact};
 use crate::index::IndexedGraph;
 use crate::rpq::{ProductBfs, Relation, RowDiff, Visited};
 use gts_core::{Rule, Transformation};
@@ -828,18 +828,6 @@ fn affected_sources(
     }
     affected.sort_unstable();
     Some(affected)
-}
-
-/// Applies `delta` through `inc` — the free-function spelling of
-/// [`Incremental::apply_delta`] used by the engine and benches.
-pub fn execute_delta(inc: &mut Incremental, delta: &GraphDelta) -> Result<DeltaOutcome, String> {
-    inc.apply_delta(delta)
-}
-
-/// Convenience: builds the incremental state for `t` over `g` with
-/// default options (one full execution's worth of work).
-pub fn incremental(t: &Transformation, g: &Graph, _opts: &ExecOptions) -> Incremental {
-    Incremental::new(t, g)
 }
 
 #[cfg(test)]

@@ -23,35 +23,19 @@ pub type NodeFact = (NodeLabel, Vec<NodeId>);
 pub type EdgeFact = (NodeFact, EdgeLabel, NodeFact);
 
 /// Execution options.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ExecOptions {
     /// Worker threads for rule-body evaluation; `0` (the default) picks
-    /// the available parallelism (capped at 8), `1` runs inline.
+    /// the available parallelism (capped at 8) once the estimated work
+    /// (`rules × (nodes + edges)`) clears this host's measured cutoff
+    /// ([`parallel_cutoff`]) — below it, spawning workers costs more than
+    /// the evaluation saves. `1` runs inline; an explicit `threads >= 2`
+    /// always shards as requested.
     pub threads: usize,
-    /// Minimum estimated work (`rules × (nodes + edges)`) before the
-    /// *auto* mode (`threads == 0`) shards across threads — below it,
-    /// spawning workers costs more than the evaluation saves (see
-    /// `BENCH_exec.json::parallel_cutoff`). `0` disables the cutoff; an
-    /// explicit `threads >= 2` always shards as requested. The default
-    /// value [`DEFAULT_MIN_PARALLEL_WORK`] is a *placeholder*: auto mode
-    /// replaces it with the process-wide measured cutoff
-    /// ([`parallel_cutoff`]), which derives the crossover from this
-    /// host's spawn overhead and per-element evaluation throughput
-    /// instead of a constant baked in on some other machine. Set any
-    /// other non-zero value to pin an explicit cutoff.
-    pub min_parallel_work: usize,
 }
 
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions { threads: 0, min_parallel_work: DEFAULT_MIN_PARALLEL_WORK }
-    }
-}
-
-/// Fallback sharding threshold of [`ExecOptions::min_parallel_work`]:
+/// Floor of the measured sharding cutoff ([`ParallelCutoff::min_parallel_work`]):
 /// roughly "a multi-rule transformation over a ≥2k-element instance".
-/// Auto mode treats this exact value as "use the measured cutoff"; it is
-/// also the floor of the calibrated range.
 pub const DEFAULT_MIN_PARALLEL_WORK: usize = 8_192;
 
 /// The measured sharding crossover for this host (computed once per
@@ -153,12 +137,7 @@ impl ExecOptions {
         let t = match self.threads {
             0 => {
                 let estimated_work = work_items.saturating_mul(instance_size.max(1));
-                let cutoff = if self.min_parallel_work == DEFAULT_MIN_PARALLEL_WORK {
-                    parallel_cutoff().min_parallel_work
-                } else {
-                    self.min_parallel_work
-                };
-                if cutoff > 0 && estimated_work < cutoff {
+                if estimated_work < parallel_cutoff().min_parallel_work {
                     return 1;
                 }
                 std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
@@ -603,8 +582,8 @@ mod tests {
         let mut v = Vocab::new();
         let t = medical_transformation(&mut v);
         let g = medical_graph(&mut v);
-        let one = execute_with(&t, &g, &ExecOptions { threads: 1, min_parallel_work: 0 });
-        let four = execute_with(&t, &g, &ExecOptions { threads: 4, min_parallel_work: 0 });
+        let one = execute_with(&t, &g, &ExecOptions { threads: 1 });
+        let four = execute_with(&t, &g, &ExecOptions { threads: 4 });
         // Determinism is exact graph equality, not just fact equality.
         assert_eq!(one.num_nodes(), four.num_nodes());
         assert_eq!(

@@ -142,7 +142,7 @@ pub fn differential_type_check<R: Rng>(
     rng: &mut R,
 ) -> HarnessReport {
     let mut report = HarnessReport::default();
-    let opts = ExecOptions { threads: cfg.threads, ..ExecOptions::default() };
+    let opts = ExecOptions { threads: cfg.threads };
     for _ in 0..cfg.instances {
         let Some(g) = random_conforming_graph(source, cfg.size_per_label, cfg.attempts, rng) else {
             report.skipped += 1;
@@ -182,7 +182,7 @@ pub fn differential_equivalence<R: Rng>(
     rng: &mut R,
 ) -> HarnessReport {
     let mut report = HarnessReport::default();
-    let opts = ExecOptions { threads: cfg.threads, ..ExecOptions::default() };
+    let opts = ExecOptions { threads: cfg.threads };
     for _ in 0..cfg.instances {
         let Some(g) = random_conforming_graph(source, cfg.size_per_label, cfg.attempts, rng) else {
             report.skipped += 1;

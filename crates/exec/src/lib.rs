@@ -59,8 +59,8 @@ mod index;
 mod rpq;
 
 pub use delta::{
-    execute_delta, incremental, DeltaOutcome, DeltaStrategy, Incremental,
-    FALLBACK_FRONTIER_DIVISOR, FALLBACK_TOUCH_DIVISOR, MIN_FALLBACK_TOUCHED,
+    DeltaOutcome, DeltaStrategy, Incremental, FALLBACK_FRONTIER_DIVISOR, FALLBACK_TOUCH_DIVISOR,
+    MIN_FALLBACK_TOUCHED,
 };
 pub use exec::{
     eval_c2rpq, eval_rule_bodies, eval_uc2rpq, execute, execute_and_facts, execute_indexed,

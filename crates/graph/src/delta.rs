@@ -1,9 +1,9 @@
 //! Graph deltas — batched mutations against an existing [`Graph`].
 //!
 //! A [`GraphDelta`] is the unit of change for incremental execution
-//! (`gts-exec`'s `execute_delta`) and for the `delta` wire verb: a set of
-//! added/removed nodes, edges, and labels applied atomically to a base
-//! instance. Node ids are indices into the base graph, so *removing* a
+//! (`gts-exec`'s `Incremental::apply_delta`, driven by `gts run --delta`):
+//! a set of added/removed nodes, edges, and labels applied atomically to
+//! a base instance. Node ids are indices into the base graph, so *removing* a
 //! node **tombstones** it — its labels and incident edges are dropped but
 //! the id remains as an unlabeled isolated node — rather than renumbering
 //! every node after it (which would invalidate every stored relation and

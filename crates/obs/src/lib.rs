@@ -17,7 +17,7 @@
 //!   with same-name sibling merging, a renderable tree, and a bounded
 //!   ring-buffer event log ([`recent_events`]).
 //! * **Snapshots** ([`Snapshot`]): the ordered key-value tree every
-//!   stats surface (`--stats`, `gts batch --stats`, the `stats` verb)
+//!   stats surface (`gts batch --stats`, the serve `analyze` response)
 //!   renders from, so their JSON shapes agree by construction.
 //!
 //! Overhead: recording is a relaxed atomic add; histograms (and the

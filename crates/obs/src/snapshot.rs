@@ -1,10 +1,9 @@
 //! `Snapshot`: an ordered key-value tree that every stats surface renders
 //! from.
 //!
-//! `gts batch --stats`, the CLI `--stats` flag, and the serve `stats`
-//! verb all used to build overlapping-but-divergent JSON objects by
-//! hand. They now build one [`Snapshot`] (via the helpers in
-//! `gts-engine`) and render it — to a JSON string here, or converted to
+//! `gts batch --stats` and the serve `analyze` response used to build
+//! overlapping-but-divergent JSON objects by hand. They now build one
+//! [`Snapshot`] (via the helpers in `gts-engine`) and render it — to a JSON string here, or converted to
 //! a richer document model by the caller — so field names and shapes
 //! agree across surfaces by construction. Insertion order is preserved,
 //! keeping output diffable.

@@ -10,15 +10,13 @@
 //! independent because models of Horn TBoxes are closed under disjoint
 //! union.
 //!
-//! Three entry points share the same search: [`decide`] builds a fresh
-//! solver context per call, [`decide_cached`] borrows a persistent
-//! per-TBox context from a [`SolverCache`], and [`decide_in_ctx`] runs on a
-//! context the caller owns. The last two let repeated calls over one TBox
-//! skip re-interning types and re-deciding realizability fixpoints. All
-//! return the same verdicts (the differential suites enforce it).
+//! Two entry points share the same search: [`decide`] builds a fresh
+//! solver context per call, and [`decide_in_ctx`] runs on a context the
+//! caller owns, so repeated calls over one TBox skip re-interning types
+//! and re-deciding realizability fixpoints. Both return the same verdicts
+//! (the differential suites enforce it).
 
 use crate::budget::{Budget, UnknownReason, Verdict, Witness};
-use crate::cache::SolverCache;
 use crate::chase::Core;
 use crate::realize::RealizeCtx;
 use crate::types::TypeUniverse;
@@ -26,8 +24,7 @@ use gts_dl::{HornCi, HornTbox};
 use gts_graph::{FxHashMap, FxHashSet, Graph, LabelSet, NodeId};
 use gts_query::{AtomSym, C2rpq, Nfa, Var};
 
-/// Search statistics (for benchmarks, the `--stats` CLI flag, and
-/// EXPERIMENTS.md).
+/// Search statistics of one decide (for benchmarks and tests).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DecideStats {
     /// Number of candidate cores chased.
@@ -36,7 +33,7 @@ pub struct DecideStats {
     /// multiset of per-atom witnessing words) was already chased.
     pub cores_deduped: usize,
     /// Number of node types interned in the solver context after the call
-    /// (cumulative for a cached context).
+    /// (cumulative for a context reused across calls).
     pub types_interned: usize,
     /// Realizability verdicts replayed from the context memo during this
     /// call.
@@ -84,44 +81,13 @@ pub fn decide_with_stats(
     decide_instrumented(&mut ctx, tbox, query, budget)
 }
 
-/// [`decide`] against a persistent per-TBox context borrowed from `cache`.
-///
-/// Same verdicts as [`decide`] (warm memo entries replay the exact
-/// sequential computation, including its `uncertain` degradations); the
-/// warm path skips type interning, saturation fixpoints, and realizability
-/// fixpoints already established by earlier calls over this TBox.
-pub fn decide_cached(
-    tbox: &HornTbox,
-    query: &C2rpq,
-    budget: &Budget,
-    cache: &SolverCache,
-) -> (Verdict, DecideStats) {
-    let handle = cache.handle(tbox, budget);
-    decide_on(&handle, tbox, query, budget, cache)
-}
-
-/// [`decide_cached`] against a pre-resolved [`crate::SolverHandle`] — skips the
-/// per-call CI-set hashing of the cache lookup, which matters when one
-/// TBox is decided repeatedly (every disjunct of a containment question
-/// over one completed TBox).
-pub fn decide_on(
-    handle: &crate::cache::SolverHandle,
-    tbox: &HornTbox,
-    query: &C2rpq,
-    budget: &Budget,
-    cache: &SolverCache,
-) -> (Verdict, DecideStats) {
-    let (verdict, stats) =
-        cache.with_handle(handle, budget, |ctx| decide_instrumented(ctx, tbox, query, budget));
-    cache.record_decide(stats.cores_tried, stats.cores_deduped);
-    (verdict, stats)
-}
-
 /// [`decide`] on a caller-owned context over the TBox of `ctx.types`. The
-/// context keeps its memo tables between calls, like a [`SolverCache`]
-/// entry, but lives only as long as its owner (the completion's entailment
-/// sweep holds one per extended TBox). Counted by the same span and
-/// metrics as every other decide; not by any [`SolverCache`].
+/// context keeps its memo tables between calls and lives only as long as
+/// its owner: a containment call holds one per completed TBox, the
+/// completion's entailment sweep one per extended TBox. Warm memo entries
+/// replay the exact sequential computation, including its `uncertain`
+/// degradations. Counted by the same span and metrics as every other
+/// decide.
 pub fn decide_in_ctx(
     ctx: &mut RealizeCtx,
     query: &C2rpq,
@@ -930,7 +896,6 @@ mod tests {
 
     #[test]
     fn cached_decide_matches_fresh_decide() {
-        let cache = SolverCache::new();
         let mut t = HornTbox::new();
         t.push(HornCi::Exists { lhs: set(&[0]), role: sym(0), rhs: set(&[0]) });
         t.push(HornCi::NotExists { lhs: set(&[1]), role: sym(0), rhs: LabelSet::new() });
@@ -947,18 +912,21 @@ mod tests {
             bool_query(vec![Atom { x: Var(0), y: Var(1), regex: Regex::edge(EdgeLabel(0)) }], 2),
         ];
         let budget = Budget::default();
+        let mut ctx = RealizeCtx::new(TypeUniverse::new(&t), budget.clone());
+        let mut misses = Vec::new();
         for _ in 0..2 {
             // Twice: the second pass runs fully warm.
             for q in &queries {
                 let fresh = decide(&t, q, &budget);
-                let (warm, _) = decide_cached(&t, q, &budget, &cache);
+                let (warm, _) = decide_in_ctx(&mut ctx, q, &budget);
                 assert_eq!(
                     std::mem::discriminant(&fresh),
                     std::mem::discriminant(&warm),
-                    "cached verdict diverged on {q:?}"
+                    "in-context verdict diverged on {q:?}"
                 );
             }
+            misses.push(ctx.stats().status_misses);
         }
-        assert!(cache.oracle_stats().cache_hits > 0);
+        assert_eq!(misses[0], misses[1], "the warm pass recomputed a realizability verdict");
     }
 }

@@ -20,8 +20,10 @@
 //! ## Persistence across `decide` calls
 //!
 //! The candidate verdicts (`status`) and option sets (`options_memo`) are
-//! facts about `(TBox, candidate)` alone, so a [`crate::SolverCache`] can
-//! keep one `RealizeCtx` per TBox and replay them across calls. Two pieces
+//! facts about `(TBox, candidate)` alone, so the owner of a `RealizeCtx`
+//! (a containment call over one completed TBox, or a completion sweep
+//! over one extended TBox) can replay them across the decides it runs
+//! through [`crate::decide_in_ctx`]. Two pieces
 //! of bookkeeping make the replay *exact* (verdict-for-verdict equal to a
 //! fresh context):
 //!
@@ -76,13 +78,13 @@ pub struct RealizeCtx {
     budget: Budget,
     /// Candidate verdict and its taint: `true` in the second slot means a
     /// fresh recomputation of this verdict would raise `uncertain`.
-    pub(crate) status: FxHashMap<Cand, (bool, bool)>,
+    status: FxHashMap<Cand, (bool, bool)>,
     /// Option sets with the taint of their enumeration.
     options_memo: FxHashMap<Cand, (Vec<Option_>, bool)>,
     /// Extendability of a type given a fixed core neighborhood (sorted,
     /// so the key is canonical), with taint. Keyed per type first so
     /// probes hash one `TypeId` and scan a short list.
-    pub(crate) extendable_memo: FxHashMap<TypeId, Vec<ExtendableRow>>,
+    extendable_memo: FxHashMap<TypeId, Vec<ExtendableRow>>,
     candidates_seen: usize,
     stats: RealizeStats,
 }

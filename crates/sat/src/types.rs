@@ -6,9 +6,9 @@
 //! key its candidates by small integers.
 //!
 //! The universe *owns* its TBox (behind an [`Arc`]), so it can outlive the
-//! `decide` call that built it — this is what lets [`crate::SolverCache`]
-//! keep one universe per TBox fingerprint and share interned types,
-//! saturation fixpoints, and dead-type verdicts across calls.
+//! `decide` call that built it — this is what lets one solver context
+//! (see [`crate::decide_in_ctx`]) share interned types, saturation
+//! fixpoints, and dead-type verdicts across the decides its owner runs.
 
 use gts_dl::{HornCi, HornTbox};
 use gts_graph::{EdgeSym, FxHashMap, FxHashSet, LabelSet};
@@ -391,35 +391,6 @@ impl TypeUniverse {
             None
         } else {
             Some(self.sat[&t])
-        }
-    }
-
-    /// Every saturation verdict reached so far, as `(type, fixpoint)`
-    /// rows; `None` marks a dead type. Every returned row is a final
-    /// fixpoint (callers only observe the universe between `saturate`
-    /// calls, which drive their whole cohort to convergence).
-    pub(crate) fn sat_rows(&self) -> Vec<(TypeId, Option<TypeId>)> {
-        self.sat
-            .keys()
-            .map(|&t| (t, if self.dead.contains(&t) { None } else { Some(self.sat[&t]) }))
-            .collect()
-    }
-
-    /// Installs an externally computed saturation fixpoint (from a
-    /// portable snapshot over the *same* TBox). First verdict wins:
-    /// locally computed fixpoints are never overridden.
-    pub(crate) fn import_sat_row(&mut self, t: TypeId, sat: Option<TypeId>) {
-        if self.sat.contains_key(&t) {
-            return;
-        }
-        match sat {
-            Some(s) => {
-                self.sat.insert(t, s);
-            }
-            None => {
-                self.sat.insert(t, t);
-                self.dead.insert(t);
-            }
         }
     }
 

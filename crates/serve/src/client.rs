@@ -129,7 +129,7 @@ impl Client {
         self.roundtrip(&proto::frame("ping"))
     }
 
-    /// `stats` roundtrip (registry, admission, oracle, server counters).
+    /// `stats` roundtrip (registry, admission, server counters).
     pub fn stats(&mut self) -> Result<Json, ClientError> {
         self.roundtrip(&proto::frame("stats"))
     }

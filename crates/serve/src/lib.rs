@@ -4,14 +4,14 @@
 //! static analyses (*Static Analysis of Graph Database Transformations*,
 //! PODS 2023). Every other entry point of the workspace is a one-shot
 //! process: each `gts` invocation rebuilds schemas, re-interns automata,
-//! and discards the `AnalysisSession` verdict memo and the per-TBox
-//! `SolverCache` when it exits. This crate makes that state *resident*:
+//! and discards the `AnalysisSession` verdict memo when it exits. This
+//! crate makes that memo *resident*:
 //!
 //! * [`SessionRegistry`] — a concurrency-safe pool of
 //!   [`gts_engine::AnalysisSession`]s keyed by a [`Fingerprint`] of
 //!   (vocabulary, schema, engine budgets), with LRU eviction under entry
-//!   and byte budgets, so containment memos and solver caches persist
-//!   across connections and clients;
+//!   and byte budgets, so containment verdict memos persist across
+//!   connections and clients;
 //! * [`Admission`] — a semaphore-style admission controller bounding
 //!   in-flight analyses and queue depth, returning backpressure errors
 //!   instead of buffering without bound, with per-request deadlines;
@@ -47,7 +47,7 @@
 //!    "requests":[{"kind":"elicit","transform":"T"}]}
 //! ← {"ok":true,"op":"analyze","fingerprint":"…","pool":"miss",
 //!    "results":[{"label":"elicit T","micros":…,"schema":"…","certified":true}],
-//!    "session":{…},"oracle":{…},"id":"a1"}
+//!    "session":{…},"id":"a1"}
 //! ```
 //!
 //! Version-1 frames remain accepted and are answered strictly in

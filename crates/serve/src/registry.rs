@@ -8,7 +8,7 @@
 //! verdict decided under small budgets may be `uncertified` where larger
 //! budgets would certify — they must not share a memo). Checkout hands
 //! back a *clone* of the pooled session: clones share the verdict memo
-//! and oracle cache (that is the point of pooling) but own their
+//! (that is the point of pooling) but own their
 //! vocabulary, so per-request label interning — e.g. by `execute`
 //! instances — cannot corrupt the pooled master.
 
@@ -354,7 +354,7 @@ impl SessionRegistry {
     }
 
     /// Hydrates the resident session for `fp` from exported store bytes.
-    /// The clone shares the pooled memo and oracle cache, so imported
+    /// The clone shares the pooled memo, so imported
     /// state lands in the pool. `None` when no session is resident or
     /// the bytes belong to a different identity.
     pub fn hydrate_resident(&self, fp: Fingerprint, bytes: &[u8]) -> Option<HydrateReport> {
@@ -363,16 +363,6 @@ impl SessionRegistry {
             inner.entries.get(&fp.0).map(|e| e.session.clone())
         }?;
         session.hydrate_from_bytes(bytes)
-    }
-
-    /// Aggregated oracle-cache statistics across the resident sessions.
-    pub fn oracle_stats(&self) -> gts_core::containment::OracleCacheStats {
-        let inner = self.inner.lock().unwrap();
-        let mut agg = gts_core::containment::OracleCacheStats::default();
-        for e in inner.entries.values() {
-            agg.absorb(&e.session.oracle_stats());
-        }
-        agg
     }
 
     /// LRU sweep: drop least-recently-used entries while over the entry

@@ -771,7 +771,7 @@ fn metrics_frame(shared: &Shared, frame: &Json) -> Json {
 }
 
 /// The uniform statistics document: session registry, admission
-/// controller, aggregated oracle caches, server counters. The same
+/// controller, server counters. The registry's memo counters are the
 /// numbers `gts batch --stats` reports locally.
 fn stats_frame(shared: &Shared) -> Json {
     let mut r = proto::ok_frame("stats");
@@ -818,10 +818,6 @@ fn stats_frame(shared: &Shared) -> Json {
     }
     admission.set("tenants", tenants);
     r.set("admission", admission);
-    r.set(
-        "oracle",
-        gts_engine::snapshot_to_json(&gts_engine::oracle_snapshot(&shared.registry.oracle_stats())),
-    );
     let m = &shared.obs;
     let mut server = Json::obj();
     server
@@ -942,8 +938,8 @@ fn evict(shared: &Shared, frame: &Json) -> Json {
     }
 }
 
-/// `cache_export`: serialize the named session's cached state (verdict
-/// memo, completion memo, solver snapshots) as a base64 store snapshot.
+/// `cache_export`: serialize the named session's verdict memo as a base64
+/// store snapshot.
 /// Prefers the resident session (freshest state); falls back to the
 /// on-disk store under `cache_dir`, re-encoded to its validated clean
 /// prefix so a torn tail never ships over the wire.
@@ -1006,10 +1002,7 @@ fn cache_import(shared: &Shared, frame: &Json) -> Json {
     let mut applied = false;
     if let Some(report) = shared.registry.hydrate_resident(fp, &bytes) {
         let mut h = Json::obj();
-        h.set("verdicts", report.verdicts as u64)
-            .set("completions", report.completions as u64)
-            .set("solver_snapshots", report.solver_snapshots as u64)
-            .set("degraded", report.degraded);
+        h.set("verdicts", report.verdicts as u64).set("degraded", report.degraded);
         r.set("hydrated", h).set("resident", true);
         applied = true;
     }
@@ -1145,11 +1138,7 @@ fn analyze(shared: &Shared, frame: &Json) -> Json {
         .set("source", compiled.schemas[idx].0.as_str())
         .set("pool", if pool_hit { "hit" } else { "miss" })
         .set("results", Json::Arr(results))
-        .set("session", gts_engine::snapshot_to_json(&gts_engine::session_cache_snapshot(&stats)))
-        .set(
-            "oracle",
-            gts_engine::snapshot_to_json(&gts_engine::oracle_snapshot(&session.oracle_stats())),
-        );
+        .set("session", gts_engine::snapshot_to_json(&gts_engine::session_cache_snapshot(&stats)));
     // Store the rendered response for the next identical frame. The
     // stored copy reports `pool: hit` — a memo-served answer *is* the
     // resident state answering. Partially-skipped responses depend on

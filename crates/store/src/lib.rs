@@ -2,9 +2,8 @@
 //!
 //! The on-disk cache substrate of the `gts` workspace: a dependency-free,
 //! std-only record log under `.gts/cache/`, one file per analysis-session
-//! identity, holding the memoized oracle state (containment verdicts,
-//! completion memos, per-TBox solver snapshots) that otherwise dies with
-//! the process.
+//! identity, holding the memoized oracle state (containment verdicts)
+//! that otherwise dies with the process.
 //!
 //! ## File layout
 //!
@@ -74,9 +73,8 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 /// Fast 64-bit content hash for **in-memory** bookkeeping (flush dedup
-/// sets, pending-snapshot buckets): folds eight bytes per multiply, so it
-/// is an order of magnitude faster than [`fnv64`] on the multi-kilobyte
-/// keys solver snapshots carry. The value is never persisted — anything
+/// sets): folds eight bytes per multiply, so it is an order of magnitude
+/// faster than [`fnv64`] on long keys. The value is never persisted — anything
 /// written to disk or used as a file name keeps using [`fnv64`], whose
 /// output is part of the store contract.
 pub fn hash64(bytes: &[u8]) -> u64 {

@@ -146,7 +146,7 @@ fn executor_agrees_with_apply_on_random_transformations() {
         let idx = IndexedGraph::build(&g);
         let naive = t.output_facts(&g);
         for threads in [1usize, 4] {
-            let opts = ExecOptions { threads, ..Default::default() };
+            let opts = ExecOptions { threads };
             assert_eq!(
                 output_facts(&idx, &t, &opts),
                 naive,

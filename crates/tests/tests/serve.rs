@@ -376,7 +376,7 @@ fn load_schema_and_evict_verbs_manage_the_pool() {
 }
 
 #[test]
-fn stats_verb_reports_registry_admission_oracle_and_server() {
+fn stats_verb_reports_registry_admission_and_server() {
     let handle = start_default();
     let mut client = connect(&handle);
     client.analyze(TINY, Some("S"), vec![proto::spec_elicit("T")]).unwrap();
@@ -388,8 +388,9 @@ fn stats_verb_reports_registry_admission_oracle_and_server() {
     let admission = stats.get("admission").unwrap();
     assert_eq!(admission.get("admitted").and_then(Json::as_u64), Some(1));
     assert_eq!(admission.get("inflight").and_then(Json::as_u64), Some(0));
-    let oracle = stats.get("oracle").unwrap();
-    assert!(oracle.get("decides").and_then(Json::as_u64).unwrap() > 0);
+    // Sessions share no solver state across questions, so there is no
+    // oracle-cache object to report.
+    assert!(stats.get("oracle").is_none(), "{}", stats.pretty());
     let server = stats.get("server").unwrap();
     assert!(server.get("connections_total").and_then(Json::as_u64).unwrap() >= 1);
     assert_eq!(server.get("draining").and_then(Json::as_bool), Some(false));

@@ -1,15 +1,17 @@
-//! Differential tests for the persistent solver cache: cached, parallel,
-//! and session-shared oracle paths must agree verdict-for-verdict with the
-//! fresh-context decision procedure, and state must never bleed between
-//! TBox fingerprints.
+//! Differential tests for solver-context reuse: a context driven through
+//! many decides (as a containment call drives the one over each completed
+//! TBox, and a completion sweep the ones over its extended TBoxes), the
+//! thread-fanned paths, and the session verdict memo must all agree
+//! verdict-for-verdict with the fresh-context decision procedure, and
+//! contexts over different TBoxes must never share state.
 
-use gts_core::containment::{complete, complete_with, OracleCache};
+use gts_core::containment::{complete, complete_with};
 use gts_core::prelude::*;
-use gts_core::sat::{decide, decide_cached, SolverCache};
+use gts_core::sat::{decide, decide_in_ctx, RealizeCtx, TypeUniverse};
+use gts_engine::AnalysisSession;
 use gts_schema::{random_schema, SchemaGenConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 fn set(labels: &[u32]) -> LabelSet {
     LabelSet::from_iter(labels.iter().copied())
@@ -89,8 +91,9 @@ fn random_queries<R: Rng>(num_labels: u32, num_roles: u32, rng: &mut R) -> Vec<C
     out
 }
 
-/// The cached `decide` must agree verdict-for-verdict with a fresh-context
-/// `decide` on random TBoxes and queries — including fully warm repeats.
+/// One context driven through `decide_in_ctx` over a random query
+/// battery must agree verdict-for-verdict with a fresh-context `decide`
+/// on random TBoxes — including the fully warm second pass (exact replay).
 #[test]
 fn cached_decide_agrees_with_fresh_on_random_instances() {
     let budget = Budget::default();
@@ -98,29 +101,28 @@ fn cached_decide_agrees_with_fresh_on_random_instances() {
         let mut rng = StdRng::seed_from_u64(seed);
         let tbox = random_tbox(4, 3, rng.gen_range(3..10), &mut rng);
         let queries = random_queries(4, 3, &mut rng);
-        let cache = SolverCache::new();
+        let mut ctx = RealizeCtx::new(TypeUniverse::new(&tbox), budget.clone());
         for pass in 0..2 {
             for q in &queries {
                 let fresh = decide(&tbox, q, &budget);
-                let (warm, stats) = decide_cached(&tbox, q, &budget, &cache);
+                let (warm, stats) = decide_in_ctx(&mut ctx, q, &budget);
                 assert_eq!(
                     std::mem::discriminant(&fresh),
                     std::mem::discriminant(&warm),
-                    "seed {seed} pass {pass}: fresh {fresh:?} vs cached {warm:?} on {q:?}"
+                    "seed {seed} pass {pass}: fresh {fresh:?} vs in-context {warm:?} on {q:?}"
                 );
                 assert!(stats.types_interned > 0 || tbox.is_empty() || stats.cores_tried > 0);
             }
         }
-        assert!(cache.oracle_stats().cache_hits > 0, "second pass must be warm");
     }
 }
 
-/// No verdict bleed between fingerprints: interleaving decides over
-/// contradictory TBoxes through one cache gives each TBox its own answers.
+/// No verdict bleed between contexts: interleaving decides over
+/// contradictory TBoxes, one context each, gives each TBox its own
+/// answers.
 #[test]
 fn cross_tbox_isolation() {
     let budget = Budget::default();
-    let cache = SolverCache::new();
     // T1 forbids A entirely; T2 is empty; T3 forces an infinite r-chain.
     let mut t1 = HornTbox::new();
     t1.push(HornCi::Bottom { lhs: set(&[0]) });
@@ -132,32 +134,17 @@ fn cross_tbox_isolation() {
         vec![],
         vec![Atom { x: Var(0), y: Var(0), regex: Regex::node(NodeLabel(0)) }],
     );
+    let mut contexts: Vec<RealizeCtx> =
+        [&t1, &t2, &t3].map(|t| RealizeCtx::new(TypeUniverse::new(t), budget.clone())).into();
     for _ in 0..3 {
-        assert!(decide_cached(&t1, &q, &budget, &cache).0.is_unsat());
-        assert!(decide_cached(&t2, &q, &budget, &cache).0.is_sat());
-        assert!(decide_cached(&t3, &q, &budget, &cache).0.is_sat());
+        assert!(decide_in_ctx(&mut contexts[0], &q, &budget).0.is_unsat());
+        assert!(decide_in_ctx(&mut contexts[1], &q, &budget).0.is_sat());
+        assert!(decide_in_ctx(&mut contexts[2], &q, &budget).0.is_sat());
     }
-    let stats = cache.oracle_stats();
-    assert_eq!(stats.entries, 3, "one context per TBox fingerprint");
-    assert!(stats.cache_hits >= 6);
 }
 
-/// Budgets are part of the cache key: the same TBox under different
-/// budgets gets separate contexts (a budget-starved context must not leak
-/// its limits into generous calls and vice versa).
-#[test]
-fn budgets_key_separate_contexts() {
-    let cache = SolverCache::new();
-    let t = HornTbox::new();
-    let q = C2rpq::new(1, vec![], vec![]);
-    let (v1, _) = decide_cached(&t, &q, &Budget::default(), &cache);
-    let (v2, _) = decide_cached(&t, &q, &Budget::large(), &cache);
-    assert!(v1.is_sat() && v2.is_sat());
-    assert_eq!(cache.oracle_stats().entries, 2);
-}
-
-/// Cached and thread-fanned completions equal the plain completion on
-/// random TBoxes (byte-identical completed TBox and flags).
+/// Thread-fanned completions equal the plain completion on random
+/// TBoxes (byte-identical completed TBox and flags).
 #[test]
 fn completions_agree_cached_and_threaded() {
     let budget = Budget::default();
@@ -168,22 +155,15 @@ fn completions_agree_cached_and_threaded() {
         let labels = set(&[0, 1, 2, 3]);
         let fresh = (NodeLabel(40), NodeLabel(41));
         let plain = complete(&tbox, &labels, fresh, &budget, &cfg);
-        let cache = OracleCache::new();
-        let cached = complete_with(&tbox, &labels, fresh, &budget, &cfg, Some(&cache), 1);
-        let threaded = complete_with(&tbox, &labels, fresh, &budget, &cfg, None, 4);
-        assert_eq!(plain.tbox, cached.tbox, "seed {seed}");
-        assert_eq!(plain.complete, cached.complete, "seed {seed}");
+        let threaded = complete_with(&tbox, &labels, fresh, &budget, &cfg, 4);
         assert_eq!(plain.tbox, threaded.tbox, "seed {seed}");
         assert_eq!(plain.complete, threaded.complete, "seed {seed}");
-        // Warm repeat hits the completion memo and stays equal.
-        let again = complete_with(&tbox, &labels, fresh, &budget, &cfg, Some(&cache), 1);
-        assert_eq!(plain.tbox, again.tbox, "seed {seed}");
-        assert!(cache.stats().completion_hits >= 1, "seed {seed}");
     }
 }
 
-/// End-to-end: a session-shared oracle cache (and a thread-fanned one)
-/// answers random containment questions exactly like the cold path.
+/// End-to-end: a session's shared verdict memo (asked every question
+/// twice) and the thread-fanned path answer random containment questions
+/// exactly like the cold path.
 #[test]
 fn shared_cache_containment_differential() {
     for seed in 200..220u64 {
@@ -204,14 +184,16 @@ fn shared_cache_containment_differential() {
         let r1 = edges[1 % edges.len()];
         let queries =
             [mk(Regex::edge(r0)), mk(Regex::edge(r1)), mk(Regex::edge(r0).then(Regex::edge(r1)))];
-        let shared = ContainmentOptions::default().with_cache(Arc::new(OracleCache::new()));
+        let mut shared = AnalysisSession::new(schema.clone(), vocab.clone());
         let threaded = ContainmentOptions { threads: 3, ..ContainmentOptions::default() };
         for p in &queries {
             for q in &queries {
                 let cold =
                     contains(p, q, &schema, &mut vocab.clone(), &ContainmentOptions::default())
                         .unwrap();
-                let warm = contains(p, q, &schema, &mut vocab.clone(), &shared).unwrap();
+                let first = shared.contains(p, q).unwrap();
+                let warm = shared.contains(p, q).unwrap();
+                assert_eq!(first, warm, "seed {seed} p={p:?} q={q:?}");
                 let par = contains(p, q, &schema, &mut vocab.clone(), &threaded).unwrap();
                 assert_eq!(cold.holds, warm.holds, "seed {seed} p={p:?} q={q:?}");
                 assert_eq!(cold.certified, warm.certified, "seed {seed} p={p:?} q={q:?}");
@@ -220,39 +202,4 @@ fn shared_cache_containment_differential() {
             }
         }
     }
-}
-
-/// The per-call oracle statistics on `ContainmentAnswer` reflect actual
-/// work and reuse.
-#[test]
-fn containment_answers_carry_stats() {
-    let mut vocab = Vocab::new();
-    let a = vocab.node_label("A");
-    let r = vocab.edge_label("r");
-    let s_edge = vocab.edge_label("s");
-    let mut schema = Schema::new();
-    schema.set_edge(a, r, a, Mult::Star, Mult::Star);
-    schema.set_edge(a, s_edge, a, Mult::Plus, Mult::Opt);
-    let p = Uc2rpq::single(C2rpq::new(
-        2,
-        vec![],
-        vec![Atom { x: Var(0), y: Var(1), regex: Regex::edge(r) }],
-    ));
-    let q = Uc2rpq::single(C2rpq::new(
-        2,
-        vec![],
-        vec![Atom { x: Var(0), y: Var(1), regex: Regex::edge(s_edge) }],
-    ));
-    let shared = ContainmentOptions::default().with_cache(Arc::new(OracleCache::new()));
-    let first = contains(&p, &q, &schema, &mut vocab.clone(), &shared).unwrap();
-    assert!(first.stats.solver.decides > 0, "{:?}", first.stats);
-    assert!(first.stats.completion_misses > 0);
-    // The identical question again: completions replay from the memo.
-    let second = contains(&p, &q, &schema, &mut vocab.clone(), &shared).unwrap();
-    assert_eq!(first.holds, second.holds);
-    assert!(
-        second.stats.completion_hits > 0,
-        "repeat question must hit the completion memo: {:?}",
-        second.stats
-    );
 }

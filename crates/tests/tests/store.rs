@@ -1,9 +1,11 @@
-//! Differential suite for the persistent on-disk oracle store: sessions
+//! Differential suite for the persistent on-disk verdict store: sessions
 //! hydrated from a warm store must agree verdict-for-verdict with fresh
 //! cold-path decides — on randomized schemas and query batteries, and
 //! under store corruption (truncation anywhere, bit flips anywhere),
 //! where the tolerant decoder must degrade to a clean prefix or the cold
-//! path without ever changing an answer.
+//! path without ever changing an answer. A store holds one record per
+//! memoized verdict, and a store left degraded or holding retired record
+//! kinds is rewritten whole by the next flush.
 
 use gts_bench::medical;
 use gts_core::prelude::*;
@@ -281,4 +283,89 @@ fn wire_snapshots_hydrate_twin_sessions_and_reject_strangers() {
         stranger.hydrate_from_bytes(&bytes).is_none(),
         "a different schema absorbed a foreign snapshot"
     );
+}
+
+/// A store holds verdicts only: after the primary elicitation of each
+/// family in a fresh disk-bound session, the flush writes exactly one
+/// record per memoized verdict.
+#[test]
+fn flush_writes_exactly_one_record_per_memoized_verdict() {
+    let dir = tmp_dir("one-record-per-verdict");
+    for family in [Family::Medical, Family::Fhir, Family::Retail] {
+        let sc = scenario(family, &Params::quick());
+        let source = sc.schema(&sc.primary.source).expect("primary source").clone();
+        let t = sc.transform(&sc.primary.transform).expect("primary transform");
+        let (mut session, report) =
+            AnalysisSession::with_disk(source, sc.vocab.clone(), Default::default(), &dir);
+        assert_eq!(report.total(), 0, "{}: a fresh store", family.name());
+        session.elicit(t).expect("elicit");
+        let flush = session.flush_disk().expect("disk-bound").expect("flush");
+        let entries = session.stats().entries;
+        assert!(entries > 0, "{}: the elicitation asked questions", family.name());
+        assert_eq!(flush.records, entries, "{}: {flush:?}", family.name());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store whose tail was torn mid-record heals: the first flush after
+/// the degraded load rewrites the file, so the next load is clean and
+/// hydrates every verdict the session held.
+#[test]
+fn degraded_stores_heal_on_the_next_flush() {
+    let dir = tmp_dir("heal");
+    let (check, equiv, schema, bytes) = warm_medical_store(&dir);
+    let reference = (check, equiv, schema);
+    let m = medical();
+    let path = gts_store::store_path(
+        &dir,
+        AnalysisSession::new(m.s0.clone(), m.vocab.clone()).store_fingerprint(),
+    );
+    let full = gts_store::decode_store(&bytes, None).records.len();
+    // Truncate inside the last record, then ask the suite again.
+    std::fs::write(&path, &bytes[..bytes.len() - 5]).expect("truncate");
+    let (mut session, report) =
+        AnalysisSession::with_disk(m.s0.clone(), m.vocab.clone(), Default::default(), &dir);
+    assert!(report.degraded && report.verdicts < full, "{report:?}");
+    let elicited = session.elicit(&m.t0).expect("elicit");
+    assert_eq!(session.type_check(&m.t0, &m.s1).expect("type check"), reference.0);
+    assert_eq!(session.equivalence(&m.t0, &m.t0).expect("equivalence"), reference.1);
+    assert_eq!(elicited.schema, reference.2);
+    let flush = session.flush_disk().expect("disk-bound").expect("flush");
+    assert!(flush.compacted, "a degraded store is rewritten whole: {flush:?}");
+    drop(session);
+    let (_, reopened) = AnalysisSession::with_disk(m.s0, m.vocab, Default::default(), &dir);
+    assert!(!reopened.degraded, "{reopened:?}");
+    assert_eq!(reopened.verdicts, full);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Stores written before the verdict-only format carried solver
+/// snapshots (kind 2) and completion-memo entries (kind 3). They hydrate
+/// their verdicts, and the next flush rewrites the file without them.
+#[test]
+fn retired_record_kinds_are_skipped_and_dropped_by_the_next_flush() {
+    let dir = tmp_dir("retired-kinds");
+    let m = medical();
+    let mut donor = AnalysisSession::new(m.s0.clone(), m.vocab.clone());
+    donor.elicit(&m.t0).expect("elicit");
+    let verdicts = gts_store::decode_store(&donor.export_store_bytes(), None).records;
+    assert!(!verdicts.is_empty());
+    let mut records = verdicts.clone();
+    records.insert(0, gts_store::Record { kind: 2, payload: vec![7; 32] });
+    records.push(gts_store::Record { kind: 3, payload: vec![9; 16] });
+    let path = gts_store::store_path(&dir, donor.store_fingerprint());
+    std::fs::create_dir_all(&dir).expect("cache dir");
+    std::fs::write(&path, gts_store::encode_store(&donor.identity(), &records)).expect("store");
+
+    let (session, report) =
+        AnalysisSession::with_disk(m.s0.clone(), m.vocab.clone(), Default::default(), &dir);
+    assert_eq!(report.verdicts, verdicts.len());
+    assert!(!report.degraded);
+    let flush = session.flush_disk().expect("disk-bound").expect("flush");
+    assert!(flush.compacted, "{flush:?}");
+    drop(session);
+    let kinds: Vec<u8> = gts_store::load_file(&path, None).records.iter().map(|r| r.kind).collect();
+    assert_eq!(kinds.len(), verdicts.len());
+    assert!(kinds.iter().all(|&k| k == gts_engine::disk::KIND_VERDICT), "{kinds:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
