@@ -453,6 +453,30 @@ transform Bad { Price(f(x)) <- (Product)(x) }
     }
 
     #[test]
+    fn deeply_nested_regexes_are_refused_not_overflowed() {
+        let depth = 20_000;
+        let src = format!(
+            "edge r\nquery Q(x, y) {{ ({}r{})(x, y) }}",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        );
+        let err = GtsFile::parse(&src).unwrap_err();
+        assert!(err.msg.contains("nests deeper"), "{}", err.msg);
+        let nests = format!(
+            "edge r\nquery Q(x, y) {{ ({}r{})(x, y) }}",
+            "<".repeat(depth),
+            ">".repeat(depth)
+        );
+        assert!(GtsFile::parse(&nests).unwrap_err().msg.contains("nests deeper"));
+        // Every corpus family still parses under the guard.
+        for family in gts_corpus::Family::ALL {
+            let sc = gts_corpus::scenario(family, &gts_corpus::Params::default());
+            let text = render_file(&scenario_file(&sc));
+            GtsFile::parse(&text).unwrap_or_else(|e| panic!("{}: {e:?}", family.name()));
+        }
+    }
+
+    #[test]
     fn regex_postfix_operators_parse() {
         use gts_core::query::Nre;
         let src = "node A\nedge r\nedge s\n\

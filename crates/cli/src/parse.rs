@@ -117,7 +117,13 @@ struct Parser {
     nodes: HashMap<String, NodeLabel>,
     edges: HashMap<String, EdgeLabel>,
     out: GtsFile,
+    /// Open `(`/`<` groups around the regex being parsed.
+    depth: usize,
 }
+
+/// Nesting guard: a regex with more open groups than this is rejected
+/// rather than risking a stack overflow on hostile input.
+const MAX_REGEX_DEPTH: usize = 128;
 
 impl Parser {
     fn new(toks: Vec<Token>) -> Parser {
@@ -128,6 +134,7 @@ impl Parser {
             nodes: HashMap::new(),
             edges: HashMap::new(),
             out: GtsFile::default(),
+            depth: 0,
         }
     }
 
@@ -474,18 +481,8 @@ impl Parser {
 
     fn regex_prim(&mut self) -> Result<Nre, ParseError> {
         match self.peek().kind.clone() {
-            Tok::LParen => {
-                self.next();
-                let r = self.regex()?;
-                self.expect(Tok::RParen)?;
-                Ok(r)
-            }
-            Tok::LAngle => {
-                self.next();
-                let r = self.regex()?;
-                self.expect(Tok::RAngle)?;
-                Ok(Nre::nest(r))
-            }
+            Tok::LParen => self.regex_group(Tok::RParen),
+            Tok::LAngle => Ok(Nre::nest(self.regex_group(Tok::RAngle)?)),
             Tok::Ident(name) => {
                 self.next();
                 match name.as_str() {
@@ -507,6 +504,21 @@ impl Parser {
             }
             other => self.err(format!("expected a regular expression, found {other}")),
         }
+    }
+
+    /// The body of a `(…)` or `<…>` group, up to its `close` token.
+    fn regex_group(&mut self, close: Tok) -> Result<Nre, ParseError> {
+        if self.depth == MAX_REGEX_DEPTH {
+            return self
+                .err(format!("regular expression nests deeper than {MAX_REGEX_DEPTH} groups"));
+        }
+        self.next();
+        self.depth += 1;
+        let r = self.regex();
+        self.depth -= 1;
+        let r = r?;
+        self.expect(close)?;
+        Ok(r)
     }
 
     fn graph_block(&mut self) -> Result<(), ParseError> {

@@ -86,16 +86,14 @@ pub fn run_serve(flags: &HashMap<String, String>) -> Result<Outcome, String> {
     }
     // `--no-metrics` turns off latency-histogram recording process-wide
     // (spans, counters, and the `metrics`/`stats` verbs keep working;
-    // the histograms and the clock reads feeding them stop). The loadgen
-    // overhead benchmark uses it to measure the instrumented-vs-
-    // uninstrumented gap.
+    // the histograms and the clock reads feeding them stop).
     if flags.contains_key("no-metrics") {
         gts_obs::set_enabled(false);
     }
     cfg.allow_linger = flags.contains_key("allow-linger");
     let handle = Server::start(cfg, frontend()).map_err(|e| format!("cannot start server: {e}"))?;
-    // Printed (and flushed) before blocking so wrappers — CI's loadgen
-    // spawn mode, shell scripts — can scrape the bound address.
+    // Printed (and flushed) before blocking so wrappers (CI's metrics
+    // smoke, `benchmark/`, shell scripts) can scrape the bound address.
     println!("listening on {}", handle.addr());
     let _ = std::io::stdout().flush();
     handle.join();

@@ -154,7 +154,7 @@ pub fn rollup_component(
     }
 
     // Automata and fresh state concepts per expression.
-    let nfas: Vec<std::sync::Arc<Nfa>> = exprs.iter().map(|e| Nfa::compiled(&e.regex)).collect();
+    let nfas: Vec<Nfa> = exprs.iter().map(|e| Nfa::from_regex(&e.regex)).collect();
     let mut states: FxHashMap<(usize, usize), NodeLabel> = FxHashMap::default();
     for (ei, nfa) in nfas.iter().enumerate() {
         for s in 0..nfa.num_states() {

@@ -10,9 +10,8 @@
 //!
 //! The families:
 //!
-//! * [`Family::Medical`] — the paper's Example 4.1 / Figure 1 fixture,
-//!   kept bit-identical to the historical bench fixture (`gts-bench`
-//!   delegates here);
+//! * [`Family::Medical`] — the paper's Example 4.1 / Figure 1 fixture
+//!   ([`medical_fixture`], scaled by [`medical_instance`]);
 //! * [`Family::Fhir`] — a FHIR-style clinical-records migration
 //!   (Patient/Encounter/Observation/Practitioner/Condition) with a
 //!   derived `observed` shortcut and a practitioner redaction;
@@ -42,11 +41,13 @@ use rand::SeedableRng;
 mod fhir;
 mod hardn;
 mod medical;
+mod paper;
 mod retail;
 mod social;
 mod stress;
 
-pub use medical::medical_fixture;
+pub use medical::{medical_fixture, medical_instance};
+pub use paper::{chain_instance, fig2, Fig2Fixture};
 
 /// The named scenario families of the corpus.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -387,5 +388,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fixtures_are_well_formed() {
+        let (_, _, _, t0) = medical_fixture();
+        assert!(t0.validate().is_ok());
+        let f = fig2();
+        assert!(f.q.is_acyclic());
+        let mut v = Vocab::new();
+        let (s, p, q) = chain_instance(4, 1, &mut v);
+        assert!(!s.node_labels().is_empty());
+        assert!(p.is_acyclic() && q.is_acyclic());
+    }
+
+    #[test]
+    fn medical_instances_conform_and_scale() {
+        let (vocab, s0, _, t0) = medical_fixture();
+        let g = medical_instance(&vocab, 4, 8);
+        assert_eq!(g.num_nodes(), 4 * (2 + 8));
+        assert_eq!(s0.conforms(&g), Ok(()));
+        // RPQ-heavy: every vaccine targets its whole chain.
+        let out = t0.apply(&g);
+        let targets = vocab.find_edge_label("targets").unwrap();
+        assert_eq!(out.edges().filter(|(_, l, _)| *l == targets).count(), 4 * 8);
+    }
+
+    #[test]
+    fn chain_instance_containment_semantics() {
+        // k+1 < n → every k-step endpoint still has an outgoing edge.
+        let opts = ContainmentOptions::default();
+        let mut v = Vocab::new();
+        let (s, p, q) = chain_instance(4, 1, &mut v);
+        let ans = contains(&p, &q, &s, &mut v, &opts).unwrap();
+        assert!(ans.holds && ans.certified);
+        let mut v2 = Vocab::new();
+        let (s2, p2, q2) = chain_instance(4, 3, &mut v2);
+        let ans2 = contains(&p2, &q2, &s2, &mut v2, &opts).unwrap();
+        assert!(!ans2.holds);
     }
 }

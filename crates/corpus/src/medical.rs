@@ -1,9 +1,7 @@
 //! The `medical` family: Example 4.1 / Figure 1, the paper's running
-//! example and the workspace's historical baseline. The vocabulary
-//! interning order, schemas, and transformation are bit-identical to
-//! what `gts-bench::medical()` has always produced — that crate now
-//! delegates to [`medical_fixture`] so every pre-corpus BENCH number
-//! stays comparable.
+//! example. [`medical_fixture`] is the raw fixture the integration
+//! suites build on; [`medical_instance`] scales its chain-shaped
+//! instances.
 
 use crate::{dsl, Expectation, Instance, Params, Primary, Scenario};
 use gts_core::prelude::*;
@@ -36,6 +34,42 @@ pub fn medical_fixture() -> (Vocab, Schema, Schema, Transformation) {
     (vocab, s0, s1, t0)
 }
 
+/// A scalable S0-conforming instance over [`medical_fixture`]'s
+/// vocabulary: `chains` disjoint crossReacting-chains of `chain_len`
+/// antigens, each with one vaccine design-targeting the chain head and
+/// one pathogen exhibiting it. The `targets` rule of `T0`
+/// (`designTarget·crossReacting*`) is RPQ-heavy on this family: every
+/// vaccine's answer set is its whole chain. Chain `c` occupies node ids
+/// `c·(chain_len+2)..`: vaccine, pathogen, then the antigens in order.
+pub fn medical_instance(vocab: &Vocab, chains: usize, chain_len: usize) -> Graph {
+    let vaccine = vocab.find_node_label("Vaccine").expect("fixture label");
+    let antigen = vocab.find_node_label("Antigen").expect("fixture label");
+    let pathogen = vocab.find_node_label("Pathogen").expect("fixture label");
+    let dt = vocab.find_edge_label("designTarget").expect("fixture label");
+    let cr = vocab.find_edge_label("crossReacting").expect("fixture label");
+    let ex = vocab.find_edge_label("exhibits").expect("fixture label");
+    let mut g = Graph::new();
+    for _ in 0..chains {
+        let v = g.add_labeled_node([vaccine]);
+        let p = g.add_labeled_node([pathogen]);
+        let mut prev = None;
+        for _ in 0..chain_len.max(1) {
+            let a = g.add_labeled_node([antigen]);
+            match prev {
+                None => {
+                    g.add_edge(v, dt, a);
+                    g.add_edge(p, ex, a);
+                }
+                Some(prev) => {
+                    g.add_edge(prev, cr, a);
+                }
+            }
+            prev = Some(a);
+        }
+    }
+    g
+}
+
 pub(crate) fn build(params: &Params, rng: &mut StdRng) -> Scenario {
     let (vocab, s0, s1, t0) = medical_fixture();
     let vaccine = vocab.find_node_label("Vaccine").expect("fixture label");
@@ -66,26 +100,7 @@ pub(crate) fn build(params: &Params, rng: &mut StdRng) -> Scenario {
     // The primary instance: crossReacting chains, sized by `scale`
     // (each chain is 1 vaccine + 1 pathogen + `chain_len` antigens).
     let chain_len = 8usize;
-    let chains = (params.scale / (chain_len + 2)).max(1);
-    let mut chained = Graph::new();
-    for _ in 0..chains {
-        let v = chained.add_labeled_node([vaccine]);
-        let p = chained.add_labeled_node([pathogen]);
-        let mut prev = None;
-        for _ in 0..chain_len {
-            let a = chained.add_labeled_node([antigen]);
-            match prev {
-                None => {
-                    chained.add_edge(v, dt, a);
-                    chained.add_edge(p, ex, a);
-                }
-                Some(prev) => {
-                    chained.add_edge(prev, cr, a);
-                }
-            }
-            prev = Some(a);
-        }
-    }
+    let chained = medical_instance(&vocab, (params.scale / (chain_len + 2)).max(1), chain_len);
 
     // A second, randomized shape: star-shaped cross-reactivity with
     // shared antigens, to keep the executor honest on non-chain inputs.

@@ -8,8 +8,8 @@
 //! session's containment memo, which every worker both reads and warms.
 //!
 //! Results come back in submission order, each with its wall-clock time,
-//! so callers (the `gts batch` subcommand, the `baseline` benchmark) can
-//! attribute cost per request.
+//! so callers (the `gts batch` subcommand) can attribute cost per
+//! request.
 
 use crate::session::AnalysisSession;
 use gts_core::graph::Graph;

@@ -65,7 +65,7 @@ impl Json {
     }
 
     /// Renders with two-space indentation and a trailing newline (the
-    /// format of the `BENCH_*.json` artifacts).
+    /// format of `gts batch` and `gts client` reports).
     pub fn pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, Some(0));

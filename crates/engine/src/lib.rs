@@ -16,11 +16,7 @@
 //!   `std::thread` worker pool with a work-stealing-free sharded queue,
 //!   all workers warming one memo;
 //! * [`Json`] — a dependency-free JSON builder for machine-readable
-//!   results (`gts batch`, `BENCH_baseline.json`).
-//!
-//! Compiled Glushkov automata are interned one layer down
-//! ([`gts_core::query::nfa_cache_stats`]) and benefit cold paths too; the
-//! session layer adds the verdict-level reuse.
+//!   results (`gts batch`, `gts client`).
 //!
 //! ## Quickstart
 //!

@@ -38,12 +38,11 @@ use gts_core::{Rule, Transformation};
 use gts_graph::{DeltaEffects, EdgeLabel, FxHashMap, FxHashSet, Graph, GraphDelta, NodeId};
 use gts_query::{AtomSym, C2rpq, Nfa, Regex};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Full-rebuild crossover on delta size: a delta whose effective changes
 /// exceed `elements / FALLBACK_TOUCH_DIVISOR` skips the incremental path
-/// outright (measured in `BENCH_exec.json::delta`; patching cost grows
-/// with the frontier and overtakes a rebuild around this fraction).
+/// outright (patching cost grows with the frontier and, measured on the
+/// medical chain instances, overtakes a rebuild around this fraction).
 pub const FALLBACK_TOUCH_DIVISOR: usize = 20;
 
 /// Deltas touching at most this many atoms never fall back on the touch
@@ -89,7 +88,7 @@ pub struct DeltaOutcome {
 /// relation. Shared between every atom with the same regex, so a patched
 /// relation is recomputed once no matter how many rules use it.
 struct RelEntry {
-    nfa: Arc<Nfa>,
+    nfa: Nfa,
     useful: Vec<bool>,
     rel: Relation,
 }
@@ -527,7 +526,7 @@ impl Incremental {
             let mut rel_ids = Vec::with_capacity(body.atoms.len());
             for a in &body.atoms {
                 let id = *by_regex.entry(a.regex.clone()).or_insert_with(|| {
-                    let nfa = Nfa::compiled(&a.regex);
+                    let nfa = Nfa::from_regex(&a.regex);
                     let useful = nfa.useful_states();
                     let rel = Relation::build(&self.idx, &nfa);
                     rels.push(RelEntry { nfa, useful, rel });

@@ -2,7 +2,7 @@
 //! execution with per-rule parallelism.
 //!
 //! Rule bodies are evaluated atom-by-atom into [`Relation`]s (one
-//! product-BFS each, automata interned via [`Nfa::compiled`]) and joined
+//! product-BFS each over the atom's Glushkov automaton) and joined
 //! by backtracking with bitset candidate intersection. A
 //! [`Transformation`] is executed by evaluating all rule bodies — in
 //! parallel across a sharded `std::thread` worker pool, the same
@@ -153,7 +153,7 @@ impl ExecOptions {
 /// [`C2rpq::eval`] on every graph (the property suites enforce this).
 pub fn eval_c2rpq(idx: &IndexedGraph, q: &C2rpq) -> Vec<Vec<NodeId>> {
     let rels: Vec<Relation> =
-        q.atoms.iter().map(|a| Relation::build(idx, &Nfa::compiled(&a.regex))).collect();
+        q.atoms.iter().map(|a| Relation::build(idx, &Nfa::from_regex(&a.regex))).collect();
     eval_c2rpq_with(idx, q, &rels.iter().collect::<Vec<_>>())
 }
 

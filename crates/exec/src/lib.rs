@@ -13,8 +13,8 @@
 //!   instance: forward/reverse adjacency per edge label plus per-label
 //!   node bitsets;
 //! * [`Relation`] — RPQ evaluation by frontier-based BFS over the
-//!   product of the graph with the interned Glushkov automaton
-//!   ([`gts_query::Nfa::compiled`]), with [`gts_graph::LabelSet`] bitset
+//!   product of the graph with the atom's Glushkov automaton
+//!   ([`gts_query::Nfa`]), with [`gts_graph::LabelSet`] bitset
 //!   frontiers and an anchored-source prefilter;
 //! * [`execute`] / [`execute_with`] — whole-transformation execution
 //!   with per-rule parallelism over a sharded `std::thread` worker pool

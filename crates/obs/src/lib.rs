@@ -23,9 +23,7 @@
 //! Overhead: recording is a relaxed atomic add; histograms (and the
 //! clock reads around them) sit behind one relaxed load of a
 //! process-wide enable flag ([`set_enabled`]); spans outside an active
-//! [`trace`] are a thread-local read. The `loadgen` benchmark
-//! records the measured metrics-on vs metrics-off delta in
-//! `BENCH_server.json`.
+//! [`trace`] are a thread-local read.
 
 #![warn(missing_docs)]
 

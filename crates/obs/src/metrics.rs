@@ -13,15 +13,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// Process-wide metrics enable flag ([`set_enabled`]). Gates histogram
 /// recording (and, at the call sites, the clock reads that feed it), so
-/// benchmarks can measure the metrics-off baseline without rebuilding.
+/// an instrumentation-overhead measurement needs no rebuild.
 /// Counters and gauges ignore it: they are the single record of their
 /// events, and the `stats` verb reads them whatever the flag says.
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Turns histogram recording on or off process-wide (handles stay valid;
 /// recording a histogram while disabled is a no-op, counters and gauges
-/// keep counting). Used by the `loadgen` benchmark to measure
-/// instrumentation overhead and by `gts serve --no-metrics`.
+/// keep counting). Used by `gts serve --no-metrics`.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

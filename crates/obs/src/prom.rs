@@ -6,7 +6,7 @@
 //! as cumulative `_bucket{le="…"}` rows ending in `le="+Inf"` plus
 //! `_sum`/`_count`. The JSON mirror carries the same families with
 //! pre-extracted quantiles, so scrapers that want p50/p99 without
-//! bucket math (the `loadgen` benchmark) read them directly.
+//! bucket math read them directly.
 
 use crate::metrics::{Handle, MetricsRegistry};
 use std::fmt::Write as _;

@@ -34,13 +34,11 @@
 #![warn(missing_docs)]
 
 mod c2rpq;
-mod cache;
 mod nfa;
 mod nre;
 mod regex;
 
 pub use c2rpq::{Atom, C2rpq, Uc2rpq, Var};
-pub use cache::nfa_cache_stats;
 pub use nfa::Nfa;
 pub use nre::{lower_nre, FlattenError, LoweredNre, NestTable, Nre, NreAtom, NreC2rpq, NreUc2rpq};
 pub use regex::{AtomSym, Regex};

@@ -283,7 +283,7 @@ fn solve_component(
     let mut looseness: Vec<(bool, bool)> = Vec::new();
     let mut all_exhaustive = true;
     for (x, y, a) in &atoms {
-        let nfa = Nfa::compiled(&a.regex);
+        let nfa = Nfa::from_regex(&a.regex);
         // Emptiness short-circuit: an atom whose language is empty refutes
         // the whole component without enumerating sibling atoms.
         if !nfa.useful_states()[nfa.initial()] {
@@ -297,7 +297,7 @@ fn solve_component(
         } else if loose_x {
             // Prune from the source side: suffix-minimal words are the
             // reversed prefix-minimal words of the reversed regex.
-            let (rev_words, ex) = Nfa::compiled(&a.regex.reverse())
+            let (rev_words, ex) = Nfa::from_regex(&a.regex.reverse())
                 .enumerate_min_words(budget.max_word_syms, budget.max_words_per_atom);
             let words = rev_words
                 .into_iter()
@@ -394,9 +394,9 @@ fn solve_component(
         }
         let (loose_x, loose_y) = looseness[i];
         let words = if loose_y {
-            anchor_symbols(&Nfa::compiled(&a.regex), false)
+            anchor_symbols(&Nfa::from_regex(&a.regex), false)
         } else if loose_x {
-            anchor_symbols(&Nfa::compiled(&a.regex.reverse()), true)
+            anchor_symbols(&Nfa::from_regex(&a.regex.reverse()), true)
         } else {
             return CompResult::Unknown(infinite_or_word_budget(&atoms));
         };
@@ -460,7 +460,7 @@ fn anchor_symbols(nfa: &Nfa, invert_back: bool) -> Vec<Vec<AtomSym>> {
 }
 
 fn infinite_or_word_budget(atoms: &[(usize, usize, &gts_query::Atom)]) -> UnknownReason {
-    if atoms.iter().any(|(_, _, a)| !Nfa::compiled(&a.regex).language_finite()) {
+    if atoms.iter().any(|(_, _, a)| !Nfa::from_regex(&a.regex).language_finite()) {
         UnknownReason::InfiniteLanguage
     } else {
         UnknownReason::WordBudget

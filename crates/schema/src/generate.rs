@@ -250,8 +250,8 @@ mod tests {
 
     /// Exact node/edge counts at the scales the scenario corpus and the
     /// differential harness sample at. The generator is deterministic
-    /// given a seed; silent drift here would invisibly re-baseline every
-    /// corpus fixture and BENCH_*.json per-family section downstream.
+    /// given a seed; silent drift here would invisibly change every
+    /// corpus fixture and every workload built on one downstream.
     #[test]
     fn generated_graph_sizes_are_pinned_at_corpus_scales() {
         let mut v = Vocab::new();

@@ -1,7 +1,7 @@
 //! A blocking protocol client: one TCP connection, one frame per call.
 //!
-//! Used by `gts client`, the `loadgen` benchmark, and the loopback test
-//! suites. Each call writes one frame line and reads one response line;
+//! Used by `gts client`, `benchmark/`'s `serve-mixed` workload, and the
+//! loopback test suites. Each call writes one frame line and reads one response line;
 //! the connection is kept open across calls, so a client that issues
 //! many `analyze` frames against one schema keeps hitting the same
 //! resident session.

@@ -25,8 +25,8 @@
 //!   out-of-order version-2 responses, per-tenant fair-share admission,
 //!   idle timeouts, and graceful drain;
 //! * [`Client`] — a blocking client for the protocol, used by
-//!   `gts client`, the `loadgen` benchmark, and the loopback test
-//!   suites, including pipelined batch submission.
+//!   `gts client` and the loopback test suites, including pipelined
+//!   batch submission.
 //!
 //! The crate deliberately does not depend on the `.gts` parser (that
 //! lives in `gts-cli`, which itself depends on this crate for the `gts

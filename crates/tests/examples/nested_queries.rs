@@ -110,6 +110,7 @@ pub fn main() {
         if ans2.holds { "yes" } else { "no" },
         if ans2.certified { "certified" } else { "uncertified" }
     );
+    assert!(ans2.holds && ans2.certified, "a forced likes-edge witnesses every nest");
 
     // NRE rule bodies: mark followed likers as Influencer copies.
     let mut t = Transformation::new();

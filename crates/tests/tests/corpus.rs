@@ -232,11 +232,34 @@ fn corpus_annotations_agree_with_execution_full() {
     }
 }
 
+// ─────────────────────────── headline workload ─────────────────────────
+
+/// The fhir family's headline workload end to end: the primary type
+/// check asked cold and then warm in one session gives equal certified
+/// verdicts, elicitation succeeds in the same session, and indexed
+/// execution of the primary instance conforms to the target.
+#[test]
+fn fhir_primary_workload_checks_cold_and_warm_elicits_and_executes() {
+    let sc = scenario(Family::Fhir, &Params::quick());
+    let source = sc.schema(&sc.primary.source).unwrap();
+    let target = sc.schema(&sc.primary.target).unwrap();
+    let t = sc.transform(&sc.primary.transform).unwrap();
+    let mut session = AnalysisSession::new(source.clone(), sc.vocab.clone());
+    let cold = session.type_check(t, target).expect("type check");
+    let warm = session.type_check(t, target).expect("type check");
+    assert_eq!(cold, warm);
+    assert!(cold.holds && cold.certified, "{cold:?}");
+    session.elicit(t).expect("elicit");
+    let inst = &sc.instance(&sc.primary.instance).unwrap().graph;
+    let out = gts_exec::execute_with(t, inst, &gts_exec::ExecOptions { threads: 1 });
+    assert_eq!(target.conforms(&out), Ok(()));
+}
+
 // ─────────────────────────── scale regression ──────────────────────────
 
-/// Pins the primary-instance sizes at the corpus's two canonical scales.
-/// These numbers feed the BENCH_*.json per-family sections: silent drift
-/// in any generator would silently re-baseline the benchmarks.
+/// Pins the primary-instance sizes at the corpus's two canonical scales:
+/// silent drift in any generator would silently change every workload
+/// built on the corpus, `benchmark/`'s included.
 #[test]
 fn primary_instance_sizes_are_pinned_at_canonical_scales() {
     for (family, quick, full) in [

@@ -170,21 +170,20 @@ fn executor_agrees_with_apply_on_random_transformations() {
 /// and the failing `T0 : S0 → S0` verdict is witnessed by samples.
 #[test]
 fn medical_type_check_verdicts_agree_with_execution() {
-    let m = gts_bench::medical();
+    let (mut vocab, s0, s1, t0) = gts_corpus::medical_fixture();
     let opts = ContainmentOptions::default();
-    let mut vocab = m.vocab.clone();
     let cfg = HarnessConfig::default();
 
-    let good = type_check(&m.t0, &m.s0, &m.s1, &mut vocab, &opts).expect("analysis runs");
+    let good = type_check(&t0, &s0, &s1, &mut vocab, &opts).expect("analysis runs");
     assert!(good.holds && good.certified);
     let mut rng = StdRng::seed_from_u64(1);
-    let report = differential_type_check(&m.t0, &m.s0, &m.s1, &good, &cfg, &mut rng);
+    let report = differential_type_check(&t0, &s0, &s1, &good, &cfg, &mut rng);
     assert!(report.ok(), "{}", report.render(&vocab));
     assert!(report.checked > 0);
 
-    let bad = type_check(&m.t0, &m.s0, &m.s0, &mut vocab, &opts).expect("analysis runs");
+    let bad = type_check(&t0, &s0, &s0, &mut vocab, &opts).expect("analysis runs");
     assert!(!bad.holds);
-    let report = differential_type_check(&m.t0, &m.s0, &m.s0, &bad, &cfg, &mut rng);
+    let report = differential_type_check(&t0, &s0, &s0, &bad, &cfg, &mut rng);
     assert!(report.ok(), "{}", report.render(&vocab));
     assert!(report.witnessed_failure, "the failing verdict should be concretely witnessed");
 }
@@ -194,22 +193,21 @@ fn medical_type_check_verdicts_agree_with_execution() {
 /// equivalence, and samples witness the divergence.
 #[test]
 fn medical_equivalence_verdicts_agree_with_execution() {
-    let m = gts_bench::medical();
+    let (mut vocab, s0, _, t0) = gts_corpus::medical_fixture();
     let opts = ContainmentOptions::default();
-    let mut vocab = m.vocab.clone();
     let cfg = HarnessConfig::default();
 
-    let refl = equivalence(&m.t0, &m.t0, &m.s0, &mut vocab, &opts).expect("analysis runs");
+    let refl = equivalence(&t0, &t0, &s0, &mut vocab, &opts).expect("analysis runs");
     assert!(refl.holds && refl.certified);
     let mut rng = StdRng::seed_from_u64(2);
-    let report = differential_equivalence(&m.t0, &m.t0, &m.s0, &refl, &cfg, &mut rng);
+    let report = differential_equivalence(&t0, &t0, &s0, &refl, &cfg, &mut rng);
     assert!(report.ok(), "{}", report.render(&vocab));
 
-    let mut pruned = m.t0.clone();
+    let mut pruned = t0.clone();
     pruned.rules.remove(3); // drop the `targets` rule
-    let diff = equivalence(&m.t0, &pruned, &m.s0, &mut vocab, &opts).expect("analysis runs");
+    let diff = equivalence(&t0, &pruned, &s0, &mut vocab, &opts).expect("analysis runs");
     assert!(!diff.holds);
-    let report = differential_equivalence(&m.t0, &pruned, &m.s0, &diff, &cfg, &mut rng);
+    let report = differential_equivalence(&t0, &pruned, &s0, &diff, &cfg, &mut rng);
     assert!(report.ok(), "{}", report.render(&vocab));
     assert!(report.witnessed_failure, "the divergence should be concretely witnessed");
 }
@@ -271,16 +269,16 @@ fn static_verdicts_agree_with_dynamic_execution_full() {
 #[test]
 fn batched_execution_agrees_with_direct_execution() {
     use gts_engine::{AnalysisSession, Batch, Request, Verdict};
-    let m = gts_bench::medical();
-    let g = gts_bench::medical_instance(&m, 3, 4);
-    let mut batch = Batch::new(AnalysisSession::new(m.s0.clone(), m.vocab.clone()));
-    batch.push("check", Request::TypeCheck { transform: m.t0.clone(), target: m.s1.clone() });
+    let (vocab, s0, s1, t0) = gts_corpus::medical_fixture();
+    let g = gts_corpus::medical_instance(&vocab, 3, 4);
+    let mut batch = Batch::new(AnalysisSession::new(s0.clone(), vocab.clone()));
+    batch.push("check", Request::TypeCheck { transform: t0.clone(), target: s1.clone() });
     batch.push(
         "run",
         Request::Execute {
-            transform: m.t0.clone(),
+            transform: t0.clone(),
             instance: g.clone(),
-            check_target: Some(m.s1.clone()),
+            check_target: Some(s1.clone()),
         },
     );
     let (results, _) = batch.run(2);
@@ -293,7 +291,74 @@ fn batched_execution_agrees_with_direct_execution() {
     };
     // The type check promised conformance; the batched execution kept it.
     assert_eq!(*conforms, Some(true));
-    let direct = gts_exec::execute(&m.t0, &g);
+    let direct = gts_exec::execute(&t0, &g);
     assert_eq!(output.num_nodes(), direct.num_nodes());
     assert_eq!(output.num_edges(), direct.num_edges());
+}
+
+// ───────────────────── scale: 100k-node medical chains ─────────────────
+
+/// At ~100k nodes (10,000 medical chains of 8 antigens): a serial and a
+/// forced two-thread chunked index build agree on every label in both
+/// directions, a budget of half the predicted footprint is refused before
+/// allocating, and rewiring/unwiring crossReacting edges through
+/// `Incremental::apply_delta` matches a full re-execution.
+#[test]
+fn scale_builds_budgets_and_deltas_agree_at_100k_nodes() {
+    use gts_core::graph::GraphDelta;
+    use gts_exec::{Incremental, IndexBuildOptions, IndexError};
+    let (vocab, _, _, t0) = gts_corpus::medical_fixture();
+    let (chains, chain_len) = (10_000, 8);
+    let g = gts_corpus::medical_instance(&vocab, chains, chain_len);
+    assert_eq!(g.num_nodes(), chains * (2 + chain_len));
+
+    // builds_agree: the chunked path runs even on a one-core host.
+    let build = |threads| {
+        IndexedGraph::try_build_with(&g, &IndexBuildOptions { threads, budget_bytes: None })
+            .expect("build")
+    };
+    let (serial, chunked) = (build(1), build(2));
+    assert_eq!(serial.num_nodes(), chunked.num_nodes());
+    for label in vocab.edge_labels() {
+        for sym in [EdgeSym::fwd(label), EdgeSym::bwd(label)] {
+            for u in 0..g.num_nodes() as u32 {
+                assert_eq!(serial.successors(u, sym), chunked.successors(u, sym), "{sym:?} at {u}");
+            }
+        }
+    }
+
+    // budget_enforced: half the real footprint can never fit.
+    let tight = IndexBuildOptions { threads: 1, budget_bytes: Some(serial.approx_bytes() / 2) };
+    assert!(matches!(
+        IndexedGraph::try_build_with(&g, &tight),
+        Err(IndexError::BudgetExceeded { .. })
+    ));
+
+    // outputs_agree: chain c's antigen j is node c·(2+chain_len)+2+j.
+    // Rewiring cuts a2 -> a3 and splices a2 -> a4; unwiring undoes it.
+    let cr = vocab.find_edge_label("crossReacting").unwrap();
+    let antigen = |c: usize, j: usize| NodeId((c * (2 + chain_len) + 2 + j) as u32);
+    let rewire = |k: usize, from: usize, to: usize| {
+        let mut d = GraphDelta::default();
+        for c in 0..k {
+            d.removed_edges.push((antigen(c, 2), cr, antigen(c, from)));
+            d.added_edges.push((antigen(c, 2), cr, antigen(c, to)));
+        }
+        d
+    };
+    let inline = ExecOptions { threads: 1 };
+    let mut inc = Incremental::new(&t0, &g);
+    let base_out = inc.output_graph();
+    let edges = g.num_edges();
+    for k in [1, edges / 2000, edges / 200] {
+        let delta = rewire(k, 3, 4);
+        let mut patched = g.clone();
+        delta.apply_in_place(&mut patched).expect("delta applies to the graph");
+        inc.apply_delta(&delta).expect("delta applies");
+        let (full, out) = (execute_with(&t0, &patched, &inline), inc.output_graph());
+        assert_eq!(out.num_nodes(), full.num_nodes(), "k={k}");
+        assert!(out.edges().eq(full.edges()), "k={k}: incremental and full execution disagree");
+        inc.apply_delta(&rewire(k, 4, 3)).expect("inverse applies");
+        assert!(inc.output_graph().edges().eq(base_out.edges()), "k={k}: inverse did not restore");
+    }
 }

@@ -1,6 +1,5 @@
 //! Every worked example of the paper, as an executable test. The test
-//! names reference the paper's numbering; EXPERIMENTS.md records the
-//! outcomes.
+//! names reference the paper's numbering.
 
 use gts_containment::{complete, rollup_negation, CompletionConfig};
 use gts_core::prelude::*;
@@ -15,23 +14,7 @@ struct Medical {
 }
 
 fn medical() -> Medical {
-    let mut vocab = Vocab::new();
-    let t0 = medical_transformation(&mut vocab);
-    let vaccine = vocab.node_label("Vaccine");
-    let antigen = vocab.node_label("Antigen");
-    let pathogen = vocab.node_label("Pathogen");
-    let dt = vocab.edge_label("designTarget");
-    let cr = vocab.edge_label("crossReacting");
-    let ex = vocab.edge_label("exhibits");
-    let targets = vocab.edge_label("targets");
-    let mut s0 = Schema::new();
-    s0.set_edge(vaccine, dt, antigen, Mult::One, Mult::Star);
-    s0.set_edge(antigen, cr, antigen, Mult::Star, Mult::Star);
-    s0.set_edge(pathogen, ex, antigen, Mult::Plus, Mult::Star);
-    let mut s1 = Schema::new();
-    s1.set_edge(vaccine, dt, antigen, Mult::One, Mult::Star);
-    s1.set_edge(vaccine, targets, antigen, Mult::Plus, Mult::Star);
-    s1.set_edge(pathogen, ex, antigen, Mult::Plus, Mult::Star);
+    let (vocab, s0, s1, t0) = gts_corpus::medical_fixture();
     Medical { vocab, s0, s1, t0 }
 }
 
@@ -106,16 +89,32 @@ fn example_4_4_label_coverage() {
     assert!(d.holds && d.certified);
 }
 
-/// Example 4.5 + Lemma B.2: type checking T0 against S1 succeeds, and
+/// Example 4.5 + Lemma B.2: `(Vaccine)(x) ⊆_S0 ∃y.(designTarget ·
+/// crossReacting*)(x, y)`, so type checking T0 against S1 succeeds; it
 /// fails against a version of S1 requiring functional `targets`.
 #[test]
 fn example_4_5_type_checking() {
     let mut m = medical();
     let opts = ContainmentOptions::default();
+    let vaccine = m.vocab.find_node_label("Vaccine").unwrap();
+    let dt = m.vocab.find_edge_label("designTarget").unwrap();
+    let cr = m.vocab.find_edge_label("crossReacting").unwrap();
+    let qv = Uc2rpq::single(C2rpq::new(
+        1,
+        vec![Var(0)],
+        vec![Atom { x: Var(0), y: Var(0), regex: Regex::node(vaccine) }],
+    ));
+    let qt = Uc2rpq::single(C2rpq::new(
+        2,
+        vec![Var(0)],
+        vec![Atom { x: Var(0), y: Var(1), regex: Regex::edge(dt).then(Regex::edge(cr).star()) }],
+    ));
+    let ans = contains(&qv, &qt, &m.s0, &mut m.vocab, &opts).unwrap();
+    assert!(ans.holds && ans.certified);
+
     let d = gts_core::type_check(&m.t0, &m.s0, &m.s1, &mut m.vocab, &opts).unwrap();
     assert!(d.holds && d.certified);
 
-    let vaccine = m.vocab.find_node_label("Vaccine").unwrap();
     let antigen = m.vocab.find_node_label("Antigen").unwrap();
     let targets = m.vocab.find_edge_label("targets").unwrap();
     let mut strict = m.s1.clone();
@@ -182,36 +181,10 @@ fn lemma_b8_equivalence() {
 /// counterexamples).
 #[test]
 fn example_5_2_finite_vs_unrestricted() {
-    let mut vocab = Vocab::new();
-    let a = vocab.node_label("A");
-    let s_edge = vocab.edge_label("s");
-    let r_edge = vocab.edge_label("r");
-    let p = Uc2rpq::single(C2rpq::new(
-        1,
-        vec![],
-        vec![Atom { x: Var(0), y: Var(0), regex: Regex::edge(r_edge) }],
-    ));
-    let splus = Regex::edge(s_edge).then(Regex::edge(s_edge).star());
-    let q = Uc2rpq::single(C2rpq::new(
-        2,
-        vec![],
-        vec![Atom {
-            x: Var(0),
-            y: Var(1),
-            regex: Regex::edge(r_edge).then(splus).then(Regex::edge(r_edge)),
-        }],
-    ));
+    let gts_corpus::Fig2Fixture { mut vocab, schema, loose, p, q } = gts_corpus::fig2();
     let opts = ContainmentOptions::default();
-
-    let mut schema = Schema::new();
-    schema.set_edge(a, s_edge, a, Mult::Plus, Mult::Opt);
-    schema.set_edge(a, r_edge, a, Mult::Star, Mult::Star);
     let ans = contains(&p, &q, &schema, &mut vocab, &opts).unwrap();
     assert!(ans.holds && ans.certified);
-
-    let mut loose = Schema::new();
-    loose.set_edge(a, s_edge, a, Mult::Plus, Mult::Star);
-    loose.set_edge(a, r_edge, a, Mult::Star, Mult::Star);
     let ans2 = contains(&p, &q, &loose, &mut vocab, &opts).unwrap();
     assert!(!ans2.holds && ans2.certified);
     // Cross-check with the exhaustive finite oracle on tiny graphs.
@@ -365,6 +338,50 @@ fn example_c1_rollup() {
     g2.add_node();
     assert!(!q0.holds(&g2));
     assert_eq!(datalog_satisfies(&choices[0], &g2, &states), Some(true));
+
+    // Lemma C.2 on 50 seeded random graphs: Q0 fails exactly when some
+    // choice TBox is satisfied.
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+    for i in 0..50 {
+        let g = random_graph(&mut rng, la, &[a_e, b_e, c_e]);
+        let refuted = choices.iter().any(|t| datalog_satisfies(t, &g, &states) == Some(true));
+        assert_eq!(!q0.holds(&g), refuted, "random graph {i}");
+    }
+}
+
+/// A graph of 2–5 nodes, each labelled `label` with probability ½, and
+/// 2–7 random edges over `edges`.
+fn random_graph(rng: &mut impl rand::Rng, label: NodeLabel, edges: &[EdgeLabel]) -> Graph {
+    let mut g = Graph::new();
+    let n = rng.gen_range(2..6);
+    for _ in 0..n {
+        let node = g.add_node();
+        if rng.gen_bool(0.5) {
+            g.add_label(node, label);
+        }
+    }
+    for _ in 0..rng.gen_range(2..8) {
+        let s = NodeId(rng.gen_range(0..n) as u32);
+        let t = NodeId(rng.gen_range(0..n) as u32);
+        g.add_edge(s, edges[rng.gen_range(0..edges.len())], t);
+    }
+    g
+}
+
+/// Theorem 5.1 on the chain schemas `L0 → … → L(n-1)` (one mandatory
+/// `next` edge each): a `k`-step path from `L0` always ends in a node
+/// with a further `next` edge iff `k + 1 < n`, and the verdict is
+/// certified either way. One step for every `n` up to 6, and both sides
+/// of the boundary up to 5 (the failing side grows steeply with `n`).
+#[test]
+fn theorem_5_1_chain_containment_holds_iff_k_plus_1_below_n() {
+    for (n, k) in [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1), (5, 3), (5, 4), (6, 1)] {
+        let mut vocab = Vocab::new();
+        let (schema, p, q) = gts_corpus::chain_instance(n, k, &mut vocab);
+        let ans = contains(&p, &q, &schema, &mut vocab, &ContainmentOptions::default()).unwrap();
+        assert_eq!(ans.holds, k + 1 < n, "n={n} k={k}");
+        assert!(ans.certified, "n={n} k={k}");
+    }
 }
 
 /// Theorem F.1 / Figures 6–8: accepting runs of small ATMs encode to

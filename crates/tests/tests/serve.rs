@@ -574,9 +574,9 @@ fn corpus_families_analyze_cleanly_through_one_server() {
     // it: the rendered .gts compiles server-side, the primary type check
     // comes back certified-true, the primary instance executes to a
     // conforming output, and the second frame per family is a pool hit.
-    // (The `stress` family is excluded: its verdicts are deliberately
-    // uncertified at default budgets, which the differential suites
-    // cover; here we pin the happy resident-server path.)
+    // (The `stress` family's verdicts are deliberately uncertified at
+    // default budgets, which the differential suites cover; it only has
+    // to answer `ok`, checked last.)
     let families =
         [Family::Medical, Family::Fhir, Family::Social, Family::Retail, Family::Hardness];
     let handle = start(ServerConfig {
@@ -629,6 +629,20 @@ fn corpus_families_analyze_cleanly_through_one_server() {
     assert_eq!(stats.sessions, families.len(), "{stats:?}");
     assert_eq!(stats.misses, families.len() as u64, "{stats:?}");
     assert!(stats.hits >= families.len() as u64, "{stats:?}");
+    // The stress family's verdicts are uncertified, but its frames still
+    // answer `ok`, cold and resident.
+    let sc = scenario(Family::Stress, &Params::quick());
+    let text = gts_cli::render_file(&gts_cli::scenario_file(&sc));
+    let inst = sc.instance(&sc.primary.instance).unwrap();
+    let fixture = gts_cli::raw_instance(&inst.graph, &sc.vocab);
+    for _ in 0..2 {
+        let specs = vec![
+            proto::spec_type_check(&sc.primary.transform, &sc.primary.target),
+            proto::spec_execute(&sc.primary.transform, &fixture, Some(&sc.primary.target)),
+        ];
+        let resp = client.analyze(&text, Some(&sc.primary.source), specs).unwrap();
+        assert!(ok(&resp), "stress: {}", resp.pretty());
+    }
     shutdown_and_join(handle);
 }
 
@@ -1261,5 +1275,222 @@ fn idle_connections_are_closed_and_a_slowloris_drip_counts_as_idle() {
     let metrics = client.metrics(None).unwrap();
     let body = metrics.get("body").and_then(Json::as_str).unwrap();
     assert!(body.contains("gts_serve_idle_closed_total 1\n"), "{body}");
+    shutdown_and_join(handle);
+}
+
+// ──────────────── load: the resident server under traffic ──────────────
+
+/// The four request kinds of the mixed medical workload.
+fn medical_spec(kind: usize) -> Json {
+    match kind % 4 {
+        0 => proto::spec_type_check("T0", "S1"),
+        1 => proto::spec_equivalence("T0", "T0"),
+        2 => proto::spec_elicit("T0"),
+        _ => proto::spec_execute("T0", MEDICAL_INSTANCE, Some("S1")),
+    }
+}
+
+fn medical_frame(kind: usize) -> Json {
+    proto::analyze_frame(MEDICAL, Some("S0"), vec![medical_spec(kind)])
+}
+
+/// `conns` concurrent clients, `requests` analyze frames each, kinds
+/// staggered so every kind is in flight at once. Returns each frame's
+/// latency in µs; panics on any frame that is not `ok`.
+fn closed_loop(addr: std::net::SocketAddr, conns: usize, requests: usize) -> Vec<u64> {
+    let workers: Vec<_> = (0..conns)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                (0..requests)
+                    .map(|i| {
+                        let t = Instant::now();
+                        let resp =
+                            client.analyze(MEDICAL, Some("S0"), vec![medical_spec(c + i)]).unwrap();
+                        assert!(ok(&resp), "{}", resp.pretty());
+                        t.elapsed().as_micros() as u64
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    workers.into_iter().flat_map(|w| w.join().unwrap()).collect()
+}
+
+/// Ships `n` analyze frames over one connection at seeded Poisson
+/// arrival times (`rate` per second), whether or not earlier responses
+/// are back, and checks that every frame is answered `ok` exactly once.
+fn open_loop(addr: std::net::SocketAddr, rate: f64, n: usize, seed: u64) {
+    use rand::{Rng, SeedableRng};
+    use std::io::{BufRead, Write};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut t = 0.0f64;
+    let offsets: Vec<Duration> = (0..n)
+        .map(|_| {
+            t += -rng.gen::<f64>().max(1e-12).ln() / rate;
+            Duration::from_secs_f64(t)
+        })
+        .collect();
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let base = Instant::now();
+    let sender = std::thread::spawn(move || {
+        for (i, at) in offsets.into_iter().enumerate() {
+            std::thread::sleep(at.saturating_sub(base.elapsed()));
+            let mut frame = medical_frame(i);
+            frame.set("id", format!("o{i}"));
+            writer.write_all(format!("{}\n", frame.compact()).as_bytes()).unwrap();
+        }
+    });
+    let mut seen = vec![false; n];
+    let mut line = String::new();
+    for _ in 0..n {
+        line.clear();
+        assert!(reader.read_line(&mut line).unwrap() > 0, "server closed mid open-loop run");
+        let resp = Json::parse(line.trim()).unwrap();
+        assert!(ok(&resp), "{}", resp.pretty());
+        let id = resp.get("id").and_then(Json::as_str).and_then(|s| s[1..].parse::<usize>().ok());
+        let i = id.expect("responses echo the frame id");
+        assert!(!std::mem::replace(&mut seen[i], true), "frame {i} answered twice");
+    }
+    sender.join().unwrap();
+}
+
+/// Closed-loop, pipelined and open-loop traffic against one resident
+/// server: every frame answers `ok`, and the server's analyze counter
+/// matches the number of analyze frames sent.
+#[test]
+fn resident_traffic_answers_every_frame_ok() {
+    let (conns, depth) = (8, 4);
+    let handle = start(ServerConfig {
+        admission: AdmissionConfig { max_inflight: conns, max_queue: 128 },
+        ..Default::default()
+    });
+    let addr = handle.addr();
+    let mut sent = 0u64;
+
+    // Warm-up (one frame per kind), then the closed loop.
+    let mut client = connect(&handle);
+    for kind in 0..4 {
+        assert!(ok(&client.analyze(MEDICAL, Some("S0"), vec![medical_spec(kind)]).unwrap()));
+    }
+    sent += 4 + closed_loop(addr, conns, 6).len() as u64;
+
+    // Pipelined: `depth` analyze frames resident per connection, two
+    // rounds, plus a ping burst.
+    let pipelined: Vec<_> = (0..conns)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                let frames: Vec<Json> = (0..depth).map(|i| medical_frame(c + i)).collect();
+                for _ in 0..2 {
+                    let resps = client.pipeline(&frames).unwrap();
+                    assert_eq!(resps.len(), depth);
+                    assert!(resps.iter().all(ok), "{resps:?}");
+                }
+                let pings = vec![proto::frame("ping"); 64];
+                assert!(client.pipeline(&pings).unwrap().iter().all(ok));
+            })
+        })
+        .collect();
+    pipelined.into_iter().for_each(|h| h.join().unwrap());
+    sent += (conns * depth * 2) as u64;
+
+    open_loop(addr, 400.0, 200, 0x0DD_B1A5);
+    sent += 200;
+
+    let body = client.metrics(None).unwrap().get("body").and_then(Json::as_str).unwrap().to_owned();
+    let analyze = series(&body, "gts_serve_frames_total{verb=\"analyze\"}");
+    assert_eq!(analyze, Some(sent as i64), "server-side analyze count vs frames sent");
+    shutdown_and_join(handle);
+}
+
+/// 64 connections held open at once: each answers a ping while the
+/// others stay resident, and the server's gauge sees all of them.
+#[test]
+fn connection_sweep_keeps_64_connections_resident() {
+    let handle = start_default();
+    let mut clients: Vec<Client> = (0..64).map(|_| connect(&handle)).collect();
+    for c in &mut clients {
+        assert!(ok(&c.ping().unwrap()));
+    }
+    for c in &mut clients {
+        assert!(ok(&c.ping().unwrap()));
+    }
+    let stats = clients[0].stats().unwrap();
+    let open = stats.get("server").and_then(|s| s.get("connections_open")).and_then(Json::as_u64);
+    assert!(open >= Some(64), "connections_open {open:?} with 64 clients resident");
+    drop(clients);
+    shutdown_and_join(handle);
+}
+
+fn median(mut v: Vec<u64>) -> u64 {
+    v.sort_unstable();
+    v[v.len() / 2]
+}
+
+/// A resident frame (warm session, verdict memo filled) is at least 5×
+/// faster than a cold one-shot: parsing the text and answering from a
+/// fresh session, which is what every `gts` invocation repeats.
+#[test]
+fn resident_frames_are_five_times_faster_than_a_cold_one_shot() {
+    use gts_engine::{AnalysisSession, Request};
+    let cold: Vec<u64> = (0..4)
+        .map(|kind| {
+            let t = Instant::now();
+            let file = gts_cli::GtsFile::parse(MEDICAL).unwrap();
+            let s1 = file.schema("S1").unwrap().clone();
+            let t0 = file.transform("T0").unwrap().clone();
+            let mut session =
+                AnalysisSession::new(file.schema("S0").unwrap().clone(), file.vocab.clone());
+            let request = match kind {
+                0 => Request::TypeCheck { transform: t0, target: s1 },
+                1 => Request::Equivalence { left: t0.clone(), right: t0 },
+                2 => Request::Elicit { transform: t0 },
+                _ => {
+                    let mut vocab = file.vocab.clone();
+                    let inst = gts_cli::parse_instance(MEDICAL_INSTANCE, &mut vocab).unwrap();
+                    Request::Execute { transform: t0, instance: inst.graph, check_target: Some(s1) }
+                }
+            };
+            request.run(&mut session).unwrap();
+            t.elapsed().as_micros() as u64
+        })
+        .collect();
+
+    let handle = start(ServerConfig {
+        admission: AdmissionConfig { max_inflight: 4, max_queue: 64 },
+        ..Default::default()
+    });
+    let mut client = connect(&handle);
+    for kind in 0..4 {
+        assert!(ok(&client.analyze(MEDICAL, Some("S0"), vec![medical_spec(kind)]).unwrap()));
+    }
+    let resident = closed_loop(handle.addr(), 4, 8);
+    let (cold, resident) = (median(cold), median(resident));
+    assert!(
+        cold >= 5 * resident,
+        "resident median {resident}us is not 5x faster than the cold median {cold}us"
+    );
+    shutdown_and_join(handle);
+}
+
+/// A regex nesting 20,000 groups is refused as a compile error, not a
+/// stack overflow, and the connection keeps serving.
+#[test]
+fn deeply_nested_regexes_get_a_compile_error_and_the_server_survives() {
+    let handle = start_default();
+    let mut client = connect(&handle);
+    let depth = 20_000;
+    let text = format!(
+        "{MEDICAL}\nquery Deep(x, y) {{ ({}designTarget{})(x, y) }}\n",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    let resp = client.analyze(&text, Some("S0"), vec![proto::spec_elicit("T0")]).unwrap();
+    assert_eq!(resp.get("error").and_then(Json::as_str), Some(proto::COMPILE_ERROR), "{resp:?}");
+    assert!(ok(&client.ping().unwrap()));
     shutdown_and_join(handle);
 }

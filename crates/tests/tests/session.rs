@@ -3,9 +3,9 @@
 //! the cold path on randomized workloads, and isolation between sessions
 //! over different schemas.
 
-use gts_bench::medical;
 use gts_core::prelude::*;
 use gts_core::{random_transformation, TransformGenConfig};
+use gts_corpus::medical_fixture;
 use gts_engine::{AnalysisSession, Batch, Request, Verdict as BatchVerdict};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,15 +18,15 @@ fn opts() -> ContainmentOptions {
 /// question from the memo: misses stay flat, hits grow.
 #[test]
 fn hit_miss_accounting_across_reruns() {
-    let m = medical();
-    let mut session = AnalysisSession::new(m.s0.clone(), m.vocab);
-    let first = session.elicit(&m.t0).expect("elicit");
+    let (vocab, s0, _, t0) = medical_fixture();
+    let mut session = AnalysisSession::new(s0.clone(), vocab);
+    let first = session.elicit(&t0).expect("elicit");
     let after_first = session.stats();
     assert!(after_first.misses > 0, "a fresh session starts cold");
     assert!(after_first.entries > 0);
     assert_eq!(after_first.entries, after_first.misses as usize, "every miss interns one entry");
 
-    let second = session.elicit(&m.t0).expect("elicit");
+    let second = session.elicit(&t0).expect("elicit");
     let after_second = session.stats();
     assert_eq!(first.schema, second.schema, "warm replay returns the same schema");
     assert_eq!(first.certified, second.certified);
@@ -40,9 +40,9 @@ fn hit_miss_accounting_across_reruns() {
 /// the first run through a session must see hits.
 #[test]
 fn single_analysis_reuses_questions() {
-    let m = medical();
-    let mut session = AnalysisSession::new(m.s0.clone(), m.vocab);
-    session.type_check(&m.t0, &m.s1).expect("type check");
+    let (vocab, s0, s1, t0) = medical_fixture();
+    let mut session = AnalysisSession::new(s0.clone(), vocab);
+    session.type_check(&t0, &s1).expect("type check");
     let stats = session.stats();
     assert!(stats.hits > 0, "intra-analysis reuse exists: {stats:?}");
 }
@@ -171,24 +171,20 @@ fn sessions_over_different_schemas_do_not_cross_contaminate() {
 /// verdicts of the cold sequential path.
 #[test]
 fn threaded_batch_matches_cold_path_on_medical() {
-    let m = medical();
-    let mut batch = Batch::new(AnalysisSession::new(m.s0.clone(), m.vocab.clone()));
+    let (vocab, s0, s1, t0) = medical_fixture();
+    let mut batch = Batch::new(AnalysisSession::new(s0.clone(), vocab.clone()));
     batch
-        .push("tc_s1", Request::TypeCheck { transform: m.t0.clone(), target: m.s1.clone() })
-        .push("tc_s0", Request::TypeCheck { transform: m.t0.clone(), target: m.s0.clone() })
-        .push("equiv", Request::Equivalence { left: m.t0.clone(), right: m.t0.clone() })
-        .push("elicit", Request::Elicit { transform: m.t0.clone() });
+        .push("tc_s1", Request::TypeCheck { transform: t0.clone(), target: s1.clone() })
+        .push("tc_s0", Request::TypeCheck { transform: t0.clone(), target: s0.clone() })
+        .push("equiv", Request::Equivalence { left: t0.clone(), right: t0.clone() })
+        .push("elicit", Request::Elicit { transform: t0.clone() });
     let (results, session) = batch.run(4);
     assert_eq!(results.len(), 4);
 
-    let mut vocab = m.vocab.clone();
-    let cold_s1 = type_check(&m.t0, &m.s0, &m.s1, &mut vocab, &opts()).unwrap();
-    let mut vocab = m.vocab.clone();
-    let cold_s0 = type_check(&m.t0, &m.s0, &m.s0, &mut vocab, &opts()).unwrap();
-    let mut vocab = m.vocab.clone();
-    let cold_eq = equivalence(&m.t0, &m.t0, &m.s0, &mut vocab, &opts()).unwrap();
-    let mut vocab = m.vocab.clone();
-    let cold_el = elicit_schema(&m.t0, &m.s0, &mut vocab, &opts()).unwrap();
+    let cold_s1 = type_check(&t0, &s0, &s1, &mut vocab.clone(), &opts()).unwrap();
+    let cold_s0 = type_check(&t0, &s0, &s0, &mut vocab.clone(), &opts()).unwrap();
+    let cold_eq = equivalence(&t0, &t0, &s0, &mut vocab.clone(), &opts()).unwrap();
+    let cold_el = elicit_schema(&t0, &s0, &mut vocab.clone(), &opts()).unwrap();
 
     for r in &results {
         match (r.label.as_str(), r.verdict.as_ref().expect(&r.label)) {

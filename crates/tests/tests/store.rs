@@ -7,8 +7,8 @@
 //! memoized verdict, and a store left degraded or holding retired record
 //! kinds is rewritten whole by the next flush.
 
-use gts_bench::medical;
 use gts_core::prelude::*;
+use gts_corpus::medical_fixture;
 use gts_corpus::{scenario, Family, Params};
 use gts_engine::AnalysisSession;
 use gts_schema::{random_schema, SchemaGenConfig};
@@ -164,12 +164,12 @@ fn disk_hydrated_sessions_agree_with_fresh_decide_on_corpus_families() {
 /// Warms a store over the medical fixture and returns the session's
 /// reference verdicts plus the store file's full bytes.
 fn warm_medical_store(dir: &Path) -> (Decision, Decision, Schema, Vec<u8>) {
-    let m = medical();
-    let mut session = AnalysisSession::new(m.s0.clone(), m.vocab);
+    let (vocab, s0, s1, t0) = medical_fixture();
+    let mut session = AnalysisSession::new(s0.clone(), vocab);
     session.attach_disk(dir);
-    let elicited = session.elicit(&m.t0).expect("elicit");
-    let check = session.type_check(&m.t0, &m.s1).expect("type check");
-    let equiv = session.equivalence(&m.t0, &m.t0).expect("equivalence");
+    let elicited = session.elicit(&t0).expect("elicit");
+    let check = session.type_check(&t0, &s1).expect("type check");
+    let equiv = session.equivalence(&t0, &t0).expect("equivalence");
     let path = session.disk_path().expect("disk-bound").to_path_buf();
     session.flush_disk().expect("disk-bound").expect("flush");
     drop(session);
@@ -187,12 +187,12 @@ fn assert_medical_verdicts_survive(
     reference: &(Decision, Decision, Schema),
 ) -> (usize, bool) {
     std::fs::write(path, bytes).expect("write mutated store");
-    let m = medical();
-    let mut session = AnalysisSession::new(m.s0.clone(), m.vocab);
+    let (vocab, s0, s1, t0) = medical_fixture();
+    let mut session = AnalysisSession::new(s0.clone(), vocab);
     let report = session.attach_disk(dir);
-    let elicited = session.elicit(&m.t0).expect("elicit");
-    let check = session.type_check(&m.t0, &m.s1).expect("type check");
-    let equiv = session.equivalence(&m.t0, &m.t0).expect("equivalence");
+    let elicited = session.elicit(&t0).expect("elicit");
+    let check = session.type_check(&t0, &s1).expect("type check");
+    let equiv = session.equivalence(&t0, &t0).expect("equivalence");
     assert_eq!(check, reference.0, "type-check verdict changed under corruption");
     assert_eq!(equiv, reference.1, "equivalence verdict changed under corruption");
     assert_eq!(elicited.schema, reference.2, "elicited schema changed under corruption");
@@ -206,11 +206,9 @@ fn truncated_stores_fall_back_to_the_clean_prefix_with_identical_verdicts() {
     let dir = tmp_dir("truncate");
     let (check, equiv, schema, bytes) = warm_medical_store(&dir);
     let reference = (check, equiv, schema);
-    let m = medical();
-    let path = gts_store::store_path(
-        &dir,
-        AnalysisSession::new(m.s0.clone(), m.vocab).store_fingerprint(),
-    );
+    let (vocab, s0, ..) = medical_fixture();
+    let path =
+        gts_store::store_path(&dir, AnalysisSession::new(s0.clone(), vocab).store_fingerprint());
     let (full_records, clean_degraded) =
         assert_medical_verdicts_survive(&dir, &path, &bytes, &reference);
     assert!(full_records > 0, "warm store hydrated nothing");
@@ -240,11 +238,9 @@ fn bit_flipped_stores_are_detected_and_verdicts_never_change() {
     let dir = tmp_dir("bitflip");
     let (check, equiv, schema, bytes) = warm_medical_store(&dir);
     let reference = (check, equiv, schema);
-    let m = medical();
-    let path = gts_store::store_path(
-        &dir,
-        AnalysisSession::new(m.s0.clone(), m.vocab).store_fingerprint(),
-    );
+    let (vocab, s0, ..) = medical_fixture();
+    let path =
+        gts_store::store_path(&dir, AnalysisSession::new(s0.clone(), vocab).store_fingerprint());
     // Flip one byte at a spread of offsets: magic, version, identity,
     // early records, the middle, the tail.
     let offsets = [0, 5, 20, 100, bytes.len() / 2, bytes.len() - 7];
@@ -266,19 +262,19 @@ fn wire_snapshots_hydrate_twin_sessions_and_reject_strangers() {
     // export_store_bytes → hydrate_from_bytes is the cache_export/import
     // wire path minus TCP; a twin (same identity) must absorb it, a
     // different schema must refuse it.
-    let m = medical();
-    let mut donor = AnalysisSession::new(m.s0.clone(), m.vocab.clone());
-    let elicited = donor.elicit(&m.t0).expect("elicit");
+    let (vocab, s0, s1, t0) = medical_fixture();
+    let mut donor = AnalysisSession::new(s0.clone(), vocab.clone());
+    let elicited = donor.elicit(&t0).expect("elicit");
     let bytes = donor.export_store_bytes();
 
-    let mut twin = AnalysisSession::new(m.s0.clone(), m.vocab.clone());
+    let mut twin = AnalysisSession::new(s0.clone(), vocab.clone());
     let report = twin.hydrate_from_bytes(&bytes).expect("twin identity matches");
     assert!(report.total() > 0, "snapshot carried no records");
-    let twin_elicited = twin.elicit(&m.t0).expect("elicit");
+    let twin_elicited = twin.elicit(&t0).expect("elicit");
     assert_eq!(twin_elicited.schema, elicited.schema);
     assert!(twin.stats().hydrated > 0, "twin answered without touching hydrated state");
 
-    let mut stranger = AnalysisSession::new(m.s1.clone(), m.vocab.clone());
+    let mut stranger = AnalysisSession::new(s1.clone(), vocab.clone());
     assert!(
         stranger.hydrate_from_bytes(&bytes).is_none(),
         "a different schema absorbed a foreign snapshot"
@@ -315,25 +311,25 @@ fn degraded_stores_heal_on_the_next_flush() {
     let dir = tmp_dir("heal");
     let (check, equiv, schema, bytes) = warm_medical_store(&dir);
     let reference = (check, equiv, schema);
-    let m = medical();
+    let (vocab, s0, s1, t0) = medical_fixture();
     let path = gts_store::store_path(
         &dir,
-        AnalysisSession::new(m.s0.clone(), m.vocab.clone()).store_fingerprint(),
+        AnalysisSession::new(s0.clone(), vocab.clone()).store_fingerprint(),
     );
     let full = gts_store::decode_store(&bytes, None).records.len();
     // Truncate inside the last record, then ask the suite again.
     std::fs::write(&path, &bytes[..bytes.len() - 5]).expect("truncate");
     let (mut session, report) =
-        AnalysisSession::with_disk(m.s0.clone(), m.vocab.clone(), Default::default(), &dir);
+        AnalysisSession::with_disk(s0.clone(), vocab.clone(), Default::default(), &dir);
     assert!(report.degraded && report.verdicts < full, "{report:?}");
-    let elicited = session.elicit(&m.t0).expect("elicit");
-    assert_eq!(session.type_check(&m.t0, &m.s1).expect("type check"), reference.0);
-    assert_eq!(session.equivalence(&m.t0, &m.t0).expect("equivalence"), reference.1);
+    let elicited = session.elicit(&t0).expect("elicit");
+    assert_eq!(session.type_check(&t0, &s1).expect("type check"), reference.0);
+    assert_eq!(session.equivalence(&t0, &t0).expect("equivalence"), reference.1);
     assert_eq!(elicited.schema, reference.2);
     let flush = session.flush_disk().expect("disk-bound").expect("flush");
     assert!(flush.compacted, "a degraded store is rewritten whole: {flush:?}");
     drop(session);
-    let (_, reopened) = AnalysisSession::with_disk(m.s0, m.vocab, Default::default(), &dir);
+    let (_, reopened) = AnalysisSession::with_disk(s0, vocab, Default::default(), &dir);
     assert!(!reopened.degraded, "{reopened:?}");
     assert_eq!(reopened.verdicts, full);
     let _ = std::fs::remove_dir_all(&dir);
@@ -345,9 +341,9 @@ fn degraded_stores_heal_on_the_next_flush() {
 #[test]
 fn retired_record_kinds_are_skipped_and_dropped_by_the_next_flush() {
     let dir = tmp_dir("retired-kinds");
-    let m = medical();
-    let mut donor = AnalysisSession::new(m.s0.clone(), m.vocab.clone());
-    donor.elicit(&m.t0).expect("elicit");
+    let (vocab, s0, _, t0) = medical_fixture();
+    let mut donor = AnalysisSession::new(s0.clone(), vocab.clone());
+    donor.elicit(&t0).expect("elicit");
     let verdicts = gts_store::decode_store(&donor.export_store_bytes(), None).records;
     assert!(!verdicts.is_empty());
     let mut records = verdicts.clone();
@@ -358,7 +354,7 @@ fn retired_record_kinds_are_skipped_and_dropped_by_the_next_flush() {
     std::fs::write(&path, gts_store::encode_store(&donor.identity(), &records)).expect("store");
 
     let (session, report) =
-        AnalysisSession::with_disk(m.s0.clone(), m.vocab.clone(), Default::default(), &dir);
+        AnalysisSession::with_disk(s0.clone(), vocab.clone(), Default::default(), &dir);
     assert_eq!(report.verdicts, verdicts.len());
     assert!(!report.degraded);
     let flush = session.flush_disk().expect("disk-bound").expect("flush");
