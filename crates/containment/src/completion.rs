@@ -22,10 +22,12 @@
 //! cost of a *cold* containment analysis. The sweep therefore (a) reasons
 //! through the one type universe its round built, and gives each extended
 //! TBox one solver context that every probe over it shares and that is
-//! dropped with the sweep — rounds add CIs, so no extended TBox recurs —
-//! and (b) can fan out over worker threads (chunked by pair index, merged
-//! in order, so the result matches the sequential sweep whenever the
-//! engine budgets don't bind — warm solver contexts can resolve
+//! dropped with the sweep — rounds add CIs, so no extended TBox recurs.
+//! A context's universe layers the extra CIs over the round universe's
+//! shared rule index, so no probe copies or re-indexes the round's TBox.
+//! The sweep (b) can fan out over worker threads (chunked by pair index,
+//! merged in order, so the result matches the sequential sweep whenever
+//! the engine budgets don't bind — warm solver contexts can resolve
 //! budget-*bound* verdicts a cold context would report `Unknown`, see
 //! `gts_sat::decide_in_ctx`). Completions are not memoized: the negation
 //! choices of one question complete distinct TBoxes, and repeated
@@ -193,17 +195,8 @@ fn entail_sweep(
     // Roles with no ∃-CI can never carry an H_T edge: `entails_exists` is
     // false for every consistent premise, and the universe's types are all
     // consistent closures. Skip them wholesale.
-    let roles: Vec<EdgeSym> = roles
-        .iter()
-        .copied()
-        .filter(|&r| {
-            universe
-                .tbox()
-                .cis
-                .iter()
-                .any(|ci| matches!(ci, HornCi::Exists { role, .. } if *role == r))
-        })
-        .collect();
+    let roles: Vec<EdgeSym> =
+        roles.iter().copied().filter(|&r| universe.exists_on(r).next().is_some()).collect();
     // Probe order: for each (role, K') group, premises K by *decreasing*
     // size — entailment is monotone in K, so an engine-certified negative
     // for a large K answers every subset premise from the context's
@@ -371,10 +364,12 @@ fn type_universe(
             if pushset.is_empty() {
                 continue;
             }
-            let snapshot: Vec<LabelSet> = nodes.clone();
-            for tp in snapshot {
-                if !u.edge_forbidden_memo(&tau, role, &tp) {
-                    let c = u.close(&tp.union(&pushset));
+            // `nodes` grows inside the loop; `0..n` visits the targets present
+            // when it starts, as a snapshot would, without copying them.
+            let n = nodes.len();
+            for k in 0..n {
+                if !u.edge_forbidden_memo(&tau, role, &nodes[k]) {
+                    let c = u.close(&nodes[k].union(&pushset));
                     push(c, &u, &mut nodes, &mut seen);
                 }
             }

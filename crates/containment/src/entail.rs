@@ -11,22 +11,21 @@
 //! engine call. The completion sweep asks `|types|² × |roles|` questions
 //! per round, so the context is indexed once and owns its probe state:
 //!
-//! * CIs are grouped by kind and role once, so fast paths scan only the
-//!   relevant rules instead of the whole TBox;
-//! * the fast paths close and propagate through the round's one
-//!   [`TypeUniverse`], handed over by the sweep;
+//! * the fast paths close, propagate and read the CIs of a role through
+//!   the round's one [`TypeUniverse`], handed over by the sweep, whose
+//!   index groups the CIs by kind and role once;
 //! * the extended TBoxes of the engine encodings depend only on `(R, K')`
 //!   (existentials) or on nothing (at-most), so each gets one solver
 //!   context, built on first use and dropped with the sweep — rounds add
-//!   CIs, so no extended TBox recurs in a later round.
+//!   CIs, so no extended TBox recurs in a later round. A context's
+//!   universe layers the encoding's one or two CIs over the round's
+//!   shared index ([`TypeUniverse::extended`]); no TBox is copied.
 
 use gts_dl::HornCi;
 use gts_graph::{EdgeSym, FxHashMap, LabelSet, NodeLabel};
 use gts_query::{Atom, C2rpq, Regex, Var};
 use gts_sat::{decide_in_ctx, Budget, RealizeCtx, TypeUniverse, UnknownReason, Verdict};
 use std::cell::RefCell;
-use std::collections::HashSet;
-use std::sync::Arc;
 
 /// Entailment oracle over one completion round's TBox. The two `fresh`
 /// labels must not occur in the TBox (mint them from the vocabulary once).
@@ -34,12 +33,6 @@ pub(crate) struct EntailCtx {
     fresh_b: NodeLabel,
     fresh_b2: NodeLabel,
     budget: Budget,
-    /// `(lhs, rhs)` of `Exists` CIs, grouped by role.
-    exists_by_role: FxHashMap<EdgeSym, Vec<(LabelSet, LabelSet)>>,
-    /// `(lhs, rhs)` of `AtMostOne` CIs, grouped by role.
-    amo_by_role: FxHashMap<EdgeSym, Vec<(LabelSet, LabelSet)>>,
-    /// Roles touched by some `∄`-CI (in either orientation).
-    notexists_roles: HashSet<EdgeSym>,
     /// Solver context of the existential encoding's extended TBox, per
     /// `(role, K')`.
     exists_ctxs: RefCell<FxHashMap<(EdgeSym, LabelSet), RealizeCtx>>,
@@ -168,32 +161,10 @@ impl EntailCtx {
         fresh: (NodeLabel, NodeLabel),
         budget: Budget,
     ) -> Self {
-        let mut exists_by_role: FxHashMap<EdgeSym, Vec<(LabelSet, LabelSet)>> =
-            FxHashMap::default();
-        let mut amo_by_role: FxHashMap<EdgeSym, Vec<(LabelSet, LabelSet)>> = FxHashMap::default();
-        let mut notexists_roles: HashSet<EdgeSym> = HashSet::new();
-        for ci in &universe.tbox().cis {
-            match ci {
-                HornCi::Exists { lhs, role, rhs } => {
-                    exists_by_role.entry(*role).or_default().push((lhs.clone(), rhs.clone()));
-                }
-                HornCi::AtMostOne { lhs, role, rhs } => {
-                    amo_by_role.entry(*role).or_default().push((lhs.clone(), rhs.clone()));
-                }
-                HornCi::NotExists { role, .. } => {
-                    notexists_roles.insert(*role);
-                    notexists_roles.insert(role.inv());
-                }
-                _ => {}
-            }
-        }
         EntailCtx {
             fresh_b: fresh.0,
             fresh_b2: fresh.1,
             budget,
-            exists_by_role,
-            amo_by_role,
-            notexists_roles,
             exists_ctxs: RefCell::new(FxHashMap::default()),
             amo_ctx: RefCell::new(None),
             exists_verdicts: RefCell::new(FxHashMap::default()),
@@ -206,13 +177,10 @@ impl EntailCtx {
         Regex::concat_all(set.iter().map(|l| Regex::node(NodeLabel(l))))
     }
 
-    /// A fresh solver context over the base TBox plus `extra`.
+    /// A fresh solver context over the base TBox plus `extra`, sharing the
+    /// base universe's rule index.
     fn extend(&self, extra: impl IntoIterator<Item = HornCi>) -> RealizeCtx {
-        let mut t = self.universe.borrow().tbox().clone();
-        for ci in extra {
-            t.push(ci);
-        }
-        RealizeCtx::new(TypeUniverse::with_arc(Arc::new(t)), self.budget.clone())
+        RealizeCtx::new(self.universe.borrow().extended(extra), self.budget.clone())
     }
 
     fn decide(&self, ctx: &mut RealizeCtx, q: &C2rpq) -> Result<bool, UnknownReason> {
@@ -250,21 +218,22 @@ impl EntailCtx {
         // reasoning over them is sound and strictly stronger than over
         // clo(K).
         let sat_labels = u.labels(sat).clone();
+        let push = u.propagate_set(&sat_labels, role);
+        let seeds: Vec<LabelSet> = u
+            .exists_on(role)
+            .filter(|(lhs, _)| lhs.is_subset(&sat_labels))
+            .map(|(_, rhs)| rhs.union(&push))
+            .collect();
         let mut vacuous = false;
         let mut targets = Vec::new();
-        if let Some(cis) = self.exists_by_role.get(&role) {
-            let push = (*u.propagate_set(&sat_labels, role)).clone();
-            for (lhs, rhs) in cis {
-                if lhs.is_subset(&sat_labels) {
-                    match u.close(&rhs.union(&push)).and_then(|t| u.saturate(t)) {
-                        // The forced successor's saturated type: any actual
-                        // witness carries at least these labels.
-                        Some(ct) => targets.push(u.labels(ct).clone()),
-                        // The forced successor is inconsistent: K is
-                        // unsatisfiable, so every CI holds vacuously.
-                        None => vacuous = true,
-                    }
-                }
+        for seed in &seeds {
+            match u.close(seed).and_then(|t| u.saturate(t)) {
+                // The forced successor's saturated type: any actual
+                // witness carries at least these labels.
+                Some(ct) => targets.push(u.labels(ct).clone()),
+                // The forced successor is inconsistent: K is
+                // unsatisfiable, so every CI holds vacuously.
+                None => vacuous = true,
             }
         }
         if targets.is_empty() && !vacuous {
@@ -301,7 +270,7 @@ impl EntailCtx {
         // unsatisfiable the resulting missed H_T edge is harmless (every
         // finmod cycle through an unsatisfiable type reverses vacuously —
         // see the completion module docs).
-        if !self.exists_by_role.contains_key(&role) {
+        if self.universe.borrow().exists_on(role).next().is_none() {
             return Ok(false);
         }
         // Monotonicity shortcut before the engine: replay a recorded
@@ -345,7 +314,6 @@ impl EntailCtx {
     ) -> Result<bool, UnknownReason> {
         // Syntactic fast path: an at-most CI firing on clo(K) whose counted
         // set is covered by the (propagation-enriched) successor type.
-        let amo_on_role = self.amo_by_role.get(&role);
         {
             let mut u = self.universe.borrow_mut();
             let Some(clo_k) = u.close(k).map(|tid| u.labels(tid).clone()) else {
@@ -356,21 +324,18 @@ impl EntailCtx {
                 return Ok(true); // no K'-successor can even exist
             };
             let enriched = u.labels(enriched);
-            if amo_on_role
-                .into_iter()
-                .flatten()
-                .any(|(lhs, rhs)| lhs.is_subset(&clo_k) && rhs.is_subset(enriched))
+            if u.at_most_on(role).any(|(lhs, rhs)| lhs.is_subset(&clo_k) && rhs.is_subset(enriched))
             {
                 return Ok(true);
             }
-        }
-        // Fast false: with no at-most constraint on this role and no
-        // ∄-constraint touching it (in either direction), a model with two
-        // distinct K'-successors exists whenever one does (duplicate the
-        // witness subtree); the semantically-unsatisfiable case is harmless
-        // as above.
-        if amo_on_role.is_none() && !self.notexists_roles.contains(&role) {
-            return Ok(false);
+            // Fast false: with no at-most constraint on this role and no
+            // ∄-constraint touching it (in either direction), a model with
+            // two distinct K'-successors exists whenever one does
+            // (duplicate the witness subtree); the semantically-
+            // unsatisfiable case is harmless as above.
+            if u.at_most_on(role).next().is_none() && !u.not_exists_touches(role) {
+                return Ok(false);
+            }
         }
         // Monotonicity shortcut before the engine (see `entails_exists`).
         if let Some(v) = lookup_verdict(&self.amo_verdicts, k, role, kp) {

@@ -8,7 +8,7 @@
 //! TBoxes (Appendix C), and their completions (Section 5) are all Horn.
 
 use crate::concept::{Concept, ConceptInclusion};
-use gts_graph::{EdgeSym, Graph, LabelSet, NodeId, NodeLabel, Vocab};
+use gts_graph::{EdgeSym, FxHashSet, Graph, LabelSet, NodeId, NodeLabel, Vocab};
 
 /// A Horn-ALCIF concept inclusion in normal form.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -167,15 +167,23 @@ impl HornTbox {
         }
     }
 
+    /// A TBox of `cis`, keeping each CI's first occurrence: the CIs and
+    /// order a [`HornTbox::push`] loop gives, deduplicated by hash instead
+    /// of by a scan per CI.
+    pub fn from_cis<I: IntoIterator<Item = HornCi>>(cis: I) -> HornTbox {
+        let mut cis: Vec<HornCi> = cis.into_iter().collect();
+        let keep: Vec<bool> = {
+            let mut seen: FxHashSet<&HornCi> = FxHashSet::default();
+            cis.iter().map(|ci| seen.insert(ci)).collect()
+        };
+        let mut keep = keep.into_iter();
+        cis.retain(|_| keep.next().unwrap_or(false));
+        HornTbox { cis }
+    }
+
     /// Union of several TBoxes.
     pub fn merged<'a, I: IntoIterator<Item = &'a HornTbox>>(parts: I) -> HornTbox {
-        let mut t = HornTbox::new();
-        for p in parts {
-            for ci in &p.cis {
-                t.push(ci.clone());
-            }
-        }
-        t
+        HornTbox::from_cis(parts.into_iter().flat_map(|p| p.cis.iter().cloned()))
     }
 
     /// Number of CIs.
@@ -521,6 +529,32 @@ mod tests {
         assert!(t.push(HornCi::Bottom { lhs: set(&[f.a]) }));
         assert!(!t.push(HornCi::Bottom { lhs: set(&[f.a]) }));
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn from_cis_and_merged_match_the_push_loop() {
+        let f = fix();
+        let ci = |i: u32| match i % 3 {
+            0 => HornCi::Bottom { lhs: set(&[NodeLabel(i)]) },
+            1 => HornCi::SubAtom { lhs: set(&[f.a]), rhs: NodeLabel(i) },
+            _ => HornCi::Exists { lhs: set(&[NodeLabel(i)]), role: f.r, rhs: set(&[f.b]) },
+        };
+        // Duplicates within each part and across the parts.
+        let parts = [
+            HornTbox { cis: [5, 1, 5, 2, 7, 1].map(ci).to_vec() },
+            HornTbox { cis: [2, 8, 0, 8, 5].map(ci).to_vec() },
+            HornTbox::new(),
+            HornTbox { cis: [0, 9, 7].map(ci).to_vec() },
+        ];
+        let mut pushed = HornTbox::new();
+        for ci in parts.iter().flat_map(|p| &p.cis) {
+            pushed.push(ci.clone());
+        }
+        assert_eq!(pushed.cis, [5, 1, 2, 7, 8, 0, 9].map(ci).to_vec());
+        assert_eq!(HornTbox::merged(&parts), pushed);
+        let flat = parts.iter().flat_map(|p| p.cis.iter().cloned());
+        assert_eq!(HornTbox::from_cis(flat), pushed);
+        assert_eq!(HornTbox::from_cis([]), HornTbox::new());
     }
 
     #[test]

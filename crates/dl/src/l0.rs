@@ -108,11 +108,7 @@ impl L0Tbox {
 
     /// Translates into a Horn-ALCIF TBox.
     pub fn to_horn(&self) -> HornTbox {
-        let mut t = HornTbox::new();
-        for s in &self.stmts {
-            t.push(s.to_horn());
-        }
-        t
+        HornTbox::from_cis(self.stmts.iter().map(L0Statement::to_horn))
     }
 
     /// Renders all statements, one per line.

@@ -78,13 +78,14 @@ pub fn decide_with_stats(
     budget: &Budget,
 ) -> (Verdict, DecideStats) {
     let mut ctx = RealizeCtx::new(TypeUniverse::new(tbox), budget.clone());
-    decide_instrumented(&mut ctx, tbox, query, budget)
+    decide_instrumented(&mut ctx, query, budget)
 }
 
 /// [`decide`] on a caller-owned context over the TBox of `ctx.types`. The
 /// context keeps its memo tables between calls and lives only as long as
 /// its owner: a containment call holds one per completed TBox, the
-/// completion's entailment sweep one per extended TBox. Warm memo entries
+/// completion's entailment sweep one per probe encoding, layered over the
+/// round's universe (see [`TypeUniverse::extended`]). Warm memo entries
 /// replay the exact sequential computation, including its `uncertain`
 /// degradations. Counted by the same span and metrics as every other
 /// decide.
@@ -94,8 +95,7 @@ pub fn decide_in_ctx(
     budget: &Budget,
 ) -> (Verdict, DecideStats) {
     ctx.begin_call(budget.clone());
-    let tbox = ctx.types.tbox_arc();
-    decide_instrumented(ctx, &tbox, query, budget)
+    decide_instrumented(ctx, query, budget)
 }
 
 /// The process-global metric cells of the decide hot path, resolved once.
@@ -130,13 +130,12 @@ fn decide_metrics() -> &'static DecideMetrics {
 /// histogram and per-verdict counters in the global registry.
 fn decide_instrumented(
     ctx: &mut RealizeCtx,
-    tbox: &HornTbox,
     query: &C2rpq,
     budget: &Budget,
 ) -> (Verdict, DecideStats) {
     let _span = gts_obs::span("oracle_decide");
     let start = gts_obs::enabled().then(std::time::Instant::now);
-    let out = decide_in(ctx, tbox, query, budget);
+    let out = decide_in(ctx, query, budget);
     let m = decide_metrics();
     if let Some(t0) = start {
         m.latency.record(t0.elapsed().as_micros() as u64);
@@ -151,12 +150,7 @@ fn decide_instrumented(
 
 /// The shared search; `ctx` must already be reset for this call (fresh, or
 /// via `RealizeCtx::begin_call`).
-fn decide_in(
-    ctx: &mut RealizeCtx,
-    tbox: &HornTbox,
-    query: &C2rpq,
-    budget: &Budget,
-) -> (Verdict, DecideStats) {
+fn decide_in(ctx: &mut RealizeCtx, query: &C2rpq, budget: &Budget) -> (Verdict, DecideStats) {
     assert!(
         query.is_boolean(),
         "the satisfiability engine takes Boolean queries; close the query first"
@@ -176,7 +170,7 @@ fn decide_in(
     };
 
     for (vars, atom_idxs) in query.connected_components() {
-        match solve_component(tbox, query, &vars, &atom_idxs, budget, ctx, &mut stats) {
+        match solve_component(query, &vars, &atom_idxs, budget, ctx, &mut stats) {
             CompResult::Sat(g) => cores.push(g),
             CompResult::Unsat => {
                 finish(ctx, &mut stats);
@@ -209,9 +203,7 @@ fn node_test_labels(re: &gts_query::Regex) -> Option<LabelSet> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn solve_component(
-    tbox: &HornTbox,
     query: &C2rpq,
     vars: &[Var],
     atom_idxs: &[usize],
@@ -348,7 +340,6 @@ fn solve_component(
     let mut core_cap_hit = false;
     let mut seen_cores: FxHashSet<Vec<(usize, usize, &[AtomSym])>> = FxHashSet::default();
     let sat = search(
-        tbox,
         vars.len(),
         &atoms,
         &word_lists,
@@ -412,7 +403,6 @@ fn solve_component(
     let mut core_cap_hit2 = false;
     let mut seen_cores2: FxHashSet<Vec<(usize, usize, &[AtomSym])>> = FxHashSet::default();
     let spurious_sat = search(
-        tbox,
         vars.len(),
         &atoms,
         &weak_lists,
@@ -473,7 +463,6 @@ fn edge_len(word: &[AtomSym]) -> usize {
 
 #[allow(clippy::too_many_arguments)]
 fn search<'w>(
-    tbox: &HornTbox,
     num_vars: usize,
     atoms: &[(usize, usize, &gts_query::Atom)],
     word_lists: &'w [Vec<Vec<AtomSym>>],
@@ -507,7 +496,7 @@ fn search<'w>(
             return None;
         }
         stats.cores_tried += 1;
-        return try_core(tbox, num_vars, atoms, word_lists, chosen, ctx, realize_budget);
+        return try_core(num_vars, atoms, word_lists, chosen, ctx, realize_budget);
     }
     for (wi, word) in word_lists[atom_idx].iter().enumerate() {
         let el = edge_len(word);
@@ -519,7 +508,6 @@ fn search<'w>(
         }
         chosen[atom_idx] = wi;
         if let Some(g) = search(
-            tbox,
             num_vars,
             atoms,
             word_lists,
@@ -542,7 +530,6 @@ fn search<'w>(
 /// Builds the core of Theorem 6.3's proof for one word combination,
 /// chases it, and checks extendability of every node.
 fn try_core(
-    _tbox: &HornTbox,
     num_vars: usize,
     atoms: &[(usize, usize, &gts_query::Atom)],
     word_lists: &[Vec<Vec<AtomSym>>],

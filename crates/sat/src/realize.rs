@@ -68,7 +68,7 @@ pub struct RealizeStats {
 /// sets across every `decide` call over the same TBox.
 #[derive(Clone)]
 pub struct RealizeCtx {
-    /// Type interner (owns the TBox).
+    /// Type interner (holds the TBox's rule index).
     pub types: TypeUniverse,
     /// Set when an option was rejected for reasons the search cannot
     /// guarantee are semantic (merged-witness back-propagation beyond the

@@ -5,116 +5,99 @@
 //! engine interns these closed sets so that the realizability fixpoint can
 //! key its candidates by small integers.
 //!
-//! The universe *owns* its TBox (behind an [`Arc`]), so it can outlive the
-//! `decide` call that built it — this is what lets one solver context
-//! (see [`crate::decide_in_ctx`]) share interned types, saturation
-//! fixpoints, and dead-type verdicts across the decides its owner runs.
+//! The universe holds the TBox only as its rule index, shared behind an
+//! [`Arc`]: it can outlive the `decide` call that built it — this is what
+//! lets one solver context (see [`crate::decide_in_ctx`]) share interned
+//! types, saturation fixpoints, and dead-type verdicts across the decides
+//! its owner runs — and [`TypeUniverse::extended`] layers a few extra CIs
+//! over that shared index instead of copying the TBox.
 
 use gts_dl::{HornCi, HornTbox};
 use gts_graph::{EdgeSym, FxHashMap, FxHashSet, LabelSet};
 use std::sync::Arc;
 
 /// CIs of one TBox grouped by kind (and by role where it pays), built once
-/// per universe so every rule application scans only the relevant rules
-/// instead of the whole CI list. Semantics match the corresponding
-/// `HornTbox` methods exactly, including result order (flat lists keep CI
-/// order).
+/// per TBox so every rule application scans only the relevant rules
+/// instead of the whole CI list. A universe reads its base index, then its
+/// extra layer; semantics match the corresponding `HornTbox` methods on
+/// the concatenated CI list exactly, including result order (flat lists
+/// keep CI order).
 #[derive(Clone, Default)]
 struct TboxIndex {
     subatoms: Vec<(LabelSet, u32)>,
     bottoms: Vec<LabelSet>,
     allvalues_by_role: FxHashMap<EdgeSym, Vec<(LabelSet, LabelSet)>>,
+    /// `Exists` CIs in CI order, with their positions per role.
     exists: Vec<(EdgeSym, LabelSet, LabelSet)>,
+    exists_by_role: FxHashMap<EdgeSym, Vec<usize>>,
     notexists_by_role: FxHashMap<EdgeSym, Vec<(LabelSet, LabelSet)>>,
+    /// `AtMostOne` CIs in CI order, with their positions per role.
     atmost: Vec<(EdgeSym, LabelSet, LabelSet)>,
+    atmost_by_role: FxHashMap<EdgeSym, Vec<usize>>,
 }
 
 impl TboxIndex {
-    fn build(tbox: &HornTbox) -> TboxIndex {
-        let mut idx = TboxIndex::default();
-        for ci in &tbox.cis {
-            match ci {
-                HornCi::SubAtom { lhs, rhs } => idx.subatoms.push((lhs.clone(), rhs.0)),
-                HornCi::Bottom { lhs } => idx.bottoms.push(lhs.clone()),
-                HornCi::AllValues { lhs, role, rhs } => {
-                    idx.allvalues_by_role.entry(*role).or_default().push((lhs.clone(), rhs.clone()))
-                }
-                HornCi::Exists { lhs, role, rhs } => {
-                    idx.exists.push((*role, lhs.clone(), rhs.clone()))
-                }
-                HornCi::NotExists { lhs, role, rhs } => {
-                    idx.notexists_by_role.entry(*role).or_default().push((lhs.clone(), rhs.clone()))
-                }
-                HornCi::AtMostOne { lhs, role, rhs } => {
-                    idx.atmost.push((*role, lhs.clone(), rhs.clone()))
-                }
+    fn add(&mut self, ci: HornCi) {
+        match ci {
+            HornCi::SubAtom { lhs, rhs } => self.subatoms.push((lhs, rhs.0)),
+            HornCi::Bottom { lhs } => self.bottoms.push(lhs),
+            HornCi::AllValues { lhs, role, rhs } => {
+                self.allvalues_by_role.entry(role).or_default().push((lhs, rhs))
             }
-        }
-        idx
-    }
-
-    /// `HornTbox::closure` over the index.
-    fn closure(&self, seed: &LabelSet) -> Option<LabelSet> {
-        let mut cur = seed.clone();
-        loop {
-            let mut changed = false;
-            for (lhs, rhs) in &self.subatoms {
-                if lhs.is_subset(&cur) && cur.insert(*rhs) {
-                    changed = true;
-                }
+            HornCi::Exists { lhs, role, rhs } => {
+                self.exists_by_role.entry(role).or_default().push(self.exists.len());
+                self.exists.push((role, lhs, rhs));
             }
-            if self.bottoms.iter().any(|lhs| lhs.is_subset(&cur)) {
-                return None;
+            HornCi::NotExists { lhs, role, rhs } => {
+                self.notexists_by_role.entry(role).or_default().push((lhs, rhs))
             }
-            if !changed {
-                return Some(cur);
+            HornCi::AtMostOne { lhs, role, rhs } => {
+                self.atmost_by_role.entry(role).or_default().push(self.atmost.len());
+                self.atmost.push((role, lhs, rhs));
             }
         }
     }
 
-    /// `HornTbox::propagate` over the index.
-    fn propagate(&self, src: &LabelSet, role: EdgeSym) -> LabelSet {
-        let mut out = LabelSet::new();
-        if let Some(rules) = self.allvalues_by_role.get(&role) {
-            for (lhs, rhs) in rules {
-                if lhs.is_subset(src) {
-                    out.union_with(rhs);
-                }
+    /// One pass of the `K ⊑ A` rules over `cur`; `true` iff it grew.
+    fn apply_subatoms(&self, cur: &mut LabelSet) -> bool {
+        let mut changed = false;
+        for (lhs, rhs) in &self.subatoms {
+            if lhs.is_subset(cur) && cur.insert(*rhs) {
+                changed = true;
             }
         }
-        out
+        changed
     }
 
-    /// `HornTbox::edge_forbidden` over the index.
+    fn bottom_fires(&self, cur: &LabelSet) -> bool {
+        self.bottoms.iter().any(|lhs| lhs.is_subset(cur))
+    }
+
+    /// Adds the `∀`-pushes of this layer to `out`.
+    fn propagate_into(&self, src: &LabelSet, role: EdgeSym, out: &mut LabelSet) {
+        for (lhs, rhs) in self.allvalues_by_role.get(&role).into_iter().flatten() {
+            if lhs.is_subset(src) {
+                out.union_with(rhs);
+            }
+        }
+    }
+
     fn edge_forbidden(&self, src: &LabelSet, role: EdgeSym, tgt: &LabelSet) -> bool {
-        let fwd = self.notexists_by_role.get(&role).is_some_and(|rules| {
-            rules.iter().any(|(lhs, rhs)| lhs.is_subset(src) && rhs.is_subset(tgt))
-        });
-        fwd || self.notexists_by_role.get(&role.inv()).is_some_and(|rules| {
-            rules.iter().any(|(lhs, rhs)| lhs.is_subset(tgt) && rhs.is_subset(src))
-        })
+        let fires = |role: EdgeSym, from: &LabelSet, to: &LabelSet| {
+            self.notexists_by_role.get(&role).is_some_and(|rules| {
+                rules.iter().any(|(lhs, rhs)| lhs.is_subset(from) && rhs.is_subset(to))
+            })
+        };
+        fires(role, src, tgt) || fires(role.inv(), tgt, src)
     }
 
-    /// `HornTbox::requirements` over the index (same dedup and order).
-    fn requirements(&self, set: &LabelSet) -> Vec<(EdgeSym, LabelSet)> {
-        let mut reqs: Vec<(EdgeSym, LabelSet)> = Vec::new();
-        for (role, lhs, rhs) in &self.exists {
-            if lhs.is_subset(set) && !reqs.iter().any(|(r, k)| r == role && k == rhs) {
-                reqs.push((*role, rhs.clone()));
-            }
-        }
-        reqs
-    }
-
-    /// `HornTbox::at_most` over the index (same dedup and order).
-    fn at_most(&self, set: &LabelSet) -> Vec<(EdgeSym, LabelSet)> {
-        let mut out: Vec<(EdgeSym, LabelSet)> = Vec::new();
-        for (role, lhs, rhs) in &self.atmost {
-            if lhs.is_subset(set) && !out.iter().any(|(r, k)| r == role && k == rhs) {
-                out.push((*role, rhs.clone()));
-            }
-        }
-        out
+    /// `(lhs, rhs)` of this layer's rules on `role`, in CI order.
+    fn on_role<'a>(
+        rules: &'a [(EdgeSym, LabelSet, LabelSet)],
+        by_role: &'a FxHashMap<EdgeSym, Vec<usize>>,
+        role: EdgeSym,
+    ) -> impl Iterator<Item = (&'a LabelSet, &'a LabelSet)> {
+        by_role.get(&role).into_iter().flatten().map(|&i| (&rules[i].1, &rules[i].2))
     }
 }
 
@@ -126,8 +109,11 @@ pub struct TypeId(pub u32);
 /// *saturation* fixpoint (see [`TypeUniverse::saturate`]).
 #[derive(Clone)]
 pub struct TypeUniverse {
-    tbox: Arc<HornTbox>,
-    index: TboxIndex,
+    /// The rule index of the TBox this universe was built over, shared by
+    /// every universe [`TypeUniverse::extended`] layers over it.
+    base: Arc<TboxIndex>,
+    /// The CIs layered over `base` (empty for a plain universe).
+    extra: TboxIndex,
     sets: Vec<LabelSet>,
     by_set: FxHashMap<LabelSet, TypeId>,
     closure_memo: FxHashMap<LabelSet, Option<TypeId>>,
@@ -138,31 +124,46 @@ pub struct TypeUniverse {
     dead: FxHashSet<TypeId>,
     /// Per-type `∃`-requirements (`HornTbox::requirements` is a full CI
     /// scan; types are probed repeatedly across calls).
-    reqs_memo: FxHashMap<TypeId, Arc<Vec<(gts_graph::EdgeSym, LabelSet)>>>,
+    reqs_memo: FxHashMap<TypeId, Arc<Vec<(EdgeSym, LabelSet)>>>,
     /// Per-type at-most constraints.
-    at_most_memo: FxHashMap<TypeId, Arc<Vec<(gts_graph::EdgeSym, LabelSet)>>>,
+    at_most_memo: FxHashMap<TypeId, Arc<Vec<(EdgeSym, LabelSet)>>>,
     /// `HornTbox::propagate` memo over arbitrary (possibly unclosed) label
     /// sets — the chase's hottest operation. Keyed by source set first so
     /// probes hash one set and never clone.
-    propagate_memo: FxHashMap<LabelSet, Vec<(gts_graph::EdgeSym, Arc<LabelSet>)>>,
+    propagate_memo: FxHashMap<LabelSet, Vec<(EdgeSym, Arc<LabelSet>)>>,
     /// `HornTbox::edge_forbidden` memo, keyed by source set.
-    forbidden_memo: FxHashMap<LabelSet, Vec<(gts_graph::EdgeSym, LabelSet, bool)>>,
+    forbidden_memo: FxHashMap<LabelSet, Vec<(EdgeSym, LabelSet, bool)>>,
     /// `HornTbox::at_most` memo over arbitrary label sets.
-    at_most_set_memo: FxHashMap<LabelSet, Arc<Vec<(gts_graph::EdgeSym, LabelSet)>>>,
+    at_most_set_memo: FxHashMap<LabelSet, Arc<Vec<(EdgeSym, LabelSet)>>>,
 }
 
 impl TypeUniverse {
-    /// Creates an empty universe over a clone of `tbox`.
+    /// Creates an empty universe over `tbox`, indexing its CIs.
     pub fn new(tbox: &HornTbox) -> Self {
-        Self::with_arc(Arc::new(tbox.clone()))
+        let mut base = TboxIndex::default();
+        for ci in &tbox.cis {
+            base.add(ci.clone());
+        }
+        Self::layered(Arc::new(base), TboxIndex::default())
     }
 
-    /// Creates an empty universe sharing `tbox`.
-    pub fn with_arc(tbox: Arc<HornTbox>) -> Self {
-        let index = TboxIndex::build(&tbox);
+    /// An empty universe over this universe's TBox plus `extra`: it
+    /// shares the base index and indexes only the extra CIs, and closes,
+    /// propagates and collects requirements exactly as a universe over
+    /// the TBox with `extra` pushed onto it would. Interned types and
+    /// memos are not carried over (they are facts about the smaller TBox).
+    pub fn extended(&self, extra: impl IntoIterator<Item = HornCi>) -> Self {
+        let mut layer = self.extra.clone();
+        for ci in extra {
+            layer.add(ci);
+        }
+        Self::layered(Arc::clone(&self.base), layer)
+    }
+
+    fn layered(base: Arc<TboxIndex>, extra: TboxIndex) -> Self {
         TypeUniverse {
-            tbox,
-            index,
+            base,
+            extra,
             sets: Vec::new(),
             by_set: FxHashMap::default(),
             closure_memo: FxHashMap::default(),
@@ -176,74 +177,122 @@ impl TypeUniverse {
         }
     }
 
-    /// The TBox this universe closes under.
-    pub fn tbox(&self) -> &HornTbox {
-        &self.tbox
+    /// The base index, then the extra layer: CI order of the layered TBox.
+    fn layers(&self) -> [&TboxIndex; 2] {
+        [&self.base, &self.extra]
     }
 
-    /// A shareable reference to the TBox (for callers that need it while
-    /// mutating the universe).
-    pub fn tbox_arc(&self) -> Arc<HornTbox> {
-        Arc::clone(&self.tbox)
+    /// `(lhs, rhs)` of every `K ⊑ ∃role.K'` CI, in CI order.
+    pub fn exists_on(&self, role: EdgeSym) -> impl Iterator<Item = (&LabelSet, &LabelSet)> {
+        self.layers()
+            .into_iter()
+            .flat_map(move |l| TboxIndex::on_role(&l.exists, &l.exists_by_role, role))
+    }
+
+    /// `(lhs, rhs)` of every `K ⊑ ∃≤1 role.K'` CI, in CI order.
+    pub fn at_most_on(&self, role: EdgeSym) -> impl Iterator<Item = (&LabelSet, &LabelSet)> {
+        self.layers()
+            .into_iter()
+            .flat_map(move |l| TboxIndex::on_role(&l.atmost, &l.atmost_by_role, role))
+    }
+
+    /// `true` iff some `∄`-CI is on `role` or on its inverse.
+    pub fn not_exists_touches(&self, role: EdgeSym) -> bool {
+        self.layers().into_iter().any(|l| {
+            l.notexists_by_role.contains_key(&role) || l.notexists_by_role.contains_key(&role.inv())
+        })
     }
 
     /// Memoized [`HornTbox::requirements`] of a type's label set.
-    pub fn requirements_of(&mut self, t: TypeId) -> Arc<Vec<(gts_graph::EdgeSym, LabelSet)>> {
+    pub fn requirements_of(&mut self, t: TypeId) -> Arc<Vec<(EdgeSym, LabelSet)>> {
         if let Some(r) = self.reqs_memo.get(&t) {
             return Arc::clone(r);
         }
-        let r = Arc::new(self.index.requirements(&self.sets[t.0 as usize]));
+        let r = Arc::new(self.firing(|l| &l.exists, &self.sets[t.0 as usize]));
         self.reqs_memo.insert(t, Arc::clone(&r));
         r
     }
 
     /// Memoized [`HornTbox::at_most`] of a type's label set.
-    pub fn at_most_of(&mut self, t: TypeId) -> Arc<Vec<(gts_graph::EdgeSym, LabelSet)>> {
+    pub fn at_most_of(&mut self, t: TypeId) -> Arc<Vec<(EdgeSym, LabelSet)>> {
         if let Some(r) = self.at_most_memo.get(&t) {
             return Arc::clone(r);
         }
-        let r = Arc::new(self.index.at_most(&self.sets[t.0 as usize]));
+        let r = Arc::new(self.firing(|l| &l.atmost, &self.sets[t.0 as usize]));
         self.at_most_memo.insert(t, Arc::clone(&r));
         r
     }
 
     /// Memoized [`HornTbox::propagate`] over an arbitrary label set.
-    pub fn propagate_set(&mut self, set: &LabelSet, role: gts_graph::EdgeSym) -> Arc<LabelSet> {
+    pub fn propagate_set(&mut self, set: &LabelSet, role: EdgeSym) -> Arc<LabelSet> {
         if let Some(rows) = self.propagate_memo.get(set) {
             if let Some((_, p)) = rows.iter().find(|(r, _)| *r == role) {
                 return Arc::clone(p);
             }
         }
-        let p = Arc::new(self.index.propagate(set, role));
+        let mut out = LabelSet::new();
+        for l in self.layers() {
+            l.propagate_into(set, role, &mut out);
+        }
+        let p = Arc::new(out);
         self.propagate_memo.entry(set.clone()).or_default().push((role, Arc::clone(&p)));
         p
     }
 
     /// Memoized [`HornTbox::edge_forbidden`].
-    pub fn edge_forbidden_memo(
-        &mut self,
-        src: &LabelSet,
-        role: gts_graph::EdgeSym,
-        tgt: &LabelSet,
-    ) -> bool {
+    pub fn edge_forbidden_memo(&mut self, src: &LabelSet, role: EdgeSym, tgt: &LabelSet) -> bool {
         if let Some(rows) = self.forbidden_memo.get(src) {
             if let Some((_, _, b)) = rows.iter().find(|(r, t, _)| *r == role && t == tgt) {
                 return *b;
             }
         }
-        let b = self.index.edge_forbidden(src, role, tgt);
+        let b = self.layers().into_iter().any(|l| l.edge_forbidden(src, role, tgt));
         self.forbidden_memo.entry(src.clone()).or_default().push((role, tgt.clone(), b));
         b
     }
 
     /// Memoized [`HornTbox::at_most`] over an arbitrary label set.
-    pub fn at_most_set(&mut self, set: &LabelSet) -> Arc<Vec<(gts_graph::EdgeSym, LabelSet)>> {
+    pub fn at_most_set(&mut self, set: &LabelSet) -> Arc<Vec<(EdgeSym, LabelSet)>> {
         if let Some(r) = self.at_most_set_memo.get(set) {
             return Arc::clone(r);
         }
-        let r = Arc::new(self.index.at_most(set));
+        let r = Arc::new(self.firing(|l| &l.atmost, set));
         self.at_most_set_memo.insert(set.clone(), Arc::clone(&r));
         r
+    }
+
+    /// The deduplicated `(role, K')` of the `rules` of both layers firing
+    /// on `set`, in CI order: [`HornTbox::requirements`] over `exists`,
+    /// [`HornTbox::at_most`] over `atmost`.
+    fn firing(
+        &self,
+        rules: fn(&TboxIndex) -> &[(EdgeSym, LabelSet, LabelSet)],
+        set: &LabelSet,
+    ) -> Vec<(EdgeSym, LabelSet)> {
+        let mut out: Vec<(EdgeSym, LabelSet)> = Vec::new();
+        for (role, lhs, rhs) in self.layers().into_iter().flat_map(rules) {
+            if lhs.is_subset(set) && !out.iter().any(|(r, k)| r == role && k == rhs) {
+                out.push((*role, rhs.clone()));
+            }
+        }
+        out
+    }
+
+    /// [`HornTbox::closure`] over both layers.
+    fn closure(&self, seed: &LabelSet) -> Option<LabelSet> {
+        let mut cur = seed.clone();
+        loop {
+            let mut changed = false;
+            for l in self.layers() {
+                changed |= l.apply_subatoms(&mut cur);
+            }
+            if self.layers().into_iter().any(|l| l.bottom_fires(&cur)) {
+                return None;
+            }
+            if !changed {
+                return Some(cur);
+            }
+        }
     }
 
     /// Closes `seed` under the TBox and interns the result; `None` if the
@@ -252,7 +301,7 @@ impl TypeUniverse {
         if let Some(&id) = self.closure_memo.get(seed) {
             return id;
         }
-        let closed = self.index.closure(seed);
+        let closed = self.closure(seed);
         let id = closed.map(|set| self.intern_closed(set));
         self.closure_memo.insert(seed.clone(), id);
         id

@@ -278,13 +278,13 @@ impl Schema {
     /// `A ⊓ B ⊑ ⊥` of the labels in `Γ_S` (ensuring *at most* one label per
     /// node; *at least* one is enforced on the query side).
     pub fn hat_tbox(&self) -> HornTbox {
-        let mut t = self.to_l0().to_horn();
-        for (i, &a) in self.node_labels.iter().enumerate() {
-            for &b in &self.node_labels[i + 1..] {
-                t.push(HornCi::Bottom { lhs: LabelSet::from_iter([a.0, b.0]) });
-            }
-        }
-        t
+        let labels = &self.node_labels;
+        let disjoint = labels.iter().enumerate().flat_map(|(i, &a)| {
+            labels[i + 1..]
+                .iter()
+                .map(move |&b| HornCi::Bottom { lhs: LabelSet::from_iter([a.0, b.0]) })
+        });
+        HornTbox::from_cis(self.to_l0().stmts.iter().map(L0Statement::to_horn).chain(disjoint))
     }
 
     /// Renders the schema as a `δ` table using `vocab`.

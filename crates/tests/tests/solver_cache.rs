@@ -11,17 +11,16 @@ use gts_core::sat::{decide, decide_in_ctx, RealizeCtx, TypeUniverse};
 use gts_engine::AnalysisSession;
 use gts_schema::{random_schema, SchemaGenConfig};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 fn set(labels: &[u32]) -> LabelSet {
     LabelSet::from_iter(labels.iter().copied())
 }
 
-/// A random Horn TBox over `num_labels` concept names and `num_roles`
-/// roles — the shapes the schema pipeline produces (every CI kind,
-/// inverse roles, small conjunctions).
-fn random_tbox<R: Rng>(num_labels: u32, num_roles: u32, num_cis: usize, rng: &mut R) -> HornTbox {
-    let mut t = HornTbox::new();
+/// A random Horn CI of the given kind (`0..6`, in `HornCi` declaration
+/// order) over `num_labels` concept names and `num_roles` roles.
+fn random_ci<R: Rng>(kind: u32, num_labels: u32, num_roles: u32, rng: &mut R) -> HornCi {
     let label = |rng: &mut R| rng.gen_range(0..num_labels);
     let conj = |rng: &mut R| -> LabelSet {
         let n = rng.gen_range(0..=2);
@@ -35,16 +34,24 @@ fn random_tbox<R: Rng>(num_labels: u32, num_roles: u32, num_cis: usize, rng: &mu
             EdgeSym::fwd(r)
         }
     };
+    match kind {
+        0 => HornCi::SubAtom { lhs: conj(rng), rhs: NodeLabel(label(rng)) },
+        1 => HornCi::Bottom { lhs: set(&[label(rng), label(rng)]) },
+        2 => HornCi::AllValues { lhs: conj(rng), role: role(rng), rhs: conj(rng) },
+        3 => HornCi::Exists { lhs: conj(rng), role: role(rng), rhs: conj(rng) },
+        4 => HornCi::NotExists { lhs: conj(rng), role: role(rng), rhs: conj(rng) },
+        _ => HornCi::AtMostOne { lhs: conj(rng), role: role(rng), rhs: conj(rng) },
+    }
+}
+
+/// A random Horn TBox over `num_labels` concept names and `num_roles`
+/// roles — the shapes the schema pipeline produces (every CI kind,
+/// inverse roles, small conjunctions).
+fn random_tbox<R: Rng>(num_labels: u32, num_roles: u32, num_cis: usize, rng: &mut R) -> HornTbox {
+    let mut t = HornTbox::new();
     for _ in 0..num_cis {
-        let ci = match rng.gen_range(0..6) {
-            0 => HornCi::SubAtom { lhs: conj(rng), rhs: NodeLabel(label(rng)) },
-            1 => HornCi::Bottom { lhs: set(&[label(rng), label(rng)]) },
-            2 => HornCi::AllValues { lhs: conj(rng), role: role(rng), rhs: conj(rng) },
-            3 => HornCi::Exists { lhs: conj(rng), role: role(rng), rhs: conj(rng) },
-            4 => HornCi::NotExists { lhs: conj(rng), role: role(rng), rhs: conj(rng) },
-            _ => HornCi::AtMostOne { lhs: conj(rng), role: role(rng), rhs: conj(rng) },
-        };
-        t.push(ci);
+        let kind = rng.gen_range(0..6);
+        t.push(random_ci(kind, num_labels, num_roles, rng));
     }
     t
 }
@@ -112,6 +119,102 @@ fn cached_decide_agrees_with_fresh_on_random_instances() {
                     "seed {seed} pass {pass}: fresh {fresh:?} vs in-context {warm:?} on {q:?}"
                 );
                 assert!(stats.types_interned > 0 || tbox.is_empty() || stats.cores_tried > 0);
+            }
+        }
+    }
+}
+
+/// A universe layered over a shared base by `TypeUniverse::extended`
+/// answers every query exactly like a universe over the base TBox with the
+/// extra CIs pushed onto it — requirement and at-most order included — and
+/// a solver context over it decides like a fresh `decide` over the merged
+/// TBox. Extras span every CI kind, always include an `∃` and an at-most
+/// CI (the kinds whose order shows), and repeat a CI of the base.
+#[test]
+fn extended_universe_matches_the_pushed_tbox() {
+    let budget = Budget::default();
+    let subsets: Vec<LabelSet> =
+        (0u32..16).map(|m| LabelSet::from_iter((0..4).filter(|b| m & (1 << b) != 0))).collect();
+    let roles: Vec<EdgeSym> =
+        (0..3).flat_map(|r| [EdgeSym::fwd(EdgeLabel(r)), EdgeSym::bwd(EdgeLabel(r))]).collect();
+    for seed in 300..340u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let base = random_tbox(4, 3, rng.gen_range(3..10), &mut rng);
+        let mut extra: Vec<HornCi> = (0..rng.gen_range(1..4))
+            .map(|_| {
+                let kind = rng.gen_range(0..6);
+                random_ci(kind, 4, 3, &mut rng)
+            })
+            .collect();
+        extra.push(random_ci(3, 4, 3, &mut rng));
+        extra.push(random_ci(5, 4, 3, &mut rng));
+        extra.push(base.cis[rng.gen_range(0..base.len())].clone());
+        extra.shuffle(&mut rng);
+        let mut pushed = base.clone();
+        for ci in &extra {
+            pushed.push(ci.clone());
+        }
+
+        // The base universe is used before it is extended: the extension
+        // must not inherit its interned types or memos.
+        let mut base_u = TypeUniverse::new(&base);
+        for s in &subsets {
+            if let Some(t) = base_u.close(s) {
+                base_u.saturate(t);
+            }
+        }
+        // Odd seeds layer the extras in two steps.
+        let extended = |rng: &mut StdRng| {
+            if seed % 2 == 0 {
+                base_u.extended(extra.iter().cloned())
+            } else {
+                let cut = rng.gen_range(0..=extra.len());
+                base_u.extended(extra[..cut].iter().cloned()).extended(extra[cut..].iter().cloned())
+            }
+        };
+        let mut layered = extended(&mut rng);
+        let mut flat = TypeUniverse::new(&pushed);
+        for s in &subsets {
+            let (a, b) = (layered.close(s), flat.close(s));
+            assert_eq!(a, b, "seed {seed}: close {s:?}");
+            if let Some(t) = a {
+                assert_eq!(layered.labels(t), flat.labels(t), "seed {seed}");
+                assert_eq!(layered.requirements_of(t), flat.requirements_of(t), "seed {seed}");
+                assert_eq!(layered.at_most_of(t), flat.at_most_of(t), "seed {seed}");
+                assert_eq!(layered.saturate(t), flat.saturate(t), "seed {seed}: saturate {s:?}");
+            }
+            for &role in &roles {
+                let p = layered.propagate_set(s, role);
+                assert_eq!(p, flat.propagate_set(s, role), "seed {seed}: propagate {s:?} {role:?}");
+                for tgt in &subsets {
+                    assert_eq!(
+                        layered.edge_forbidden_memo(s, role, tgt),
+                        flat.edge_forbidden_memo(s, role, tgt),
+                        "seed {seed}: edge {s:?} {role:?} {tgt:?}"
+                    );
+                }
+            }
+        }
+        for &role in &roles {
+            assert_eq!(
+                layered.exists_on(role).next().is_some(),
+                flat.exists_on(role).next().is_some()
+            );
+            assert_eq!(layered.at_most_on(role).count() > 0, flat.at_most_on(role).count() > 0);
+            assert_eq!(layered.not_exists_touches(role), flat.not_exists_touches(role));
+        }
+
+        let queries = random_queries(4, 3, &mut rng);
+        let mut ctx = RealizeCtx::new(extended(&mut rng), budget.clone());
+        for pass in 0..2 {
+            for q in &queries {
+                let fresh = decide(&pushed, q, &budget);
+                let (warm, _) = decide_in_ctx(&mut ctx, q, &budget);
+                assert_eq!(
+                    std::mem::discriminant(&fresh),
+                    std::mem::discriminant(&warm),
+                    "seed {seed} pass {pass}: fresh {fresh:?} vs layered {warm:?} on {q:?}"
+                );
             }
         }
     }
