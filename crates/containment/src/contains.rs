@@ -122,7 +122,7 @@ fn solve_choice(
     let mut verdicts = Vec::new();
     let mut ctx = RealizeCtx::new(TypeUniverse::new(&t_star), opts.budget.clone());
     for pd in shared.p_hat_disjuncts {
-        let (v, _) = gts_sat::decide_in_ctx(&mut ctx, pd, &opts.budget);
+        let v = gts_sat::decide_in_ctx(&mut ctx, pd, &opts.budget);
         let is_sat = v.is_sat();
         verdicts.push(v);
         if is_sat {

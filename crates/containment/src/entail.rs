@@ -186,7 +186,7 @@ impl EntailCtx {
     fn decide(&self, ctx: &mut RealizeCtx, q: &C2rpq) -> Result<bool, UnknownReason> {
         let _span = gts_obs::span("entailment_probe");
         let start = gts_obs::enabled().then(std::time::Instant::now);
-        let verdict = decide_in_ctx(ctx, q, &self.budget).0;
+        let verdict = decide_in_ctx(ctx, q, &self.budget);
         if let Some(t0) = start {
             static HIST: std::sync::OnceLock<gts_obs::Histogram> = std::sync::OnceLock::new();
             HIST.get_or_init(|| {

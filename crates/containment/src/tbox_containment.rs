@@ -61,7 +61,7 @@ pub fn contains_finite_modulo_tbox(
             complete_with(&t, &seeds, fresh, &opts.budget, &opts.completion, opts.threads);
         let mut ctx = RealizeCtx::new(TypeUniverse::new(&t_star), opts.budget.clone());
         for pd in &p.disjuncts {
-            match decide_in_ctx(&mut ctx, pd, &opts.budget).0 {
+            match decide_in_ctx(&mut ctx, pd, &opts.budget) {
                 Verdict::Sat(w) => {
                     return Ok(finish(false, completion_ok, Some(w.core)));
                 }

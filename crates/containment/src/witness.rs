@@ -107,7 +107,7 @@ pub fn finite_counterexample<R: Rng>(
         );
         let mut ctx = RealizeCtx::new(TypeUniverse::new(&t_star), opts.budget.clone());
         for pd in &p_hat.disjuncts {
-            match decide_in_ctx(&mut ctx, pd, &opts.budget).0 {
+            match decide_in_ctx(&mut ctx, pd, &opts.budget) {
                 Verdict::Sat(w) => {
                     saw_sat_or_unknown = true;
                     if let Some(cex) =

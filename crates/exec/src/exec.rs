@@ -27,41 +27,27 @@ pub type EdgeFact = (NodeFact, EdgeLabel, NodeFact);
 pub struct ExecOptions {
     /// Worker threads for rule-body evaluation; `0` (the default) picks
     /// the available parallelism (capped at 8) once the estimated work
-    /// (`rules × (nodes + edges)`) clears this host's measured cutoff
-    /// ([`parallel_cutoff`]) — below it, spawning workers costs more than
-    /// the evaluation saves. `1` runs inline; an explicit `threads >= 2`
-    /// always shards as requested.
+    /// (`rules × (nodes + edges)`) clears this host's measured cutoff —
+    /// below it, spawning workers costs more than the evaluation saves.
+    /// `1` runs inline; an explicit `threads >= 2` always shards as
+    /// requested.
     pub threads: usize,
 }
 
-/// Floor of the measured sharding cutoff ([`ParallelCutoff::min_parallel_work`]):
-/// roughly "a multi-rule transformation over a ≥2k-element instance".
+/// Floor of the measured sharding cutoff: roughly "a multi-rule
+/// transformation over a ≥2k-element instance".
 pub const DEFAULT_MIN_PARALLEL_WORK: usize = 8_192;
 
-/// The measured sharding crossover for this host (computed once per
-/// process, a few milliseconds of micro-measurement).
-#[derive(Clone, Debug)]
-pub struct ParallelCutoff {
-    /// Cores the auto mode would use (`available_parallelism`, capped 8).
-    pub cores: usize,
-    /// Measured cost of spawning + joining that many scoped threads, µs.
-    pub spawn_overhead_micros: u64,
-    /// Measured single-threaded evaluation throughput, in nanoseconds per
-    /// instance element (node or edge) on a synthetic chain workload.
-    pub eval_nanos_per_element: f64,
-    /// The derived cutoff: estimated work (`rules × elements`) below
-    /// which sharding cannot recoup its spawn overhead (with a 2× safety
-    /// margin), clamped to `[DEFAULT_MIN_PARALLEL_WORK, 2^22]`.
-    pub min_parallel_work: usize,
-}
-
-/// Measures (once) and returns this host's sharding crossover. On a
-/// single-core host the cutoff is irrelevant — auto mode never shards —
-/// but the throughput numbers are still measured for the bench report.
-pub fn parallel_cutoff() -> &'static ParallelCutoff {
-    static CELL: std::sync::OnceLock<ParallelCutoff> = std::sync::OnceLock::new();
-    CELL.get_or_init(|| {
+/// This host's sharding crossover, measured once per process in a few
+/// milliseconds: the estimated work (`rules × elements`) below which
+/// sharding cannot recoup its spawn overhead (with a 2× safety margin),
+/// clamped to `[DEFAULT_MIN_PARALLEL_WORK, 2^22]`. On a single-core host
+/// auto mode never shards, so the figure goes unread there.
+fn min_parallel_work() -> usize {
+    static CELL: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CELL.get_or_init(|| {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8);
+        // Cost of spawning and joining that many scoped threads.
         let spawn_overhead_micros = (0..3)
             .map(|_| {
                 let t0 = std::time::Instant::now();
@@ -114,20 +100,11 @@ pub fn parallel_cutoff() -> &'static ParallelCutoff {
         let saved_frac = 1.0 - 1.0 / cores.max(2) as f64;
         let break_even =
             (spawn_overhead_micros as f64 * 1_000.0) / (eval_nanos_per_element * saved_frac);
-        let min_parallel_work =
-            ((2.0 * break_even) as usize).clamp(DEFAULT_MIN_PARALLEL_WORK, 1 << 22);
-        ParallelCutoff { cores, spawn_overhead_micros, eval_nanos_per_element, min_parallel_work }
+        ((2.0 * break_even) as usize).clamp(DEFAULT_MIN_PARALLEL_WORK, 1 << 22)
     })
 }
 
 impl ExecOptions {
-    /// `true` iff these options would shard rule evaluation across
-    /// threads for the given work (the single source of the sharding
-    /// policy — benches report it rather than re-deriving it).
-    pub fn would_shard(&self, work_items: usize, instance_size: usize) -> bool {
-        self.resolve_threads_for(work_items, instance_size) > 1
-    }
-
     /// Threads for one instance, given the work items (rules) and the
     /// instance size. An explicit `threads >= 1` is honored as requested;
     /// the work-size cutoff only gates the `threads == 0` auto mode (the
@@ -137,7 +114,7 @@ impl ExecOptions {
         let t = match self.threads {
             0 => {
                 let estimated_work = work_items.saturating_mul(instance_size.max(1));
-                if estimated_work < parallel_cutoff().min_parallel_work {
+                if estimated_work < min_parallel_work() {
                     return 1;
                 }
                 std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)

@@ -64,8 +64,7 @@ pub use delta::{
 };
 pub use exec::{
     eval_c2rpq, eval_rule_bodies, eval_uc2rpq, execute, execute_and_facts, execute_indexed,
-    execute_with, output_facts, parallel_cutoff, EdgeFact, ExecOptions, NodeFact, ParallelCutoff,
-    DEFAULT_MIN_PARALLEL_WORK,
+    execute_with, output_facts, EdgeFact, ExecOptions, NodeFact, DEFAULT_MIN_PARALLEL_WORK,
 };
 pub use harness::{
     differential_equivalence, differential_type_check, Disagreement, HarnessConfig, HarnessReport,

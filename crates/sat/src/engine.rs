@@ -24,35 +24,6 @@ use gts_dl::{HornCi, HornTbox};
 use gts_graph::{FxHashMap, FxHashSet, Graph, LabelSet, NodeId};
 use gts_query::{AtomSym, C2rpq, Nfa, Var};
 
-/// Search statistics of one decide (for benchmarks and tests).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DecideStats {
-    /// Number of candidate cores chased.
-    pub cores_tried: usize,
-    /// Candidate cores skipped because an isomorphic core (same sorted
-    /// multiset of per-atom witnessing words) was already chased.
-    pub cores_deduped: usize,
-    /// Number of node types interned in the solver context after the call
-    /// (cumulative for a context reused across calls).
-    pub types_interned: usize,
-    /// Realizability verdicts replayed from the context memo during this
-    /// call.
-    pub realize_hits: u64,
-    /// Realizability verdicts computed during this call.
-    pub realize_misses: u64,
-}
-
-impl DecideStats {
-    /// Folds another call's counters into this one.
-    pub fn absorb(&mut self, other: &DecideStats) {
-        self.cores_tried += other.cores_tried;
-        self.cores_deduped += other.cores_deduped;
-        self.types_interned = self.types_interned.max(other.types_interned);
-        self.realize_hits += other.realize_hits;
-        self.realize_misses += other.realize_misses;
-    }
-}
-
 enum CompResult {
     Sat(Graph),
     Unsat,
@@ -68,15 +39,6 @@ enum CompResult {
 ///   covered exhaustively);
 /// * `Unknown` reports the binding budget.
 pub fn decide(tbox: &HornTbox, query: &C2rpq, budget: &Budget) -> Verdict {
-    decide_with_stats(tbox, query, budget).0
-}
-
-/// [`decide`], additionally returning search statistics.
-pub fn decide_with_stats(
-    tbox: &HornTbox,
-    query: &C2rpq,
-    budget: &Budget,
-) -> (Verdict, DecideStats) {
     let mut ctx = RealizeCtx::new(TypeUniverse::new(tbox), budget.clone());
     decide_instrumented(&mut ctx, query, budget)
 }
@@ -89,11 +51,7 @@ pub fn decide_with_stats(
 /// replay the exact sequential computation, including its `uncertain`
 /// degradations. Counted by the same span and metrics as every other
 /// decide.
-pub fn decide_in_ctx(
-    ctx: &mut RealizeCtx,
-    query: &C2rpq,
-    budget: &Budget,
-) -> (Verdict, DecideStats) {
+pub fn decide_in_ctx(ctx: &mut RealizeCtx, query: &C2rpq, budget: &Budget) -> Verdict {
     ctx.begin_call(budget.clone());
     decide_instrumented(ctx, query, budget)
 }
@@ -128,11 +86,7 @@ fn decide_metrics() -> &'static DecideMetrics {
 /// [`decide_in`] wrapped in the observability layer: an `oracle_decide`
 /// span (inert unless the calling thread is tracing) plus a latency
 /// histogram and per-verdict counters in the global registry.
-fn decide_instrumented(
-    ctx: &mut RealizeCtx,
-    query: &C2rpq,
-    budget: &Budget,
-) -> (Verdict, DecideStats) {
+fn decide_instrumented(ctx: &mut RealizeCtx, query: &C2rpq, budget: &Budget) -> Verdict {
     let _span = gts_obs::span("oracle_decide");
     let start = gts_obs::enabled().then(std::time::Instant::now);
     let out = decide_in(ctx, query, budget);
@@ -140,7 +94,7 @@ fn decide_instrumented(
     if let Some(t0) = start {
         m.latency.record(t0.elapsed().as_micros() as u64);
     }
-    match &out.0 {
+    match &out {
         Verdict::Sat(_) => m.sat.inc(),
         Verdict::Unsat => m.unsat.inc(),
         Verdict::Unknown(_) => m.unknown.inc(),
@@ -150,40 +104,27 @@ fn decide_instrumented(
 
 /// The shared search; `ctx` must already be reset for this call (fresh, or
 /// via `RealizeCtx::begin_call`).
-fn decide_in(ctx: &mut RealizeCtx, query: &C2rpq, budget: &Budget) -> (Verdict, DecideStats) {
+fn decide_in(ctx: &mut RealizeCtx, query: &C2rpq, budget: &Budget) -> Verdict {
     assert!(
         query.is_boolean(),
         "the satisfiability engine takes Boolean queries; close the query first"
     );
-    let realize_before = ctx.stats();
-    let mut stats = DecideStats::default();
+    // Candidate cores chased so far, across components, against
+    // `budget.max_cores`.
+    let mut cores_tried = 0;
     let mut cores: Vec<Graph> = Vec::new();
     let mut unknown: Option<UnknownReason> = None;
-
-    let finish = |ctx: &RealizeCtx, stats: &mut DecideStats| {
-        stats.types_interned = ctx.types.len();
-        let after = ctx.stats();
-        stats.realize_hits = (after.status_hits - realize_before.status_hits)
-            + (after.options_hits - realize_before.options_hits);
-        stats.realize_misses = (after.status_misses - realize_before.status_misses)
-            + (after.options_misses - realize_before.options_misses);
-    };
-
     for (vars, atom_idxs) in query.connected_components() {
-        match solve_component(query, &vars, &atom_idxs, budget, ctx, &mut stats) {
+        match solve_component(query, &vars, &atom_idxs, budget, ctx, &mut cores_tried) {
             CompResult::Sat(g) => cores.push(g),
-            CompResult::Unsat => {
-                finish(ctx, &mut stats);
-                return (Verdict::Unsat, stats);
-            }
+            CompResult::Unsat => return Verdict::Unsat,
             CompResult::Unknown(r) => unknown = Some(unknown.unwrap_or(r)),
         }
     }
-    finish(ctx, &mut stats);
     if let Some(r) = unknown {
-        return (Verdict::Unknown(r), stats);
+        return Verdict::Unknown(r);
     }
-    (Verdict::Sat(Witness { core: disjoint_union(&cores) }), stats)
+    Verdict::Sat(Witness { core: disjoint_union(&cores) })
 }
 
 /// The label set of a regex that is a pure node-test sequence
@@ -209,7 +150,7 @@ fn solve_component(
     atom_idxs: &[usize],
     budget: &Budget,
     ctx: &mut RealizeCtx,
-    stats: &mut DecideStats,
+    cores_tried: &mut usize,
 ) -> CompResult {
     // Local variable numbering.
     let local: FxHashMap<Var, usize> = vars.iter().enumerate().map(|(i, &v)| (v, i)).collect();
@@ -230,10 +171,10 @@ fn solve_component(
     if let [(x, y, a)] = atoms.as_slice() {
         if x == y && vars.len() == 1 {
             if let Some(labels) = node_test_labels(&a.regex) {
-                if stats.cores_tried >= budget.max_cores {
+                if *cores_tried >= budget.max_cores {
                     return CompResult::Unknown(UnknownReason::CoreBudget);
                 }
-                stats.cores_tried += 1;
+                *cores_tried += 1;
                 let Some(tid) = ctx.types.close(&labels) else {
                     return CompResult::Unsat;
                 };
@@ -345,7 +286,7 @@ fn solve_component(
         &word_lists,
         budget,
         ctx,
-        stats,
+        cores_tried,
         &mut chosen,
         0,
         budget.max_total_edge_syms,
@@ -408,7 +349,7 @@ fn solve_component(
         &weak_lists,
         budget,
         ctx,
-        stats,
+        cores_tried,
         &mut chosen,
         0,
         budget.max_total_edge_syms,
@@ -468,7 +409,7 @@ fn search<'w>(
     word_lists: &'w [Vec<Vec<AtomSym>>],
     budget: &Budget,
     ctx: &mut RealizeCtx,
-    stats: &mut DecideStats,
+    cores_tried: &mut usize,
     chosen: &mut Vec<usize>,
     atom_idx: usize,
     remaining_edges: usize,
@@ -488,14 +429,13 @@ fn search<'w>(
             .collect();
         key.sort_unstable();
         if !seen_cores.insert(key) {
-            stats.cores_deduped += 1;
             return None;
         }
-        if stats.cores_tried >= budget.max_cores {
+        if *cores_tried >= budget.max_cores {
             *core_cap_hit = true;
             return None;
         }
-        stats.cores_tried += 1;
+        *cores_tried += 1;
         return try_core(num_vars, atoms, word_lists, chosen, ctx, realize_budget);
     }
     for (wi, word) in word_lists[atom_idx].iter().enumerate() {
@@ -513,7 +453,7 @@ fn search<'w>(
             word_lists,
             budget,
             ctx,
-            stats,
+            cores_tried,
             chosen,
             atom_idx + 1,
             remaining_edges - el,
@@ -854,19 +794,9 @@ mod tests {
     }
 
     #[test]
-    fn stats_are_populated() {
-        let t = HornTbox::new();
-        let q =
-            bool_query(vec![Atom { x: Var(0), y: Var(1), regex: Regex::edge(EdgeLabel(0)) }], 2);
-        let (v, stats) = decide_with_stats(&t, &q, &Budget::default());
-        assert!(v.is_sat());
-        assert!(stats.cores_tried >= 1);
-    }
-
-    #[test]
     fn duplicate_atoms_dedupe_cores() {
         // Two identical atoms: the (w, w') and (w', w) combinations build
-        // the same core; the dedup must skip the mirror.
+        // the same core, and skipping the mirror keeps the verdict.
         let t = HornTbox::new();
         let re = Regex::edge(EdgeLabel(0)).or(Regex::edge(EdgeLabel(1)));
         let q = bool_query(
@@ -876,9 +806,7 @@ mod tests {
             ],
             2,
         );
-        let (v, stats) = decide_with_stats(&t, &q, &Budget::default());
-        assert!(v.is_sat());
-        assert!(stats.cores_tried >= 1);
+        assert!(decide(&t, &q, &Budget::default()).is_sat());
     }
 
     #[test]
@@ -905,7 +833,7 @@ mod tests {
             // Twice: the second pass runs fully warm.
             for q in &queries {
                 let fresh = decide(&t, q, &budget);
-                let (warm, _) = decide_in_ctx(&mut ctx, q, &budget);
+                let warm = decide_in_ctx(&mut ctx, q, &budget);
                 assert_eq!(
                     std::mem::discriminant(&fresh),
                     std::mem::discriminant(&warm),

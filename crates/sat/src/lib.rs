@@ -44,8 +44,6 @@ mod types;
 
 pub use budget::{Budget, UnknownReason, Verdict, Witness};
 pub use chase::{ChaseFail, Core};
-pub use engine::{
-    decide, decide_in_ctx, decide_with_stats, universal_constraints_hold, DecideStats,
-};
+pub use engine::{decide, decide_in_ctx, universal_constraints_hold};
 pub use realize::{Cand, RealizeCtx, RealizeStats};
 pub use types::{TypeId, TypeUniverse};

@@ -23,7 +23,13 @@
 //!   verbs (`ping`, `stats`, `metrics`, `load_schema`, `evict`,
 //!   `cache_export`, `cache_import`, `shutdown`), with pipelined
 //!   out-of-order version-2 responses, per-tenant fair-share admission,
-//!   idle timeouts, and graceful drain;
+//!   idle timeouts, and graceful drain. Above the pool sits one memo
+//!   keyed on the shipped `.gts` file: every frame shipping a text shares
+//!   its one compile, and a repeated `analyze` frame is answered with its
+//!   stored rendered response while the session that computed it is
+//!   still resident (an evicted session's responses are recomputed).
+//!   A frame whose handling panics gets an `internal_error` response and
+//!   the server keeps serving;
 //! * [`Client`] — a blocking client for the protocol, used by
 //!   `gts client` and the loopback test suites, including pipelined
 //!   batch submission.

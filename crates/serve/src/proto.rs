@@ -56,7 +56,7 @@
 //! [`BAD_FRAME`], [`UNSUPPORTED_VERSION`], [`UNKNOWN_OP`],
 //! [`BAD_REQUEST`], [`COMPILE_ERROR`], [`OVERLOADED`],
 //! [`DEADLINE_EXCEEDED`], [`SHUTTING_DOWN`], [`NOT_FOUND`],
-//! [`QUOTA_EXCEEDED`].
+//! [`QUOTA_EXCEEDED`], [`INTERNAL_ERROR`].
 
 use gts_engine::Json;
 
@@ -93,6 +93,9 @@ pub const NOT_FOUND: &str = "not_found";
 /// Admission refused: global slots remain, but the frame's tenant is
 /// over its fair share and the wait queue is full.
 pub const QUOTA_EXCEEDED: &str = "quota_exceeded";
+/// The server failed while handling the frame (a panic in the work it
+/// ran). The connection and the server keep serving.
+pub const INTERNAL_ERROR: &str = "internal_error";
 
 /// A client frame skeleton for `op` (version field included).
 pub fn frame(op: &str) -> Json {

@@ -11,6 +11,13 @@
 //! (that is the point of pooling) but own their
 //! vocabulary, so per-request label interning — e.g. by `execute`
 //! instances — cannot corrupt the pooled master.
+//!
+//! The server's memo of rendered responses sits above the pool and keeps
+//! no state of its own about it: each stored response records the
+//! fingerprint of the session that computed it, and a hit is served only
+//! while [`SessionRegistry::note_resident_hit`] finds that session
+//! resident. Evicting a session therefore retires exactly the responses
+//! it computed.
 
 use gts_core::containment::ContainmentOptions;
 use gts_core::graph::{FxHashMap, Vocab};
@@ -246,26 +253,20 @@ impl SessionRegistry {
         (session, hit)
     }
 
-    /// The eviction counter alone, without refreshing entry sizes — the
-    /// server's response memo checks this on every lookup, so it must
-    /// stay O(1) (a full [`SessionRegistry::stats`] walks every memo).
-    pub fn evictions(&self) -> u64 {
-        self.inner.lock().unwrap().evictions
-    }
-
     /// Notes a frame answered from resident state without a session
-    /// checkout (the server's rendered-response memo): bumps the hit
-    /// counter and the entry's LRU recency, so memo-served traffic
-    /// participates in the same hit/miss accounting and pool aging as
-    /// checked-out traffic.
-    pub fn note_resident_hit(&self, fp: Fingerprint) {
-        let mut inner = self.inner.lock().unwrap();
+    /// checkout (the server's memo of rendered responses) and returns
+    /// whether `fp` is resident. A resident hit bumps the hit counter and
+    /// the entry's LRU recency, so memo-served traffic participates in
+    /// the same hit/miss accounting and pool aging as checked-out
+    /// traffic; a miss changes nothing, and the caller recomputes (its
+    /// checkout then counts the miss).
+    pub fn note_resident_hit(&self, fp: Fingerprint) -> bool {
+        let inner = &mut *self.inner.lock().unwrap();
+        let Some(entry) = inner.entries.get_mut(&fp.0) else { return false };
         inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(entry) = inner.entries.get_mut(&fp.0) {
-            entry.last_used = tick;
-        }
+        entry.last_used = inner.tick;
         inner.hits += 1;
+        true
     }
 
     /// Evicts one fingerprint; `true` iff it was resident.

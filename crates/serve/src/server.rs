@@ -169,6 +169,7 @@ struct ProtoMetrics {
     flushes_total: Counter,
     idle_closed: Counter,
     memo_served: Counter,
+    panics: Counter,
     connections_open: Gauge,
 }
 
@@ -225,6 +226,10 @@ impl ProtoMetrics {
                 "gts_serve_memo_served_total",
                 "Analyze frames answered from the rendered-response memo",
             ),
+            panics: counter(
+                "gts_serve_panics_total",
+                "Frames whose handling panicked, answered with internal_error",
+            ),
             connections_open: registry.gauge(
                 "gts_serve_connections_open",
                 "Open client connections",
@@ -253,46 +258,71 @@ impl ProtoMetrics {
     }
 }
 
-/// Compiled `.gts` documents the server has seen recently, keyed by
-/// source text. Pipelined workloads ship the same text on every frame;
-/// memoizing the compile is what lets frame throughput scale past the
-/// parser. Entries are most-recently-used-first.
-struct CompileCache {
-    entries: Vec<(u64, Arc<String>, Arc<Compiled>)>,
+/// What the server reuses across frames, one entry per (file, request)
+/// pair, most-recently-used-first. Analysis is a pure function of the
+/// shipped `.gts` text, so the file is the unit of reuse: the entries of
+/// one text share one [`SourceFile`], and an entry of a memoizable
+/// `analyze` frame also holds the rendered response. A file with no
+/// stored response keeps its compile in one response-less entry.
+///
+/// A stored response is served only while the session that computed it
+/// is resident; after an eviction (explicit or by the budget sweep) the
+/// next hit drops it and the frame recomputes, so evict-then-reanalyze
+/// demonstrably rebuilds. Frames carrying `trace`, `deadline_ms`, or
+/// `linger_ms` bypass stored responses, and responses with
+/// deadline-skipped entries are never stored.
+struct Memo {
+    entries: Vec<MemoEntry>,
 }
 
-/// Distinct `.gts` texts kept compiled. Entries are a vocabulary plus
-/// schemas/transforms — small next to a resident session.
-const COMPILE_CACHE_CAP: usize = 64;
+/// Entries kept, rendered responses and response-less compiles alike.
+/// Each is a few KB next to one resident session.
+const MEMO_CAP: usize = 128;
 
-/// Fully rendered `analyze` responses the server has already produced,
-/// keyed by the frame's semantic fields (everything except the `id`/
-/// `auth`/`v` envelope). Analysis is a pure function of the shipped
-/// text, so a repeated identical frame — the steady state of resident
-/// pipelined traffic — is a lookup, not a recomputation. Every entry
-/// records the registry's eviction count at insert time and dies the
-/// moment any session is evicted (explicitly or by the budget sweep),
-/// which keeps evict-then-reanalyze demonstrably rebuilding. Frames
-/// carrying `trace`, `deadline_ms`, or `linger_ms` bypass the memo, and
-/// responses with deadline-skipped entries are never stored. Entries
-/// are most-recently-used-first.
-struct ResponseMemo {
-    entries: Vec<(u64, String, u64, Fingerprint, Json)>,
+/// A compiled `.gts` text.
+struct SourceFile {
+    hash: u64,
+    text: String,
+    compiled: Compiled,
 }
 
-/// Rendered responses kept. Each is a few KB — bounded and tiny next to
-/// one resident session.
-const RESPONSE_MEMO_CAP: usize = 128;
+struct MemoEntry {
+    file: Arc<SourceFile>,
+    /// The request key and the rendered response, with the fingerprint of
+    /// the session that computed it; `None` on a response-less entry.
+    answer: Option<(String, Fingerprint, Json)>,
+}
 
-/// The memo key for an `analyze` frame: every field except the
-/// per-frame envelope. `None` when the frame opts out of memoization
-/// (tracing, deadlines, the linger test hook).
-fn response_memo_key(frame: &Json) -> Option<String> {
+impl Memo {
+    /// The position of the most recent entry of `gts`, whose hash is
+    /// `hash`. The hash is a fast reject; the full text is compared so a
+    /// collision can never serve the wrong document. The entries of one
+    /// text share one [`SourceFile`], so later ones match by pointer.
+    fn file_pos(&self, hash: u64, gts: &str) -> Option<usize> {
+        self.entries.iter().position(|e| e.file.hash == hash && e.file.text == gts)
+    }
+
+    /// Moves the entry at `pos` to the front.
+    fn touch(&mut self, pos: usize) {
+        self.entries[..=pos].rotate_right(1);
+    }
+
+    fn push(&mut self, entry: MemoEntry) {
+        self.entries.insert(0, entry);
+        self.entries.truncate(MEMO_CAP);
+    }
+}
+
+/// The request half of a memo key for an `analyze` frame: every field
+/// except the per-frame envelope and the `gts` text, which the memo
+/// matches as the entry's file. `None` when the frame opts out of
+/// memoization (tracing, deadlines, the linger test hook).
+fn memo_request_key(frame: &Json) -> Option<String> {
     let Json::Obj(fields) = frame else { return None };
     let mut key = String::new();
     for (k, v) in fields {
         match k.as_str() {
-            "id" | "auth" | "v" => {}
+            "id" | "auth" | "v" | "gts" => {}
             "trace" | "deadline_ms" | "linger_ms" => return None,
             _ => {
                 key.push_str(k);
@@ -322,8 +352,7 @@ struct Shared {
     admission: Admission,
     draining: AtomicBool,
     started: Instant,
-    compile_cache: Mutex<CompileCache>,
-    response_memo: Mutex<ResponseMemo>,
+    memo: Mutex<Memo>,
     obs: ProtoMetrics,
 }
 
@@ -334,53 +363,73 @@ impl Shared {
         }
     }
 
-    /// Compiles `gts` through the memo. The hash is a fast reject; the
-    /// full text is compared on a hit so a collision can never serve
-    /// the wrong document.
-    fn compile_cached(&self, gts: &str) -> Result<Arc<Compiled>, String> {
+    /// The compile of `gts`, shared from any memo entry of that text. A
+    /// first-seen text compiles outside the lock (a slow compile must not
+    /// serialize every other frame's lookup behind it) and is kept as a
+    /// response-less entry. Only a response-less entry moves to the front
+    /// here, so only memo hits and stores reorder rendered responses.
+    fn compile(&self, gts: &str) -> Result<Arc<SourceFile>, String> {
         let hash = gts_store::fnv64(gts.as_bytes());
         {
-            let mut cache = self.compile_cache.lock().unwrap();
-            if let Some(pos) =
-                cache.entries.iter().position(|(h, text, _)| *h == hash && text.as_str() == gts)
-            {
-                let entry = cache.entries.remove(pos);
-                let compiled = Arc::clone(&entry.2);
-                cache.entries.insert(0, entry);
-                return Ok(compiled);
+            let mut memo = self.memo.lock().unwrap();
+            if let Some(mut pos) = memo.file_pos(hash, gts) {
+                if memo.entries[pos].answer.is_none() {
+                    memo.touch(pos);
+                    pos = 0;
+                }
+                return Ok(Arc::clone(&memo.entries[pos].file));
             }
         }
-        // Compile outside the lock: a slow compile must not serialize
-        // every other frame's cache hit behind it.
-        let compiled = Arc::new((self.frontend.compile)(gts)?);
-        let mut cache = self.compile_cache.lock().unwrap();
-        cache.entries.insert(0, (hash, Arc::new(gts.to_owned()), Arc::clone(&compiled)));
-        cache.entries.truncate(COMPILE_CACHE_CAP);
-        Ok(compiled)
+        let compiled = (self.frontend.compile)(gts)?;
+        let mut memo = self.memo.lock().unwrap();
+        // Another frame may have compiled the text meanwhile; keep one copy.
+        if let Some(pos) = memo.file_pos(hash, gts) {
+            return Ok(Arc::clone(&memo.entries[pos].file));
+        }
+        let file = Arc::new(SourceFile { hash, text: gts.to_owned(), compiled });
+        memo.push(MemoEntry { file: Arc::clone(&file), answer: None });
+        Ok(file)
     }
 
-    /// Looks up a rendered response. An entry whose eviction epoch is
-    /// stale (any session was evicted since it was stored) is dropped
-    /// rather than reasoned about — recomputing is always correct.
-    fn response_memo_get(&self, hash: u64, key: &str) -> Option<(Fingerprint, Json)> {
-        let epoch = self.registry.evictions();
-        let mut memo = self.response_memo.lock().unwrap();
-        let pos = memo.entries.iter().position(|(h, k, _, _, _)| *h == hash && k == key)?;
-        if memo.entries[pos].2 != epoch {
-            memo.entries.remove(pos);
+    /// The stored response to `request` over `gts`, while the session that
+    /// computed it is resident. A hit whose session is gone is dropped
+    /// (the file stays compiled) and the frame recomputes. Lock order:
+    /// the memo, then the registry.
+    fn memo_answer(&self, gts: &str, request: &str) -> Option<Json> {
+        let hash = gts_store::fnv64(gts.as_bytes());
+        let mut memo = self.memo.lock().unwrap();
+        let first = memo.file_pos(hash, gts)?;
+        let file = Arc::clone(&memo.entries[first].file);
+        let of_file = |e: &MemoEntry| Arc::ptr_eq(&e.file, &file);
+        let pos = first
+            + memo.entries[first..]
+                .iter()
+                .position(|e| of_file(e) && e.answer.as_ref().is_some_and(|a| a.0 == request))?;
+        let fp = memo.entries[pos].answer.as_ref().map(|a| a.1)?;
+        if !self.registry.note_resident_hit(fp) {
+            if memo.entries.iter().filter(|e| of_file(e)).count() == 1 {
+                memo.entries[pos].answer = None;
+            } else {
+                memo.entries.remove(pos);
+            }
             return None;
         }
-        let entry = memo.entries.remove(pos);
-        let out = (entry.3, entry.4.clone());
-        memo.entries.insert(0, entry);
-        Some(out)
+        memo.touch(pos);
+        memo.entries[0].answer.as_ref().map(|a| a.2.clone())
     }
 
-    fn response_memo_put(&self, hash: u64, key: String, fp: Fingerprint, response: Json) {
-        let epoch = self.registry.evictions();
-        let mut memo = self.response_memo.lock().unwrap();
-        memo.entries.insert(0, (hash, key, epoch, fp, response));
-        memo.entries.truncate(RESPONSE_MEMO_CAP);
+    /// Stores the rendered response to `request` over `file`, in place of
+    /// the file's response-less entry.
+    fn memo_store(&self, file: &Arc<SourceFile>, request: String, fp: Fingerprint, response: Json) {
+        let mut memo = self.memo.lock().unwrap();
+        // Share the resident copy of the text, if another frame's compile
+        // replaced ours while we computed.
+        let file = match memo.file_pos(file.hash, &file.text) {
+            Some(pos) => Arc::clone(&memo.entries[pos].file),
+            None => Arc::clone(file),
+        };
+        memo.entries.retain(|e| e.answer.is_some() || !Arc::ptr_eq(&e.file, &file));
+        memo.push(MemoEntry { file, answer: Some((request, fp, response)) });
     }
 }
 
@@ -418,8 +467,7 @@ impl Server {
             frontend,
             draining: AtomicBool::new(false),
             started: Instant::now(),
-            compile_cache: Mutex::new(CompileCache { entries: Vec::new() }),
-            response_memo: Mutex::new(ResponseMemo { entries: Vec::new() }),
+            memo: Mutex::new(Memo { entries: Vec::new() }),
             obs: ProtoMetrics::new(),
         });
         let control = Arc::new(ReactorControl::new());
@@ -600,10 +648,10 @@ fn dispatch(shared: &Shared, raw: &str) -> (Json, Control, bool) {
     // the inert thread-local path.
     let want_trace = frame.get("trace").and_then(Json::as_bool) == Some(true);
     let ((mut response, control), tree) = if want_trace || shared.cfg.slow_ms.is_some() {
-        let (out, tree) = gts_obs::trace("frame", || route(shared, &op, &frame));
+        let (out, tree) = gts_obs::trace("frame", || route_guarded(shared, &op, &frame));
         (out, Some(tree))
     } else {
-        (route(shared, &op, &frame), None)
+        (route_guarded(shared, &op, &frame), None)
     };
     if want_trace {
         if let Some(tree) = &tree {
@@ -611,6 +659,20 @@ fn dispatch(shared: &Shared, raw: &str) -> (Json, Control, bool) {
         }
     }
     finish_frame(shared, verb, id, tree, start, response, control, ordered)
+}
+
+/// [`route`], answering a panic in the frame's work with
+/// `internal_error` instead of unwinding into the worker: the frame still
+/// gets its `id` echo and per-verb count, and the worker and connection
+/// keep serving. Permits and span guards release on the unwind; the
+/// panic hook has already logged the message.
+fn route_guarded(shared: &Shared, op: &str, frame: &Json) -> (Json, Control) {
+    let run = std::panic::AssertUnwindSafe(|| route(shared, op, frame));
+    std::panic::catch_unwind(run).unwrap_or_else(|_| {
+        shared.obs.panics.inc();
+        let msg = "the server failed while handling this frame";
+        (proto::error_frame(Some(op), proto::INTERNAL_ERROR, msg), Control::Continue)
+    })
 }
 
 /// Routes one validated frame to its verb handler.
@@ -830,6 +892,7 @@ fn stats_frame(shared: &Shared) -> Json {
         .set("errors_total", m.errors_total.get())
         .set("flushes_total", m.flushes_total.get())
         .set("memo_served", m.memo_served.get())
+        .set("panics", m.panics.get())
         .set("idle_closed", m.idle_closed.get())
         .set("draining", shared.draining.load(Ordering::SeqCst));
     r.set("server", server);
@@ -842,19 +905,18 @@ fn resolve_source(
     shared: &Shared,
     frame: &Json,
     op: &str,
-) -> Result<(Arc<Compiled>, usize, ContainmentOptions, Fingerprint, String), Json> {
+) -> Result<(Arc<SourceFile>, usize, ContainmentOptions, Fingerprint, String), Json> {
     let gts = frame
         .get("gts")
         .and_then(Json::as_str)
         .ok_or_else(|| proto::error_frame(Some(op), proto::BAD_FRAME, "missing `gts` text"))?;
-    let compiled = {
+    let file = {
         // The span covers the memo lookup too, so traced frames always
         // decompose into a `parse` step (a hit is just a fast one).
         let _span = gts_obs::span("parse");
-        shared
-            .compile_cached(gts)
-            .map_err(|e| proto::error_frame(Some(op), proto::COMPILE_ERROR, e))?
+        shared.compile(gts).map_err(|e| proto::error_frame(Some(op), proto::COMPILE_ERROR, e))?
     };
+    let compiled = &file.compiled;
     let source_key = if op == "load_schema" { "schema" } else { "source" };
     let source_idx = match frame.get(source_key).and_then(Json::as_str) {
         Some(name) => compiled.schemas.iter().position(|(n, _)| n == name).ok_or_else(|| {
@@ -886,14 +948,15 @@ fn resolve_source(
     };
     let key = canonical_key(&compiled.schemas[source_idx].1, &compiled.vocab, &opts);
     let fp = fingerprint_of(&key);
-    Ok((compiled, source_idx, opts, fp, key))
+    Ok((file, source_idx, opts, fp, key))
 }
 
 fn load_schema(shared: &Shared, frame: &Json) -> Json {
-    let (compiled, idx, opts, fp, key) = match resolve_source(shared, frame, "load_schema") {
+    let (file, idx, opts, fp, key) = match resolve_source(shared, frame, "load_schema") {
         Ok(x) => x,
         Err(e) => return e,
     };
+    let compiled = &file.compiled;
     let schema = compiled.schemas[idx].1.clone();
     let vocab = compiled.vocab.clone();
     let _span = gts_obs::span("session_checkout");
@@ -1054,25 +1117,26 @@ fn analyze(shared: &Shared, frame: &Json) -> Json {
         );
     }
     // A frame the server has answered before is served straight from
-    // the response memo — analysis is deterministic in the shipped
-    // text, so the resident steady state is a lookup. The cached copy
-    // carries the advisory `session`/`micros` numbers from when it was
-    // computed; the request counters still advance per spec.
-    let memo_key = response_memo_key(frame);
-    let memo_hash = memo_key.as_deref().map(|k| gts_store::fnv64(k.as_bytes()));
-    if let (Some(key), Some(hash)) = (memo_key.as_deref(), memo_hash) {
-        if let Some((fp, cached)) = shared.response_memo_get(hash, key) {
-            shared.registry.note_resident_hit(fp);
+    // the memo — analysis is deterministic in the shipped text, so the
+    // resident steady state is a lookup. The cached copy carries the
+    // advisory `session`/`micros` numbers from when it was computed; the
+    // request counters still advance per spec.
+    let request_key = memo_request_key(frame);
+    if let (Some(gts), Some(request)) =
+        (frame.get("gts").and_then(Json::as_str), request_key.as_deref())
+    {
+        if let Some(cached) = shared.memo_answer(gts, request) {
             let n = cached.get("results").and_then(Json::as_arr).map_or(0, |r| r.len() as u64);
             shared.obs.requests_total.add(n);
             shared.obs.memo_served.inc();
             return cached;
         }
     }
-    let (compiled, idx, opts, fp, key) = match resolve_source(shared, frame, "analyze") {
+    let (file, idx, opts, fp, key) = match resolve_source(shared, frame, "analyze") {
         Ok(x) => x,
         Err(e) => return e,
     };
+    let compiled = &file.compiled;
     let Some(specs) = frame.get("requests").and_then(Json::as_arr) else {
         return proto::error_frame(Some("analyze"), proto::BAD_FRAME, "missing `requests` array");
     };
@@ -1080,7 +1144,7 @@ fn analyze(shared: &Shared, frame: &Json) -> Json {
     // consume an analysis slot.
     let mut resolved: Vec<(String, Request)> = Vec::with_capacity(specs.len());
     for (i, spec) in specs.iter().enumerate() {
-        match resolve_spec(shared, &compiled, spec) {
+        match resolve_spec(shared, compiled, spec) {
             Ok(labeled) => resolved.push(labeled),
             Err(msg) => {
                 return proto::error_frame(
@@ -1143,11 +1207,11 @@ fn analyze(shared: &Shared, frame: &Json) -> Json {
     // stored copy reports `pool: hit` — a memo-served answer *is* the
     // resident state answering. Partially-skipped responses depend on
     // timing, not text, so they are never stored.
-    if let (Some(key), Some(hash)) = (memo_key, memo_hash) {
+    if let Some(request) = request_key {
         if !any_skipped {
             let mut stored = r.clone();
             replace_field(&mut stored, "pool", Json::Str("hit".into()));
-            shared.response_memo_put(hash, key, fp, stored);
+            shared.memo_store(&file, request, fp, stored);
         }
     }
     r

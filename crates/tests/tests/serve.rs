@@ -6,8 +6,10 @@
 
 use gts_engine::Json;
 use gts_serve::{
-    proto, AdmissionConfig, Client, RegistryConfig, Server, ServerConfig, ServerHandle,
+    proto, AdmissionConfig, Client, Frontend, RegistryConfig, Server, ServerConfig, ServerHandle,
 };
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The medical fixture of Figure 1 in `.gts` text form.
@@ -886,7 +888,7 @@ fn stats_vs_metrics(client: &mut Client) -> Vec<(&'static str, Option<i64>, Opti
     let field = |section: &str, key: &str| {
         stats.get(section).and_then(|s| s.get(key)).and_then(Json::as_i64)
     };
-    let pairs: [(&str, &str, &str); 14] = [
+    let pairs: [(&str, &str, &str); 15] = [
         ("server", "connections_open", "gts_serve_connections_open"),
         ("server", "connections_total", "gts_serve_connections_total"),
         ("server", "requests_total", "gts_serve_requests_total"),
@@ -894,6 +896,7 @@ fn stats_vs_metrics(client: &mut Client) -> Vec<(&'static str, Option<i64>, Opti
         ("server", "errors_total", "gts_serve_errors_total"),
         ("server", "flushes_total", "gts_serve_flushes_total"),
         ("server", "memo_served", "gts_serve_memo_served_total"),
+        ("server", "panics", "gts_serve_panics_total"),
         ("server", "idle_closed", "gts_serve_idle_closed_total"),
         ("admission", "admitted", "gts_serve_admitted_total"),
         ("admission", "rejected_overloaded", "gts_serve_rejected_total{reason=\"overloaded\"}"),
@@ -1492,5 +1495,104 @@ fn deeply_nested_regexes_get_a_compile_error_and_the_server_survives() {
     let resp = client.analyze(&text, Some("S0"), vec![proto::spec_elicit("T0")]).unwrap();
     assert_eq!(resp.get("error").and_then(Json::as_str), Some(proto::COMPILE_ERROR), "{resp:?}");
     assert!(ok(&client.ping().unwrap()));
+    shutdown_and_join(handle);
+}
+
+/// The `.gts` frontend with a `compile` that counts its calls and panics
+/// on any text containing `panic-marker`.
+fn instrumented_frontend() -> (Frontend, Arc<AtomicUsize>) {
+    let mut frontend = gts_cli::frontend();
+    let compile = Arc::clone(&frontend.compile);
+    let calls = Arc::new(AtomicUsize::new(0));
+    let counted = Arc::clone(&calls);
+    frontend.compile = Arc::new(move |src| {
+        counted.fetch_add(1, Ordering::SeqCst);
+        assert!(!src.contains("panic-marker"), "compile hit the panic marker");
+        compile(src)
+    });
+    (frontend, calls)
+}
+
+fn memo_served(client: &mut Client) -> u64 {
+    let stats = client.stats().unwrap();
+    stats.get("server").and_then(|s| s.get("memo_served")).and_then(Json::as_u64).unwrap()
+}
+
+/// One compile serves every frame shipping the same text: new requests
+/// over a seen file, and frames recomputed after their session was
+/// evicted (the only entry of the file, then one of two).
+#[test]
+fn the_memo_compiles_each_file_once_across_requests_and_evictions() {
+    let (frontend, compiles) = instrumented_frontend();
+    let handle = Server::start(ServerConfig::default(), frontend).expect("bind loopback");
+    let mut client = connect(&handle);
+    let check = || vec![proto::spec_type_check("T0", "S1")];
+    let elicit = || vec![proto::spec_elicit("T0")];
+    let pool = |r: &Json| r.get("pool").and_then(Json::as_str).map(str::to_owned);
+
+    let first = client.analyze(MEDICAL, Some("S0"), check()).unwrap();
+    assert_eq!(pool(&first).as_deref(), Some("miss"), "{}", first.pretty());
+    assert!(ok(&client.evict(None).unwrap()));
+    let again = client.analyze(MEDICAL, Some("S0"), check()).unwrap();
+    assert_eq!(pool(&again).as_deref(), Some("miss"), "a stale response was served");
+    assert_eq!(results(&again)[0].get("holds"), results(&first)[0].get("holds"));
+    assert_eq!(memo_served(&mut client), 0);
+
+    let other = client.analyze(MEDICAL, Some("S0"), elicit()).unwrap();
+    assert!(ok(&other), "{}", other.pretty());
+    assert!(ok(&client.evict(None).unwrap()));
+    let rebuilt = client.analyze(MEDICAL, Some("S0"), elicit()).unwrap();
+    assert_eq!(pool(&rebuilt).as_deref(), Some("miss"));
+    assert_eq!(results(&rebuilt)[0].get("schema"), results(&other)[0].get("schema"));
+    let served = client.analyze(MEDICAL, Some("S0"), elicit()).unwrap();
+    assert_eq!(pool(&served).as_deref(), Some("hit"));
+    assert_eq!(memo_served(&mut client), 1);
+    assert_eq!(compiles.load(Ordering::SeqCst), 1, "a seen text was compiled again");
+    shutdown_and_join(handle);
+}
+
+/// The memo holds the 128 most recently used responses: after 129
+/// distinct frames the first is recomputed and the last is served.
+#[test]
+fn the_memo_keeps_the_128_most_recent_responses() {
+    let (frontend, compiles) = instrumented_frontend();
+    let handle = Server::start(ServerConfig::default(), frontend).expect("bind loopback");
+    let mut client = connect(&handle);
+    let frame = |i: usize| {
+        let mut spec = proto::spec_type_check("T", "S");
+        spec.set("label", format!("q{i}"));
+        proto::analyze_frame(TINY, Some("S"), vec![spec])
+    };
+    for i in 0..129 {
+        assert!(ok(&client.roundtrip(&frame(i)).unwrap()));
+    }
+    assert_eq!(memo_served(&mut client), 0);
+    assert!(ok(&client.roundtrip(&frame(128)).unwrap()));
+    assert_eq!(memo_served(&mut client), 1, "the most recent frame was recomputed");
+    assert!(ok(&client.roundtrip(&frame(0)).unwrap()));
+    assert_eq!(memo_served(&mut client), 1, "the least recent frame outlived the capacity");
+    assert_eq!(compiles.load(Ordering::SeqCst), 1);
+    shutdown_and_join(handle);
+}
+
+/// A frame whose handling panics is answered with `internal_error` and
+/// counted; the worker survives, and the same connection keeps serving.
+#[test]
+fn a_panicking_frame_gets_internal_error_and_the_connection_keeps_serving() {
+    let (frontend, _) = instrumented_frontend();
+    let handle = Server::start(ServerConfig::default(), frontend).expect("bind loopback");
+    let mut client = connect(&handle);
+    let mut boom = proto::analyze_frame("panic-marker", None, vec![proto::spec_elicit("T")]);
+    boom.set("id", "boom");
+    let resp = client.roundtrip(&boom).unwrap();
+    assert_eq!(resp.get("error").and_then(Json::as_str), Some(proto::INTERNAL_ERROR), "{resp:?}");
+    assert_eq!(resp.get("id").and_then(Json::as_str), Some("boom"));
+    assert!(ok(&client.ping().unwrap()));
+    let normal = client.analyze(TINY, Some("S"), vec![proto::spec_elicit("T")]).unwrap();
+    assert!(ok(&normal), "{}", normal.pretty());
+    let stats = client.stats().unwrap();
+    let server = stats.get("server").unwrap();
+    assert_eq!(server.get("panics").and_then(Json::as_u64), Some(1));
+    assert_eq!(server.get("errors_total").and_then(Json::as_u64), Some(1));
     shutdown_and_join(handle);
 }

@@ -112,13 +112,12 @@ fn cached_decide_agrees_with_fresh_on_random_instances() {
         for pass in 0..2 {
             for q in &queries {
                 let fresh = decide(&tbox, q, &budget);
-                let (warm, stats) = decide_in_ctx(&mut ctx, q, &budget);
+                let warm = decide_in_ctx(&mut ctx, q, &budget);
                 assert_eq!(
                     std::mem::discriminant(&fresh),
                     std::mem::discriminant(&warm),
                     "seed {seed} pass {pass}: fresh {fresh:?} vs in-context {warm:?} on {q:?}"
                 );
-                assert!(stats.types_interned > 0 || tbox.is_empty() || stats.cores_tried > 0);
             }
         }
     }
@@ -209,7 +208,7 @@ fn extended_universe_matches_the_pushed_tbox() {
         for pass in 0..2 {
             for q in &queries {
                 let fresh = decide(&pushed, q, &budget);
-                let (warm, _) = decide_in_ctx(&mut ctx, q, &budget);
+                let warm = decide_in_ctx(&mut ctx, q, &budget);
                 assert_eq!(
                     std::mem::discriminant(&fresh),
                     std::mem::discriminant(&warm),
@@ -240,9 +239,9 @@ fn cross_tbox_isolation() {
     let mut contexts: Vec<RealizeCtx> =
         [&t1, &t2, &t3].map(|t| RealizeCtx::new(TypeUniverse::new(t), budget.clone())).into();
     for _ in 0..3 {
-        assert!(decide_in_ctx(&mut contexts[0], &q, &budget).0.is_unsat());
-        assert!(decide_in_ctx(&mut contexts[1], &q, &budget).0.is_sat());
-        assert!(decide_in_ctx(&mut contexts[2], &q, &budget).0.is_sat());
+        assert!(decide_in_ctx(&mut contexts[0], &q, &budget).is_unsat());
+        assert!(decide_in_ctx(&mut contexts[1], &q, &budget).is_sat());
+        assert!(decide_in_ctx(&mut contexts[2], &q, &budget).is_sat());
     }
 }
 
