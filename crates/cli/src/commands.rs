@@ -17,8 +17,9 @@
 //! `batch` and `client` accept `-` as a file name to read the `.gts`
 //! source from stdin (pipelines need no temp files).
 //!
-//! Exit codes: `0` = success / property holds, `1` = property fails /
-//! conformance violation, `2` = usage or analysis error.
+//! Exit codes: `0` = success / property proven, `1` = property fails,
+//! is unproven (`UNKNOWN`: an uncertified positive) or a conformance
+//! violation, `2` = usage or analysis error.
 
 use crate::parse::GtsFile;
 use crate::print;
@@ -71,6 +72,8 @@ fn usage() -> String {
      \x20                                                  conformance, and expected verdicts\n\
      \x20 (batch/client accept `-` as FILE to read the .gts source from stdin)\n\
      \x20 (single-file analysis commands take --trace: append the run's span tree)\n\
+     \x20 (check/equiv/contains/safety exit 0 only on a proven HOLDS; an uncertified\n\
+     \x20  positive prints UNKNOWN and exits 1, like FAILS; errors exit 2)\n\
      \x20 (check/equiv/elicit + batch/serve take --cache-dir DIR — or the GTS_CACHE_DIR env var —\n\
      \x20  to persist containment verdicts across runs in DIR/*.gtsc; --no-cache forces a\n\
      \x20  stateless run)\n"
@@ -619,8 +622,18 @@ fn seeded_rng() -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(0x6774735f636c69)
 }
 
+/// Renders a decision: exit 0 only for a proven `HOLDS`. An uncertified
+/// positive is no proof (the search gave up), so it reads `UNKNOWN` and
+/// exits 1 like a failure.
 fn verdict_outcome(what: &str, holds: bool, certified: bool) -> Outcome {
-    let verdict = if holds { "HOLDS" } else { "FAILS" };
+    let verdict = match (holds, certified) {
+        (true, true) => "HOLDS",
+        (true, false) => "UNKNOWN",
+        (false, _) => "FAILS",
+    };
     let cert = if certified { "certified" } else { "uncertified — raise budgets" };
-    Outcome { code: i32::from(!holds), output: format!("{what}: {verdict} ({cert})\n") }
+    Outcome {
+        code: i32::from(!(holds && certified)),
+        output: format!("{what}: {verdict} ({cert})\n"),
+    }
 }

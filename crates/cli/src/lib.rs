@@ -135,7 +135,7 @@ query Direct(x, y) {
             run(&args("check mem.gts --transform T0 --source S0 --target S1"), &read_mem(MEDICAL));
         assert_eq!(out.code, 0, "{}", out.output);
         assert!(out.output.contains("HOLDS"));
-        assert!(out.output.contains("certified"));
+        assert!(out.output.contains("(certified)"));
     }
 
     #[test]
@@ -315,6 +315,19 @@ edge p1 exhibits a2
     fn cli_equivalence_self() {
         let out = run(&args("equiv mem.gts --t1 T0 --t2 T0 --source S0"), &read_mem(MEDICAL));
         assert_eq!(out.code, 0, "{}", out.output);
+    }
+
+    /// The corpus pins Stress and StressSkew as not equivalent, but the
+    /// decision is uncertified: the CLI must say UNKNOWN and exit 1, not
+    /// print an unproven HOLDS with exit 0.
+    #[test]
+    fn cli_uncertified_positive_is_unknown_not_holds() {
+        let sc = gts_corpus::scenario(gts_corpus::Family::Stress, &gts_corpus::Params::default());
+        let text = render_file(&scenario_file(&sc));
+        let read = move |_p: &str| Ok(text.clone());
+        let out = run(&args("equiv stress.gts --t1 Stress --t2 StressSkew --source Relays"), &read);
+        assert_eq!(out.code, 1, "{}", out.output);
+        assert_eq!(out.output, "equivalence: UNKNOWN (uncertified — raise budgets)\n");
     }
 
     #[test]

@@ -24,7 +24,12 @@
 //! TBox one solver context that every probe over it shares and that is
 //! dropped with the sweep — rounds add CIs, so no extended TBox recurs.
 //! A context's universe layers the extra CIs over the round universe's
-//! shared rule index, so no probe copies or re-indexes the round's TBox.
+//! shared rule index and reads its shared requirement and at-most lists,
+//! so no probe copies or re-indexes the round's TBox or re-derives a
+//! list. The round that converges indexed exactly `T*`, so the
+//! [`Completion`] hands its callers an empty universe over that index
+//! ([`Completion::universe`]); only a completion ended by `max_rounds`
+//! indexes `T*` anew.
 //! The sweep (b) can fan out over worker threads (chunked by pair index,
 //! merged in order, so the result matches the sequential sweep whenever
 //! the engine budgets don't bind — warm solver contexts can resolve
@@ -63,6 +68,11 @@ pub struct Completion {
     /// `false` if a cap or an engine budget was hit — `T*` may then be
     /// missing reversals and answers derived from it are uncertified.
     pub complete: bool,
+    /// An empty type universe over `tbox` for the caller's decides. When
+    /// the rounds converge it shares the last round's rule index and rule
+    /// lists, so `T*` is indexed once; only when `max_rounds` ends the
+    /// completion first is `T*` indexed anew.
+    pub universe: TypeUniverse,
 }
 
 /// Computes the completion `T*` of `tbox`. `schema_labels` seeds the type
@@ -125,6 +135,8 @@ fn complete_inner(
     for _round in 0..cfg.max_rounds {
         let (universe, nodes, universe_complete) = type_universe(&t, schema_labels, cfg.max_nodes);
         complete &= universe_complete;
+        // The handoff should this round converge: `t` is then `T*`.
+        let t_star_universe = universe.extended([]);
 
         // Edge relation of the cycle-search graph H_T.
         let roles = t.used_roles();
@@ -167,7 +179,7 @@ fn complete_inner(
         }
 
         if new_cis.is_empty() {
-            return Completion { tbox: t, added, complete };
+            return Completion { tbox: t, added, complete, universe: t_star_universe };
         }
         for ci in new_cis {
             if t.push(ci) {
@@ -175,7 +187,8 @@ fn complete_inner(
             }
         }
     }
-    Completion { tbox: t, added, complete: false }
+    let universe = TypeUniverse::new(&t);
+    Completion { tbox: t, added, complete: false, universe }
 }
 
 /// Evaluates every `(i, role, j)` pair of the cycle-search graph, in pair
@@ -368,7 +381,7 @@ fn type_universe(
             // when it starts, as a snapshot would, without copying them.
             let n = nodes.len();
             for k in 0..n {
-                if !u.edge_forbidden_memo(&tau, role, &nodes[k]) {
+                if !u.edge_forbidden(&tau, role, &nodes[k]) {
                     let c = u.close(&nodes[k].union(&pushset));
                     push(c, &u, &mut nodes, &mut seen);
                 }

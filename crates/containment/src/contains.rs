@@ -17,10 +17,12 @@
 //! Each choice's completed TBox `T*` gets one solver context, owned by
 //! the call for as long as it runs: every disjunct of `P̂` is decided
 //! through it, so they share interned types and realizability fixpoints
-//! (exact replay, see `gts_sat::decide_in_ctx`). Nothing outlives the
-//! call; reuse across questions is the verdict memo of `gts-engine`'s
-//! `AnalysisSession`. The entailment probes inside a completion run on
-//! contexts the sweep owns and drops. With
+//! (exact replay, see `gts_sat::decide_in_ctx`). The context's universe
+//! is the one the completion hands over ([`Completion::universe`]),
+//! which reuses the converged round's index and rule lists. Nothing
+//! outlives the call; reuse across questions is the verdict memo of
+//! `gts-engine`'s `AnalysisSession`. The entailment probes inside a
+//! completion run on contexts the sweep owns and drops. With
 //! [`ContainmentOptions::threads`] > 1 the independent choices fan out
 //! over worker threads; the completion's entailment sweep shards by its
 //! own work-size rule (see [`ContainmentOptions::threads`]). Results are
@@ -36,7 +38,7 @@ use crate::rollup::{rollup_negation, RollupError};
 use gts_dl::HornTbox;
 use gts_graph::{Graph, Vocab};
 use gts_query::{C2rpq, Uc2rpq};
-use gts_sat::{Budget, RealizeCtx, TypeUniverse, Verdict};
+use gts_sat::{Budget, RealizeCtx, Verdict};
 use gts_schema::Schema;
 
 /// Options for [`contains`].
@@ -111,7 +113,7 @@ fn solve_choice(
 ) -> ChoiceResult {
     let t = HornTbox::merged([shared.hat_ts, choice, shared.extra]);
     // Theorem 5.4 / Lemma D.7: complete.
-    let Completion { tbox: t_star, complete: completion_ok, .. } = complete_with(
+    let Completion { universe, complete: completion_ok, .. } = complete_with(
         &t,
         shared.schema_label_set,
         shared.fresh,
@@ -120,7 +122,7 @@ fn solve_choice(
         opts.threads,
     );
     let mut verdicts = Vec::new();
-    let mut ctx = RealizeCtx::new(TypeUniverse::new(&t_star), opts.budget.clone());
+    let mut ctx = RealizeCtx::new(universe, opts.budget.clone());
     for pd in shared.p_hat_disjuncts {
         let v = gts_sat::decide_in_ctx(&mut ctx, pd, &opts.budget);
         let is_sat = v.is_sat();

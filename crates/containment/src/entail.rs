@@ -19,7 +19,9 @@
 //!   context, built on first use and dropped with the sweep — rounds add
 //!   CIs, so no extended TBox recurs in a later round. A context's
 //!   universe layers the encoding's one or two CIs over the round's
-//!   shared index ([`TypeUniverse::extended`]); no TBox is copied.
+//!   shared index ([`TypeUniverse::extended`]); no TBox is copied. The
+//!   encodings add only `∀` and `⊥` CIs, so a context reads the round's
+//!   shared requirement and at-most lists as they are and derives none.
 
 use gts_dl::HornCi;
 use gts_graph::{EdgeSym, FxHashMap, LabelSet, NodeLabel};

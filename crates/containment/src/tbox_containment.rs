@@ -24,7 +24,7 @@ use crate::rollup::rollup_negation;
 use gts_dl::HornTbox;
 use gts_graph::Vocab;
 use gts_query::{C2rpq, Uc2rpq};
-use gts_sat::{decide_in_ctx, RealizeCtx, TypeUniverse, Verdict};
+use gts_sat::{decide_in_ctx, RealizeCtx, Verdict};
 
 /// Decides *finite* containment `P ⊆_T Q` over all finite graphs
 /// satisfying the Horn-ALCIF TBox `T`, for Boolean `P` and Boolean acyclic
@@ -57,9 +57,9 @@ pub fn contains_finite_modulo_tbox(
     for choice in &choices {
         let t = HornTbox::merged([tbox, choice]);
         let seeds = t.used_labels();
-        let Completion { tbox: t_star, complete: completion_ok, .. } =
+        let Completion { universe, complete: completion_ok, .. } =
             complete_with(&t, &seeds, fresh, &opts.budget, &opts.completion, opts.threads);
-        let mut ctx = RealizeCtx::new(TypeUniverse::new(&t_star), opts.budget.clone());
+        let mut ctx = RealizeCtx::new(universe, opts.budget.clone());
         for pd in &p.disjuncts {
             match decide_in_ctx(&mut ctx, pd, &opts.budget) {
                 Verdict::Sat(w) => {
@@ -91,9 +91,10 @@ pub fn finitely_satisfiable_modulo_tbox(
     }
     let fresh = (vocab.fresh_node_label("B"), vocab.fresh_node_label("B"));
     let seeds = tbox.used_labels();
-    let Completion { tbox: t_star, complete: completion_ok, .. } =
+    let Completion { universe, complete: completion_ok, .. } =
         complete_with(tbox, &seeds, fresh, &opts.budget, &opts.completion, opts.threads);
-    match gts_sat::decide(&t_star, p, &opts.budget) {
+    let mut ctx = RealizeCtx::new(universe, opts.budget.clone());
+    match decide_in_ctx(&mut ctx, p, &opts.budget) {
         // SAT modulo a partial completion does not yet witness a finite
         // model; UNSAT modulo a partial completion *does* refute one.
         Verdict::Sat(_) => Ok((true, completion_ok)),

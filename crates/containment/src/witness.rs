@@ -28,7 +28,7 @@ use crate::rollup::rollup_negation;
 use gts_dl::HornTbox;
 use gts_graph::{EdgeSym, FxHashMap, Graph, NodeId, NodeLabel, Vocab};
 use gts_query::Uc2rpq;
-use gts_sat::{decide_in_ctx, RealizeCtx, TypeUniverse, Verdict};
+use gts_sat::{decide_in_ctx, RealizeCtx, Verdict};
 use gts_schema::{Mult, Schema};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -97,7 +97,7 @@ pub fn finite_counterexample<R: Rng>(
     let mut saw_sat_or_unknown = false;
     for choice in &choices {
         let t = HornTbox::merged([&hat_ts, choice]);
-        let Completion { tbox: t_star, .. } = crate::completion::complete_with(
+        let Completion { universe, .. } = crate::completion::complete_with(
             &t,
             &schema_label_set,
             fresh,
@@ -105,7 +105,7 @@ pub fn finite_counterexample<R: Rng>(
             &opts.completion,
             opts.threads,
         );
-        let mut ctx = RealizeCtx::new(TypeUniverse::new(&t_star), opts.budget.clone());
+        let mut ctx = RealizeCtx::new(universe, opts.budget.clone());
         for pd in &p_hat.disjuncts {
             match decide_in_ctx(&mut ctx, pd, &opts.budget) {
                 Verdict::Sat(w) => {

@@ -28,6 +28,6 @@ pub mod sys;
 pub mod timer;
 
 pub use codec::{CodecError, FrameDecoder, OutboundQueue};
-pub use pool::WorkerPool;
+pub use pool::{lock, WorkerPool};
 pub use reactor::{run, ConnId, FrameOutput, ReactorConfig, ReactorControl, Service};
 pub use timer::{TimerId, TimerWheel};

@@ -4,12 +4,23 @@
 //! decision procedures, admission waits) runs on one of these workers,
 //! and its completion travels back through the reactor's mailbox. The
 //! pool is a plain `Mutex` + `Condvar` job queue — jobs are coarse
-//! (whole frames), so queue contention is noise next to the work.
+//! (whole frames), so queue contention is noise next to the work. A job
+//! that panics is caught: its worker lives on to run the next job.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// Locks `m` even when a panicking holder poisoned it. The server's locks
+/// guard job queues, session maps, admission counters and the response
+/// memo: after a holder's panic the worst left behind is one stale entry
+/// or count, while refusing the lock would fail every later frame that
+/// takes it.
+pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 struct Inner {
     queue: Mutex<(VecDeque<Job>, bool)>, // (jobs, shutting_down)
@@ -47,12 +58,12 @@ impl WorkerPool {
 
     /// Jobs queued but not yet picked up.
     pub fn queue_depth(&self) -> usize {
-        self.inner.queue.lock().unwrap().0.len()
+        lock(&self.inner.queue).0.len()
     }
 
     /// Enqueues a job; `false` (job dropped) after shutdown began.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) -> bool {
-        let mut q = self.inner.queue.lock().unwrap();
+        let mut q = lock(&self.inner.queue);
         if q.1 {
             return false;
         }
@@ -66,7 +77,7 @@ impl WorkerPool {
     /// queued, and joins them. Every accepted job runs before this
     /// returns — the drain path depends on it.
     pub fn shutdown_and_join(mut self) {
-        self.inner.queue.lock().unwrap().1 = true;
+        lock(&self.inner.queue).1 = true;
         self.inner.cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -77,7 +88,7 @@ impl WorkerPool {
 fn worker_loop(inner: &Inner) {
     loop {
         let job = {
-            let mut q = inner.queue.lock().unwrap();
+            let mut q = lock(&inner.queue);
             loop {
                 if let Some(job) = q.0.pop_front() {
                     break job;
@@ -85,10 +96,13 @@ fn worker_loop(inner: &Inner) {
                 if q.1 {
                     return;
                 }
-                q = inner.cv.wait(q).unwrap();
+                q = inner.cv.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        job();
+        // The job's owner learns of the panic through its own channel (a
+        // response that never arrives is the reactor's to time out); the
+        // worker must survive it.
+        let _ = catch_unwind(AssertUnwindSafe(job));
     }
 }
 
@@ -119,7 +133,7 @@ mod tests {
         pool.shutdown_and_join();
         // The pool is consumed by shutdown; poke the inner state the way
         // a racing execute would see it.
-        assert!(inner.queue.lock().unwrap().1);
+        assert!(lock(&inner.queue).1);
     }
 
     #[test]
@@ -131,8 +145,8 @@ mod tests {
         for _ in 0..2 {
             let gate = Arc::clone(&gate);
             pool.execute(move || {
-                let (lock, cv) = &*gate;
-                let mut n = lock.lock().unwrap();
+                let (count, cv) = &*gate;
+                let mut n = lock(count);
                 *n += 1;
                 cv.notify_all();
                 while *n < 2 {
@@ -145,6 +159,34 @@ mod tests {
             });
         }
         pool.shutdown_and_join();
-        assert_eq!(*gate.0.lock().unwrap(), 2);
+        assert_eq!(*lock(&gate.0), 2);
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_its_worker_running() {
+        let pool = WorkerPool::new(1, "test-worker");
+        let done = Arc::new(AtomicUsize::new(0));
+        assert!(pool.execute(|| panic!("job panics")));
+        let after = Arc::clone(&done);
+        assert!(pool.execute(move || {
+            after.fetch_add(1, Ordering::SeqCst);
+        }));
+        pool.shutdown_and_join();
+        assert_eq!(done.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn lock_recovers_a_poisoned_mutex() {
+        let m = Arc::new(Mutex::new(1));
+        let holder = Arc::clone(&m);
+        let joined = std::thread::spawn(move || {
+            let _guard = lock(&holder);
+            panic!("poison the mutex");
+        })
+        .join();
+        assert!(joined.is_err());
+        assert!(m.is_poisoned());
+        *lock(&m) += 1;
+        assert_eq!(*lock(&m), 2);
     }
 }

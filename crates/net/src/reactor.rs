@@ -33,7 +33,7 @@
 //! drained.
 
 use crate::codec::{CodecError, FrameDecoder, OutboundQueue};
-use crate::pool::WorkerPool;
+use crate::pool::{lock, WorkerPool};
 use crate::sys::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::timer::{TimerId, TimerWheel};
 use std::collections::BTreeMap;
@@ -199,12 +199,12 @@ impl ReactorControl {
     }
 
     fn push(&self, c: Completion) {
-        self.completions.lock().unwrap().push(c);
+        lock(&self.completions).push(c);
         self.wake();
     }
 
     fn wake(&self) {
-        if let Some(tx) = self.waker.lock().unwrap().as_mut() {
+        if let Some(tx) = lock(&self.waker).as_mut() {
             // A full pipe means a wake is already pending: success.
             let _ = tx.write(&[1]);
         }
@@ -296,7 +296,7 @@ impl Reactor {
         let (wake_tx, wake_rx) = std::os::unix::net::UnixStream::pair()?;
         wake_tx.set_nonblocking(true)?;
         wake_rx.set_nonblocking(true)?;
-        *control.waker.lock().unwrap() = Some(wake_tx);
+        *lock(&control.waker) = Some(wake_tx);
         let now = Instant::now();
         Ok(Reactor {
             listener: Some(listener),
@@ -422,7 +422,7 @@ impl Reactor {
         if let Some(pool) = self.pool.take() {
             pool.shutdown_and_join();
         }
-        *self.control.waker.lock().unwrap() = None;
+        *lock(&self.control.waker) = None;
         self.service.on_exit();
         Ok(())
     }
@@ -642,8 +642,7 @@ impl Reactor {
     }
 
     fn absorb_completions(&mut self) {
-        let completions: Vec<Completion> =
-            std::mem::take(&mut *self.control.completions.lock().unwrap());
+        let completions: Vec<Completion> = std::mem::take(&mut *lock(&self.control.completions));
         let mut shutdown = false;
         for c in completions {
             shutdown |= c.shutdown;

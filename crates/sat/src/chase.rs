@@ -329,7 +329,7 @@ impl ChaseOracle for crate::types::TypeUniverse {
         self.propagate_set(set, role)
     }
     fn forbidden(&mut self, src: &LabelSet, role: EdgeSym, tgt: &LabelSet) -> bool {
-        self.edge_forbidden_memo(src, role, tgt)
+        self.edge_forbidden(src, role, tgt)
     }
     fn at_most(&mut self, set: &LabelSet) -> std::sync::Arc<Vec<(EdgeSym, LabelSet)>> {
         self.at_most_set(set)

@@ -213,7 +213,7 @@ impl RealizeCtx {
                     // a failing back-propagation check can only happen for
                     // merged witnesses beyond the parent's saturation, so
                     // rejection there is flagged as uncertain.
-                    if ctx.types.edge_forbidden_memo(node_labels, role, &child_labels) {
+                    if ctx.types.edge_forbidden(node_labels, role, &child_labels) {
                         return Ok(());
                     }
                     if !ctx.types.propagate_set(&child_labels, role.inv()).is_subset(node_labels) {

@@ -11,10 +11,34 @@
 //! types, saturation fixpoints, and dead-type verdicts across the decides
 //! its owner runs — and [`TypeUniverse::extended`] layers a few extra CIs
 //! over that shared index instead of copying the TBox.
+//!
+//! The base also carries the rule lists derived from it: the base part of
+//! a label set's requirement and at-most lists is computed once for every
+//! universe layered over that base, and a universe appends only its extra
+//! layer's rules. A completion round, its probe contexts and its parallel
+//! workers thus derive each list once between them. `∄`-checks read the
+//! role-grouped rules directly and keep no memo.
 
 use gts_dl::{HornCi, HornTbox};
 use gts_graph::{EdgeSym, FxHashMap, FxHashSet, LabelSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// `(role, K')` pairs of the `∃` or at-most rules firing on a label set.
+type RuleList = Arc<Vec<(EdgeSym, LabelSet)>>;
+
+/// The base TBox's rule index and the rule lists derived from it. Every
+/// universe layered over this base — a completion round's, each of its
+/// probe contexts', each parallel worker's clone — reads the base part of
+/// a requirement or at-most list from here, so a label set's base part is
+/// derived once per TBox, not once per universe.
+#[derive(Default)]
+struct Base {
+    index: TboxIndex,
+    /// Base part of [`HornTbox::requirements`], per label set.
+    reqs: Mutex<FxHashMap<LabelSet, RuleList>>,
+    /// Base part of [`HornTbox::at_most`], per label set.
+    at_most: Mutex<FxHashMap<LabelSet, RuleList>>,
+}
 
 /// CIs of one TBox grouped by kind (and by role where it pays), built once
 /// per TBox so every rule application scans only the relevant rules
@@ -101,6 +125,20 @@ impl TboxIndex {
     }
 }
 
+/// Appends the `(role, K')` of the `rules` firing on `set` to `out`, in
+/// rule order, skipping pairs already present.
+fn push_firing(
+    out: &mut Vec<(EdgeSym, LabelSet)>,
+    rules: &[(EdgeSym, LabelSet, LabelSet)],
+    set: &LabelSet,
+) {
+    for (role, lhs, rhs) in rules {
+        if lhs.is_subset(set) && !out.iter().any(|(r, k)| r == role && k == rhs) {
+            out.push((*role, rhs.clone()));
+        }
+    }
+}
+
 /// An interned closed label set.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct TypeId(pub u32);
@@ -109,9 +147,10 @@ pub struct TypeId(pub u32);
 /// *saturation* fixpoint (see [`TypeUniverse::saturate`]).
 #[derive(Clone)]
 pub struct TypeUniverse {
-    /// The rule index of the TBox this universe was built over, shared by
-    /// every universe [`TypeUniverse::extended`] layers over it.
-    base: Arc<TboxIndex>,
+    /// The rule index of the TBox this universe was built over and its
+    /// derived rule lists, shared by every universe
+    /// [`TypeUniverse::extended`] layers over it.
+    base: Arc<Base>,
     /// The CIs layered over `base` (empty for a plain universe).
     extra: TboxIndex,
     sets: Vec<LabelSet>,
@@ -122,36 +161,35 @@ pub struct TypeUniverse {
     /// Types whose requirements are unfulfillable (no model has a node of
     /// this type).
     dead: FxHashSet<TypeId>,
-    /// Per-type `∃`-requirements (`HornTbox::requirements` is a full CI
-    /// scan; types are probed repeatedly across calls).
-    reqs_memo: FxHashMap<TypeId, Arc<Vec<(EdgeSym, LabelSet)>>>,
-    /// Per-type at-most constraints.
-    at_most_memo: FxHashMap<TypeId, Arc<Vec<(EdgeSym, LabelSet)>>>,
     /// `HornTbox::propagate` memo over arbitrary (possibly unclosed) label
     /// sets — the chase's hottest operation. Keyed by source set first so
     /// probes hash one set and never clone.
     propagate_memo: FxHashMap<LabelSet, Vec<(EdgeSym, Arc<LabelSet>)>>,
-    /// `HornTbox::edge_forbidden` memo, keyed by source set.
-    forbidden_memo: FxHashMap<LabelSet, Vec<(EdgeSym, LabelSet, bool)>>,
-    /// `HornTbox::at_most` memo over arbitrary label sets.
-    at_most_set_memo: FxHashMap<LabelSet, Arc<Vec<(EdgeSym, LabelSet)>>>,
+}
+
+impl std::fmt::Debug for TypeUniverse {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TypeUniverse").field("types", &self.sets.len()).finish_non_exhaustive()
+    }
 }
 
 impl TypeUniverse {
     /// Creates an empty universe over `tbox`, indexing its CIs.
     pub fn new(tbox: &HornTbox) -> Self {
-        let mut base = TboxIndex::default();
+        let mut base = Base::default();
         for ci in &tbox.cis {
-            base.add(ci.clone());
+            base.index.add(ci.clone());
         }
         Self::layered(Arc::new(base), TboxIndex::default())
     }
 
     /// An empty universe over this universe's TBox plus `extra`: it
-    /// shares the base index and indexes only the extra CIs, and closes,
-    /// propagates and collects requirements exactly as a universe over
-    /// the TBox with `extra` pushed onto it would. Interned types and
-    /// memos are not carried over (they are facts about the smaller TBox).
+    /// shares the base index and its rule lists and indexes only the extra
+    /// CIs, and closes, propagates and collects requirements exactly as a
+    /// universe over the TBox with `extra` pushed onto it would. Interned
+    /// types and memos are not carried over (they are facts about the
+    /// smaller TBox), so `extended([])` is a fresh universe over the same
+    /// TBox that numbers its types as [`TypeUniverse::new`] would.
     pub fn extended(&self, extra: impl IntoIterator<Item = HornCi>) -> Self {
         let mut layer = self.extra.clone();
         for ci in extra {
@@ -160,7 +198,7 @@ impl TypeUniverse {
         Self::layered(Arc::clone(&self.base), layer)
     }
 
-    fn layered(base: Arc<TboxIndex>, extra: TboxIndex) -> Self {
+    fn layered(base: Arc<Base>, extra: TboxIndex) -> Self {
         TypeUniverse {
             base,
             extra,
@@ -169,17 +207,13 @@ impl TypeUniverse {
             closure_memo: FxHashMap::default(),
             sat: FxHashMap::default(),
             dead: FxHashSet::default(),
-            reqs_memo: FxHashMap::default(),
-            at_most_memo: FxHashMap::default(),
             propagate_memo: FxHashMap::default(),
-            forbidden_memo: FxHashMap::default(),
-            at_most_set_memo: FxHashMap::default(),
         }
     }
 
     /// The base index, then the extra layer: CI order of the layered TBox.
     fn layers(&self) -> [&TboxIndex; 2] {
-        [&self.base, &self.extra]
+        [&self.base.index, &self.extra]
     }
 
     /// `(lhs, rhs)` of every `K ⊑ ∃role.K'` CI, in CI order.
@@ -203,24 +237,14 @@ impl TypeUniverse {
         })
     }
 
-    /// Memoized [`HornTbox::requirements`] of a type's label set.
-    pub fn requirements_of(&mut self, t: TypeId) -> Arc<Vec<(EdgeSym, LabelSet)>> {
-        if let Some(r) = self.reqs_memo.get(&t) {
-            return Arc::clone(r);
-        }
-        let r = Arc::new(self.firing(|l| &l.exists, &self.sets[t.0 as usize]));
-        self.reqs_memo.insert(t, Arc::clone(&r));
-        r
+    /// [`HornTbox::requirements`] of a type's label set.
+    pub fn requirements_of(&self, t: TypeId) -> RuleList {
+        self.firing(&self.base.reqs, |l| &l.exists, &self.sets[t.0 as usize])
     }
 
-    /// Memoized [`HornTbox::at_most`] of a type's label set.
-    pub fn at_most_of(&mut self, t: TypeId) -> Arc<Vec<(EdgeSym, LabelSet)>> {
-        if let Some(r) = self.at_most_memo.get(&t) {
-            return Arc::clone(r);
-        }
-        let r = Arc::new(self.firing(|l| &l.atmost, &self.sets[t.0 as usize]));
-        self.at_most_memo.insert(t, Arc::clone(&r));
-        r
+    /// [`HornTbox::at_most`] of a type's label set.
+    pub fn at_most_of(&self, t: TypeId) -> RuleList {
+        self.at_most_set(&self.sets[t.0 as usize])
     }
 
     /// Memoized [`HornTbox::propagate`] over an arbitrary label set.
@@ -239,43 +263,43 @@ impl TypeUniverse {
         p
     }
 
-    /// Memoized [`HornTbox::edge_forbidden`].
-    pub fn edge_forbidden_memo(&mut self, src: &LabelSet, role: EdgeSym, tgt: &LabelSet) -> bool {
-        if let Some(rows) = self.forbidden_memo.get(src) {
-            if let Some((_, _, b)) = rows.iter().find(|(r, t, _)| *r == role && t == tgt) {
-                return *b;
-            }
-        }
-        let b = self.layers().into_iter().any(|l| l.edge_forbidden(src, role, tgt));
-        self.forbidden_memo.entry(src.clone()).or_default().push((role, tgt.clone(), b));
-        b
+    /// [`HornTbox::edge_forbidden`], read off the role-grouped `∄` rules.
+    pub fn edge_forbidden(&self, src: &LabelSet, role: EdgeSym, tgt: &LabelSet) -> bool {
+        self.layers().into_iter().any(|l| l.edge_forbidden(src, role, tgt))
     }
 
-    /// Memoized [`HornTbox::at_most`] over an arbitrary label set.
-    pub fn at_most_set(&mut self, set: &LabelSet) -> Arc<Vec<(EdgeSym, LabelSet)>> {
-        if let Some(r) = self.at_most_set_memo.get(set) {
-            return Arc::clone(r);
-        }
-        let r = Arc::new(self.firing(|l| &l.atmost, set));
-        self.at_most_set_memo.insert(set.clone(), Arc::clone(&r));
-        r
+    /// [`HornTbox::at_most`] over an arbitrary label set.
+    pub fn at_most_set(&self, set: &LabelSet) -> RuleList {
+        self.firing(&self.base.at_most, |l| &l.atmost, set)
     }
 
     /// The deduplicated `(role, K')` of the `rules` of both layers firing
     /// on `set`, in CI order: [`HornTbox::requirements`] over `exists`,
-    /// [`HornTbox::at_most`] over `atmost`.
+    /// [`HornTbox::at_most`] over `atmost`. The base layer's part comes
+    /// from (and goes into) the base's `shared` lists; the extra layer's
+    /// rules are appended, keeping first occurrences.
     fn firing(
         &self,
+        shared: &Mutex<FxHashMap<LabelSet, RuleList>>,
         rules: fn(&TboxIndex) -> &[(EdgeSym, LabelSet, LabelSet)],
         set: &LabelSet,
-    ) -> Vec<(EdgeSym, LabelSet)> {
-        let mut out: Vec<(EdgeSym, LabelSet)> = Vec::new();
-        for (role, lhs, rhs) in self.layers().into_iter().flat_map(rules) {
-            if lhs.is_subset(set) && !out.iter().any(|(r, k)| r == role && k == rhs) {
-                out.push((*role, rhs.clone()));
-            }
+    ) -> RuleList {
+        // Each update inserts one finished list, so a poisoned map is
+        // still valid.
+        let lock = || shared.lock().unwrap_or_else(PoisonError::into_inner);
+        let hit = lock().get(set).cloned();
+        let base = hit.unwrap_or_else(|| {
+            let mut out = Vec::new();
+            push_firing(&mut out, rules(&self.base.index), set);
+            Arc::clone(lock().entry(set.clone()).or_insert_with(|| Arc::new(out)))
+        });
+        let extra = rules(&self.extra);
+        if extra.is_empty() {
+            return base;
         }
-        out
+        let mut out = (*base).clone();
+        push_firing(&mut out, extra, set);
+        Arc::new(out)
     }
 
     /// [`HornTbox::closure`] over both layers.

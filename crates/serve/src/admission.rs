@@ -23,8 +23,9 @@
 //! [`AdmissionError::QuotaExceeded`] when slots are free but the tenant
 //! has consumed its share.
 
+use gts_net::lock;
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 /// The tenant used when a frame carries no `auth` token.
@@ -194,7 +195,7 @@ impl std::fmt::Debug for Permit<'_> {
 
 impl Drop for Permit<'_> {
     fn drop(&mut self) {
-        let mut s = self.adm.state.lock().unwrap();
+        let mut s = lock(&self.adm.state);
         s.inflight -= 1;
         if let Some(t) = s.tenants.get_mut(&self.tenant) {
             t.inflight -= 1;
@@ -235,7 +236,7 @@ impl Admission {
         tenant: &str,
         deadline: Option<Instant>,
     ) -> Result<Permit<'_>, AdmissionError> {
-        let mut s = self.state.lock().unwrap();
+        let mut s = lock(&self.state);
         if s.draining {
             s.stats.rejected_draining += 1;
             return Err(AdmissionError::Draining);
@@ -268,7 +269,7 @@ impl Admission {
                     break;
                 }
                 match deadline {
-                    None => s = self.cv.wait(s).unwrap(),
+                    None => s = self.cv.wait(s).unwrap_or_else(PoisonError::into_inner),
                     Some(d) => {
                         let now = Instant::now();
                         if now >= d {
@@ -277,7 +278,10 @@ impl Admission {
                             s.stats.rejected_deadline += 1;
                             return Err(AdmissionError::DeadlineExceeded);
                         }
-                        let (guard, _timeout) = self.cv.wait_timeout(s, d - now).unwrap();
+                        let (guard, _timeout) = self
+                            .cv
+                            .wait_timeout(s, d - now)
+                            .unwrap_or_else(PoisonError::into_inner);
                         s = guard;
                     }
                 }
@@ -296,20 +300,20 @@ impl Admission {
     /// `admit` calls fail fast. Already-admitted permits run to
     /// completion.
     pub fn begin_drain(&self) {
-        self.state.lock().unwrap().draining = true;
+        lock(&self.state).draining = true;
         self.cv.notify_all();
     }
 
     /// `true` once [`Admission::begin_drain`] has run.
     pub fn draining(&self) -> bool {
-        self.state.lock().unwrap().draining
+        lock(&self.state).draining
     }
 
     /// Blocks until no analysis is in flight (drain completion).
     pub fn await_idle(&self) {
-        let mut s = self.state.lock().unwrap();
+        let mut s = lock(&self.state);
         while s.inflight > 0 {
-            s = self.cv.wait(s).unwrap();
+            s = self.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -317,14 +321,14 @@ impl Admission {
     /// (the cumulative peak is folded into `peak_inflight`'s sibling
     /// fields).
     pub fn stats(&self) -> AdmissionStats {
-        let s = self.state.lock().unwrap();
+        let s = lock(&self.state);
         AdmissionStats { inflight: s.inflight, queued: s.queued, ..s.stats }
     }
 
     /// Per-tenant counters, sorted by tenant name. Tenants that never
     /// submitted work do not appear.
     pub fn tenant_stats(&self) -> Vec<TenantStats> {
-        let s = self.state.lock().unwrap();
+        let s = lock(&self.state);
         let mut out: Vec<TenantStats> = s
             .tenants
             .iter()

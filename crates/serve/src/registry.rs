@@ -23,6 +23,7 @@ use gts_core::containment::ContainmentOptions;
 use gts_core::graph::{FxHashMap, Vocab};
 use gts_core::schema::Schema;
 use gts_engine::{AnalysisSession, HydrateReport};
+use gts_net::lock;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -192,7 +193,7 @@ impl SessionRegistry {
         key: &str,
         build: impl FnOnce() -> AnalysisSession,
     ) -> (AnalysisSession, bool) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
         // On a hit, refresh the cached size: checkout is the one moment
@@ -261,7 +262,7 @@ impl SessionRegistry {
     /// traffic; a miss changes nothing, and the caller recomputes (its
     /// checkout then counts the miss).
     pub fn note_resident_hit(&self, fp: Fingerprint) -> bool {
-        let inner = &mut *self.inner.lock().unwrap();
+        let inner = &mut *lock(&self.inner);
         let Some(entry) = inner.entries.get_mut(&fp.0) else { return false };
         inner.tick += 1;
         entry.last_used = inner.tick;
@@ -271,7 +272,7 @@ impl SessionRegistry {
 
     /// Evicts one fingerprint; `true` iff it was resident.
     pub fn evict(&self, fp: Fingerprint) -> bool {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         match inner.entries.remove(&fp.0) {
             Some(entry) => {
                 inner.total_bytes -= entry.approx_bytes;
@@ -284,7 +285,7 @@ impl SessionRegistry {
 
     /// Evicts everything; returns how many sessions were dropped.
     pub fn evict_all(&self) -> usize {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         let n = inner.entries.len();
         inner.entries.clear();
         inner.total_bytes = 0;
@@ -297,7 +298,7 @@ impl SessionRegistry {
     /// wants current numbers); the eviction sweep itself stays on the
     /// cached values so it never touches memo locks per iteration.
     pub fn stats(&self) -> RegistryStats {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         let mut total = 0;
         for entry in inner.entries.values_mut() {
             entry.approx_bytes = entry.session.stats().approx_bytes;
@@ -326,7 +327,7 @@ impl SessionRegistry {
     /// on I/O.
     pub fn flush_all(&self) -> FlushSummary {
         let sessions: Vec<AnalysisSession> = {
-            let inner = self.inner.lock().unwrap();
+            let inner = lock(&self.inner);
             inner.entries.values().map(|e| e.session.clone()).collect()
         };
         let mut out = FlushSummary::default();
@@ -348,7 +349,7 @@ impl SessionRegistry {
     /// format [`gts_store`] persists), or `None` if not resident.
     pub fn export_resident(&self, fp: Fingerprint) -> Option<Vec<u8>> {
         let session = {
-            let inner = self.inner.lock().unwrap();
+            let inner = lock(&self.inner);
             inner.entries.get(&fp.0).map(|e| e.session.clone())
         }?;
         Some(session.export_store_bytes())
@@ -360,7 +361,7 @@ impl SessionRegistry {
     /// the bytes belong to a different identity.
     pub fn hydrate_resident(&self, fp: Fingerprint, bytes: &[u8]) -> Option<HydrateReport> {
         let mut session = {
-            let inner = self.inner.lock().unwrap();
+            let inner = lock(&self.inner);
             inner.entries.get(&fp.0).map(|e| e.session.clone())
         }?;
         session.hydrate_from_bytes(bytes)
@@ -398,7 +399,7 @@ impl SessionRegistry {
     /// LRU ties deterministically.
     #[cfg(test)]
     fn set_last_used(&self, fp: Fingerprint, tick: u64) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         if let Some(e) = inner.entries.get_mut(&fp.0) {
             e.last_used = tick;
         }
@@ -408,7 +409,7 @@ impl SessionRegistry {
     /// for asserting the invariant after churn.
     #[cfg(test)]
     fn byte_accounting(&self) -> (usize, usize) {
-        let inner = self.inner.lock().unwrap();
+        let inner = lock(&self.inner);
         (inner.total_bytes, inner.entries.values().map(|e| e.approx_bytes).sum())
     }
 }

@@ -31,7 +31,7 @@ use gts_core::sat::Budget;
 use gts_core::schema::Schema;
 use gts_core::Transformation;
 use gts_engine::{AnalysisSession, Json, Request, Verdict};
-use gts_net::{CodecError, ConnId, FrameOutput, ReactorConfig, ReactorControl, Service};
+use gts_net::{lock, CodecError, ConnId, FrameOutput, ReactorConfig, ReactorControl, Service};
 use gts_obs::{Counter, Gauge, Histogram, MetricsRegistry, SpanNode};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -371,7 +371,7 @@ impl Shared {
     fn compile(&self, gts: &str) -> Result<Arc<SourceFile>, String> {
         let hash = gts_store::fnv64(gts.as_bytes());
         {
-            let mut memo = self.memo.lock().unwrap();
+            let mut memo = lock(&self.memo);
             if let Some(mut pos) = memo.file_pos(hash, gts) {
                 if memo.entries[pos].answer.is_none() {
                     memo.touch(pos);
@@ -381,7 +381,7 @@ impl Shared {
             }
         }
         let compiled = (self.frontend.compile)(gts)?;
-        let mut memo = self.memo.lock().unwrap();
+        let mut memo = lock(&self.memo);
         // Another frame may have compiled the text meanwhile; keep one copy.
         if let Some(pos) = memo.file_pos(hash, gts) {
             return Ok(Arc::clone(&memo.entries[pos].file));
@@ -397,7 +397,7 @@ impl Shared {
     /// the memo, then the registry.
     fn memo_answer(&self, gts: &str, request: &str) -> Option<Json> {
         let hash = gts_store::fnv64(gts.as_bytes());
-        let mut memo = self.memo.lock().unwrap();
+        let mut memo = lock(&self.memo);
         let first = memo.file_pos(hash, gts)?;
         let file = Arc::clone(&memo.entries[first].file);
         let of_file = |e: &MemoEntry| Arc::ptr_eq(&e.file, &file);
@@ -421,7 +421,7 @@ impl Shared {
     /// Stores the rendered response to `request` over `file`, in place of
     /// the file's response-less entry.
     fn memo_store(&self, file: &Arc<SourceFile>, request: String, fp: Fingerprint, response: Json) {
-        let mut memo = self.memo.lock().unwrap();
+        let mut memo = lock(&self.memo);
         // Share the resident copy of the text, if another frame's compile
         // replaced ours while we computed.
         let file = match memo.file_pos(file.hash, &file.text) {

@@ -5,7 +5,7 @@
 //! verdict-for-verdict with the fresh-context decision procedure, and
 //! contexts over different TBoxes must never share state.
 
-use gts_core::containment::{complete, complete_with};
+use gts_core::containment::{complete, complete_with, Completion, CompletionConfig};
 use gts_core::prelude::*;
 use gts_core::sat::{decide, decide_in_ctx, RealizeCtx, TypeUniverse};
 use gts_engine::AnalysisSession;
@@ -128,7 +128,10 @@ fn cached_decide_agrees_with_fresh_on_random_instances() {
 /// extra CIs pushed onto it — requirement and at-most order included — and
 /// a solver context over it decides like a fresh `decide` over the merged
 /// TBox. Extras span every CI kind, always include an `∃` and an at-most
-/// CI (the kinds whose order shows), and repeat a CI of the base.
+/// CI (the kinds whose order shows), and repeat a CI of the base. Two
+/// sibling universes over one base, queried interleaved, each still match
+/// their own pushed TBox: the base's rule lists are shared, so neither
+/// sibling's extra layer may leak into the other's lists.
 #[test]
 fn extended_universe_matches_the_pushed_tbox() {
     let budget = Budget::default();
@@ -187,8 +190,8 @@ fn extended_universe_matches_the_pushed_tbox() {
                 assert_eq!(p, flat.propagate_set(s, role), "seed {seed}: propagate {s:?} {role:?}");
                 for tgt in &subsets {
                     assert_eq!(
-                        layered.edge_forbidden_memo(s, role, tgt),
-                        flat.edge_forbidden_memo(s, role, tgt),
+                        layered.edge_forbidden(s, role, tgt),
+                        flat.edge_forbidden(s, role, tgt),
                         "seed {seed}: edge {s:?} {role:?} {tgt:?}"
                     );
                 }
@@ -201,6 +204,38 @@ fn extended_universe_matches_the_pushed_tbox() {
             );
             assert_eq!(layered.at_most_on(role).count() > 0, flat.at_most_on(role).count() > 0);
             assert_eq!(layered.not_exists_touches(role), flat.not_exists_touches(role));
+        }
+
+        // The second sibling carries only `∀`/`⊥` extras, like the
+        // completion's probe encodings; the first has the `∃`/at-most
+        // extras above. Which sibling asks first alternates per set.
+        let probe_extra: Vec<HornCi> = (0..rng.gen_range(1..4))
+            .map(|_| {
+                let kind = rng.gen_range(1..3);
+                random_ci(kind, 4, 3, &mut rng)
+            })
+            .collect();
+        let mut probe_pushed = base.clone();
+        for ci in &probe_extra {
+            probe_pushed.push(ci.clone());
+        }
+        let mut siblings = [
+            (base_u.extended(extra.iter().cloned()), TypeUniverse::new(&pushed)),
+            (base_u.extended(probe_extra.iter().cloned()), TypeUniverse::new(&probe_pushed)),
+        ];
+        for (i, s) in subsets.iter().enumerate() {
+            for k in [i % 2, 1 - i % 2] {
+                let (layered, flat) = &mut siblings[k];
+                assert_eq!(layered.at_most_set(s), flat.at_most_set(s), "seed {seed} sibling {k}");
+                let (a, b) = (layered.close(s), flat.close(s));
+                assert_eq!(a, b, "seed {seed} sibling {k}: close {s:?}");
+                if let Some(t) = a {
+                    let (lr, fr) = (layered.requirements_of(t), flat.requirements_of(t));
+                    assert_eq!(lr, fr, "seed {seed} sibling {k}: requirements of {s:?}");
+                    let (la, fa) = (layered.at_most_of(t), flat.at_most_of(t));
+                    assert_eq!(la, fa, "seed {seed} sibling {k}: at-most of {s:?}");
+                }
+            }
         }
 
         let queries = random_queries(4, 3, &mut rng);
@@ -246,21 +281,57 @@ fn cross_tbox_isolation() {
 }
 
 /// Thread-fanned completions equal the plain completion on random
-/// TBoxes (byte-identical completed TBox and flags).
+/// TBoxes (byte-identical completed TBox and flags), and a query battery
+/// decided through the universe a completion hands over matches one
+/// decided through a fresh universe over its TBox, witness for witness.
+/// With `max_rounds: 1` a TBox that needs a reversal ends on the cap, so
+/// the handed-over universe is the fallback built over the final TBox.
 #[test]
 fn completions_agree_cached_and_threaded() {
     let budget = Budget::default();
     let cfg = Default::default();
+    let fresh = (NodeLabel(40), NodeLabel(41));
+    let same_verdicts = |c: &Completion, queries: &[C2rpq], what: &str| {
+        let mut handed = RealizeCtx::new(c.universe.clone(), budget.clone());
+        let mut rebuilt = RealizeCtx::new(TypeUniverse::new(&c.tbox), budget.clone());
+        for q in queries {
+            let (h, r) =
+                (decide_in_ctx(&mut handed, q, &budget), decide_in_ctx(&mut rebuilt, q, &budget));
+            assert_eq!(format!("{h:?}"), format!("{r:?}"), "{what}: {q:?}");
+        }
+    };
     for seed in 100..130u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let tbox = random_tbox(4, 2, rng.gen_range(3..9), &mut rng);
         let labels = set(&[0, 1, 2, 3]);
-        let fresh = (NodeLabel(40), NodeLabel(41));
         let plain = complete(&tbox, &labels, fresh, &budget, &cfg);
         let threaded = complete_with(&tbox, &labels, fresh, &budget, &cfg, 4);
         assert_eq!(plain.tbox, threaded.tbox, "seed {seed}");
         assert_eq!(plain.complete, threaded.complete, "seed {seed}");
+        let queries = random_queries(4, 2, &mut rng);
+        same_verdicts(&plain, &queries, &format!("seed {seed}"));
+        same_verdicts(&threaded, &queries, &format!("seed {seed} threaded"));
     }
+
+    // Example 5.3: ⊤ ⊑ A, A ⊑ ∃s.A, A ⊑ ∃≤1 s⁻.A needs the reversal
+    // A ⊑ ∃s⁻.A, which one round adds and a second would confirm.
+    let s = EdgeSym::fwd(EdgeLabel(0));
+    let mut t = HornTbox::new();
+    t.push(HornCi::SubAtom { lhs: LabelSet::new(), rhs: NodeLabel(0) });
+    t.push(HornCi::Exists { lhs: set(&[0]), role: s, rhs: set(&[0]) });
+    t.push(HornCi::AtMostOne { lhs: set(&[0]), role: s.inv(), rhs: set(&[0]) });
+    let capped = CompletionConfig { max_rounds: 1, ..CompletionConfig::default() };
+    let c = complete(&t, &set(&[0]), fresh, &budget, &capped);
+    assert!(!c.complete && c.added > 0, "the cap ends the completion");
+    let mut u = c.universe.clone();
+    let a = u.close(&set(&[0])).expect("A is consistent");
+    assert!(u.requirements_of(a).contains(&(s.inv(), set(&[0]))), "the reversal is indexed");
+    let queries: Vec<C2rpq> = [Regex::sym(s), Regex::sym(s.inv()).then(Regex::node(NodeLabel(0)))]
+        .into_iter()
+        .map(|re| C2rpq::new(2, vec![], vec![Atom { x: Var(0), y: Var(1), regex: re }]))
+        .chain(random_queries(1, 1, &mut StdRng::seed_from_u64(7)))
+        .collect();
+    same_verdicts(&c, &queries, "capped");
 }
 
 /// End-to-end: a session's shared verdict memo (asked every question
