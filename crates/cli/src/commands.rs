@@ -73,7 +73,8 @@ fn usage() -> String {
      \x20 (batch/client accept `-` as FILE to read the .gts source from stdin)\n\
      \x20 (single-file analysis commands take --trace: append the run's span tree)\n\
      \x20 (check/equiv/contains/safety exit 0 only on a proven HOLDS; an uncertified\n\
-     \x20  positive prints UNKNOWN and exits 1, like FAILS; errors exit 2)\n\
+     \x20  positive prints UNKNOWN and exits 1, like FAILS; batch exits 0 only when\n\
+     \x20  every verdict is a proven HOLDS; errors exit 2)\n\
      \x20 (check/equiv/elicit + batch/serve take --cache-dir DIR — or the GTS_CACHE_DIR env var —\n\
      \x20  to persist containment verdicts across runs in DIR/*.gtsc; --no-cache forces a\n\
      \x20  stateless run)\n"
@@ -563,7 +564,9 @@ fn run_batch(
                 match r.verdict {
                     Ok(Verdict::Decision(d)) => {
                         entry.set("holds", d.holds).set("certified", d.certified);
-                        all_hold &= d.holds;
+                        // An uncertified positive is no proof, as in
+                        // `check`/`equiv`.
+                        all_hold &= d.holds && d.certified;
                     }
                     Ok(Verdict::Elicited { schema, certified }) => {
                         entry
@@ -611,7 +614,8 @@ fn run_batch(
     let mut doc = Json::obj();
     doc.set("threads", threads).set("files", Json::Arr(files_json));
     // Exit-code contract: 2 = some analysis errored, 1 = every analysis
-    // ran but some property fails, 0 = everything holds.
+    // ran but some property fails or is unproven (an uncertified
+    // positive), 0 = every property is proven to hold.
     let code = if any_error { 2 } else { i32::from(!all_hold) };
     Ok(Outcome { code, output: doc.pretty() })
 }

@@ -330,6 +330,37 @@ edge p1 exhibits a2
         assert_eq!(out.output, "equivalence: UNKNOWN (uncertified — raise budgets)\n");
     }
 
+    /// `gts batch` exits 0 only when every verdict is proven. The stress
+    /// file keeps its `Marked` schema and the `Stress`/`StressSkew` pair:
+    /// every verdict of that suite reads `holds: true` (the type checks
+    /// are uncertified positives too), so the exit code can only come
+    /// from the unproven ones, the pinned non-equivalent pair among them.
+    #[test]
+    fn cli_batch_counts_an_uncertified_positive_as_not_holding() {
+        let sc = gts_corpus::scenario(gts_corpus::Family::Stress, &gts_corpus::Params::default());
+        let mut file = scenario_file(&sc);
+        file.schemas.retain(|(name, _)| name == "Marked");
+        file.transforms.retain(|(name, _)| name == "Stress" || name == "StressSkew");
+        let text = render_file(&file);
+        let read = move |_p: &str| Ok(text.clone());
+        let out = run(&args("batch stress.gts --threads 2"), &read);
+        assert_eq!(out.code, 1, "{}", out.output);
+        use gts_engine::Json;
+        let doc = Json::parse(&out.output).expect("batch prints JSON");
+        let files = doc.get("files").and_then(Json::as_arr).expect("files");
+        let results = files[0].get("results").and_then(Json::as_arr).expect("results");
+        let label = |r: &Json| r.get("label").and_then(Json::as_str).map(str::to_owned);
+        let pair = results
+            .iter()
+            .find(|r| label(r).as_deref() == Some("equiv Stress ~ StressSkew mod Marked"))
+            .expect("the stress pair is in the suite");
+        assert_eq!(pair.get("certified").and_then(Json::as_bool), Some(false));
+        for r in results {
+            assert_ne!(r.get("holds").and_then(Json::as_bool), Some(false), "{r:?}");
+            assert!(r.get("error").is_none(), "{r:?}");
+        }
+    }
+
     #[test]
     fn cli_batch_emits_json() {
         let out = run(&args("batch mem.gts --threads 2"), &read_mem(MEDICAL));

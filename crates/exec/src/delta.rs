@@ -6,9 +6,10 @@
 //! of the output. Applying a [`GraphDelta`] then costs work proportional
 //! to what the delta can actually influence:
 //!
-//! 1. the index is patched in place — only the edge labels the delta
-//!    touches rebuild their CSR pair ([`IndexedGraph`]'s `patch_label`),
-//!    node-label bitsets flip individual bits;
+//! 1. the index is patched in place — each changed edge edits one forward
+//!    and one reverse CSR row and its endpoints' degrees
+//!    ([`IndexedGraph`]'s `patch_edges`), node-label bitsets flip
+//!    individual bits;
 //! 2. for each relation, the **affected sources** are computed by a
 //!    *backward* product-BFS seeded at every (node, NFA-state) pair that
 //!    can take a changed transition — removed edges and labels are
@@ -16,26 +17,32 @@
 //!    the old and new graphs. A source outside this set provably keeps its
 //!    row: any accepting path it gains or loses must cross a changed
 //!    transition, which would put it in the backward-reachable set;
-//! 3. only affected rows re-run the forward product-BFS; the relation is
-//!    patched and reports per-source row diffs ([`RowDiff`]);
+//! 3. only affected rows re-run the forward product-BFS; the relation
+//!    replaces those rows and edits the matching reverse rows and
+//!    supports in place, reporting per-source row diffs ([`RowDiff`]);
 //! 4. row diffs become output diffs: rules whose body is a single-atom
 //!    fast-path shape (the copy/rewire rules that dominate real
 //!    transformations) map pair diffs straight to fact refcount updates;
 //!    general multi-atom rules re-join over the patched relations and
 //!    merge-diff against their stored tuples.
 //!
+//! Both searches of steps 2 and 3 share one resident visited table, sized
+//! for the widest automaton and grown with the instance, so a delta
+//! allocates no `|V| · |Q|` table. With CSR rows patched through an
+//! overlay (see [`crate::index`]), every structure edit costs the size of
+//! the delta and of the rows it affects, not the size of the instance.
+//!
 //! When the delta's frontier is too large for this to win — the touched
 //! fraction exceeds `1/`[`FALLBACK_TOUCH_DIVISOR`] of the instance, or the
 //! backward frontier exceeds `1/`[`FALLBACK_FRONTIER_DIVISOR`] of the
 //! nodes — the engine falls back to a full rebuild and says so in the
-//! returned [`DeltaOutcome`] (the crossover the `delta` benchmark section
-//! measures).
+//! returned [`DeltaOutcome`].
 
 use crate::exec::{assemble, eval_c2rpq_with, phase_metrics, EdgeFact, NodeFact};
 use crate::index::IndexedGraph;
-use crate::rpq::{ProductBfs, Relation, RowDiff, Visited};
+use crate::rpq::{ProductBfs, Relation, RowDiff};
 use gts_core::{Rule, Transformation};
-use gts_graph::{DeltaEffects, EdgeLabel, FxHashMap, FxHashSet, Graph, GraphDelta, NodeId};
+use gts_graph::{DeltaEffects, FxHashMap, FxHashSet, Graph, GraphDelta, NodeId};
 use gts_query::{AtomSym, C2rpq, Nfa, Regex};
 use std::collections::BTreeSet;
 
@@ -65,8 +72,8 @@ pub enum DeltaStrategy {
     FullRebuild,
 }
 
-/// What applying one delta did — the measurement surface of the `delta`
-/// benchmark section and the `gts run --delta` trailers.
+/// What applying one delta did — the measurement surface of the
+/// `exec-delta` benchmark workload and the `gts run --delta` trailers.
 #[derive(Clone, Debug, Default)]
 pub struct DeltaOutcome {
     /// Which path satisfied the delta.
@@ -166,10 +173,10 @@ pub struct Incremental {
     t: Transformation,
     graph: Graph,
     idx: IndexedGraph,
-    /// Current forward edge pairs per edge label — the input
-    /// `IndexedGraph::patch_label` rebuilds a touched label from.
-    label_edges: Vec<Vec<(u32, u32)>>,
     rels: Vec<RelEntry>,
+    /// The one visited table of every per-delta product search, sized
+    /// `num_nodes × max |Q|` over `rels` and grown with new nodes.
+    bfs: ProductBfs,
     rules: Vec<RuleState>,
     /// Fact multiplicity across rules; a fact is live while its count is
     /// positive.
@@ -186,8 +193,8 @@ impl Incremental {
             t: t.clone(),
             graph: g.clone(),
             idx: IndexedGraph::build(g),
-            label_edges: Vec::new(),
             rels: Vec::new(),
+            bfs: ProductBfs::new(0, 0),
             rules: Vec::new(),
             node_counts: FxHashMap::default(),
             edge_counts: FxHashMap::default(),
@@ -233,12 +240,13 @@ impl Incremental {
         assemble(&self.t, &per_rule)
     }
 
-    /// Approximate heap footprint of the incremental state (index plus
-    /// relations; the fact view is output-sized).
+    /// Approximate heap footprint of the incremental state (index,
+    /// relations and the resident visited table; the fact view is
+    /// output-sized).
     pub fn approx_bytes(&self) -> usize {
         self.idx.approx_bytes()
             + self.rels.iter().map(|e| e.rel.approx_bytes()).sum::<usize>()
-            + self.label_edges.iter().map(|v| v.capacity() * 8).sum::<usize>()
+            + self.bfs.approx_bytes()
     }
 
     /// Applies `delta` to the instance and patches the output state,
@@ -277,7 +285,7 @@ impl Incremental {
         let mut affected_per_rel: Vec<Vec<u32>> = Vec::with_capacity(self.rels.len());
         let mut affected_total = 0usize;
         for entry in &self.rels {
-            match affected_sources(&self.idx, entry, &maps, &fx, frontier_cap) {
+            match affected_sources(&self.idx, entry, &maps, &fx, frontier_cap, &mut self.bfs) {
                 Some(affected) => {
                     affected_total += affected.len();
                     affected_per_rel.push(affected);
@@ -298,17 +306,15 @@ impl Incremental {
                 diffs_per_rel.push(Vec::new());
                 continue;
             }
-            let mut bfs = ProductBfs::new(n, entry.nfa.num_states());
-            let mut changes: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-            let mut row: Vec<u32> = Vec::new();
+            let mut changes: Vec<(u32, Vec<u32>)> = Vec::with_capacity(affected.len());
             for &u in affected {
-                row.clear();
-                bfs.run(&self.idx, &entry.nfa, &entry.useful, u, &mut row);
+                let mut row: Vec<u32> = Vec::new();
+                self.bfs.run(&self.idx, &entry.nfa, &entry.useful, u, &mut row);
                 row.sort_unstable();
                 row.dedup();
-                changes.insert(u, row.clone());
+                changes.push((u, row));
             }
-            diffs_per_rel.push(entry.rel.patch_rows(n, &changes));
+            diffs_per_rel.push(entry.rel.patch_rows(n, changes));
         }
 
         // Turn row diffs into output-fact diffs per rule.
@@ -441,46 +447,23 @@ impl Incremental {
         })
     }
 
-    /// Patches the index and the per-label edge lists from the effective
-    /// changes (removals first, so a label or edge removed and re-added
-    /// ends present).
+    /// Patches the index from the effective changes (removals first, so
+    /// a label or edge removed and re-added ends present) and grows the
+    /// visited table with any new nodes.
     fn patch_index(&mut self, fx: &DeltaEffects) -> Result<(), String> {
         let _span = gts_obs::span("index_patch");
         let start = gts_obs::enabled().then(std::time::Instant::now);
         if fx.added_nodes > 0 {
             self.idx.grow_nodes(self.graph.num_nodes());
+            self.bfs.grow(self.graph.num_nodes());
         }
-        let mut touched_labels: BTreeSet<u32> = BTreeSet::new();
-        let mut removed_per_label: FxHashMap<u32, FxHashSet<(u32, u32)>> = FxHashMap::default();
-        for &(s, l, t) in &fx.removed_edges {
-            removed_per_label.entry(l.0).or_default().insert((s.0, t.0));
-            touched_labels.insert(l.0);
-        }
-        for &(_, l, _) in &fx.added_edges {
-            touched_labels.insert(l.0);
-        }
-        if let Some(&max) = touched_labels.iter().max() {
-            if self.label_edges.len() <= max as usize {
-                self.label_edges.resize_with(max as usize + 1, Vec::new);
-            }
-        }
-        for (&l, removed) in &removed_per_label {
-            self.label_edges[l as usize].retain(|p| !removed.contains(p));
-        }
-        for &(s, l, t) in &fx.added_edges {
-            self.label_edges[l.0 as usize].push((s.0, t.0));
-        }
-        for &l in &touched_labels {
-            let edges = &self.label_edges[l as usize];
-            self.idx.patch_label(EdgeLabel(l), edges).map_err(|e| e.to_string())?;
-        }
+        self.idx.patch_edges(&fx.removed_edges, &fx.added_edges).map_err(|e| e.to_string())?;
         for &(u, l) in &fx.removed_labels {
             self.idx.set_node_label(u.0, l, false);
         }
         for &(u, l) in &fx.added_labels {
             self.idx.set_node_label(u.0, l, true);
         }
-        self.idx.set_num_edges(self.graph.num_edges());
         if let Some(t0) = start {
             phase_metrics().index_patch.record(t0.elapsed().as_micros() as u64);
         }
@@ -506,18 +489,9 @@ impl Incremental {
         }
     }
 
-    /// (Re)builds everything derived from `graph` + `idx`: per-label edge
-    /// lists, deduplicated relations, rule states, and the fact view.
+    /// (Re)builds everything derived from `graph` + `idx`: deduplicated
+    /// relations, the visited table, rule states, and the fact view.
     fn rebuild_derived(&mut self) {
-        self.label_edges.clear();
-        for (s, l, t) in self.graph.edges() {
-            let li = l.0 as usize;
-            if self.label_edges.len() <= li {
-                self.label_edges.resize_with(li + 1, Vec::new);
-            }
-            self.label_edges[li].push((s.0, t.0));
-        }
-
         let mut by_regex: FxHashMap<Regex, usize> = FxHashMap::default();
         let mut rels: Vec<RelEntry> = Vec::new();
         let mut rules: Vec<RuleState> = Vec::new();
@@ -550,6 +524,8 @@ impl Incremental {
             });
             rules.push(RuleState { rel_ids, shape, tuples, floating_var, diag_count });
         }
+        let states = rels.iter().map(|e| e.nfa.num_states()).max().unwrap_or(0);
+        self.bfs = ProductBfs::new(self.idx.num_nodes(), states);
         self.rels = rels;
         self.rules = rules;
 
@@ -705,13 +681,15 @@ impl ChangeMaps {
 /// changed-transition seeds, with removed edges and labels consulted as
 /// virtual adjacency. Fresh nodes are always included (their rows start
 /// from nothing). Returns `None` when the frontier or the visited-mark
-/// budget exceeds `cap` (the caller falls back to a full rebuild).
+/// budget exceeds `cap` (the caller falls back to a full rebuild). Marks
+/// in `bfs`'s table, one generation per call.
 fn affected_sources(
     idx: &IndexedGraph,
     entry: &RelEntry,
     maps: &ChangeMaps,
     fx: &DeltaEffects,
     cap: usize,
+    bfs: &mut ProductBfs,
 ) -> Option<Vec<u32>> {
     let nfa = &entry.nfa;
     let useful = &entry.useful;
@@ -733,9 +711,9 @@ fn affected_sources(
         }
     }
 
-    let mut visited = Visited::new(idx.num_nodes(), states);
+    let ProductBfs { visited, worklist: work, .. } = bfs;
     visited.next_round();
-    let mut work: Vec<(u32, u32)> = Vec::new();
+    work.clear();
     let mut affected: Vec<u32> = Vec::new();
     let mut marks = 0usize;
     macro_rules! mark {
@@ -834,7 +812,7 @@ mod tests {
     use super::*;
     use crate::exec::{output_facts, ExecOptions};
     use gts_core::medical_transformation;
-    use gts_graph::{LabelSet, Vocab};
+    use gts_graph::{LabelSet, NodeLabel, Vocab};
 
     fn medical_graph(v: &mut Vocab) -> Graph {
         let vaccine = v.node_label("Vaccine");
@@ -959,6 +937,38 @@ mod tests {
         assert_eq!(out.touched, 0);
         assert_eq!(out.facts_added + out.facts_removed, 0);
         assert_eq!(inc.output_facts(), before);
+    }
+
+    /// The footprint counts the resident visited table and the overlay
+    /// rows a small delta leaves in the index and the relations.
+    #[test]
+    fn approx_bytes_counts_the_visited_table_and_overlay_rows() {
+        let mut v = Vocab::new();
+        let t = medical_transformation(&mut v);
+        let mut g = Graph::new();
+        let copy = medical_graph(&mut v);
+        for _ in 0..40 {
+            let base = g.num_nodes() as u32;
+            for u in copy.nodes() {
+                g.add_labeled_node(copy.labels(u).iter().map(NodeLabel));
+            }
+            for (s, l, t) in copy.edges() {
+                g.add_edge(NodeId(base + s.0), l, NodeId(base + t.0));
+            }
+        }
+        let mut inc = Incremental::new(&t, &g);
+        let idx_and_rels =
+            inc.idx.approx_bytes() + inc.rels.iter().map(|e| e.rel.approx_bytes()).sum::<usize>();
+        assert!(inc.bfs.approx_bytes() >= g.num_nodes() * 4);
+        assert_eq!(inc.approx_bytes(), idx_and_rels + inc.bfs.approx_bytes());
+        let before = inc.approx_bytes();
+        let cr = v.find_edge_label("crossReacting").unwrap();
+        let cut =
+            GraphDelta { removed_edges: vec![(NodeId(2), cr, NodeId(3))], ..GraphDelta::default() };
+        let out = inc.apply_delta(&cut).unwrap();
+        assert_eq!(out.strategy, DeltaStrategy::Incremental);
+        assert!(inc.approx_bytes() > before, "{} vs {before}", inc.approx_bytes());
+        assert_agrees_with_full(&inc, &t);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Immutable, query-optimized graph indexes.
+//! Query-optimized graph indexes.
 //!
 //! [`IndexedGraph`] is the execution engine's view of a
 //! [`gts_graph::Graph`]: CSR (compressed sparse row) forward and reverse
@@ -6,6 +6,13 @@
 //! built once per instance and shared read-only by every rule evaluation —
 //! the product-BFS of [`crate::rpq`] then walks plain integer slices
 //! instead of filtering hash-backed adjacency lists per step.
+//!
+//! The incremental executor ([`crate::Incremental`]) patches the index in
+//! place per delta: each changed edge edits one forward and one reverse
+//! row through the CSR's overlay of replaced rows, which folds back into
+//! the base arrays once it covers an eighth of the rows. An edit costs
+//! the row's length, not the label's edge count; a freshly built index
+//! has no overlay, and its row lookups skip it.
 //!
 //! Million-node instances get two extra affordances:
 //!
@@ -27,7 +34,7 @@
 //! hubs first — which is where degree ordering actually pays (longest
 //! per-source searches scheduled before the tail).
 
-use gts_graph::{EdgeLabel, EdgeSym, Graph, LabelSet, NodeId, NodeLabel};
+use gts_graph::{EdgeLabel, EdgeSym, FxHashMap, Graph, LabelSet, NodeId, NodeLabel};
 
 /// A structured index-construction failure. Carried up to the engine and
 /// rendered as a `bad_request`-style wire error by `gts-serve` instead of
@@ -98,13 +105,29 @@ impl IndexBuildOptions {
     }
 }
 
+/// Past `1 / FOLD_DIVISOR` of a [`Csr`]'s rows in its overlay, the next
+/// [`Csr::fold_if_due`] writes the overlay back into the base arrays. A
+/// fold costs `O(rows + targets)` and comes once per `rows / FOLD_DIVISOR`
+/// edited rows, so each edit pays `O(1 + targets / rows)` for it
+/// amortized.
+const FOLD_DIVISOR: usize = 8;
+
 /// One CSR structure over node-id rows: `targets[offsets[u] ..
-/// offsets[u+1]]` are the neighbors of node `u`. Shared by the adjacency
-/// index here and by [`crate::rpq::Relation`]'s pair columns.
+/// offsets[u+1]]` are the neighbors of node `u`, unless the overlay holds
+/// a replacement for row `u`. Shared by the adjacency index here and by
+/// [`crate::rpq::Relation`]'s pair columns.
+///
+/// Edits ([`Csr::replace_row`], [`Csr::insert`], [`Csr::remove`]) copy
+/// the row into the overlay and change it there, so an edit costs the
+/// row's length, not the structure's. The owner calls
+/// [`Csr::fold_if_due`] once per patch; a freshly built or folded CSR has
+/// an empty overlay and [`Csr::row`] reads the base arrays alone.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Csr {
     offsets: Vec<u32>,
     targets: Vec<u32>,
+    /// Rows edited since the last fold, each shadowing its base slice.
+    overlay: FxHashMap<u32, Vec<u32>>,
 }
 
 impl Csr {
@@ -144,7 +167,7 @@ impl Csr {
                 cursor[src as usize] += 1;
             }
         }
-        Ok(Csr { offsets, targets })
+        Ok(Csr { offsets, targets, overlay: FxHashMap::default() })
     }
 
     /// Builds from pair chunks in arbitrary order, sorting each row so
@@ -170,7 +193,7 @@ impl Csr {
 
     /// An empty CSR with `num_nodes` rows.
     pub(crate) fn empty(num_nodes: usize) -> Csr {
-        Csr { offsets: vec![0; num_nodes + 1], targets: Vec::new() }
+        Csr { offsets: vec![0; num_nodes + 1], ..Csr::default() }
     }
 
     /// Appends empty rows until there are `num_nodes` rows.
@@ -186,20 +209,90 @@ impl Csr {
         self.offsets.len().saturating_sub(1)
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint in bytes: the base arrays, the overlay
+    /// table and its rows.
     pub(crate) fn approx_bytes(&self) -> usize {
-        (self.offsets.capacity() + self.targets.capacity()) * std::mem::size_of::<u32>()
+        let u32s = self.offsets.capacity()
+            + self.targets.capacity()
+            + self.overlay.values().map(Vec::capacity).sum::<usize>();
+        u32s * std::mem::size_of::<u32>()
+            + self.overlay.capacity() * (std::mem::size_of::<(u32, Vec<u32>)>() + 1)
     }
 
     #[inline]
     pub(crate) fn row(&self, u: u32) -> &[u32] {
+        if !self.overlay.is_empty() {
+            if let Some(row) = self.overlay.get(&u) {
+                return row;
+            }
+        }
         &self.targets[self.offsets[u as usize] as usize..self.offsets[u as usize + 1] as usize]
+    }
+
+    /// Row `u`'s overlay copy, taken from the base arrays on first edit.
+    fn overlay_row(&mut self, u: u32) -> &mut Vec<u32> {
+        debug_assert!((u as usize) < self.num_rows(), "row {u} past the last row");
+        let (offsets, targets) = (&self.offsets, &self.targets);
+        self.overlay.entry(u).or_insert_with(|| {
+            targets[offsets[u as usize] as usize..offsets[u as usize + 1] as usize].to_vec()
+        })
+    }
+
+    /// Replaces row `u` with `row` (sorted, deduplicated).
+    pub(crate) fn replace_row(&mut self, u: u32, row: Vec<u32>) {
+        debug_assert!((u as usize) < self.num_rows(), "row {u} past the last row");
+        self.overlay.insert(u, row);
+    }
+
+    /// Inserts `v` into row `u`; `false` if it was already there.
+    pub(crate) fn insert(&mut self, u: u32, v: u32) -> bool {
+        match self.row(u).binary_search(&v) {
+            Ok(_) => false,
+            Err(pos) => {
+                self.overlay_row(u).insert(pos, v);
+                true
+            }
+        }
+    }
+
+    /// Removes `v` from row `u`; `false` if it was not there.
+    pub(crate) fn remove(&mut self, u: u32, v: u32) -> bool {
+        match self.row(u).binary_search(&v) {
+            Ok(pos) => {
+                self.overlay_row(u).remove(pos);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// Folds the overlay into fresh base arrays once it holds more than
+    /// `1 / FOLD_DIVISOR` of the rows. A fold past `u32::MAX` targets is
+    /// refused with [`IndexError::TooManyEdges`] (reporting `label`); the
+    /// overlay then stays in place, so every row still reads correctly.
+    pub(crate) fn fold_if_due(&mut self, label: u32) -> Result<(), IndexError> {
+        if self.overlay.len() * FOLD_DIVISOR <= self.num_rows() {
+            return Ok(());
+        }
+        let rows = 0..self.num_rows() as u32;
+        let total: usize = rows.clone().map(|u| self.row(u).len()).sum();
+        Csr::check_len(label, total)?;
+        let mut offsets = Vec::with_capacity(self.offsets.len());
+        let mut targets = Vec::with_capacity(total);
+        offsets.push(0);
+        for u in rows {
+            targets.extend_from_slice(self.row(u));
+            offsets.push(targets.len() as u32);
+        }
+        *self = Csr { offsets, targets, overlay: FxHashMap::default() };
+        Ok(())
     }
 }
 
-/// An immutable index of a finite graph, optimized for regular-path
-/// evaluation: per-edge-label CSR adjacency in both directions and
-/// per-node-label node bitsets.
+/// An index of a finite graph, optimized for regular-path evaluation:
+/// per-edge-label CSR adjacency in both directions and per-node-label
+/// node bitsets. Read-only during evaluation; only the incremental
+/// executor patches it, between evaluations.
 #[derive(Clone, Debug)]
 pub struct IndexedGraph {
     num_nodes: usize,
@@ -449,27 +542,47 @@ impl IndexedGraph {
         self.num_nodes = new_num_nodes;
     }
 
-    /// Rebuilds one edge label's forward and reverse CSRs from its full
-    /// (unsorted) forward pair list; `O(n + m_label)`.
-    pub(crate) fn patch_label(
+    /// Applies effective edge changes: `removed` first, then `added`
+    /// (so an edge in both ends present). Each edge edits one forward and
+    /// one reverse row and its endpoints' degree, so a patch costs
+    /// `O(|Δ| · deg)` plus an amortized share of the folds
+    /// ([`Csr::fold_if_due`]). A label past the current maximum gets empty
+    /// CSRs first. On [`IndexError::TooManyEdges`] the index still reads
+    /// correctly; only the fold was refused.
+    pub(crate) fn patch_edges(
         &mut self,
-        label: EdgeLabel,
-        edges: &[(u32, u32)],
+        removed: &[(NodeId, EdgeLabel, NodeId)],
+        added: &[(NodeId, EdgeLabel, NodeId)],
     ) -> Result<(), IndexError> {
-        let l = label.0 as usize;
-        while self.fwd.len() <= l {
-            self.fwd.push(Csr::empty(self.num_nodes));
-            self.rev.push(Csr::empty(self.num_nodes));
+        for &(s, l, t) in removed {
+            let l = l.0 as usize;
+            if l >= self.fwd.len() || !self.fwd[l].remove(s.0, t.0) {
+                continue;
+            }
+            self.rev[l].remove(t.0, s.0);
+            self.degree[s.0 as usize] -= 1;
+            self.degree[t.0 as usize] -= 1;
+            self.num_edges -= 1;
         }
-        for (u, d) in self.degree.iter_mut().enumerate() {
-            *d -= (self.fwd[l].row(u as u32).len() + self.rev[l].row(u as u32).len()) as u32;
+        for &(s, l, t) in added {
+            let l = l.0 as usize;
+            while self.fwd.len() <= l {
+                self.fwd.push(Csr::empty(self.num_nodes));
+                self.rev.push(Csr::empty(self.num_nodes));
+            }
+            if !self.fwd[l].insert(s.0, t.0) {
+                continue;
+            }
+            self.rev[l].insert(t.0, s.0);
+            self.degree[s.0 as usize] += 1;
+            self.degree[t.0 as usize] += 1;
+            self.num_edges += 1;
         }
-        self.fwd[l] = Csr::try_build_parts(self.num_nodes, label.0, &[edges])?;
-        let mut rev_edges: Vec<(u32, u32)> = edges.iter().map(|&(s, t)| (t, s)).collect();
-        rev_edges.sort_unstable();
-        self.rev[l] = Csr::from_sorted_pairs(self.num_nodes, &rev_edges);
-        for (u, d) in self.degree.iter_mut().enumerate() {
-            *d += (self.fwd[l].row(u as u32).len() + self.rev[l].row(u as u32).len()) as u32;
+        for &(_, EdgeLabel(l), _) in removed.iter().chain(added) {
+            if (l as usize) < self.fwd.len() {
+                self.fwd[l as usize].fold_if_due(l)?;
+                self.rev[l as usize].fold_if_due(l)?;
+            }
         }
         Ok(())
     }
@@ -485,11 +598,6 @@ impl IndexedGraph {
         } else {
             self.by_label[l].remove(u);
         }
-    }
-
-    /// Updates the cached edge count after a patch.
-    pub(crate) fn set_num_edges(&mut self, num_edges: usize) {
-        self.num_edges = num_edges;
     }
 }
 
@@ -634,27 +742,119 @@ mod tests {
         assert_eq!(idx.degree(99), 0);
     }
 
+    /// Rows held in the overlays of every CSR of `idx`.
+    fn overlay_rows(idx: &IndexedGraph) -> usize {
+        idx.fwd.iter().chain(&idx.rev).map(|c| c.overlay.len()).sum()
+    }
+
+    /// Seeded random deltas on 40 nodes, each patched in through
+    /// [`IndexedGraph::patch_edges`] and compared with a fresh build: the
+    /// edits cross the fold threshold many times, and the mix includes
+    /// self-loops, labels past the current maximum, tombstones (whose
+    /// edges arrive as removals) and fresh nodes ([`IndexedGraph::grow_nodes`]).
     #[test]
-    fn patch_label_matches_full_rebuild() {
-        let (v, mut g) = fixture();
-        let r = v.find_edge_label("r").unwrap();
-        let s = v.find_edge_label("s").unwrap();
-        let mut idx = IndexedGraph::build(&g);
-        // Mutate label r: drop the self loop, add n2 -r-> n0.
-        g.remove_edge(NodeId(1), r, NodeId(1));
-        g.add_edge(NodeId(2), r, NodeId(0));
-        let r_edges: Vec<(u32, u32)> =
-            g.edges().filter(|&(_, l, _)| l == r).map(|(s, _, t)| (s.0, t.0)).collect();
-        idx.patch_label(r, &r_edges).unwrap();
-        idx.set_num_edges(g.num_edges());
-        let fresh = IndexedGraph::build(&g);
-        for u in 0..3u32 {
-            for sym in [EdgeSym::fwd(r), EdgeSym::bwd(r), EdgeSym::fwd(s), EdgeSym::bwd(s)] {
-                assert_eq!(idx.successors(u, sym), fresh.successors(u, sym), "u={u} {sym:?}");
+    fn patch_edges_matches_full_rebuild() {
+        use gts_graph::GraphDelta;
+        use rand::{Rng, SeedableRng};
+        let (mut saw_overlay, mut saw_fold) = (false, false);
+        for seed in 0..6u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut g = Graph::new();
+            for _ in 0..40 {
+                g.add_node();
             }
-            assert_eq!(idx.degree(u), fresh.degree(u), "degree of {u}");
+            for _ in 0..80 {
+                let (s, t) = (rng.gen_range(0..40u32), rng.gen_range(0..40u32));
+                g.add_edge(NodeId(s), EdgeLabel(rng.gen_range(0..2u32)), NodeId(t));
+            }
+            let mut idx = IndexedGraph::build(&g);
+            for step in 0..60u32 {
+                let n = g.num_nodes() as u32;
+                // Labels 2.. first appear as the steps go on.
+                let labels = 2 + step / 15;
+                let mut d = GraphDelta::default();
+                if step % 10 == 9 {
+                    d.added_nodes.push(LabelSet::new());
+                    d.added_edges.push((NodeId(rng.gen_range(0..n)), EdgeLabel(0), NodeId(n)));
+                }
+                if step % 7 == 6 {
+                    d.removed_nodes.push(NodeId(rng.gen_range(0..n)));
+                }
+                for _ in 0..rng.gen_range(1..6) {
+                    let s = NodeId(rng.gen_range(0..n));
+                    let t = if rng.gen_bool(0.2) { s } else { NodeId(rng.gen_range(0..n)) };
+                    let l = EdgeLabel(rng.gen_range(0..labels));
+                    if rng.gen_bool(0.4) {
+                        d.removed_edges.push((s, l, t));
+                    } else {
+                        d.added_edges.push((s, l, t));
+                    }
+                }
+                let fx = d.apply_in_place(&mut g).unwrap();
+                let before = overlay_rows(&idx);
+                if fx.added_nodes > 0 {
+                    idx.grow_nodes(g.num_nodes());
+                }
+                idx.patch_edges(&fx.removed_edges, &fx.added_edges).unwrap();
+                let after = overlay_rows(&idx);
+                saw_overlay |= after > 0;
+                saw_fold |= after < before;
+
+                let fresh = IndexedGraph::build(&g);
+                assert_eq!(idx.num_nodes(), fresh.num_nodes(), "seed {seed} step {step}");
+                assert_eq!(idx.num_edges(), fresh.num_edges(), "seed {seed} step {step}");
+                for u in 0..g.num_nodes() as u32 {
+                    for l in 0..labels + 1 {
+                        for sym in [EdgeSym::fwd(EdgeLabel(l)), EdgeSym::bwd(EdgeLabel(l))] {
+                            assert_eq!(
+                                idx.successors(u, sym),
+                                fresh.successors(u, sym),
+                                "seed {seed} step {step} u={u} {sym:?}"
+                            );
+                        }
+                    }
+                    assert_eq!(idx.degree(u), fresh.degree(u), "seed {seed} step {step} u={u}");
+                }
+            }
         }
-        assert_eq!(idx.num_edges(), fresh.num_edges());
+        assert!(saw_overlay && saw_fold, "overlay {saw_overlay}, fold {saw_fold}");
+    }
+
+    /// Overlay rows count toward the footprint, and a fold leaves exactly
+    /// what a fresh build of the same graph holds.
+    #[test]
+    fn approx_bytes_counts_the_overlay_and_a_fold_restores_the_fresh_figure() {
+        let r = EdgeLabel(0);
+        let mut g = Graph::new();
+        for _ in 0..64 {
+            g.add_node();
+        }
+        let ring: Vec<_> = (0..64u32).map(|u| (NodeId(u), r, NodeId((u + 1) % 64))).collect();
+        for &(s, l, t) in &ring {
+            g.add_edge(s, l, t);
+        }
+        let mut idx = IndexedGraph::build(&g);
+        let fresh_bytes = idx.approx_bytes();
+
+        // One edge: one forward and one reverse row in the overlays.
+        idx.patch_edges(&ring[..1], &[]).unwrap();
+        assert_eq!(overlay_rows(&idx), 2);
+        assert!(idx.approx_bytes() > fresh_bytes);
+        idx.patch_edges(&[], &ring[..1]).unwrap();
+
+        // Nine edited rows of 64 pass the fold threshold in both
+        // directions; the ring is whole again afterwards.
+        idx.patch_edges(&ring[1..9], &[]).unwrap();
+        assert_eq!(overlay_rows(&idx), 0, "both directions folded");
+        idx.patch_edges(&[], &ring[1..9]).unwrap();
+        assert_eq!(overlay_rows(&idx), 16, "eight rows per direction stay below it");
+        idx.patch_edges(&ring[9..10], &ring[9..10]).unwrap();
+        assert_eq!(overlay_rows(&idx), 0);
+        assert_eq!(idx.approx_bytes(), fresh_bytes);
+        assert_eq!(idx.approx_bytes(), IndexedGraph::build(&g).approx_bytes());
+        for u in 0..64u32 {
+            assert_eq!(idx.successors(u, EdgeSym::fwd(r)), &[(u + 1) % 64]);
+        }
     }
 
     #[test]

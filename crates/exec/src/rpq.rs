@@ -47,12 +47,48 @@ impl NodeCol {
     /// representation.
     pub(crate) fn from_sorted_vec(ids: Vec<u32>) -> NodeCol {
         match ids.last() {
-            // Dense wins once the 4-bytes-per-id vector outweighs the
-            // max_id/8-byte bitset.
-            Some(&max) if ids.len() as u64 * 32 >= max as u64 => {
+            Some(&max) if NodeCol::dense_wins(ids.len(), max) => {
                 NodeCol::Dense(LabelSet::from_iter(ids))
             }
             _ => NodeCol::Sparse(ids),
+        }
+    }
+
+    /// Dense wins once the 4-bytes-per-id vector outweighs the
+    /// max_id/8-byte bitset.
+    fn dense_wins(len: usize, max: u32) -> bool {
+        len as u64 * 32 >= max as u64
+    }
+
+    /// Adds `u`; a sparse column turns dense once that is the smaller
+    /// encoding, as [`NodeCol::from_sorted_vec`] would choose it.
+    pub(crate) fn insert(&mut self, u: u32) {
+        match self {
+            NodeCol::Sparse(ids) => {
+                if let Err(pos) = ids.binary_search(&u) {
+                    ids.insert(pos, u);
+                    if NodeCol::dense_wins(ids.len(), ids[ids.len() - 1]) {
+                        *self = NodeCol::Dense(LabelSet::from_iter(ids.iter().copied()));
+                    }
+                }
+            }
+            NodeCol::Dense(set) => {
+                set.insert(u);
+            }
+        }
+    }
+
+    /// Drops `u` (the representation stays as it is).
+    pub(crate) fn remove(&mut self, u: u32) {
+        match self {
+            NodeCol::Sparse(ids) => {
+                if let Ok(pos) = ids.binary_search(&u) {
+                    ids.remove(pos);
+                }
+            }
+            NodeCol::Dense(set) => {
+                set.remove(u);
+            }
         }
     }
 
@@ -192,46 +228,55 @@ impl Relation {
         }
     }
 
-    /// Replaces the rows of the given sources with new (sorted,
-    /// deduplicated) target lists, rebuilding both orientations and the
-    /// supports in `O(n + len)`; `num_nodes` may exceed the old row count
-    /// when the patch accompanies added nodes. Returns the per-source
-    /// row diffs — what the incremental executor patches matches from.
+    /// Replaces the rows of the given (distinct) sources with new
+    /// sorted, deduplicated target lists; `num_nodes` may exceed the old
+    /// row count when the patch accompanies added nodes. Each changed row
+    /// is replaced in the forward CSR, each changed pair edits one reverse
+    /// row, and `len` and both supports are updated per edit, so the
+    /// patch costs the lengths of the changed rows and of the reverse rows
+    /// their changed pairs touch, plus an amortized share of the CSR
+    /// folds. Returns the
+    /// per-source row diffs, ordered by source — what the incremental
+    /// executor patches matches from.
     pub(crate) fn patch_rows(
         &mut self,
         num_nodes: usize,
-        changes: &FxHashMap<u32, Vec<u32>>,
+        changes: Vec<(u32, Vec<u32>)>,
     ) -> Vec<RowDiff> {
-        let old_rows = self.fwd.num_rows();
+        self.fwd.grow_rows(num_nodes);
+        self.rev.grow_rows(num_nodes);
         let mut diffs: Vec<RowDiff> = Vec::with_capacity(changes.len());
-        for (&u, new_row) in changes {
-            let old_row: &[u32] = if (u as usize) < old_rows { self.fwd.row(u) } else { &[] };
-            let (removed, added) = diff_sorted(old_row, new_row);
-            if !removed.is_empty() || !added.is_empty() {
-                diffs.push(RowDiff { source: u, removed, added });
+        for (u, new_row) in changes {
+            let old_row = self.fwd.row(u);
+            let (removed, added) = diff_sorted(old_row, &new_row);
+            if removed.is_empty() && added.is_empty() {
+                continue;
             }
+            match (old_row.is_empty(), new_row.is_empty()) {
+                (true, false) => self.src_support.insert(u),
+                (false, true) => self.src_support.remove(u),
+                _ => {}
+            }
+            for &v in &removed {
+                self.rev.remove(v, u);
+                if self.rev.row(v).is_empty() {
+                    self.tgt_support.remove(v);
+                }
+            }
+            for &v in &added {
+                if self.rev.row(v).is_empty() {
+                    self.tgt_support.insert(v);
+                }
+                self.rev.insert(v, u);
+            }
+            self.len = self.len + added.len() - removed.len();
+            self.fwd.replace_row(u, new_row);
+            diffs.push(RowDiff { source: u, removed, added });
+        }
+        for csr in [&mut self.fwd, &mut self.rev] {
+            csr.fold_if_due(0).unwrap_or_else(|e| panic!("{e}"));
         }
         diffs.sort_by_key(|d| d.source);
-        if diffs.is_empty() {
-            // Nothing changed beyond (possibly) new empty rows.
-            self.fwd.grow_rows(num_nodes);
-            self.rev.grow_rows(num_nodes);
-            return diffs;
-        }
-
-        let row_of = |u: u32| -> &[u32] {
-            match changes.get(&u) {
-                Some(row) => row.as_slice(),
-                None if (u as usize) < old_rows => self.fwd.row(u),
-                None => &[],
-            }
-        };
-        let mut pairs: Vec<(u32, u32)> =
-            Vec::with_capacity((0..num_nodes as u32).map(|u| row_of(u).len()).sum());
-        for u in 0..num_nodes as u32 {
-            pairs.extend(row_of(u).iter().map(|&v| (u, v)));
-        }
-        *self = Relation::from_sorted_pairs(num_nodes, pairs);
         diffs
     }
 
@@ -338,9 +383,8 @@ fn diff_sorted(old: &[u32], new: &[u32]) -> (Vec<u32>, Vec<u32>) {
 }
 
 /// The prefiltered BFS sources of `nfa` over `idx`: nodes able to take
-/// some useful first transition (shared by [`Relation::build`] and the
-/// incremental executor's frontier seeding).
-pub(crate) fn first_transition_sources(idx: &IndexedGraph, nfa: &Nfa, useful: &[bool]) -> LabelSet {
+/// some useful first transition.
+fn first_transition_sources(idx: &IndexedGraph, nfa: &Nfa, useful: &[bool]) -> LabelSet {
     let mut sources = LabelSet::new();
     for &(sym, q) in nfa.transitions(nfa.initial()) {
         if !useful[q] {
@@ -369,7 +413,10 @@ pub(crate) fn first_transition_sources(idx: &IndexedGraph, nfa: &Nfa, useful: &[
 /// [`Visited::DENSE_MAX`] slots (64 MiB of `u32`), a stamped hash map
 /// beyond — the dense table is reset in `O(1)` per source by bumping the
 /// stamp, the sparse one pays a hash per mark but keeps million-node ×
-/// many-state products from allocating gigabytes.
+/// many-state products from allocating gigabytes. A table sized for `Q`
+/// states serves any automaton with at most `Q` (marks are keyed
+/// `node * states + state` with the automaton's own `states`), since each
+/// generation belongs to one search.
 pub(crate) enum Visited {
     /// Dense stamp array indexed `node * states + state`.
     Dense { stamp: u32, slots: Vec<u32> },
@@ -385,6 +432,31 @@ impl Visited {
             Visited::Dense { stamp: 0, slots: vec![0; num_nodes * states.max(1)] }
         } else {
             Visited::Sparse { stamp: 0, map: FxHashMap::default() }
+        }
+    }
+
+    /// Extends a table made by `Visited::new(_, states)` to `num_nodes`
+    /// nodes; a dense table past [`Visited::DENSE_MAX`] turns sparse.
+    /// New slots read as unmarked in the current generation.
+    pub(crate) fn grow(&mut self, num_nodes: usize, states: usize) {
+        if let Visited::Dense { stamp, slots } = self {
+            let len = num_nodes.saturating_mul(states.max(1));
+            if len <= Visited::DENSE_MAX {
+                if len > slots.len() {
+                    // Zeroed slots read unmarked: a live stamp is never 0.
+                    slots.resize(len, 0);
+                }
+            } else {
+                *self = Visited::Sparse { stamp: *stamp, map: FxHashMap::default() };
+            }
+        }
+    }
+
+    /// Approximate heap footprint in bytes.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        match self {
+            Visited::Dense { slots, .. } => slots.capacity() * std::mem::size_of::<u32>(),
+            Visited::Sparse { map, .. } => map.capacity() * (std::mem::size_of::<(u64, u32)>() + 1),
         }
     }
 
@@ -430,12 +502,15 @@ impl Visited {
     }
 }
 
-/// Reusable single-source product-search state: one [`Visited`] table
-/// shared across every source of a relation build.
+/// Reusable product-search state: one [`Visited`] table and one work
+/// list, sized for automata of up to `states` states. A relation build
+/// shares one across its sources; the incremental executor keeps one
+/// resident across deltas and relations.
 pub(crate) struct ProductBfs {
+    /// The widest automaton the table serves.
     states: usize,
-    visited: Visited,
-    worklist: Vec<(u32, u32)>,
+    pub(crate) visited: Visited,
+    pub(crate) worklist: Vec<(u32, u32)>,
 }
 
 impl ProductBfs {
@@ -445,6 +520,16 @@ impl ProductBfs {
             visited: Visited::new(num_nodes, states),
             worklist: Vec::new(),
         }
+    }
+
+    /// Extends the table to `num_nodes` nodes.
+    pub(crate) fn grow(&mut self, num_nodes: usize) {
+        self.visited.grow(num_nodes, self.states);
+    }
+
+    /// Approximate heap footprint in bytes.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        self.visited.approx_bytes() + self.worklist.capacity() * std::mem::size_of::<(u32, u32)>()
     }
 
     /// Appends to `result` every node reachable from `start` along an
@@ -459,9 +544,11 @@ impl ProductBfs {
         start: u32,
         result: &mut Vec<u32>,
     ) {
+        let states = nfa.num_states().max(1);
+        debug_assert!(states <= self.states, "automaton wider than the visited table");
         self.visited.next_round();
         self.worklist.clear();
-        self.visited.mark(self.states, start, 0);
+        self.visited.mark(states, start, 0);
         self.worklist.push((start, 0));
         if nfa.is_final(0) {
             result.push(start);
@@ -474,7 +561,7 @@ impl ProductBfs {
                 let q = q as u32;
                 match sym {
                     AtomSym::Node(a) => {
-                        if idx.has_label(u, a) && self.visited.mark(self.states, u, q) {
+                        if idx.has_label(u, a) && self.visited.mark(states, u, q) {
                             if nfa.is_final(q as usize) {
                                 result.push(u);
                             }
@@ -483,7 +570,7 @@ impl ProductBfs {
                     }
                     AtomSym::Edge(r) => {
                         for &v in idx.successors(u, r) {
-                            if self.visited.mark(self.states, v, q) {
+                            if self.visited.mark(states, v, q) {
                                 if nfa.is_final(q as usize) {
                                     result.push(v);
                                 }
@@ -607,6 +694,21 @@ mod tests {
         }
     }
 
+    /// Everything a patched relation answers equals what `fresh` answers.
+    fn assert_same_relation(rel: &Relation, fresh: &Relation, n: usize, ctx: &str) {
+        assert_eq!(rel.len(), fresh.len(), "{ctx}");
+        assert_eq!(rel.iter_pairs().collect::<Vec<_>>(), fresh.iter_pairs().collect::<Vec<_>>());
+        for v in 0..n as u32 {
+            assert_eq!(rel.sources_of(v), fresh.sources_of(v), "{ctx}: sources of {v}");
+        }
+        for (got, want) in
+            [(rel.src_support(), fresh.src_support()), (rel.tgt_support(), fresh.tgt_support())]
+        {
+            assert_eq!(got.iter().collect::<Vec<_>>(), want.iter().collect::<Vec<_>>(), "{ctx}");
+            assert_eq!(got.len(), want.len(), "{ctx}");
+        }
+    }
+
     #[test]
     fn patch_rows_matches_fresh_build_and_reports_diffs() {
         let (v, mut g) = medical();
@@ -621,21 +723,60 @@ mod tests {
         g.remove_edge(NodeId(2), cr, NodeId(3));
         let idx2 = IndexedGraph::build(&g);
         let fresh = Relation::build(&idx2, &nfa);
-        let mut changes = FxHashMap::default();
-        changes.insert(0u32, fresh.targets_of(0).to_vec());
-        let diffs = rel.patch_rows(g.num_nodes(), &changes);
+        let diffs = rel.patch_rows(g.num_nodes(), vec![(0, fresh.targets_of(0).to_vec())]);
         assert_eq!(diffs.len(), 1);
         assert_eq!(diffs[0].source, 0);
         assert_eq!(diffs[0].removed, vec![3]);
         assert!(diffs[0].added.is_empty());
-        let patched: Vec<_> = rel.iter_pairs().collect();
-        let want: Vec<_> = fresh.iter_pairs().collect();
-        assert_eq!(patched, want);
-        assert_eq!(rel.len(), fresh.len());
-        assert_eq!(rel.sources_of(2), fresh.sources_of(2));
-        assert_eq!(
-            rel.src_support().iter().collect::<Vec<_>>(),
-            fresh.src_support().iter().collect::<Vec<_>>()
-        );
+        assert_same_relation(&rel, &fresh, g.num_nodes(), "medical cut");
+
+        // Random row replacements against `from_sorted_pairs` of the
+        // patched pair set. A wide id range keeps the supports sparse, a
+        // narrow one dense, and the middle one starts sparse and turns
+        // dense as rows fill; row counts grow past the base on the way.
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
+        let (mut saw_sparse, mut saw_dense) = (false, false);
+        for (seed, n) in [(1u64, 64usize), (2, 5000), (3, 300)] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let base = n - 8;
+            let mut pairs: BTreeSet<(u32, u32)> = (0..5)
+                .map(|_| (rng.gen_range(0..base as u32), rng.gen_range(0..base as u32)))
+                .collect();
+            let mut rel = Relation::from_sorted_pairs(base, pairs.iter().copied().collect());
+            for step in 0..60 {
+                let rows = if step < 30 { base } else { n };
+                let mut sources: Vec<u32> =
+                    (0..rng.gen_range(1..6)).map(|_| rng.gen_range(0..rows as u32)).collect();
+                sources.sort_unstable();
+                sources.dedup();
+                let mut changes = Vec::new();
+                let mut want_diffs = Vec::new();
+                for u in sources {
+                    let row: BTreeSet<u32> =
+                        (0..rng.gen_range(0..4)).map(|_| rng.gen_range(0..rows as u32)).collect();
+                    let old: BTreeSet<u32> = rel.targets_of(u).iter().copied().collect();
+                    if old != row {
+                        let removed: Vec<u32> = old.difference(&row).copied().collect();
+                        let added: Vec<u32> = row.difference(&old).copied().collect();
+                        want_diffs.push((u, removed, added));
+                    }
+                    pairs.retain(|&(a, _)| a != u);
+                    pairs.extend(row.iter().map(|&v| (u, v)));
+                    changes.push((u, row.into_iter().collect()));
+                }
+                let diffs = rel.patch_rows(rows, changes);
+                let got: Vec<_> =
+                    diffs.into_iter().map(|d| (d.source, d.removed, d.added)).collect();
+                assert_eq!(got, want_diffs, "seed {seed} step {step}");
+                let fresh = Relation::from_sorted_pairs(rows, pairs.iter().copied().collect());
+                assert_same_relation(&rel, &fresh, rows, &format!("seed {seed} step {step}"));
+                for col in [rel.src_support(), rel.tgt_support()] {
+                    saw_sparse |= matches!(col, NodeCol::Sparse(ids) if !ids.is_empty());
+                    saw_dense |= matches!(col, NodeCol::Dense(_));
+                }
+            }
+        }
+        assert!(saw_sparse && saw_dense, "sparse {saw_sparse}, dense {saw_dense}");
     }
 }
