@@ -71,6 +71,8 @@ fn usage() -> String {
      \x20           [--seed N] [--scale N]                 fixtures, or self-check determinism,\n\
      \x20                                                  conformance, and expected verdicts\n\
      \x20 (batch/client accept `-` as FILE to read the .gts source from stdin)\n\
+     \x20 (run/batch --threads N: N shards; 0, the default, one per core once the\n\
+     \x20  work pays for it; 1 runs inline; shards share one budget of cores - 1 threads)\n\
      \x20 (single-file analysis commands take --trace: append the run's span tree)\n\
      \x20 (check/equiv/contains/safety exit 0 only on a proven HOLDS; an uncertified\n\
      \x20  positive prints UNKNOWN and exits 1, like FAILS; batch exits 0 only when\n\
@@ -499,10 +501,10 @@ pub(crate) fn suite(file: &GtsFile) -> Vec<(String, Vec<(String, SuiteSpec)>)> {
 /// every (source, target) schema pair, pairwise equivalence of the
 /// transformations modulo each schema, and schema elicitation of each
 /// transformation from each schema — through one cached
-/// [`AnalysisSession`] per (file, source schema), sharded across worker
-/// threads. Emits one JSON document on stdout; `--stats` adds a
-/// per-file `session` occupancy block (the counters the `gts-serve`
-/// registry budgets against).
+/// [`AnalysisSession`] per (file, source schema), dealt into `--threads`
+/// shards (one per core by default). Emits one JSON document on stdout;
+/// `--stats` adds a per-file `session` occupancy block (the counters the
+/// `gts-serve` registry budgets against).
 fn run_batch(
     paths: &[String],
     flags: &HashMap<String, String>,
@@ -513,7 +515,7 @@ fn run_batch(
     }
     let threads: usize = match flags.get("threads") {
         Some(s) => s.parse().map_err(|_| format!("--threads: not a number: `{s}`"))?,
-        None => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8),
+        None => 0, // one shard per core
     };
     let cache_dir = cache_dir_from(flags);
     let mut files_json = Vec::new();

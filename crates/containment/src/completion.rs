@@ -30,8 +30,9 @@
 //! [`Completion`] hands its callers an empty universe over that index
 //! ([`Completion::universe`]); only a completion ended by `max_rounds`
 //! indexes `T*` anew.
-//! The sweep (b) can fan out over worker threads (chunked by pair index,
-//! merged in order, so the result matches the sequential sweep whenever
+//! The sweep (b) can fan out over [`gts_obs::par`] shards (chunked by
+//! pair index, merged in order, so the result matches the sequential
+//! sweep whenever
 //! the engine budgets don't bind — warm solver contexts can resolve
 //! budget-*bound* verdicts a cold context would report `Unknown`, see
 //! `gts_sat::decide_in_ctx`). Completions are not memoized: the negation
@@ -88,8 +89,9 @@ pub fn complete(
     complete_with(tbox, schema_labels, fresh, budget, cfg, 1)
 }
 
-/// [`complete`] with a worker-thread count for the entailment sweep (`0`
-/// = available parallelism, `1` = sequential). Runs in a `completion` span
+/// [`complete`] with a shard count for the entailment sweep (`0` = one
+/// shard per core once the sweep has 64 pairs per shard, `1` =
+/// sequential, `n` = `n` shards, at most one per 64 pairs). Runs in a `completion` span
 /// and records its latency in `gts_containment_completion_micros`.
 pub fn complete_with(
     tbox: &HornTbox,
@@ -193,9 +195,9 @@ fn complete_inner(
 
 /// Evaluates every `(i, role, j)` pair of the cycle-search graph, in pair
 /// order, reasoning through `universe` (the round's, over its TBox);
-/// parallel workers take contiguous chunks, each on a clone of the
+/// parallel shards take contiguous chunks, each on a clone of the
 /// universe, and results are merged by index, so the output never depends
-/// on the thread count.
+/// on the shard count.
 fn entail_sweep(
     universe: TypeUniverse,
     nodes: &[LabelSet],
@@ -236,7 +238,11 @@ fn entail_sweep(
             .filter_map(|(a, r, b)| Some((*node_idx.get(a)?, *r, *node_idx.get(b)?)))
             .collect()
     };
-    let workers = resolve_threads(threads, pairs.len());
+    // Below this many pairs per shard a shard's fresh context costs more
+    // than the probes it takes over.
+    const MIN_PAIRS_PER_WORKER: usize = 64;
+    let shards = gts_obs::par::shards(threads, || pairs.len() >= 2 * MIN_PAIRS_PER_WORKER)
+        .clamp(1, (pairs.len() / MIN_PAIRS_PER_WORKER).max(1));
     let mut complete = true;
     let mut edges = Vec::new();
     let probe_chunk =
@@ -244,7 +250,7 @@ fn entail_sweep(
             let ctx = EntailCtx::new(universe, fresh, budget.clone());
             // Compute the per-(K, role) fast-path state once per role the
             // chunk actually touches, so the inner per-pair check is a few
-            // subset tests with no hashing — and parallel workers don't each
+            // subset tests with no hashing — and parallel shards don't each
             // recompute the whole matrix.
             let mut fast: Vec<Option<Vec<ExistsFast>>> = vec![None; roles.len()];
             for &(_, ri, _) in chunk_pairs {
@@ -274,21 +280,18 @@ fn entail_sweep(
                 })
                 .collect()
         };
-    let results: Vec<Vec<(bool, bool)>> = if workers <= 1 {
-        vec![probe_chunk(universe, &pairs)]
+    let results: Vec<(bool, bool)> = if shards <= 1 {
+        probe_chunk(universe, &pairs)
     } else {
-        // Contiguous chunks keep the per-worker memos effective (adjacent
+        // Contiguous chunks keep the per-shard memos effective (adjacent
         // pairs share their (role, K') group).
-        let chunk = pairs.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = pairs
-                .chunks(chunk)
-                .map(|chunk_pairs| scope.spawn(|| probe_chunk(universe.clone(), chunk_pairs)))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("entailment worker panicked")).collect()
+        let chunk = pairs.len().div_ceil(shards);
+        gts_obs::par::map(pairs.chunks(chunk), |chunk_pairs| {
+            probe_chunk(universe.clone(), chunk_pairs)
         })
+        .concat()
     };
-    for (&(i, ri, j), (is_edge, certified)) in pairs.iter().zip(results.into_iter().flatten()) {
+    for (&(i, ri, j), (is_edge, certified)) in pairs.iter().zip(results) {
         complete &= certified;
         if is_edge {
             edges.push((i, ri, j));
@@ -298,18 +301,6 @@ fn entail_sweep(
     // list, then j — the order the straightforward nested loop would use.
     edges.sort_unstable();
     (edges.into_iter().map(|(i, ri, j)| (i, roles[ri], j)).collect(), complete)
-}
-
-/// Resolves a thread-count option against the work size: `0` picks the
-/// available parallelism (capped at 8); the result never exceeds the work
-/// item count and parallelism is skipped entirely below a minimum batch.
-fn resolve_threads(threads: usize, work_items: usize) -> usize {
-    const MIN_PAIRS_PER_WORKER: usize = 64;
-    let t = match threads {
-        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8),
-        t => t,
-    };
-    t.clamp(1, (work_items / MIN_PAIRS_PER_WORKER).max(1))
 }
 
 /// The forward-closed type universe: closures of schema-label singletons,

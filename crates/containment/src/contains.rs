@@ -22,14 +22,14 @@
 //! which reuses the converged round's index and rule lists. Nothing
 //! outlives the call; reuse across questions is the verdict memo of
 //! `gts-engine`'s `AnalysisSession`. The entailment probes inside a
-//! completion run on contexts the sweep owns and drops. With
-//! [`ContainmentOptions::threads`] > 1 the independent choices fan out
-//! over worker threads; the completion's entailment sweep shards by its
-//! own work-size rule (see [`ContainmentOptions::threads`]). Results are
-//! merged in submission order, so verdicts and witnesses do not depend on
-//! the thread count as long as the engine budgets don't bind (a sweep
-//! worker's warm contexts can resolve budget-bound verdicts a cold context
-//! would report `Unknown`).
+//! completion run on contexts the sweep owns and drops. Choices are
+//! decided one after another, stopping at the first `Sat`; the only
+//! parallel section is the completion's entailment sweep, which shards by
+//! its own work-size rule (see [`ContainmentOptions::threads`]) and merges
+//! in order, so verdicts and witnesses do not depend on the thread count
+//! as long as the engine budgets don't bind (a sweep shard's warm contexts
+//! can resolve budget-bound verdicts a cold context would report
+//! `Unknown`).
 
 use crate::booleanize::booleanize;
 use crate::completion::{complete_with, Completion, CompletionConfig};
@@ -48,11 +48,11 @@ pub struct ContainmentOptions {
     pub budget: Budget,
     /// Completion caps.
     pub completion: CompletionConfig,
-    /// Worker threads for the parallel sections (per-choice satisfiability
-    /// fan-out and the completion's entailment sweep); `1` runs both
-    /// sequentially. The default `0` shards the sweep over the available
-    /// parallelism (at most 8) once it has 64 pairs per worker, and keeps
-    /// the per-choice fan-out sequential.
+    /// Shards for the completion's entailment sweep. The default `0`
+    /// takes one shard per core once the sweep has 64 pairs per shard;
+    /// `1` runs it sequentially; `n` takes `n` shards (at most one per 64
+    /// pairs). Shards run on the caller plus the extra threads
+    /// [`gts_obs::par`]'s process-wide budget has free.
     pub threads: usize,
 }
 
@@ -95,51 +95,6 @@ pub fn contains(
     opts: &ContainmentOptions,
 ) -> Result<ContainmentAnswer, ContainmentError> {
     contains_lowered(p, q, &HornTbox::new(), s, vocab, opts)
-}
-
-/// The per-(choice, disjunct) satisfiability outcomes of one choice.
-struct ChoiceResult {
-    completion_ok: bool,
-    /// One verdict per disjunct, in order; the vector stops after the
-    /// first `Sat` (later disjuncts need no evaluation for the overall
-    /// answer — identical to the sequential short-circuit).
-    verdicts: Vec<Verdict>,
-}
-
-fn solve_choice(
-    choice: &HornTbox,
-    shared: &SharedInputs<'_>,
-    opts: &ContainmentOptions,
-) -> ChoiceResult {
-    let t = HornTbox::merged([shared.hat_ts, choice, shared.extra]);
-    // Theorem 5.4 / Lemma D.7: complete.
-    let Completion { universe, complete: completion_ok, .. } = complete_with(
-        &t,
-        shared.schema_label_set,
-        shared.fresh,
-        &opts.budget,
-        &opts.completion,
-        opts.threads,
-    );
-    let mut verdicts = Vec::new();
-    let mut ctx = RealizeCtx::new(universe, opts.budget.clone());
-    for pd in shared.p_hat_disjuncts {
-        let v = gts_sat::decide_in_ctx(&mut ctx, pd, &opts.budget);
-        let is_sat = v.is_sat();
-        verdicts.push(v);
-        if is_sat {
-            break;
-        }
-    }
-    ChoiceResult { completion_ok, verdicts }
-}
-
-struct SharedInputs<'a> {
-    hat_ts: &'a HornTbox,
-    extra: &'a HornTbox,
-    schema_label_set: &'a gts_graph::LabelSet,
-    fresh: (gts_graph::NodeLabel, gts_graph::NodeLabel),
-    p_hat_disjuncts: &'a [C2rpq],
 }
 
 /// The shared pipeline behind [`contains`] and
@@ -222,85 +177,36 @@ fn contains_lowered_inner(
     let hat_ts = b.schema.hat_tbox();
     let schema_label_set = b.schema.node_label_set();
     let fresh = (vocab.fresh_node_label("B"), vocab.fresh_node_label("B"));
-    let shared = SharedInputs {
-        hat_ts: &hat_ts,
-        extra,
-        schema_label_set: &schema_label_set,
-        fresh,
-        p_hat_disjuncts: &p_hat.disjuncts,
-    };
 
     // Certification is one-sided in the completion: a *partial* completion
     // T*' ⊆ T* only removes CIs, so UNSAT modulo T*' implies UNSAT modulo
     // T* — "containment holds" verdicts remain certificates even when the
     // completion hit a cap. Only SAT witnesses (non-containment) need the
     // full completion to correspond to finite counterexamples (Thm 5.4).
-    let workers = choice_workers(opts.threads, unique_choices.len());
-    let results: Vec<ChoiceResult> = if workers > 1 {
-        // Independent per-choice pipelines fan out over exactly `workers`
-        // threads (contiguous chunks); the merge below scans results in
-        // submission order, reproducing the sequential verdict (and
-        // witness) exactly. The thread budget is spent here, so each
-        // choice's completion sweep runs sequentially (no multiplicative
-        // oversubscription).
-        let choice_opts = ContainmentOptions { threads: 1, ..opts.clone() };
-        let chunk = unique_choices.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = unique_choices
-                .chunks(chunk)
-                .map(|choices| {
-                    let shared = &shared;
-                    let choice_opts = &choice_opts;
-                    scope.spawn(move || {
-                        choices
-                            .iter()
-                            .map(|choice| solve_choice(choice, shared, choice_opts))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("choice worker panicked")).collect()
-        })
-    } else {
-        // Sequential: stop at the first choice producing a Sat — later
-        // choices' completions cannot change a non-containment verdict.
-        let mut out = Vec::new();
-        for choice in &unique_choices {
-            let result = solve_choice(choice, &shared, opts);
-            let sat = result.verdicts.iter().any(Verdict::is_sat);
-            out.push(result);
-            if sat {
-                break;
-            }
-        }
-        out
-    };
-
+    // Choices are decided in order, and the first Sat ends the search:
+    // later choices' completions cannot change a non-containment verdict.
     let mut all_certified = true;
-    for result in results {
-        for v in result.verdicts {
-            match v {
-                Verdict::Sat(w) => {
-                    return Ok(finish(false, result.completion_ok, Some(w.core)));
-                }
+    for choice in unique_choices {
+        let t = HornTbox::merged([&hat_ts, choice, extra]);
+        // Theorem 5.4 / Lemma D.7: complete.
+        let Completion { universe, complete: completion_ok, .. } = complete_with(
+            &t,
+            &schema_label_set,
+            fresh,
+            &opts.budget,
+            &opts.completion,
+            opts.threads,
+        );
+        let mut ctx = RealizeCtx::new(universe, opts.budget.clone());
+        for pd in &p_hat.disjuncts {
+            match gts_sat::decide_in_ctx(&mut ctx, pd, &opts.budget) {
+                Verdict::Sat(w) => return Ok(finish(false, completion_ok, Some(w.core))),
                 Verdict::Unsat => {}
-                Verdict::Unknown(_) => {
-                    all_certified = false;
-                }
+                Verdict::Unknown(_) => all_certified = false,
             }
         }
     }
     Ok(finish(true, all_certified, None))
-}
-
-/// Worker count for the per-choice fan-out: parallelism only pays when
-/// there are several independent choices to pipeline.
-fn choice_workers(threads: usize, choices: usize) -> usize {
-    let t = match threads {
-        0 => 1, // auto currently defers to the completion-sweep parallelism
-        t => t,
-    };
-    t.clamp(1, choices)
 }
 
 /// Satisfiability of a query modulo a schema: `q ⊄_S ∅` (used for trimming
@@ -632,7 +538,7 @@ mod tests {
         assert!(contains(&bwd, &fwd, &s, &mut v, &opts()).unwrap().holds);
     }
 
-    /// Thread-count must not change verdicts (parallel fan-out merge).
+    /// The sweep's shard count must not change verdicts (ordered merge).
     #[test]
     fn threaded_contains_matches_sequential() {
         let mut v = Vocab::new();
@@ -642,8 +548,8 @@ mod tests {
         let mut s = Schema::new();
         s.set_edge(a, r, a, Mult::Star, Mult::Star);
         s.set_edge(a, sl, a, Mult::Star, Mult::Star);
-        // A two-component RHS yields several negation choices → several
-        // independent per-choice pipelines.
+        // A two-component RHS yields several negation choices, each with
+        // its own completion sweep.
         let p = Uc2rpq::single(C2rpq::new(
             2,
             vec![],

@@ -1,11 +1,11 @@
-//! Batched analysis execution over a worker pool.
+//! Batched analysis execution in shards.
 //!
 //! A [`Batch`] collects many analysis requests against one
-//! [`AnalysisSession`] and runs them across `std::thread` workers. Work
-//! distribution is a *work-stealing-free sharded queue*: request indices
-//! are dealt round-robin into one shard per worker up front, so workers
-//! never contend on a shared queue — the only shared state is the
-//! session's containment memo, which every worker both reads and warms.
+//! [`AnalysisSession`] and runs them in [`gts_obs::par`] shards. Work
+//! distribution is a *work-stealing-free sharded queue*: requests are
+//! dealt round-robin into shards up front, so shards never contend on a
+//! shared queue — the only shared state is the session's containment
+//! memo, which every shard both reads and warms.
 //!
 //! Results come back in submission order, each with its wall-clock time,
 //! so callers (the `gts batch` subcommand) can attribute cost per
@@ -70,7 +70,7 @@ impl Request {
 
     /// Runs this request against `session` (the session's schema is the
     /// source schema). This is the single execution path for requests —
-    /// [`Batch`] workers, the `gts batch` subcommand, and the `gts-serve`
+    /// [`Batch`] shards, the `gts batch` subcommand, and the `gts-serve`
     /// connection handlers all go through it — so the per-kind latency
     /// series (`gts_engine_request_micros{kind=…}`) and request spans
     /// cover every caller.
@@ -208,47 +208,26 @@ impl Batch {
         self.items.is_empty()
     }
 
-    /// Runs all requests on `threads` workers (clamped to the number of
-    /// requests; `0` or `1` runs inline on the calling thread) and returns
-    /// the results in submission order, along with the session — warmed
-    /// by the run — for inspection or reuse.
+    /// Runs all requests and returns the results in submission order,
+    /// along with the session — warmed by the run — for inspection or
+    /// reuse. `threads` is the shard count: `0` deals the requests into
+    /// one shard per core, `1` runs them inline on the calling thread's
+    /// session, `n` deals them into `n` shards (at most one per request).
+    /// Each shard runs on a clone of the session, sharing its containment
+    /// memo, on the caller or one of the extra threads
+    /// [`gts_obs::par`]'s process-wide budget has free.
     pub fn run(self, threads: usize) -> (Vec<BatchResult>, AnalysisSession) {
         let Batch { mut session, items } = self;
-        let workers = threads.clamp(1, items.len().max(1));
-        if workers <= 1 {
+        let shards = gts_obs::par::shards(threads, || items.len() > 1).min(items.len());
+        if shards <= 1 {
             let results =
                 items.into_iter().map(|(label, req)| run_one(&mut session, label, req)).collect();
             return (results, session);
         }
-
-        // Deal indices round-robin into one shard per worker.
-        let mut shards: Vec<Vec<(usize, String, Request)>> = vec![Vec::new(); workers];
-        for (i, (label, req)) in items.into_iter().enumerate() {
-            shards[i % workers].push((i, label, req));
-        }
-        let total: usize = shards.iter().map(Vec::len).sum();
-        let mut slots: Vec<Option<BatchResult>> = (0..total).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .into_iter()
-                .map(|shard| {
-                    // Clones share the containment memo with `session`.
-                    let mut worker = session.clone();
-                    scope.spawn(move || {
-                        shard
-                            .into_iter()
-                            .map(|(i, label, req)| (i, run_one(&mut worker, label, req)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, result) in handle.join().expect("batch worker panicked") {
-                    slots[i] = Some(result);
-                }
-            }
+        let results = gts_obs::par::map_dealt(items, shards, |shard| {
+            let mut worker = session.clone();
+            shard.into_iter().map(|(label, req)| run_one(&mut worker, label, req)).collect()
         });
-        let results = slots.into_iter().map(|r| r.expect("every request ran")).collect();
         (results, session)
     }
 }

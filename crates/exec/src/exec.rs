@@ -5,10 +5,9 @@
 //! product-BFS each over the atom's Glushkov automaton) and joined
 //! by backtracking with bitset candidate intersection. A
 //! [`Transformation`] is executed by evaluating all rule bodies — in
-//! parallel across a sharded `std::thread` worker pool, the same
-//! work-stealing-free pattern `gts-engine` uses for analysis batches —
-//! and assembling the output graph single-threaded in rule order, so the
-//! result is deterministic regardless of thread count.
+//! shards over [`gts_obs::par`], the one fan-out every parallel section
+//! shares — and assembling the output graph single-threaded in rule
+//! order, so the result is deterministic regardless of thread count.
 
 use crate::index::IndexedGraph;
 use crate::rpq::{NodeCol, Relation};
@@ -25,12 +24,13 @@ pub type EdgeFact = (NodeFact, EdgeLabel, NodeFact);
 /// Execution options.
 #[derive(Clone, Debug, Default)]
 pub struct ExecOptions {
-    /// Worker threads for rule-body evaluation; `0` (the default) picks
-    /// the available parallelism (capped at 8) once the estimated work
-    /// (`rules × (nodes + edges)`) clears this host's measured cutoff —
-    /// below it, spawning workers costs more than the evaluation saves.
-    /// `1` runs inline; an explicit `threads >= 2` always shards as
-    /// requested.
+    /// Shards for rule-body evaluation. `0` (the default) deals the rules
+    /// into one shard per core once the estimated work (`rules × (nodes +
+    /// edges)`) clears this host's measured cutoff, and runs inline below
+    /// it, where fanning out costs more than the evaluation saves. `1`
+    /// runs inline; `n` deals the rules into `n` shards (at most one per
+    /// rule). Shards run on the caller plus the extra threads
+    /// [`gts_obs::par`]'s process-wide budget has free.
     pub threads: usize,
 }
 
@@ -40,22 +40,18 @@ pub const DEFAULT_MIN_PARALLEL_WORK: usize = 8_192;
 
 /// This host's sharding crossover, measured once per process in a few
 /// milliseconds: the estimated work (`rules × elements`) below which
-/// sharding cannot recoup its spawn overhead (with a 2× safety margin),
+/// sharding cannot recoup its fan-out overhead (with a 2× safety margin),
 /// clamped to `[DEFAULT_MIN_PARALLEL_WORK, 2^22]`. On a single-core host
 /// auto mode never shards, so the figure goes unread there.
 fn min_parallel_work() -> usize {
     static CELL: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *CELL.get_or_init(|| {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8);
-        // Cost of spawning and joining that many scoped threads.
+        let cores = gts_obs::par::cores();
+        // Cost of one full-width map of empty shards.
         let spawn_overhead_micros = (0..3)
             .map(|_| {
                 let t0 = std::time::Instant::now();
-                std::thread::scope(|scope| {
-                    for _ in 0..cores {
-                        scope.spawn(|| std::hint::black_box(0u64));
-                    }
-                });
+                gts_obs::par::map(0..cores, std::hint::black_box);
                 t0.elapsed().as_micros() as u64
             })
             .min()
@@ -102,27 +98,6 @@ fn min_parallel_work() -> usize {
             (spawn_overhead_micros as f64 * 1_000.0) / (eval_nanos_per_element * saved_frac);
         ((2.0 * break_even) as usize).clamp(DEFAULT_MIN_PARALLEL_WORK, 1 << 22)
     })
-}
-
-impl ExecOptions {
-    /// Threads for one instance, given the work items (rules) and the
-    /// instance size. An explicit `threads >= 1` is honored as requested;
-    /// the work-size cutoff only gates the `threads == 0` auto mode (the
-    /// path where silently sharding small instances was a measured
-    /// regression).
-    fn resolve_threads_for(&self, work_items: usize, instance_size: usize) -> usize {
-        let t = match self.threads {
-            0 => {
-                let estimated_work = work_items.saturating_mul(instance_size.max(1));
-                if estimated_work < min_parallel_work() {
-                    return 1;
-                }
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
-            }
-            t => t,
-        };
-        t.clamp(1, work_items.max(1))
-    }
 }
 
 /// Evaluates a C2RPQ over the index, returning the sorted, deduplicated
@@ -265,8 +240,8 @@ pub fn eval_uc2rpq(idx: &IndexedGraph, u: &Uc2rpq) -> Vec<Vec<NodeId>> {
 
 /// Evaluates every rule body of `t` over the index; returns one sorted
 /// tuple list per rule, in rule order. This is the parallel section of
-/// [`execute_with`]: rules are dealt round-robin into one shard per
-/// worker, workers share only the immutable index.
+/// [`execute_with`]: rules are dealt round-robin into shards that share
+/// only the immutable index.
 pub fn eval_rule_bodies(
     idx: &IndexedGraph,
     t: &Transformation,
@@ -295,34 +270,12 @@ fn eval_rule_bodies_inner(
         })
         .collect();
     let instance_size = idx.num_nodes() + idx.num_edges();
-    let workers = opts.resolve_threads_for(bodies.len(), instance_size);
-    if workers <= 1 {
-        return bodies.into_iter().map(|b| eval_c2rpq(idx, b)).collect();
-    }
-    let mut shards: Vec<Vec<(usize, &C2rpq)>> = vec![Vec::new(); workers];
-    for (i, body) in bodies.iter().enumerate() {
-        shards[i % workers].push((i, body));
-    }
-    let mut slots: Vec<Option<Vec<Vec<NodeId>>>> = (0..bodies.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|shard| {
-                scope.spawn(move || {
-                    shard
-                        .into_iter()
-                        .map(|(i, body)| (i, eval_c2rpq(idx, body)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, tuples) in handle.join().expect("executor worker panicked") {
-                slots[i] = Some(tuples);
-            }
-        }
+    let shards = gts_obs::par::shards(opts.threads, || {
+        bodies.len().saturating_mul(instance_size.max(1)) >= min_parallel_work()
     });
-    slots.into_iter().map(|s| s.expect("every rule evaluated")).collect()
+    gts_obs::par::map_dealt(bodies, shards, |shard| {
+        shard.into_iter().map(|body| eval_c2rpq(idx, body)).collect()
+    })
 }
 
 /// Executes the transformation over a pre-built index.

@@ -33,13 +33,11 @@ pub struct HarnessConfig {
     pub size_per_label: usize,
     /// Generation attempts per instance before it is skipped.
     pub attempts: usize,
-    /// Worker threads handed to the executor.
-    pub threads: usize,
 }
 
 impl Default for HarnessConfig {
     fn default() -> Self {
-        HarnessConfig { instances: 8, size_per_label: 3, attempts: 5, threads: 1 }
+        HarnessConfig { instances: 8, size_per_label: 3, attempts: 5 }
     }
 }
 
@@ -142,7 +140,7 @@ pub fn differential_type_check<R: Rng>(
     rng: &mut R,
 ) -> HarnessReport {
     let mut report = HarnessReport::default();
-    let opts = ExecOptions { threads: cfg.threads };
+    let opts = ExecOptions { threads: 1 };
     for _ in 0..cfg.instances {
         let Some(g) = random_conforming_graph(source, cfg.size_per_label, cfg.attempts, rng) else {
             report.skipped += 1;
@@ -182,7 +180,7 @@ pub fn differential_equivalence<R: Rng>(
     rng: &mut R,
 ) -> HarnessReport {
     let mut report = HarnessReport::default();
-    let opts = ExecOptions { threads: cfg.threads };
+    let opts = ExecOptions { threads: 1 };
     for _ in 0..cfg.instances {
         let Some(g) = random_conforming_graph(source, cfg.size_per_label, cfg.attempts, rng) else {
             report.skipped += 1;

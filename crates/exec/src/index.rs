@@ -17,10 +17,9 @@
 //! Million-node instances get two extra affordances:
 //!
 //! * **chunked parallel construction** ([`IndexBuildOptions::threads`]):
-//!   edges are partitioned per label by scoped workers over contiguous
-//!   node ranges, then the per-(label, direction) counting-sort fills run
-//!   in parallel across the same worker pool — the sharded
-//!   work-dealing pattern `gts-engine` uses for analysis batches;
+//!   edges are partitioned per label in shards over contiguous node
+//!   ranges, then the per-(label, direction) counting-sort fills are
+//!   dealt into as many shards, both through [`gts_obs::par`];
 //! * **memory-budget accounting** ([`IndexedGraph::approx_bytes`],
 //!   [`IndexBuildOptions::budget_bytes`]): the exact CSR footprint is
 //!   known from the partition counts *before* the big allocations happen,
@@ -82,28 +81,20 @@ impl std::error::Error for IndexError {}
 /// Options for [`IndexedGraph::try_build_with`].
 #[derive(Clone, Debug, Default)]
 pub struct IndexBuildOptions {
-    /// Worker threads for the chunked partition + fill; `0` (the default)
-    /// picks the available parallelism (capped at 8) once the graph is
-    /// large enough to amortize the spawns, `1` forces the serial path.
+    /// Shards for the chunked partition + fill. `0` (the default) takes
+    /// one shard per core once the graph has 2^16 edges and builds
+    /// serially below; `1` forces the serial path; `n` takes
+    /// `n` shards. Shards run on the caller plus the extra threads
+    /// [`gts_obs::par`]'s process-wide budget has free.
     pub threads: usize,
     /// Refuse to build when the predicted footprint
     /// ([`IndexedGraph::approx_bytes`]) exceeds this many bytes.
     pub budget_bytes: Option<usize>,
 }
 
-/// Below this many edges the chunked build's thread spawns cost more than
-/// the fill saves; auto mode (`threads == 0`) stays serial under it.
+/// Below this many edges the chunked build's fan-out costs more than the
+/// fill saves; auto mode (`threads == 0`) stays serial under it.
 const MIN_CHUNKED_EDGES: usize = 1 << 16;
-
-impl IndexBuildOptions {
-    fn resolve_threads(&self, num_edges: usize) -> usize {
-        match self.threads {
-            0 if num_edges < MIN_CHUNKED_EDGES => 1,
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8),
-            t => t,
-        }
-    }
-}
 
 /// Past `1 / FOLD_DIVISOR` of a [`Csr`]'s rows in its overlay, the next
 /// [`Csr::fold_if_due`] writes the overlay back into the base arrays. A
@@ -141,7 +132,7 @@ impl Csr {
     }
 
     /// Counting-sort fill over one or more edge-pair chunks (the chunked
-    /// parallel build hands each label its per-worker partitions without
+    /// parallel build hands each label its per-shard partitions without
     /// concatenating them first).
     fn try_fill_parts(
         num_nodes: usize,
@@ -335,23 +326,15 @@ impl IndexedGraph {
 
     fn build_inner(g: &Graph, opts: &IndexBuildOptions) -> Result<IndexedGraph, IndexError> {
         let n = g.num_nodes();
-        let workers = opts.resolve_threads(g.num_edges()).clamp(1, n.max(1));
-        // Partition edges per label, forward and reverse, each worker
+        let shards = gts_obs::par::shards(opts.threads, || g.num_edges() >= MIN_CHUNKED_EDGES)
+            .clamp(1, n.max(1));
+        // Partition edges per label, forward and reverse, each shard
         // scanning a contiguous node range (every edge is seen exactly
         // once per direction via its endpoints' incident lists).
-        let parts: Vec<EdgeParts> = if workers <= 1 {
-            vec![partition_range(g, 0, n)]
-        } else {
-            let chunk = n.div_ceil(workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        scope.spawn(move || partition_range(g, w * chunk, ((w + 1) * chunk).min(n)))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("partition worker panicked")).collect()
-            })
-        };
+        let chunk = n.div_ceil(shards);
+        let parts: Vec<EdgeParts> = gts_obs::par::map(0..shards, |s| {
+            partition_range(g, s * chunk, ((s + 1) * chunk).min(n))
+        });
         let num_labels = parts.iter().map(|p| p.fwd.len()).max().unwrap_or(0);
 
         // The budget gate: CSR sizes are exact functions of the partition
@@ -372,60 +355,31 @@ impl IndexedGraph {
         }
 
         // Parallel counting-sort fill: one work unit per (label,
-        // direction), dealt round-robin across the same worker count.
-        let mut units: Vec<(usize, bool)> = Vec::with_capacity(num_labels * 2);
-        for l in 0..num_labels {
-            units.push((l, false));
-            units.push((l, true));
-        }
-        let fill = |&(l, is_rev): &(usize, bool)| -> Result<(usize, bool, Csr), IndexError> {
-            let chunks: Vec<&[(u32, u32)]> = parts
-                .iter()
-                .filter_map(|p| {
-                    let side = if is_rev { &p.rev } else { &p.fwd };
-                    side.get(l).map(Vec::as_slice)
-                })
-                .collect();
-            Ok((l, is_rev, Csr::try_build_parts(n, l as u32, &chunks)?))
-        };
-        let mut fwd: Vec<Csr> = vec![Csr::default(); num_labels];
-        let mut rev: Vec<Csr> = vec![Csr::default(); num_labels];
-        if workers <= 1 || units.len() <= 1 {
-            for unit in &units {
-                let (l, is_rev, csr) = fill(unit)?;
-                if is_rev {
-                    rev[l] = csr;
-                } else {
-                    fwd[l] = csr;
-                }
-            }
-        } else {
-            let num_shards = workers.min(units.len());
-            let mut shards: Vec<Vec<&(usize, bool)>> = vec![Vec::new(); num_shards];
-            for (i, unit) in units.iter().enumerate() {
-                shards[i % num_shards].push(unit);
-            }
-            let fill = &fill;
-            let built = std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .into_iter()
-                    .map(|shard| {
-                        scope.spawn(move || {
-                            shard.into_iter().map(fill).collect::<Result<Vec<_>, _>>()
+        // direction), dealt round-robin into the same number of shards and
+        // merged back in unit order (forward, then reverse, per label).
+        let units = (0..num_labels).flat_map(|l| [(l, false), (l, true)]);
+        let built = gts_obs::par::map_dealt(units, shards, |shard| {
+            shard
+                .into_iter()
+                .map(|(l, is_rev)| {
+                    let chunks: Vec<&[(u32, u32)]> = parts
+                        .iter()
+                        .filter_map(|p| {
+                            let side = if is_rev { &p.rev } else { &p.fwd };
+                            side.get(l).map(Vec::as_slice)
                         })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("fill worker panicked"))
-                    .collect::<Result<Vec<_>, _>>()
-            })?;
-            for (l, is_rev, csr) in built.into_iter().flatten() {
-                if is_rev {
-                    rev[l] = csr;
-                } else {
-                    fwd[l] = csr;
-                }
+                        .collect();
+                    Csr::try_build_parts(n, l as u32, &chunks)
+                })
+                .collect()
+        });
+        let mut fwd: Vec<Csr> = Vec::with_capacity(num_labels);
+        let mut rev: Vec<Csr> = Vec::with_capacity(num_labels);
+        for (i, csr) in built.into_iter().enumerate() {
+            if i % 2 == 0 {
+                fwd.push(csr?);
+            } else {
+                rev.push(csr?);
             }
         }
 
@@ -601,7 +555,7 @@ impl IndexedGraph {
     }
 }
 
-/// Per-worker partition output: per-label forward and reverse edge pairs
+/// Per-shard partition output: per-label forward and reverse edge pairs
 /// for one contiguous node range.
 struct EdgeParts {
     fwd: Vec<Vec<(u32, u32)>>,

@@ -16,6 +16,8 @@
 //!   parse → session checkout → oracle decide → completion sweep → exec,
 //!   with same-name sibling merging, a renderable tree, and a bounded
 //!   ring-buffer event log ([`recent_events`]).
+//! * **Fan-out** ([`par`]): the one ordered shard map every parallel
+//!   section runs through, under one process-wide thread budget.
 //! * **Snapshots** ([`Snapshot`]): the ordered key-value tree every
 //!   stats surface (`gts batch --stats`, the serve `analyze` response)
 //!   renders from, so their JSON shapes agree by construction.
@@ -28,6 +30,7 @@
 #![warn(missing_docs)]
 
 mod metrics;
+pub mod par;
 mod prom;
 mod snapshot;
 mod span;

@@ -8,9 +8,9 @@
 //! thread-local read (no clock read, no allocation), so the library
 //! layers stay instrumented at all times without a tracing tax.
 //!
-//! Spans are captured on the *calling thread only*: work fanned out to
-//! worker threads (parallel choice solving, sharded rule evaluation)
-//! shows up as the enclosing span's time. Guards are `!Send` and
+//! Spans are captured on the *calling thread only*: shards a
+//! [`crate::par`] map runs on its extra threads (sweep shards, rule-body
+//! shards) show up as the enclosing span's time. Guards are `!Send` and
 //! panic-safe — an unwind pops every open span and uninstalls the
 //! collector, leaving the thread clean for the next trace.
 

@@ -47,8 +47,8 @@ pub struct AdmissionConfig {
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        AdmissionConfig { max_inflight: cores.max(1), max_queue: 2 * cores }
+        let cores = gts_obs::par::cores();
+        AdmissionConfig { max_inflight: cores, max_queue: 2 * cores }
     }
 }
 

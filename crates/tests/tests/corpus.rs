@@ -147,7 +147,7 @@ fn annotation_differential_sweep(
 /// dynamic harness is their only line of defense).
 #[test]
 fn corpus_annotations_agree_with_execution() {
-    let cfg = HarnessConfig { instances: 3, size_per_label: 2, attempts: 5, threads: 1 };
+    let cfg = HarnessConfig { instances: 3, size_per_label: 2, attempts: 5 };
     let mut rng = StdRng::seed_from_u64(31);
     let (checked, witnessed) = annotation_differential_sweep(
         &[Family::Medical, Family::Stress],

@@ -219,7 +219,7 @@ fn medical_equivalence_verdicts_agree_with_execution() {
 /// (each verdict costs an analysis run).
 fn static_dynamic_sweep(num_seeds: u64, min_checked: usize) {
     let opts = ContainmentOptions::default();
-    let cfg = HarnessConfig { instances: 4, size_per_label: 2, attempts: 4, threads: 1 };
+    let cfg = HarnessConfig { instances: 4, size_per_label: 2, attempts: 4 };
     let gen_cfg = SchemaGenConfig {
         num_node_labels: 2,
         num_edge_labels: 2,
