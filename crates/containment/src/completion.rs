@@ -18,30 +18,30 @@
 //! whether any cap was hit; callers must downgrade certification when it
 //! is false.
 //!
-//! The `|types|² × |roles|` entailment sweep of each round is the dominant
-//! cost of a *cold* containment analysis. The sweep therefore (a) reasons
-//! through the one type universe its round built, and gives each extended
-//! TBox one solver context that every probe over it shares and that is
-//! dropped with the sweep — rounds add CIs, so no extended TBox recurs.
-//! A context's universe layers the extra CIs over the round universe's
-//! shared rule index and reads its shared requirement and at-most lists,
-//! so no probe copies or re-indexes the round's TBox or re-derives a
-//! list. The round that converges indexed exactly `T*`, so the
-//! [`Completion`] hands its callers an empty universe over that index
+//! Each round runs in three layers, each in its own span so a trace shows
+//! which one moved:
+//!
+//! * `type_universe` builds the round's forward-closed types;
+//! * `entail_sweep` asks `T ⊨ K ⊑ ∃R.K'`, then `T ⊨ K' ⊑ ∃≤1 R⁻.K`, for
+//!   every `|types|² × |roles|` pair. One [`HornFixpoint`] over the
+//!   round's universe answers all of them from canonical models, so no
+//!   question costs an engine decide; a question the fixpoint cannot
+//!   settle leaves the round incomplete;
+//! * `cycle_scan` finds a finmod cycle missing its reversal.
+//!
+//! The round that converges indexed exactly `T*`, so the [`Completion`]
+//! hands its callers an empty universe over that index
 //! ([`Completion::universe`]); only a completion ended by `max_rounds`
-//! indexes `T*` anew.
-//! The sweep (b) can fan out over [`gts_obs::par`] shards (chunked by
-//! pair index, merged in order, so the result matches the sequential
-//! sweep whenever
-//! the engine budgets don't bind — warm solver contexts can resolve
-//! budget-*bound* verdicts a cold context would report `Unknown`, see
-//! `gts_sat::decide_in_ctx`). Completions are not memoized: the negation
-//! choices of one question complete distinct TBoxes, and repeated
-//! questions are answered by the session's verdict memo above this crate.
+//! indexes `T*` anew. The sweep can fan out over [`gts_obs::par`] shards,
+//! one contiguous run of premises each, merged in order; every answer is
+//! exact, so the result never depends on the shard count. Completions are
+//! not memoized: the negation choices of one question complete distinct
+//! TBoxes, and repeated questions are answered by the session's verdict
+//! memo above this crate.
 
-use crate::entail::{EntailCtx, ExistsFast};
+use crate::entail::HornFixpoint;
 use gts_dl::{HornCi, HornTbox};
-use gts_graph::{EdgeSym, FxHashMap, FxHashSet, LabelSet, NodeLabel};
+use gts_graph::{EdgeSym, FxHashMap, FxHashSet, LabelSet};
 use gts_sat::{Budget, TypeUniverse};
 
 /// Configuration caps for the completion computation.
@@ -66,8 +66,9 @@ pub struct Completion {
     pub tbox: HornTbox,
     /// Number of concept inclusions added by reversals.
     pub added: usize,
-    /// `false` if a cap or an engine budget was hit — `T*` may then be
-    /// missing reversals and answers derived from it are uncertified.
+    /// `false` if a cap was hit or the sweep left a question unsettled —
+    /// `T*` may then be missing reversals and answers derived from it are
+    /// uncertified.
     pub complete: bool,
     /// An empty type universe over `tbox` for the caller's decides. When
     /// the rounds converge it shares the last round's rule index and rule
@@ -77,33 +78,31 @@ pub struct Completion {
 }
 
 /// Computes the completion `T*` of `tbox`. `schema_labels` seeds the type
-/// universe (Γ_S of the S-driven pipeline); `fresh` are two concept names
-/// unused in the TBox (for the entailment encodings of Corollary E.7).
+/// universe (Γ_S of the S-driven pipeline).
 pub fn complete(
     tbox: &HornTbox,
     schema_labels: &LabelSet,
-    fresh: (NodeLabel, NodeLabel),
     budget: &Budget,
     cfg: &CompletionConfig,
 ) -> Completion {
-    complete_with(tbox, schema_labels, fresh, budget, cfg, 1)
+    complete_with(tbox, schema_labels, budget, cfg, 1)
 }
 
 /// [`complete`] with a shard count for the entailment sweep (`0` = one
 /// shard per core once the sweep has 64 pairs per shard, `1` =
-/// sequential, `n` = `n` shards, at most one per 64 pairs). Runs in a `completion` span
-/// and records its latency in `gts_containment_completion_micros`.
+/// sequential, `n` = `n` shards, at most one per 64 pairs). Runs in a
+/// `completion` span and records its latency in
+/// `gts_containment_completion_micros`.
 pub fn complete_with(
     tbox: &HornTbox,
     schema_labels: &LabelSet,
-    fresh: (NodeLabel, NodeLabel),
     budget: &Budget,
     cfg: &CompletionConfig,
     threads: usize,
 ) -> Completion {
     let _span = gts_obs::span("completion");
     let start = gts_obs::enabled().then(std::time::Instant::now);
-    let c = complete_inner(tbox, schema_labels, fresh, budget, cfg, threads);
+    let c = complete_inner(tbox, schema_labels, budget, cfg, threads);
     if let Some(t0) = start {
         static HIST: std::sync::OnceLock<gts_obs::Histogram> = std::sync::OnceLock::new();
         HIST.get_or_init(|| {
@@ -118,10 +117,29 @@ pub fn complete_with(
     c
 }
 
+/// A completion round as [`record_rounds`] returns it: the round's TBox
+/// and the types of its cycle-search graph.
+#[doc(hidden)]
+pub type Round = (HornTbox, Vec<LabelSet>);
+
+thread_local! {
+    /// The rounds [`record_rounds`] is collecting on this thread, if any.
+    static ROUNDS: std::cell::RefCell<Option<Vec<Round>>> = const { std::cell::RefCell::new(None) };
+}
+
+/// Runs `body` and returns, with its result, every completion round it
+/// ran on this thread. This lets a test re-ask each round's sweep
+/// questions another way.
+#[doc(hidden)]
+pub fn record_rounds<R>(body: impl FnOnce() -> R) -> (R, Vec<Round>) {
+    let outer = ROUNDS.replace(Some(Vec::new()));
+    let out = body();
+    (out, ROUNDS.replace(outer).unwrap_or_default())
+}
+
 fn complete_inner(
     tbox: &HornTbox,
     schema_labels: &LabelSet,
-    fresh: (NodeLabel, NodeLabel),
     budget: &Budget,
     cfg: &CompletionConfig,
     threads: usize,
@@ -131,55 +149,30 @@ fn complete_inner(
     let mut complete = true;
     // H_T edges certified in earlier rounds, by label sets. Rounds only
     // add CIs and entailment is monotone in the TBox, so positive edges
-    // carry forward and need no re-probing.
+    // carry forward and need no re-asking.
     let mut known_edges: FxHashSet<(LabelSet, EdgeSym, LabelSet)> = FxHashSet::default();
 
     for _round in 0..cfg.max_rounds {
         let (universe, nodes, universe_complete) = type_universe(&t, schema_labels, cfg.max_nodes);
         complete &= universe_complete;
+        ROUNDS.with_borrow_mut(|rounds| {
+            if let Some(rounds) = rounds {
+                rounds.push((t.clone(), nodes.clone()));
+            }
+        });
         // The handoff should this round converge: `t` is then `T*`.
-        let t_star_universe = universe.extended([]);
+        let t_star_universe = universe.fresh();
 
         // Edge relation of the cycle-search graph H_T.
         let roles = t.used_roles();
         let (edges, sweep_complete) =
-            entail_sweep(universe, &nodes, &roles, fresh, budget, threads, &known_edges);
+            entail_sweep(universe, &nodes, &roles, budget, threads, &known_edges);
         complete &= sweep_complete;
         for &(i, role, j) in &edges {
             known_edges.insert((nodes[i].clone(), role, nodes[j].clone()));
         }
 
-        // Find a finmod cycle missing its reversal.
-        let edge_set: FxHashSet<(usize, EdgeSym, usize)> = edges.iter().copied().collect();
-        let mut new_cis: Vec<HornCi> = Vec::new();
-        'scan: for &(i, role, j) in &edges {
-            if edge_set.contains(&(j, role.inv(), i)) {
-                continue; // already reversible
-            }
-            // Path j ⇝ i through H_T (empty path allowed when i == j).
-            if let Some(path) = find_path(&edges, nodes.len(), j, i) {
-                let mut cycle: Vec<(usize, EdgeSym, usize)> = vec![(i, role, j)];
-                cycle.extend(path);
-                for (a, r, b) in cycle {
-                    let rev = HornCi::Exists {
-                        lhs: nodes[b].clone(),
-                        role: r.inv(),
-                        rhs: nodes[a].clone(),
-                    };
-                    let cap =
-                        HornCi::AtMostOne { lhs: nodes[a].clone(), role: r, rhs: nodes[b].clone() };
-                    for ci in [rev, cap] {
-                        if !t.cis.contains(&ci) {
-                            new_cis.push(ci);
-                        }
-                    }
-                }
-                if !new_cis.is_empty() {
-                    break 'scan;
-                }
-            }
-        }
-
+        let new_cis = cycle_scan(&t, &nodes, &edges);
         if new_cis.is_empty() {
             return Completion { tbox: t, added, complete, universe: t_star_universe };
         }
@@ -193,39 +186,63 @@ fn complete_inner(
     Completion { tbox: t, added, complete: false, universe }
 }
 
-/// Evaluates every `(i, role, j)` pair of the cycle-search graph, in pair
-/// order, reasoning through `universe` (the round's, over its TBox);
-/// parallel shards take contiguous chunks, each on a clone of the
-/// universe, and results are merged by index, so the output never depends
-/// on the shard count.
+/// The reversals of the first finmod cycle of H_T (`edges` over `nodes`)
+/// that `t` is missing; empty when every cycle is reversed.
+fn cycle_scan(t: &HornTbox, nodes: &[LabelSet], edges: &[(usize, EdgeSym, usize)]) -> Vec<HornCi> {
+    let _span = gts_obs::span("cycle_scan");
+    let edge_set: FxHashSet<(usize, EdgeSym, usize)> = edges.iter().copied().collect();
+    let mut out: Vec<Vec<(EdgeSym, usize)>> = vec![Vec::new(); nodes.len()];
+    for &(a, r, b) in edges {
+        out[a].push((r, b));
+    }
+    let mut new_cis: Vec<HornCi> = Vec::new();
+    for &(i, role, j) in edges {
+        if edge_set.contains(&(j, role.inv(), i)) {
+            continue; // already reversible
+        }
+        // Path j ⇝ i through H_T (empty path allowed when i == j).
+        if let Some(path) = find_path(&out, j, i) {
+            let mut cycle: Vec<(usize, EdgeSym, usize)> = vec![(i, role, j)];
+            cycle.extend(path);
+            for (a, r, b) in cycle {
+                let rev =
+                    HornCi::Exists { lhs: nodes[b].clone(), role: r.inv(), rhs: nodes[a].clone() };
+                let cap =
+                    HornCi::AtMostOne { lhs: nodes[a].clone(), role: r, rhs: nodes[b].clone() };
+                for ci in [rev, cap] {
+                    if !t.cis.contains(&ci) {
+                        new_cis.push(ci);
+                    }
+                }
+            }
+            if !new_cis.is_empty() {
+                break;
+            }
+        }
+    }
+    new_cis
+}
+
+/// Evaluates every `(i, role, j)` pair of the cycle-search graph through
+/// one [`HornFixpoint`] over `universe` (the round's, over its TBox), and
+/// returns the edges in `(i, role, j)` order with `false` when a question
+/// went unsettled. Parallel shards take contiguous runs of premises `i`,
+/// each on a clone of the universe, and are merged in order.
 fn entail_sweep(
     universe: TypeUniverse,
     nodes: &[LabelSet],
     roles: &[EdgeSym],
-    fresh: (NodeLabel, NodeLabel),
     budget: &Budget,
     threads: usize,
     known_edges: &FxHashSet<(LabelSet, EdgeSym, LabelSet)>,
 ) -> (Vec<(usize, EdgeSym, usize)>, bool) {
-    // Roles with no ∃-CI can never carry an H_T edge: `entails_exists` is
-    // false for every consistent premise, and the universe's types are all
-    // consistent closures. Skip them wholesale.
+    let _span = gts_obs::span("entail_sweep");
+    // Roles with no ∃-CI can never carry an H_T edge: the canonical model
+    // of a consistent premise has no successor over them, and the
+    // universe's types are all consistent closures (an unsatisfiable one
+    // only misses vacuous reversals). Skip them wholesale.
     let roles: Vec<EdgeSym> =
         roles.iter().copied().filter(|&r| universe.exists_on(r).next().is_some()).collect();
-    // Probe order: for each (role, K') group, premises K by *decreasing*
-    // size — entailment is monotone in K, so an engine-certified negative
-    // for a large K answers every subset premise from the context's
-    // verdict memo without another engine call. The emitted edge list is
-    // restored to the canonical (i, role, j) order below, so the probe
-    // order never leaks into the completion's cycle scan.
-    let mut by_size: Vec<usize> = (0..nodes.len()).collect();
-    by_size.sort_by_key(|&i| std::cmp::Reverse(nodes[i].len()));
-    let pairs: Vec<(usize, usize, usize)> = (0..roles.len())
-        .flat_map(|ri| {
-            let by_size = &by_size;
-            (0..nodes.len()).flat_map(move |j| by_size.iter().map(move |&i| (i, ri, j)))
-        })
-        .collect();
     // Map the carried-over edges to current node indices once (label sets
     // shift indices between rounds), so per-pair checks are index lookups.
     let known_idx: FxHashSet<(usize, EdgeSym, usize)> = if known_edges.is_empty() {
@@ -238,69 +255,54 @@ fn entail_sweep(
             .filter_map(|(a, r, b)| Some((*node_idx.get(a)?, *r, *node_idx.get(b)?)))
             .collect()
     };
-    // Below this many pairs per shard a shard's fresh context costs more
-    // than the probes it takes over.
-    const MIN_PAIRS_PER_WORKER: usize = 64;
-    let shards = gts_obs::par::shards(threads, || pairs.len() >= 2 * MIN_PAIRS_PER_WORKER)
-        .clamp(1, (pairs.len() / MIN_PAIRS_PER_WORKER).max(1));
-    let mut complete = true;
-    let mut edges = Vec::new();
-    let probe_chunk =
-        |universe: TypeUniverse, chunk_pairs: &[(usize, usize, usize)]| -> Vec<(bool, bool)> {
-            let ctx = EntailCtx::new(universe, fresh, budget.clone());
-            // Compute the per-(K, role) fast-path state once per role the
-            // chunk actually touches, so the inner per-pair check is a few
-            // subset tests with no hashing — and parallel shards don't each
-            // recompute the whole matrix.
-            let mut fast: Vec<Option<Vec<ExistsFast>>> = vec![None; roles.len()];
-            for &(_, ri, _) in chunk_pairs {
-                if fast[ri].is_none() {
-                    fast[ri] = Some(nodes.iter().map(|k| ctx.exists_fast(k, roles[ri])).collect());
+    // The edges out of premises `rows`, in order, and whether every
+    // question was settled.
+    let sweep_rows = |universe: TypeUniverse, rows: std::ops::Range<usize>| {
+        let mut fixpoint = HornFixpoint::new(universe, budget);
+        let mut edges = Vec::new();
+        let mut complete = true;
+        for i in rows {
+            let successors = fixpoint.successors(&nodes[i]);
+            complete &= successors.is_ok();
+            for &role in &roles {
+                for (j, kp) in nodes.iter().enumerate() {
+                    let edge = known_idx.contains(&(i, role, j))
+                        || successors.as_ref().is_ok_and(|s| s.cover(role, kp))
+                            && fixpoint
+                                .entails_at_most_one(kp, role.inv(), &nodes[i])
+                                .unwrap_or_else(|_| {
+                                    complete = false;
+                                    false
+                                });
+                    if edge {
+                        edges.push((i, role, j));
+                    }
                 }
             }
-            chunk_pairs
-                .iter()
-                .map(|&(i, ri, j)| {
-                    let role = roles[ri];
-                    if known_idx.contains(&(i, role, j)) {
-                        return (true, true);
-                    }
-                    let Some(fast_row) = &fast[ri] else { unreachable!("computed above") };
-                    let fwd = match ctx.entails_exists(&fast_row[i], &nodes[i], role, &nodes[j]) {
-                        Ok(b) => b,
-                        Err(_) => return (false, false),
-                    };
-                    if !fwd {
-                        return (false, true);
-                    }
-                    match ctx.entails_at_most_one(&nodes[j], role.inv(), &nodes[i]) {
-                        Ok(b) => (b, true),
-                        Err(_) => (false, false),
-                    }
-                })
-                .collect()
-        };
-    let results: Vec<(bool, bool)> = if shards <= 1 {
-        probe_chunk(universe, &pairs)
-    } else {
-        // Contiguous chunks keep the per-shard memos effective (adjacent
-        // pairs share their (role, K') group).
-        let chunk = pairs.len().div_ceil(shards);
-        gts_obs::par::map(pairs.chunks(chunk), |chunk_pairs| {
-            probe_chunk(universe.clone(), chunk_pairs)
-        })
-        .concat()
-    };
-    for (&(i, ri, j), (is_edge, certified)) in pairs.iter().zip(results) {
-        complete &= certified;
-        if is_edge {
-            edges.push((i, ri, j));
         }
+        (edges, complete)
+    };
+    // Below this many pairs per shard a shard's own fixpoint costs more
+    // than the questions it takes over.
+    const MIN_PAIRS_PER_WORKER: usize = 64;
+    let pairs = nodes.len() * roles.len() * nodes.len();
+    let shards = gts_obs::par::shards(threads, || pairs >= 2 * MIN_PAIRS_PER_WORKER)
+        .clamp(1, (pairs / MIN_PAIRS_PER_WORKER).clamp(1, nodes.len().max(1)));
+    if shards <= 1 {
+        return sweep_rows(universe, 0..nodes.len());
     }
-    // Canonical order: i, then the role's position in the (filtered) role
-    // list, then j — the order the straightforward nested loop would use.
-    edges.sort_unstable();
-    (edges.into_iter().map(|(i, ri, j)| (i, roles[ri], j)).collect(), complete)
+    let chunk = nodes.len().div_ceil(shards);
+    let runs: Vec<std::ops::Range<usize>> =
+        (0..nodes.len()).step_by(chunk).map(|lo| lo..(lo + chunk).min(nodes.len())).collect();
+    let mut edges = Vec::new();
+    let mut complete = true;
+    for (run_edges, run_complete) in
+        gts_obs::par::map(runs, |rows| sweep_rows(universe.clone(), rows))
+    {
+        edges.extend(run_edges);
+        complete &= run_complete;
+    }
+    (edges, complete)
 }
 
 /// The forward-closed type universe: closures of schema-label singletons,
@@ -313,6 +315,7 @@ fn type_universe(
     schema_labels: &LabelSet,
     cap: usize,
 ) -> (TypeUniverse, Vec<LabelSet>, bool) {
+    let _span = gts_obs::span("type_universe");
     let mut u = TypeUniverse::new(t);
     let mut seen: FxHashMap<LabelSet, ()> = FxHashMap::default();
     let mut nodes: Vec<LabelSet> = Vec::new();
@@ -382,26 +385,25 @@ fn type_universe(
     (u, nodes, complete)
 }
 
-/// BFS path from `from` to `to` through the edge list; returns the edge
-/// sequence (empty when `from == to`).
+/// BFS path from `from` to `to` over the out-edges `out` of each node, in
+/// edge-list order; returns the edge sequence (empty when `from == to`).
 fn find_path(
-    edges: &[(usize, EdgeSym, usize)],
-    num_nodes: usize,
+    out: &[Vec<(EdgeSym, usize)>],
     from: usize,
     to: usize,
 ) -> Option<Vec<(usize, EdgeSym, usize)>> {
     if from == to {
         return Some(Vec::new());
     }
-    let mut prev: Vec<Option<(usize, EdgeSym, usize)>> = vec![None; num_nodes];
-    let mut visited = vec![false; num_nodes];
+    let mut prev: Vec<Option<(usize, EdgeSym, usize)>> = vec![None; out.len()];
+    let mut visited = vec![false; out.len()];
     visited[from] = true;
     let mut queue = std::collections::VecDeque::from([from]);
     while let Some(cur) = queue.pop_front() {
-        for &(a, r, b) in edges {
-            if a == cur && !visited[b] {
+        for &(r, b) in &out[cur] {
+            if !visited[b] {
                 visited[b] = true;
-                prev[b] = Some((a, r, b));
+                prev[b] = Some((cur, r, b));
                 if b == to {
                     let mut path = Vec::new();
                     let mut node = to;
@@ -423,16 +425,13 @@ fn find_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gts_graph::{EdgeLabel, Vocab};
+    use gts_graph::{EdgeLabel, NodeLabel, Vocab};
 
     fn set(labels: &[u32]) -> LabelSet {
         LabelSet::from_iter(labels.iter().copied())
     }
     fn sym(i: u32) -> EdgeSym {
         EdgeSym::fwd(EdgeLabel(i))
-    }
-    fn fresh(v: &mut Vocab) -> (NodeLabel, NodeLabel) {
-        (v.fresh_node_label("B"), v.fresh_node_label("B"))
     }
 
     /// Example 5.3/5.5: T_S = {⊤⊑A, A⊑∃s.A, A⊑∃≤1 s⁻.A} has the finmod
@@ -446,13 +445,7 @@ mod tests {
         t.push(HornCi::SubAtom { lhs: LabelSet::new(), rhs: a });
         t.push(HornCi::Exists { lhs: set(&[0]), role: sym(0), rhs: set(&[0]) });
         t.push(HornCi::AtMostOne { lhs: set(&[0]), role: sym(0).inv(), rhs: set(&[0]) });
-        let result = complete(
-            &t,
-            &set(&[0]),
-            fresh(&mut v),
-            &Budget::default(),
-            &CompletionConfig::default(),
-        );
+        let result = complete(&t, &set(&[0]), &Budget::default(), &CompletionConfig::default());
         assert!(result.complete);
         assert!(result.added >= 2);
         assert!(result.tbox.cis.contains(&HornCi::Exists {
@@ -479,13 +472,7 @@ mod tests {
         t.push(HornCi::AtMostOne { lhs: set(&[1]), role: sym(0).inv(), rhs: set(&[0]) });
         t.push(HornCi::Exists { lhs: set(&[1]), role: sym(1), rhs: set(&[0]) });
         t.push(HornCi::AtMostOne { lhs: set(&[0]), role: sym(1).inv(), rhs: set(&[1]) });
-        let result = complete(
-            &t,
-            &set(&[0, 1]),
-            fresh(&mut v),
-            &Budget::default(),
-            &CompletionConfig::default(),
-        );
+        let result = complete(&t, &set(&[0, 1]), &Budget::default(), &CompletionConfig::default());
         assert!(result.complete);
         assert!(result.tbox.cis.contains(&HornCi::Exists {
             lhs: set(&[1]),
@@ -507,13 +494,7 @@ mod tests {
         let _a = v.node_label("A");
         let mut t = HornTbox::new();
         t.push(HornCi::Exists { lhs: set(&[0]), role: sym(0), rhs: set(&[0]) });
-        let result = complete(
-            &t,
-            &set(&[0]),
-            fresh(&mut v),
-            &Budget::default(),
-            &CompletionConfig::default(),
-        );
+        let result = complete(&t, &set(&[0]), &Budget::default(), &CompletionConfig::default());
         assert!(result.complete);
         assert_eq!(result.added, 0);
         assert_eq!(result.tbox, t);
@@ -528,20 +509,9 @@ mod tests {
         t.push(HornCi::SubAtom { lhs: LabelSet::new(), rhs: NodeLabel(0) });
         t.push(HornCi::Exists { lhs: set(&[0]), role: sym(0), rhs: set(&[0]) });
         t.push(HornCi::AtMostOne { lhs: set(&[0]), role: sym(0).inv(), rhs: set(&[0]) });
-        let once = complete(
-            &t,
-            &set(&[0]),
-            fresh(&mut v),
-            &Budget::default(),
-            &CompletionConfig::default(),
-        );
-        let twice = complete(
-            &once.tbox,
-            &set(&[0]),
-            fresh(&mut v),
-            &Budget::default(),
-            &CompletionConfig::default(),
-        );
+        let once = complete(&t, &set(&[0]), &Budget::default(), &CompletionConfig::default());
+        let twice =
+            complete(&once.tbox, &set(&[0]), &Budget::default(), &CompletionConfig::default());
         assert_eq!(twice.added, 0);
         assert_eq!(once.tbox, twice.tbox);
     }
@@ -567,11 +537,10 @@ mod tests {
         t.push(HornCi::SubAtom { lhs: LabelSet::new(), rhs: a });
         t.push(HornCi::Exists { lhs: set(&[0]), role: sym(0), rhs: set(&[0]) });
         t.push(HornCi::AtMostOne { lhs: set(&[0]), role: sym(0).inv(), rhs: set(&[0]) });
-        let f = fresh(&mut v);
         let budget = Budget::default();
         let cfg = CompletionConfig::default();
-        let plain = complete(&t, &set(&[0]), f, &budget, &cfg);
-        let threaded = complete_with(&t, &set(&[0]), f, &budget, &cfg, 4);
+        let plain = complete(&t, &set(&[0]), &budget, &cfg);
+        let threaded = complete_with(&t, &set(&[0]), &budget, &cfg, 4);
         assert_eq!(plain.tbox, threaded.tbox);
         assert_eq!(plain.complete, threaded.complete);
     }

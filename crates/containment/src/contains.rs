@@ -21,15 +21,11 @@
 //! is the one the completion hands over ([`Completion::universe`]),
 //! which reuses the converged round's index and rule lists. Nothing
 //! outlives the call; reuse across questions is the verdict memo of
-//! `gts-engine`'s `AnalysisSession`. The entailment probes inside a
-//! completion run on contexts the sweep owns and drops. Choices are
-//! decided one after another, stopping at the first `Sat`; the only
-//! parallel section is the completion's entailment sweep, which shards by
-//! its own work-size rule (see [`ContainmentOptions::threads`]) and merges
-//! in order, so verdicts and witnesses do not depend on the thread count
-//! as long as the engine budgets don't bind (a sweep shard's warm contexts
-//! can resolve budget-bound verdicts a cold context would report
-//! `Unknown`).
+//! `gts-engine`'s `AnalysisSession`. Choices are decided one after
+//! another, stopping at the first `Sat`; the only parallel section is the
+//! completion's entailment sweep, which shards by its own work-size rule
+//! (see [`ContainmentOptions::threads`]) and merges in order, so verdicts
+//! and witnesses do not depend on the thread count.
 
 use crate::booleanize::booleanize;
 use crate::completion::{complete_with, Completion, CompletionConfig};
@@ -176,7 +172,6 @@ fn contains_lowered_inner(
     let p_hat = hat_union(&b.p, &b.schema);
     let hat_ts = b.schema.hat_tbox();
     let schema_label_set = b.schema.node_label_set();
-    let fresh = (vocab.fresh_node_label("B"), vocab.fresh_node_label("B"));
 
     // Certification is one-sided in the completion: a *partial* completion
     // T*' ⊆ T* only removes CIs, so UNSAT modulo T*' implies UNSAT modulo
@@ -189,14 +184,8 @@ fn contains_lowered_inner(
     for choice in unique_choices {
         let t = HornTbox::merged([&hat_ts, choice, extra]);
         // Theorem 5.4 / Lemma D.7: complete.
-        let Completion { universe, complete: completion_ok, .. } = complete_with(
-            &t,
-            &schema_label_set,
-            fresh,
-            &opts.budget,
-            &opts.completion,
-            opts.threads,
-        );
+        let Completion { universe, complete: completion_ok, .. } =
+            complete_with(&t, &schema_label_set, &opts.budget, &opts.completion, opts.threads);
         let mut ctx = RealizeCtx::new(universe, opts.budget.clone());
         for pd in &p_hat.disjuncts {
             match gts_sat::decide_in_ctx(&mut ctx, pd, &opts.budget) {

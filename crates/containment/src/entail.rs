@@ -1,472 +1,603 @@
-//! Unrestricted entailment of Horn-ALCIF concept inclusions via query
-//! unsatisfiability (Corollary E.7).
+//! Unrestricted entailment of the completion's Horn-ALCIF concept
+//! inclusions, read off canonical models.
 //!
-//! `T ⊨ K ⊑ ∃R.K'` iff `∃x.(K·B)(x,x)` is unsatisfiable modulo
-//! `T ∪ {K' ⊑ ∀R⁻.B', B⊓B' ⊑ ⊥}`; similarly for at-most constraints. The
-//! encodings only use node tests and single edge steps, so their regular
-//! languages are finite and the satisfiability engine's verdicts are
-//! certified — which is what makes the completion computation reliable.
+//! Horn-ALCIF has canonical models: a consistent premise `K` has a model
+//! whose root carries exactly the labels every model forces on a
+//! `K`-node, and which maps homomorphically into every model at any
+//! `K`-node. So `T ⊨ K ⊑ ∃R.K'` iff the root of `K`'s canonical model has
+//! an `R`-neighbour covering `K'` (or `K` is unsatisfiable). For
+//! `T ⊨ K ⊑ ∃≤1 R.K'` the canonical model of a `K`-node with one pinned
+//! `R`-child starting from `K'` is read instead: two such children are
+//! forced equal iff an at-most CI firing on the node counts the child,
+//! so the entailment holds iff that structure dies or some such CI
+//! applies — the Corollary E.7 encoding with fresh labels `B ⊓ B' ⊑ ⊥`,
+//! answered without them.
 //!
-//! A sound syntactic fast path answers most positive instances without an
-//! engine call. The completion sweep asks `|types|² × |roles|` questions
-//! per round, so the context is indexed once and owns its probe state:
+//! [`HornFixpoint`] computes these canonical models as one least
+//! fixpoint over a completion round's [`TypeUniverse`], shared by every
+//! question of the round's sweep (Kazakov's consequence-based Horn-SHIQ
+//! reasoning works the same way). A canonical model is a tree whose
+//! nodes are keyed by where they hang: the root by its premise, a witness
+//! by `(role, parent type, start type)`. Equal keys have equal subtrees,
+//! so the fixpoint memoizes per key and the tree folds into a finite
+//! graph. A node's labels grow by these rules until nothing changes:
 //!
-//! * the fast paths close, propagate and read the CIs of a role through
-//!   the round's one [`TypeUniverse`], handed over by the sweep, whose
-//!   index groups the CIs by kind and role once;
-//! * the extended TBoxes of the engine encodings depend only on `(R, K')`
-//!   (existentials) or on nothing (at-most), so each gets one solver
-//!   context, built on first use and dropped with the sweep — rounds add
-//!   CIs, so no extended TBox recurs in a later round. A context's
-//!   universe layers the encoding's one or two CIs over the round's
-//!   shared index ([`TypeUniverse::extended`]); no TBox is copied. The
-//!   encodings add only `∀` and `⊥` CIs, so a context reads the round's
-//!   shared requirement and at-most lists as they are and derives none.
+//! * **closure** under `K ⊑ A`; `K ⊑ ⊥` kills the node;
+//! * **requirements**: each `∃`-CI firing on the node gets a witness
+//!   starting from its target plus the node's `∀`-push over the role, and
+//!   a witness's `∀`-push over the inverse role flows back;
+//! * **functional merging**: witnesses over one role that all meet the
+//!   counted concept of an at-most CI firing on the node merge into one;
+//! * **inverse at-most**: when the parent also meets it and the role
+//!   points back to the parent, those witnesses are the parent, which
+//!   takes their targets;
+//! * **death**: a dead witness, or a `∄`-CI on an edge in either
+//!   direction, kills the node.
+//!
+//! Every rule derives only what every model forces, so a derived label
+//! (or death) is sound; at the fixpoint the unravelled tree satisfies
+//! every CI, so it is a model, and a label it lacks is not entailed. The
+//! fixpoint settles every question it finishes. It stops — the sweep's
+//! round then reports itself incomplete — only when it would hold more
+//! than [`Budget::max_candidates`] nodes.
 
-use gts_dl::HornCi;
-use gts_graph::{EdgeSym, FxHashMap, LabelSet, NodeLabel};
-use gts_query::{Atom, C2rpq, Regex, Var};
-use gts_sat::{decide_in_ctx, Budget, RealizeCtx, TypeUniverse, UnknownReason, Verdict};
-use std::cell::RefCell;
+use gts_graph::{EdgeSym, FxHashMap, LabelSet};
+use gts_sat::{Budget, TypeId, TypeUniverse, UnknownReason};
 
-/// Entailment oracle over one completion round's TBox. The two `fresh`
-/// labels must not occur in the TBox (mint them from the vocabulary once).
-pub(crate) struct EntailCtx {
-    fresh_b: NodeLabel,
-    fresh_b2: NodeLabel,
-    budget: Budget,
-    /// Solver context of the existential encoding's extended TBox, per
-    /// `(role, K')`.
-    exists_ctxs: RefCell<FxHashMap<(EdgeSym, LabelSet), RealizeCtx>>,
-    /// Solver context of the at-most encoding's extended TBox.
-    amo_ctx: RefCell<Option<RealizeCtx>>,
-    /// Engine verdicts per `(role, K')`, split by sign. Entailment is
-    /// monotone in `K` (a stronger premise keeps every positive verdict,
-    /// a weaker one keeps every negative), so a probe is answered without
-    /// the engine when a recorded positive `K₀ ⊆ K` or negative `K₀ ⊇ K`
-    /// exists.
-    exists_verdicts: RefCell<FxHashMap<LabelSet, Vec<(EdgeSym, VerdictLists)>>>,
-    amo_verdicts: RefCell<FxHashMap<LabelSet, Vec<(EdgeSym, VerdictLists)>>>,
-    /// Type universe over the base TBox: the fast paths reason over
-    /// *saturated* types (labels forced in every model), which both
-    /// certifies more positives and licenses the per-`(K, role)`
-    /// no-successor fast-false.
-    universe: RefCell<TypeUniverse>,
+/// Where a node of a canonical model hangs: the fixpoint's memo key.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Key {
+    /// The root of a premise's canonical model, from the closed premise.
+    /// `pinned` adds one child `(role, start)` that merges with no
+    /// sibling: the `K'`-successor of an at-most question.
+    Root { start: TypeId, pinned: Option<(EdgeSym, TypeId)> },
+    /// A witness reached over `role` from a parent of type `parent`,
+    /// from the closure of its seed and the parent's `∀`-push.
+    Child { role: EdgeSym, parent: TypeId, start: TypeId },
 }
 
-/// Hoisted fast-path state of `entails_exists` for one `(K, role)`.
-#[derive(Clone)]
-pub(crate) enum ExistsFast {
-    /// `K` is unsatisfiable (inconsistent closure or dead saturation) —
-    /// every CI is entailed.
-    KInconsistent,
-    /// The *saturated* type of `K` triggers no `∃`-CI on this role: its
-    /// canonical tree model has no such successor, so the entailment fails
-    /// for every consistent `K'` (for an only-semantically-unsatisfiable
-    /// `K` the missed H_T edge is harmless — see the completion docs; this
-    /// is the same contract as the role-level fast-false below).
-    NoSuccessor,
-    /// Applicable rules and their saturated, propagation-enriched targets;
-    /// `vacuous` when some forced successor is inconsistent (again: every
-    /// target is entailed).
-    Targets {
-        /// Some forced successor is inconsistent.
-        vacuous: bool,
-        /// Saturated targets of the applicable rules (maximal only).
-        targets: Vec<LabelSet>,
-    },
+/// One node of the fixpoint: its current approximation, which only grows.
+struct Node {
+    key: Key,
+    /// The labels derived so far, as a closed type.
+    ty: TypeId,
+    /// No model has a node here.
+    dead: bool,
+    /// Labels forced on the parent: the `∀`-push over the inverse role,
+    /// plus the targets of the requirements the parent fulfils.
+    up: LabelSet,
+    /// The witnesses of the last evaluation, `(role, node)`; a root's
+    /// pinned child comes last.
+    children: Vec<(EdgeSym, usize)>,
+    /// Nodes whose evaluation read this one.
+    readers: Vec<usize>,
 }
 
-impl ExistsFast {
-    /// `Some(v)` when the fast path decides `K ⊑ ∃R.K'` for this `K'`
-    /// without the engine; `None` sends the probe to the engine.
-    fn decisive(&self, kp: &LabelSet) -> Option<bool> {
-        match self {
-            ExistsFast::KInconsistent => Some(true),
-            ExistsFast::NoSuccessor => Some(false),
-            ExistsFast::Targets { vacuous, targets } => {
-                if *vacuous || targets.iter().any(|t| kp.is_subset(t)) {
-                    Some(true)
-                } else {
-                    None
-                }
-            }
+/// The `R`-neighbours of a premise's canonical root, by role; `None` when
+/// the premise is unsatisfiable.
+pub struct Successors(Option<Vec<(EdgeSym, LabelSet)>>);
+
+impl Successors {
+    /// `T ⊨ K ⊑ ∃role.K'` for the premise these are the successors of.
+    pub fn cover(&self, role: EdgeSym, kp: &LabelSet) -> bool {
+        match &self.0 {
+            None => true,
+            Some(children) => children.iter().any(|(r, c)| *r == role && kp.is_subset(c)),
         }
     }
 }
 
-#[derive(Default)]
-struct VerdictLists {
-    positive: Vec<LabelSet>,
-    negative: Vec<LabelSet>,
+/// The canonical models of every premise asked about over one TBox, as
+/// one least fixpoint (see the module docs).
+pub struct HornFixpoint {
+    u: TypeUniverse,
+    nodes: Vec<Node>,
+    index: FxHashMap<Key, usize>,
+    /// Nodes to re-evaluate, and a membership flag per node.
+    queue: Vec<usize>,
+    queued: Vec<bool>,
+    /// Node cap ([`Budget::max_candidates`]).
+    cap: usize,
+    /// Set once the cap was hit: the approximations are then no model,
+    /// and every later question is unsettled too.
+    exhausted: Option<UnknownReason>,
 }
 
-impl VerdictLists {
-    fn lookup(&self, k: &LabelSet) -> Option<bool> {
-        if self.positive.iter().any(|p| p.is_subset(k)) {
-            return Some(true);
+impl HornFixpoint {
+    /// An empty fixpoint over the TBox of `universe`, reusing its
+    /// interned types and memos.
+    pub fn new(universe: TypeUniverse, budget: &Budget) -> Self {
+        HornFixpoint {
+            u: universe,
+            nodes: Vec::new(),
+            index: FxHashMap::default(),
+            queue: Vec::new(),
+            queued: Vec::new(),
+            cap: budget.max_candidates,
+            exhausted: None,
         }
-        if self.negative.iter().any(|n| k.is_subset(n)) {
-            return Some(false);
+    }
+
+    /// The canonical root's successors for premise `k`.
+    pub fn successors(&mut self, k: &LabelSet) -> Result<Successors, UnknownReason> {
+        let Some(root) = self.root(k, None)? else { return Ok(Successors(None)) };
+        let children = self.nodes[root]
+            .children
+            .iter()
+            .map(|&(role, c)| (role, self.u.labels(self.nodes[c].ty).clone()))
+            .collect();
+        Ok(Successors(Some(children)))
+    }
+
+    /// `T ⊨ K ⊑ ∃R.K'` (unrestricted models).
+    pub fn entails_exists(
+        &mut self,
+        k: &LabelSet,
+        role: EdgeSym,
+        kp: &LabelSet,
+    ) -> Result<bool, UnknownReason> {
+        Ok(self.successors(k)?.cover(role, kp))
+    }
+
+    /// `T ⊨ K ⊑ ∃≤1 R.K'` (unrestricted models): a `K`-node and a pinned
+    /// `R`-child from `K'`, saturated jointly, either die or meet an
+    /// at-most CI of the node that counts the child.
+    pub fn entails_at_most_one(
+        &mut self,
+        k: &LabelSet,
+        role: EdgeSym,
+        kp: &LabelSet,
+    ) -> Result<bool, UnknownReason> {
+        let Some(root) = self.root(k, Some((role, kp)))? else { return Ok(true) };
+        let node = &self.nodes[root];
+        let &(_, child) = node.children.last().expect("a live root has its pinned child");
+        let child = self.u.labels(self.nodes[child].ty);
+        Ok(self
+            .u
+            .at_most_of(node.ty)
+            .iter()
+            .any(|(r, counted)| *r == role && counted.is_subset(child)))
+    }
+
+    /// The solved root for premise `k` (with the pinned child, if any);
+    /// `None` when the structure has no model.
+    fn root(
+        &mut self,
+        k: &LabelSet,
+        pinned: Option<(EdgeSym, &LabelSet)>,
+    ) -> Result<Option<usize>, UnknownReason> {
+        if let Some(reason) = self.exhausted {
+            count_unsettled(None);
+            return Err(reason);
+        }
+        let t0 = gts_obs::enabled().then(std::time::Instant::now);
+        let Some(start) = self.u.close(k) else { return Ok(None) };
+        let pinned = match pinned {
+            None => None,
+            Some((role, kp)) => match self.u.close(kp) {
+                Some(t) => Some((role, t)),
+                None => return Ok(None),
+            },
+        };
+        let solved = self.node(Key::Root { start, pinned }).and_then(|root| {
+            self.solve()?;
+            Ok(root)
+        });
+        match solved {
+            Ok(root) => Ok((!self.nodes[root].dead).then_some(root)),
+            Err(reason) => {
+                self.exhausted = Some(reason);
+                count_unsettled(t0);
+                Err(reason)
+            }
+        }
+    }
+
+    /// The node for `key`, created (and queued) on first use.
+    fn node(&mut self, key: Key) -> Result<usize, UnknownReason> {
+        if let Some(&n) = self.index.get(&key) {
+            return Ok(n);
+        }
+        if self.nodes.len() >= self.cap {
+            return Err(UnknownReason::CandidateBudget);
+        }
+        let ty = match key {
+            Key::Root { start, .. } | Key::Child { start, .. } => start,
+        };
+        let n = self.nodes.len();
+        self.nodes.push(Node {
+            key,
+            ty,
+            dead: false,
+            up: LabelSet::new(),
+            children: Vec::new(),
+            readers: Vec::new(),
+        });
+        self.queued.push(false);
+        self.index.insert(key, n);
+        self.enqueue(n);
+        Ok(n)
+    }
+
+    fn enqueue(&mut self, n: usize) {
+        if !self.queued[n] {
+            self.queued[n] = true;
+            self.queue.push(n);
+        }
+    }
+
+    /// Re-evaluates queued nodes until none changes.
+    fn solve(&mut self) -> Result<(), UnknownReason> {
+        while let Some(n) = self.queue.pop() {
+            self.queued[n] = false;
+            self.eval(n)?;
+        }
+        Ok(())
+    }
+
+    /// One evaluation of node `n` against its witnesses' current
+    /// approximations; queues its readers when it changed.
+    fn eval(&mut self, n: usize) -> Result<(), UnknownReason> {
+        if self.nodes[n].dead {
+            return Ok(());
+        }
+        let (parent, pinned) = match self.nodes[n].key {
+            Key::Root { pinned, .. } => (None, pinned),
+            Key::Child { role, parent, .. } => (Some((role, parent)), None),
+        };
+        let mut ty = self.nodes[n].ty;
+        // Grow the node until its witnesses, re-keyed on its new type, add
+        // nothing more.
+        let grown = loop {
+            let Some(Expansion { labels, up, children }) = self.expand(n, ty, parent, pinned)?
+            else {
+                break None;
+            };
+            match self.u.close(&labels) {
+                None => break None,
+                Some(t) if t == ty => break Some((up, children)),
+                Some(t) => ty = t,
+            }
+        };
+        let node = &mut self.nodes[n];
+        let changed = match grown {
+            None => {
+                node.dead = true;
+                node.children.clear();
+                true
+            }
+            Some((up, children)) => {
+                node.children = children;
+                let changed = ty != node.ty || !up.is_subset(&node.up);
+                node.ty = ty;
+                node.up.union_with(&up);
+                changed
+            }
+        };
+        if changed {
+            for r in std::mem::take(&mut self.nodes[n].readers) {
+                self.enqueue(r);
+            }
+        }
+        Ok(())
+    }
+
+    /// The witnesses of a node of type `ty` hanging from `parent`, merged;
+    /// `None` when the node dies.
+    fn expand(
+        &mut self,
+        n: usize,
+        ty: TypeId,
+        parent: Option<(EdgeSym, TypeId)>,
+        pinned: Option<(EdgeSym, TypeId)>,
+    ) -> Result<Option<Expansion>, UnknownReason> {
+        let labels = self.u.labels(ty).clone();
+        let mut up = match parent {
+            Some((role, _)) => (*self.u.propagate_set(&labels, role.inv())).clone(),
+            None => LabelSet::new(),
+        };
+        let at_most = self.u.at_most_of(ty);
+        let mut groups: Vec<(EdgeSym, LabelSet)> = self.u.requirements_of(ty).to_vec();
+        let mut children = loop {
+            let mut children = Vec::with_capacity(groups.len() + 1);
+            for (role, seed) in &groups {
+                let Some(c) = self.child(n, ty, &labels, *role, seed)? else { return Ok(None) };
+                children.push((*role, c));
+            }
+            match self.merge(&at_most, parent, &groups, &children) {
+                None => break children,
+                Some(Merge::IntoParent(members)) => {
+                    for &g in members.iter().rev() {
+                        up.union_with(&groups.remove(g).1);
+                    }
+                }
+                Some(Merge::Siblings(members)) => {
+                    for &g in members[1..].iter().rev() {
+                        let (_, seed) = groups.remove(g);
+                        groups[members[0]].1.union_with(&seed);
+                    }
+                }
+            }
+        };
+        if let Some((role, start)) = pinned {
+            let seed = self.u.labels(start).clone();
+            let Some(c) = self.child(n, ty, &labels, role, &seed)? else { return Ok(None) };
+            children.push((role, c));
+        }
+        let mut grown = labels;
+        for &(role, c) in &children {
+            let child = &self.nodes[c];
+            if self.u.edge_forbidden(self.u.labels(ty), role, self.u.labels(child.ty)) {
+                return Ok(None);
+            }
+            grown.union_with(&child.up);
+        }
+        Ok(Some(Expansion { labels: grown, up, children }))
+    }
+
+    /// The first merge the at-most CIs `at_most` of a node force on its
+    /// witness `groups` (`children` are their nodes, in order).
+    fn merge(
+        &self,
+        at_most: &[(EdgeSym, LabelSet)],
+        parent: Option<(EdgeSym, TypeId)>,
+        groups: &[(EdgeSym, LabelSet)],
+        children: &[(EdgeSym, usize)],
+    ) -> Option<Merge> {
+        for (role, counted) in at_most {
+            let members: Vec<usize> = (0..groups.len())
+                .filter(|&g| {
+                    groups[g].0 == *role
+                        && counted.is_subset(self.u.labels(self.nodes[children[g].1].ty))
+                })
+                .collect();
+            if members.is_empty() {
+                continue;
+            }
+            let parent_counted = parent.is_some_and(|(up_role, p)| {
+                up_role.inv() == *role && counted.is_subset(self.u.labels(p))
+            });
+            if parent_counted {
+                return Some(Merge::IntoParent(members));
+            }
+            if members.len() > 1 {
+                return Some(Merge::Siblings(members));
+            }
         }
         None
     }
 
-    fn record(&mut self, k: &LabelSet, verdict: bool) {
-        // Keep only the frontier: minimal positives and maximal negatives
-        // answer every premise a subsumed entry would.
-        if verdict {
-            self.positive.retain(|p| !k.is_subset(p));
-            self.positive.push(k.clone());
-        } else {
-            self.negative.retain(|n| !n.is_subset(k));
-            self.negative.push(k.clone());
-        }
-    }
-}
-
-/// The recorded verdict for premise `k` over `(role, K')`, if any.
-fn lookup_verdict(
-    memo: &RefCell<FxHashMap<LabelSet, Vec<(EdgeSym, VerdictLists)>>>,
-    k: &LabelSet,
-    role: EdgeSym,
-    kp: &LabelSet,
-) -> Option<bool> {
-    let memo = memo.borrow();
-    memo.get(kp)?.iter().find(|(r, _)| *r == role).and_then(|(_, l)| l.lookup(k))
-}
-
-fn record_verdict(
-    memo: &RefCell<FxHashMap<LabelSet, Vec<(EdgeSym, VerdictLists)>>>,
-    k: &LabelSet,
-    role: EdgeSym,
-    kp: &LabelSet,
-    v: bool,
-) {
-    let mut memo = memo.borrow_mut();
-    let rows = memo.entry(kp.clone()).or_default();
-    match rows.iter_mut().find(|(r, _)| *r == role) {
-        Some((_, l)) => l.record(k, v),
-        None => {
-            let mut l = VerdictLists::default();
-            l.record(k, v);
-            rows.push((role, l));
-        }
-    }
-}
-
-impl EntailCtx {
-    /// Creates the oracle over the TBox of `universe`; `fresh` are two
-    /// concept names unused in it.
-    pub(crate) fn new(
-        universe: TypeUniverse,
-        fresh: (NodeLabel, NodeLabel),
-        budget: Budget,
-    ) -> Self {
-        EntailCtx {
-            fresh_b: fresh.0,
-            fresh_b2: fresh.1,
-            budget,
-            exists_ctxs: RefCell::new(FxHashMap::default()),
-            amo_ctx: RefCell::new(None),
-            exists_verdicts: RefCell::new(FxHashMap::default()),
-            amo_verdicts: RefCell::new(FxHashMap::default()),
-            universe: RefCell::new(universe),
-        }
-    }
-
-    fn node_tests(set: &LabelSet) -> Regex {
-        Regex::concat_all(set.iter().map(|l| Regex::node(NodeLabel(l))))
-    }
-
-    /// A fresh solver context over the base TBox plus `extra`, sharing the
-    /// base universe's rule index.
-    fn extend(&self, extra: impl IntoIterator<Item = HornCi>) -> RealizeCtx {
-        RealizeCtx::new(self.universe.borrow().extended(extra), self.budget.clone())
-    }
-
-    fn decide(&self, ctx: &mut RealizeCtx, q: &C2rpq) -> Result<bool, UnknownReason> {
-        let _span = gts_obs::span("entailment_probe");
-        let start = gts_obs::enabled().then(std::time::Instant::now);
-        let verdict = decide_in_ctx(ctx, q, &self.budget);
-        if let Some(t0) = start {
-            static HIST: std::sync::OnceLock<gts_obs::Histogram> = std::sync::OnceLock::new();
-            HIST.get_or_init(|| {
-                gts_obs::global().histogram(
-                    "gts_containment_probe_micros",
-                    "Latency of completion entailment probes",
-                    &[],
-                )
-            })
-            .record(t0.elapsed().as_micros() as u64);
-        }
-        match verdict {
-            Verdict::Unsat => Ok(true),
-            Verdict::Sat(_) => Ok(false),
-            Verdict::Unknown(r) => Err(r),
-        }
-    }
-
-    /// The hoisted `(K, role)` fast-path state of `entails_exists`; the
-    /// sweep computes it once per row and passes it to every probe.
-    pub(crate) fn exists_fast(&self, k: &LabelSet, role: EdgeSym) -> ExistsFast {
-        let mut u = self.universe.borrow_mut();
-        // Inconsistent closure or dead saturation: K is unsatisfiable in
-        // every model, so it entails everything.
-        let Some(sat) = u.close(k).and_then(|tid| u.saturate(tid)) else {
-            return ExistsFast::KInconsistent;
-        };
-        // Every model's K-node carries at least the saturated labels, so
-        // reasoning over them is sound and strictly stronger than over
-        // clo(K).
-        let sat_labels = u.labels(sat).clone();
-        let push = u.propagate_set(&sat_labels, role);
-        let seeds: Vec<LabelSet> = u
-            .exists_on(role)
-            .filter(|(lhs, _)| lhs.is_subset(&sat_labels))
-            .map(|(_, rhs)| rhs.union(&push))
-            .collect();
-        let mut vacuous = false;
-        let mut targets = Vec::new();
-        for seed in &seeds {
-            match u.close(seed).and_then(|t| u.saturate(t)) {
-                // The forced successor's saturated type: any actual
-                // witness carries at least these labels.
-                Some(ct) => targets.push(u.labels(ct).clone()),
-                // The forced successor is inconsistent: K is
-                // unsatisfiable, so every CI holds vacuously.
-                None => vacuous = true,
-            }
-        }
-        if targets.is_empty() && !vacuous {
-            return ExistsFast::NoSuccessor;
-        }
-        // Only maximal targets matter for coverage tests.
-        let all = std::mem::take(&mut targets);
-        for t in &all {
-            if !all.iter().any(|o| o != t && t.is_subset(o)) && !targets.contains(t) {
-                targets.push(t.clone());
-            }
-        }
-        ExistsFast::Targets { vacuous, targets }
-    }
-
-    /// `T ⊨ K ⊑ ∃R.K'` (unrestricted models), given `fast`, the
-    /// [`EntailCtx::exists_fast`] state of `(K, role)`.
-    pub(crate) fn entails_exists(
-        &self,
-        fast: &ExistsFast,
-        k: &LabelSet,
+    /// The witness node over `role` from `seed` for node `n` of type `ty`
+    /// (labels `labels`), recording `n` as its reader; `None` when the
+    /// witness cannot exist.
+    fn child(
+        &mut self,
+        n: usize,
+        ty: TypeId,
+        labels: &LabelSet,
         role: EdgeSym,
-        kp: &LabelSet,
-    ) -> Result<bool, UnknownReason> {
-        // Syntactic fast path over saturated types: some ∃-CI fires on
-        // the saturated K and its saturated target covers K', or no ∃-CI
-        // fires at all. The per-(K, role) state is hoisted, so each probe
-        // is a handful of subset tests.
-        if let Some(v) = fast.decisive(kp) {
-            return Ok(v);
+        seed: &LabelSet,
+    ) -> Result<Option<usize>, UnknownReason> {
+        let mut start = (*self.u.propagate_set(labels, role)).clone();
+        start.union_with(seed);
+        let Some(start) = self.u.close(&start) else { return Ok(None) };
+        let c = self.node(Key::Child { role, parent: ty, start })?;
+        let child = &mut self.nodes[c];
+        if child.dead {
+            return Ok(None);
         }
-        // Fast false: without any ∃-CI on this role, a tree model of clo(K)
-        // omitting the successor exists; if clo(K) is only *semantically*
-        // unsatisfiable the resulting missed H_T edge is harmless (every
-        // finmod cycle through an unsatisfiable type reverses vacuously —
-        // see the completion module docs).
-        if self.universe.borrow().exists_on(role).next().is_none() {
-            return Ok(false);
+        if !child.readers.contains(&n) {
+            child.readers.push(n);
         }
-        // Monotonicity shortcut before the engine: replay a recorded
-        // verdict for a weaker/stronger premise over the same (role, K').
-        if let Some(v) = lookup_verdict(&self.exists_verdicts, k, role, kp) {
-            return Ok(v);
-        }
-        // Exact check via Corollary E.7. The extended TBox depends only on
-        // (role, K'), so one solver context serves every K probed here.
-        let mut tests = k.clone();
-        tests.insert(self.fresh_b.0);
-        let q = C2rpq::new(
-            1,
-            vec![],
-            vec![Atom { x: Var(0), y: Var(0), regex: Self::node_tests(&tests) }],
-        );
-        let v = {
-            let mut ctxs = self.exists_ctxs.borrow_mut();
-            let ctx = ctxs.entry((role, kp.clone())).or_insert_with(|| {
-                self.extend([
-                    HornCi::AllValues {
-                        lhs: kp.clone(),
-                        role: role.inv(),
-                        rhs: LabelSet::singleton(self.fresh_b2.0),
-                    },
-                    HornCi::Bottom { lhs: LabelSet::from_iter([self.fresh_b.0, self.fresh_b2.0]) },
-                ])
-            });
-            self.decide(ctx, &q)?
-        };
-        record_verdict(&self.exists_verdicts, k, role, kp, v);
-        Ok(v)
+        Ok(Some(c))
     }
+}
 
-    /// `T ⊨ K ⊑ ∃≤1 R.K'` (unrestricted models).
-    pub(crate) fn entails_at_most_one(
-        &self,
-        k: &LabelSet,
-        role: EdgeSym,
-        kp: &LabelSet,
-    ) -> Result<bool, UnknownReason> {
-        // Syntactic fast path: an at-most CI firing on clo(K) whose counted
-        // set is covered by the (propagation-enriched) successor type.
-        {
-            let mut u = self.universe.borrow_mut();
-            let Some(clo_k) = u.close(k).map(|tid| u.labels(tid).clone()) else {
-                return Ok(true);
-            };
-            let push = u.propagate_set(&clo_k, role);
-            let Some(enriched) = u.close(&kp.union(&push)) else {
-                return Ok(true); // no K'-successor can even exist
-            };
-            let enriched = u.labels(enriched);
-            if u.at_most_on(role).any(|(lhs, rhs)| lhs.is_subset(&clo_k) && rhs.is_subset(enriched))
-            {
-                return Ok(true);
-            }
-            // Fast false: with no at-most constraint on this role and no
-            // ∄-constraint touching it (in either direction), a model with
-            // two distinct K'-successors exists whenever one does
-            // (duplicate the witness subtree); the semantically-
-            // unsatisfiable case is harmless as above.
-            if u.at_most_on(role).next().is_none() && !u.not_exists_touches(role) {
-                return Ok(false);
-            }
-        }
-        // Monotonicity shortcut before the engine (see `entails_exists`).
-        if let Some(v) = lookup_verdict(&self.amo_verdicts, k, role, kp) {
-            return Ok(v);
-        }
-        // Exact check via Corollary E.7: two R-steps into K'-nodes marked
-        // B and B' respectively, with B⊓B' ⊑ ⊥. The extended TBox is the
-        // same for every (K, R, K') — one solver context serves the sweep.
-        let step = |marker: NodeLabel| {
-            let mut tgt = kp.clone();
-            tgt.insert(marker.0);
-            Regex::sym(role).then(Self::node_tests(&tgt))
-        };
-        let q = C2rpq::new(
-            3,
-            vec![],
-            vec![
-                Atom { x: Var(0), y: Var(0), regex: Self::node_tests(k) },
-                Atom { x: Var(0), y: Var(1), regex: step(self.fresh_b) },
-                Atom { x: Var(0), y: Var(2), regex: step(self.fresh_b2) },
-            ],
-        );
-        let v = {
-            let mut ctx = self.amo_ctx.borrow_mut();
-            let ctx = ctx.get_or_insert_with(|| {
-                self.extend([HornCi::Bottom {
-                    lhs: LabelSet::from_iter([self.fresh_b.0, self.fresh_b2.0]),
-                }])
-            });
-            self.decide(ctx, &q)?
-        };
-        record_verdict(&self.amo_verdicts, k, role, kp, v);
-        Ok(v)
-    }
+/// Counts a question the fixpoint left unsettled in
+/// `gts_containment_probe_micros`, with the time it took to give up
+/// (`None`: it gave up at once).
+fn count_unsettled(t0: Option<std::time::Instant>) {
+    static HIST: std::sync::OnceLock<gts_obs::Histogram> = std::sync::OnceLock::new();
+    HIST.get_or_init(|| {
+        gts_obs::global().histogram(
+            "gts_containment_probe_micros",
+            "Completion entailment questions the canonical-model fixpoint left unsettled",
+            &[],
+        )
+    })
+    .record(t0.map_or(0, |t0| t0.elapsed().as_micros() as u64));
+}
+
+/// One evaluation of a node: its labels with everything its witnesses
+/// push back, what it forces on its parent, and its witnesses.
+struct Expansion {
+    labels: LabelSet,
+    up: LabelSet,
+    children: Vec<(EdgeSym, usize)>,
+}
+
+/// A merge forced on a node's witnesses, by their positions (ascending).
+enum Merge {
+    /// These witnesses are the parent.
+    IntoParent(Vec<usize>),
+    /// These witnesses are one node.
+    Siblings(Vec<usize>),
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gts_dl::HornTbox;
-    use gts_graph::{EdgeLabel, Vocab};
+    use gts_dl::{HornCi, HornTbox};
+    use gts_graph::{EdgeLabel, NodeLabel};
 
-    fn fresh(v: &mut Vocab) -> (NodeLabel, NodeLabel) {
-        (v.fresh_node_label("B"), v.fresh_node_label("B"))
-    }
     fn set(labels: &[u32]) -> LabelSet {
         LabelSet::from_iter(labels.iter().copied())
     }
     fn sym(i: u32) -> EdgeSym {
         EdgeSym::fwd(EdgeLabel(i))
     }
-    fn ctx(t: &HornTbox, v: &mut Vocab) -> EntailCtx {
-        EntailCtx::new(TypeUniverse::new(t), fresh(v), Budget::default())
+    fn fixpoint(t: &HornTbox) -> HornFixpoint {
+        HornFixpoint::new(TypeUniverse::new(t), &Budget::default())
     }
-    /// `entails_exists` with its hoisted fast-path state computed inline.
-    fn exists(ctx: &EntailCtx, k: &LabelSet, role: EdgeSym, kp: &LabelSet) -> bool {
-        ctx.entails_exists(&ctx.exists_fast(k, role), k, role, kp).unwrap()
+    fn exists(f: &mut HornFixpoint, k: &[u32], role: EdgeSym, kp: &[u32]) -> bool {
+        f.entails_exists(&set(k), role, &set(kp)).unwrap()
+    }
+    fn at_most(f: &mut HornFixpoint, k: &[u32], role: EdgeSym, kp: &[u32]) -> bool {
+        f.entails_at_most_one(&set(k), role, &set(kp)).unwrap()
     }
 
     #[test]
     fn direct_ci_is_entailed() {
-        let mut v = Vocab::new();
-        let _ = v.node_label("A");
-        let _ = v.node_label("B");
         let mut t = HornTbox::new();
         t.push(HornCi::Exists { lhs: set(&[0]), role: sym(0), rhs: set(&[1]) });
-        let ctx = ctx(&t, &mut v);
-        assert!(exists(&ctx, &set(&[0]), sym(0), &set(&[1])));
+        let mut f = fixpoint(&t);
+        assert!(exists(&mut f, &[0], sym(0), &[1]));
         // Weakening the target keeps entailment.
-        assert!(exists(&ctx, &set(&[0]), sym(0), &LabelSet::new()));
+        assert!(exists(&mut f, &[0], sym(0), &[]));
         // Strengthening the premise keeps entailment.
-        assert!(exists(&ctx, &set(&[0, 1]), sym(0), &set(&[1])));
+        assert!(exists(&mut f, &[0, 1], sym(0), &[1]));
         // A stronger target is not entailed.
-        assert!(!exists(&ctx, &set(&[0]), sym(0), &set(&[0, 1])));
+        assert!(!exists(&mut f, &[0], sym(0), &[0, 1]));
         // Nothing about other roles.
-        assert!(!exists(&ctx, &set(&[0]), sym(1), &set(&[1])));
+        assert!(!exists(&mut f, &[0], sym(1), &[1]));
     }
 
     #[test]
     fn entailment_through_propagation() {
         // A ⊑ ∃r.B and A ⊑ ∀r.C entail A ⊑ ∃r.(B⊓C).
-        let mut v = Vocab::new();
-        for n in ["A", "B", "C"] {
-            v.node_label(n);
-        }
         let mut t = HornTbox::new();
         t.push(HornCi::Exists { lhs: set(&[0]), role: sym(0), rhs: set(&[1]) });
         t.push(HornCi::AllValues { lhs: set(&[0]), role: sym(0), rhs: set(&[2]) });
-        let ctx = ctx(&t, &mut v);
-        assert!(exists(&ctx, &set(&[0]), sym(0), &set(&[1, 2])));
+        assert!(exists(&mut fixpoint(&t), &[0], sym(0), &[1, 2]));
     }
 
     #[test]
     fn unsatisfiable_premise_entails_vacuously() {
-        let mut v = Vocab::new();
-        let _ = v.node_label("A");
         let mut t = HornTbox::new();
         t.push(HornCi::Bottom { lhs: set(&[0]) });
-        let ctx = ctx(&t, &mut v);
-        assert!(exists(&ctx, &set(&[0]), sym(0), &set(&[5])));
-        assert!(ctx.entails_at_most_one(&set(&[0]), sym(0), &set(&[5])).unwrap());
+        let mut f = fixpoint(&t);
+        assert!(exists(&mut f, &[0], sym(0), &[5]));
+        assert!(at_most(&mut f, &[0], sym(0), &[5]));
+    }
+
+    #[test]
+    fn forbidden_forced_edge_kills_the_premise() {
+        // A ⊑ ∃r.B and B ⊑ ∄r⁻.A: no model has an A-node.
+        let mut t = HornTbox::new();
+        t.push(HornCi::Exists { lhs: set(&[0]), role: sym(0), rhs: set(&[1]) });
+        t.push(HornCi::NotExists { lhs: set(&[1]), role: sym(0).inv(), rhs: set(&[0]) });
+        let mut f = fixpoint(&t);
+        assert!(exists(&mut f, &[0], sym(1), &[7]));
+        assert!(!exists(&mut f, &[1], sym(1), &[7]));
     }
 
     #[test]
     fn at_most_direct_and_weakened() {
-        let mut v = Vocab::new();
-        for n in ["A", "B"] {
-            v.node_label(n);
-        }
         let mut t = HornTbox::new();
         t.push(HornCi::AtMostOne { lhs: set(&[0]), role: sym(0), rhs: set(&[1]) });
-        let ctx = ctx(&t, &mut v);
-        assert!(ctx.entails_at_most_one(&set(&[0]), sym(0), &set(&[1])).unwrap());
+        let mut f = fixpoint(&t);
+        assert!(at_most(&mut f, &[0], sym(0), &[1]));
         // Counting a *larger* conjunction (fewer successors) stays ≤ 1.
-        assert!(ctx.entails_at_most_one(&set(&[0]), sym(0), &set(&[1, 0])).unwrap());
+        assert!(at_most(&mut f, &[0], sym(0), &[1, 0]));
         // Counting a smaller conjunction (more successors) is not entailed.
-        assert!(!ctx.entails_at_most_one(&set(&[0]), sym(0), &LabelSet::new()).unwrap());
+        assert!(!at_most(&mut f, &[0], sym(0), &[]));
         // Unconstrained premise is not entailed.
-        assert!(!ctx.entails_at_most_one(&set(&[1]), sym(0), &set(&[1])).unwrap());
+        assert!(!at_most(&mut f, &[1], sym(0), &[1]));
     }
 
     #[test]
     fn semantic_entailment_beyond_fast_path() {
-        // ∄r.⊤ entails ∃≤1 r.K' for any K' — only the engine sees this.
-        let mut v = Vocab::new();
-        let _ = v.node_label("A");
+        // ∄r.⊤ entails ∃≤1 r.K' for any K', though no at-most CI says so.
         let mut t = HornTbox::new();
         t.push(HornCi::NotExists { lhs: set(&[0]), role: sym(0), rhs: LabelSet::new() });
-        let ctx = ctx(&t, &mut v);
-        assert!(ctx.entails_at_most_one(&set(&[0]), sym(0), &LabelSet::new()).unwrap());
+        assert!(at_most(&mut fixpoint(&t), &[0], sym(0), &[]));
+    }
+
+    /// Inverse at-most: `A ⊑ ∃r.B, B ⊑ ∃r⁻.D, B ⊑ ∃≤1 r⁻.⊤, A⊓D ⊑ G,
+    /// G ⊑ ∀r.E ⊨ A ⊑ ∃r.(B⊓E)`. The `r⁻`-witness of the `B`-child is
+    /// its parent, which takes `D`, then `G`, and pushes `E` back down.
+    /// Saturation alone never gives the parent `D`.
+    #[test]
+    fn inverse_at_most_merges_the_witness_into_the_parent() {
+        let [a, b, d, g, e] = [0, 1, 2, 3, 4];
+        let r = sym(0);
+        let mut t = HornTbox::new();
+        t.push(HornCi::Exists { lhs: set(&[a]), role: r, rhs: set(&[b]) });
+        t.push(HornCi::Exists { lhs: set(&[b]), role: r.inv(), rhs: set(&[d]) });
+        t.push(HornCi::AtMostOne { lhs: set(&[b]), role: r.inv(), rhs: LabelSet::new() });
+        t.push(HornCi::SubAtom { lhs: set(&[a, d]), rhs: NodeLabel(g) });
+        t.push(HornCi::AllValues { lhs: set(&[g]), role: r, rhs: set(&[e]) });
+        let mut f = fixpoint(&t);
+        assert!(exists(&mut f, &[a], r, &[b, e]));
+        // Without the premise A the parent never meets G.
+        assert!(!exists(&mut f, &[d], r, &[b]));
+        let mut u = TypeUniverse::new(&t);
+        let sat = u.close(&set(&[a])).and_then(|ty| u.saturate(ty)).unwrap();
+        assert!(!u.labels(sat).contains(d), "saturation does not see the merge");
+    }
+
+    /// Functional merge: `A ⊑ ∃r.B, A ⊑ ∃r.C, A ⊑ ∃≤1 r.⊤ ⊨
+    /// A ⊑ ∃r.(B⊓C)` — the two witnesses are one.
+    #[test]
+    fn functional_merge_joins_the_witnesses() {
+        let r = sym(0);
+        let mut t = HornTbox::new();
+        t.push(HornCi::Exists { lhs: set(&[0]), role: r, rhs: set(&[1]) });
+        t.push(HornCi::Exists { lhs: set(&[0]), role: r, rhs: set(&[2]) });
+        t.push(HornCi::AtMostOne { lhs: set(&[0]), role: r, rhs: LabelSet::new() });
+        let mut f = fixpoint(&t);
+        assert!(exists(&mut f, &[0], r, &[1, 2]));
+        assert!(at_most(&mut f, &[0], r, &[]));
+        // Counting only B-successors leaves the C-witness unmerged.
+        let mut t2 = t.clone();
+        t2.cis.pop();
+        t2.push(HornCi::AtMostOne { lhs: set(&[0]), role: r, rhs: set(&[1]) });
+        assert!(!exists(&mut fixpoint(&t2), &[0], r, &[1, 2]));
+    }
+
+    /// Joint at-most: `B ⊑ ∀r⁻.M, M ⊑ ∃≤1 r.B ⊨ A ⊑ ∃≤1 r.B`. A
+    /// `B`-child pushes `M` onto its parent, whose at-most CI then counts
+    /// it; only the joint saturation of the pair sees that.
+    #[test]
+    fn joint_saturation_answers_at_most() {
+        let [a, b, m] = [0, 1, 2];
+        let r = sym(0);
+        let mut t = HornTbox::new();
+        t.push(HornCi::AllValues { lhs: set(&[b]), role: r.inv(), rhs: set(&[m]) });
+        t.push(HornCi::AtMostOne { lhs: set(&[m]), role: r, rhs: set(&[b]) });
+        let mut f = fixpoint(&t);
+        assert!(at_most(&mut f, &[a], r, &[b]));
+        assert!(!at_most(&mut f, &[a], r, &[a]));
+        assert!(!at_most(&mut f, &[a], r.inv(), &[b]));
+    }
+
+    /// `A ⊑ ∃r.A` unravels into an infinite chain; the fixpoint folds it
+    /// into one node keyed on itself.
+    #[test]
+    fn cyclic_requirements_fold() {
+        let r = sym(0);
+        let mut t = HornTbox::new();
+        t.push(HornCi::Exists { lhs: set(&[0]), role: r, rhs: set(&[0]) });
+        t.push(HornCi::AllValues { lhs: set(&[0]), role: r.inv(), rhs: set(&[1]) });
+        let mut f = fixpoint(&t);
+        assert!(exists(&mut f, &[0], r, &[0, 1]));
+        assert!(!exists(&mut f, &[0], r, &[2]));
+        assert!(f.nodes.len() <= 3, "{} nodes", f.nodes.len());
+    }
+
+    #[test]
+    fn the_node_cap_leaves_the_question_unsettled() {
+        let r = sym(0);
+        let mut t = HornTbox::new();
+        t.push(HornCi::Exists { lhs: set(&[0]), role: r, rhs: set(&[1]) });
+        t.push(HornCi::Exists { lhs: set(&[1]), role: r, rhs: set(&[0]) });
+        let budget = Budget { max_candidates: 1, ..Budget::default() };
+        let mut f = HornFixpoint::new(TypeUniverse::new(&t), &budget);
+        assert_eq!(
+            f.entails_exists(&set(&[0]), r, &set(&[1])),
+            Err(UnknownReason::CandidateBudget)
+        );
+        // Every later question is unsettled too.
+        assert!(f.entails_exists(&set(&[1]), r, &set(&[0])).is_err());
     }
 }

@@ -10,7 +10,8 @@
 //! * [`rollup_negation`] — Lemma C.2 (acyclic queries to Horn TBoxes);
 //! * [`complete`] — finmod-cycle reversal / Theorem 5.4 (finite ↔
 //!   unrestricted satisfiability);
-//! * `entail` — CI entailment via Corollary E.7, for the completion sweep;
+//! * [`HornFixpoint`] — CI entailment read off canonical models, for the
+//!   completion sweep;
 //! * [`contains`] — the top-level decision procedure;
 //! * `oracle` helpers — brute-force finite differential oracles.
 //!
@@ -46,10 +47,11 @@ mod tbox_containment;
 mod witness;
 
 pub use booleanize::{booleanize, Booleanized};
-pub use completion::{complete, complete_with, Completion, CompletionConfig};
+pub use completion::{complete, complete_with, record_rounds, Completion, CompletionConfig, Round};
 pub use contains::{
     contains, satisfiable_modulo_schema, ContainmentAnswer, ContainmentError, ContainmentOptions,
 };
+pub use entail::{HornFixpoint, Successors};
 pub use hatp::{hat_query, hat_regex, hat_union};
 pub use nre::{contains_nre, nest_tbox};
 pub use oracle::{

@@ -47,7 +47,6 @@ pub fn contains_finite_modulo_tbox(
         return Ok(finish(true, true, None));
     }
     let (choices, _states) = rollup_negation(q, vocab).map_err(ContainmentError::Rollup)?;
-    let fresh = (vocab.fresh_node_label("B"), vocab.fresh_node_label("B"));
 
     // As in the schema pipeline, UNSAT modulo a *partial* completion
     // already implies UNSAT modulo the full one, so "holds" verdicts stay
@@ -58,7 +57,7 @@ pub fn contains_finite_modulo_tbox(
         let t = HornTbox::merged([tbox, choice]);
         let seeds = t.used_labels();
         let Completion { universe, complete: completion_ok, .. } =
-            complete_with(&t, &seeds, fresh, &opts.budget, &opts.completion, opts.threads);
+            complete_with(&t, &seeds, &opts.budget, &opts.completion, opts.threads);
         let mut ctx = RealizeCtx::new(universe, opts.budget.clone());
         for pd in &p.disjuncts {
             match decide_in_ctx(&mut ctx, pd, &opts.budget) {
@@ -83,16 +82,14 @@ pub fn contains_finite_modulo_tbox(
 pub fn finitely_satisfiable_modulo_tbox(
     p: &C2rpq,
     tbox: &HornTbox,
-    vocab: &mut Vocab,
     opts: &ContainmentOptions,
 ) -> Result<(bool, bool), ContainmentError> {
     if !p.is_boolean() {
         return Err(ContainmentError::NotBoolean);
     }
-    let fresh = (vocab.fresh_node_label("B"), vocab.fresh_node_label("B"));
     let seeds = tbox.used_labels();
     let Completion { universe, complete: completion_ok, .. } =
-        complete_with(tbox, &seeds, fresh, &opts.budget, &opts.completion, opts.threads);
+        complete_with(tbox, &seeds, &opts.budget, &opts.completion, opts.threads);
     let mut ctx = RealizeCtx::new(universe, opts.budget.clone());
     match decide_in_ctx(&mut ctx, p, &opts.budget) {
         // SAT modulo a partial completion does not yet witness a finite
@@ -179,15 +176,14 @@ mod tests {
         let verdict = decide(&t, &p, &Budget::default());
         assert!(verdict.is_sat(), "unrestrictedly satisfiable via infinite chain");
         // Finite: unsatisfiable.
-        let (sat, cert) =
-            finitely_satisfiable_modulo_tbox(&p, &t, &mut v, &Default::default()).unwrap();
+        let (sat, cert) = finitely_satisfiable_modulo_tbox(&p, &t, &Default::default()).unwrap();
         assert!(!sat, "no finite model exists");
         assert!(cert);
         // Sanity: ∃x.B(x) alone (without the A-seed) IS finitely
         // satisfiable — a pure B-cycle.
         let pb = C2rpq::new(1, vec![], vec![Atom { x: Var(0), y: Var(0), regex: Regex::node(b) }]);
         let (sat_b, cert_b) =
-            finitely_satisfiable_modulo_tbox(&pb, &t, &mut v, &Default::default()).unwrap();
+            finitely_satisfiable_modulo_tbox(&pb, &t, &Default::default()).unwrap();
         assert!(sat_b && cert_b);
     }
 

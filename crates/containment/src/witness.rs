@@ -92,7 +92,6 @@ pub fn finite_counterexample<R: Rng>(
     let p_hat = hat_union(&b.p, &b.schema);
     let hat_ts = b.schema.hat_tbox();
     let schema_label_set = b.schema.node_label_set();
-    let fresh = (vocab.fresh_node_label("B"), vocab.fresh_node_label("B"));
 
     let mut saw_sat_or_unknown = false;
     for choice in &choices {
@@ -100,7 +99,6 @@ pub fn finite_counterexample<R: Rng>(
         let Completion { universe, .. } = crate::completion::complete_with(
             &t,
             &schema_label_set,
-            fresh,
             &opts.budget,
             &opts.completion,
             opts.threads,

@@ -45,9 +45,8 @@ pub fn decide(tbox: &HornTbox, query: &C2rpq, budget: &Budget) -> Verdict {
 
 /// [`decide`] on a caller-owned context over the TBox of `ctx.types`. The
 /// context keeps its memo tables between calls and lives only as long as
-/// its owner: a containment call holds one per completed TBox, the
-/// completion's entailment sweep one per probe encoding, layered over the
-/// round's universe (see [`TypeUniverse::extended`]). Warm memo entries
+/// its owner: a containment call holds one per completed TBox. Warm memo
+/// entries
 /// replay the exact sequential computation, including its `uncertain`
 /// degradations. Counted by the same span and metrics as every other
 /// decide.

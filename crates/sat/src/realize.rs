@@ -21,9 +21,8 @@
 //!
 //! The candidate verdicts (`status`) and option sets (`options_memo`) are
 //! facts about `(TBox, candidate)` alone, so the owner of a `RealizeCtx`
-//! (a containment call over one completed TBox, or a completion sweep
-//! over one extended TBox) can replay them across the decides it runs
-//! through [`crate::decide_in_ctx`]. Two pieces
+//! (a containment call over one completed TBox) can replay them across
+//! the decides it runs through [`crate::decide_in_ctx`]. Two pieces
 //! of bookkeeping make the replay *exact* (verdict-for-verdict equal to a
 //! fresh context):
 //!

@@ -9,15 +9,15 @@
 //! [`Arc`]: it can outlive the `decide` call that built it — this is what
 //! lets one solver context (see [`crate::decide_in_ctx`]) share interned
 //! types, saturation fixpoints, and dead-type verdicts across the decides
-//! its owner runs — and [`TypeUniverse::extended`] layers a few extra CIs
-//! over that shared index instead of copying the TBox.
+//! its owner runs — and [`TypeUniverse::fresh`] starts an empty universe
+//! over the same index instead of indexing the TBox again.
 //!
-//! The base also carries the rule lists derived from it: the base part of
-//! a label set's requirement and at-most lists is computed once for every
-//! universe layered over that base, and a universe appends only its extra
-//! layer's rules. A completion round, its probe contexts and its parallel
-//! workers thus derive each list once between them. `∄`-checks read the
-//! role-grouped rules directly and keep no memo.
+//! The index also carries the rule lists derived from it: a label set's
+//! requirement and at-most lists are computed once for every universe
+//! over that index. A completion round, its parallel workers and the
+//! universe it hands to the final decides thus derive each list once
+//! between them. `∄`-checks read the role-grouped rules directly and keep
+//! no memo.
 
 use gts_dl::{HornCi, HornTbox};
 use gts_graph::{EdgeSym, FxHashMap, FxHashSet, LabelSet};
@@ -26,27 +26,26 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// `(role, K')` pairs of the `∃` or at-most rules firing on a label set.
 type RuleList = Arc<Vec<(EdgeSym, LabelSet)>>;
 
-/// The base TBox's rule index and the rule lists derived from it. Every
-/// universe layered over this base — a completion round's, each of its
-/// probe contexts', each parallel worker's clone — reads the base part of
-/// a requirement or at-most list from here, so a label set's base part is
-/// derived once per TBox, not once per universe.
+/// A TBox's rule index and the rule lists derived from it. Every universe
+/// over this base — a completion round's, each parallel worker's clone,
+/// and the fresh one handed to the final decides — reads a requirement or
+/// at-most list from here, so a label set's lists are derived once per
+/// TBox, not once per universe.
 #[derive(Default)]
 struct Base {
     index: TboxIndex,
-    /// Base part of [`HornTbox::requirements`], per label set.
+    /// [`HornTbox::requirements`], per label set.
     reqs: Mutex<FxHashMap<LabelSet, RuleList>>,
-    /// Base part of [`HornTbox::at_most`], per label set.
+    /// [`HornTbox::at_most`], per label set.
     at_most: Mutex<FxHashMap<LabelSet, RuleList>>,
 }
 
 /// CIs of one TBox grouped by kind (and by role where it pays), built once
 /// per TBox so every rule application scans only the relevant rules
-/// instead of the whole CI list. A universe reads its base index, then its
-/// extra layer; semantics match the corresponding `HornTbox` methods on
-/// the concatenated CI list exactly, including result order (flat lists
-/// keep CI order).
-#[derive(Clone, Default)]
+/// instead of the whole CI list; semantics match the corresponding
+/// `HornTbox` methods exactly, including result order (flat lists keep CI
+/// order).
+#[derive(Default)]
 struct TboxIndex {
     subatoms: Vec<(LabelSet, u32)>,
     bottoms: Vec<LabelSet>,
@@ -97,7 +96,7 @@ impl TboxIndex {
         self.bottoms.iter().any(|lhs| lhs.is_subset(cur))
     }
 
-    /// Adds the `∀`-pushes of this layer to `out`.
+    /// Adds the `∀`-pushes to `out`.
     fn propagate_into(&self, src: &LabelSet, role: EdgeSym, out: &mut LabelSet) {
         for (lhs, rhs) in self.allvalues_by_role.get(&role).into_iter().flatten() {
             if lhs.is_subset(src) {
@@ -115,7 +114,7 @@ impl TboxIndex {
         fires(role, src, tgt) || fires(role.inv(), tgt, src)
     }
 
-    /// `(lhs, rhs)` of this layer's rules on `role`, in CI order.
+    /// `(lhs, rhs)` of the rules on `role`, in CI order.
     fn on_role<'a>(
         rules: &'a [(EdgeSym, LabelSet, LabelSet)],
         by_role: &'a FxHashMap<EdgeSym, Vec<usize>>,
@@ -148,11 +147,8 @@ pub struct TypeId(pub u32);
 #[derive(Clone)]
 pub struct TypeUniverse {
     /// The rule index of the TBox this universe was built over and its
-    /// derived rule lists, shared by every universe
-    /// [`TypeUniverse::extended`] layers over it.
+    /// derived rule lists, shared with every [`TypeUniverse::fresh`] one.
     base: Arc<Base>,
-    /// The CIs layered over `base` (empty for a plain universe).
-    extra: TboxIndex,
     sets: Vec<LabelSet>,
     by_set: FxHashMap<LabelSet, TypeId>,
     closure_memo: FxHashMap<LabelSet, Option<TypeId>>,
@@ -180,28 +176,19 @@ impl TypeUniverse {
         for ci in &tbox.cis {
             base.index.add(ci.clone());
         }
-        Self::layered(Arc::new(base), TboxIndex::default())
+        Self::over(Arc::new(base))
     }
 
-    /// An empty universe over this universe's TBox plus `extra`: it
-    /// shares the base index and its rule lists and indexes only the extra
-    /// CIs, and closes, propagates and collects requirements exactly as a
-    /// universe over the TBox with `extra` pushed onto it would. Interned
-    /// types and memos are not carried over (they are facts about the
-    /// smaller TBox), so `extended([])` is a fresh universe over the same
-    /// TBox that numbers its types as [`TypeUniverse::new`] would.
-    pub fn extended(&self, extra: impl IntoIterator<Item = HornCi>) -> Self {
-        let mut layer = self.extra.clone();
-        for ci in extra {
-            layer.add(ci);
-        }
-        Self::layered(Arc::clone(&self.base), layer)
+    /// An empty universe over this universe's TBox, sharing its index and
+    /// rule lists. Interned types and memos are not carried over, so it
+    /// numbers its types as [`TypeUniverse::new`] would.
+    pub fn fresh(&self) -> Self {
+        Self::over(Arc::clone(&self.base))
     }
 
-    fn layered(base: Arc<Base>, extra: TboxIndex) -> Self {
+    fn over(base: Arc<Base>) -> Self {
         TypeUniverse {
             base,
-            extra,
             sets: Vec::new(),
             by_set: FxHashMap::default(),
             closure_memo: FxHashMap::default(),
@@ -211,30 +198,16 @@ impl TypeUniverse {
         }
     }
 
-    /// The base index, then the extra layer: CI order of the layered TBox.
-    fn layers(&self) -> [&TboxIndex; 2] {
-        [&self.base.index, &self.extra]
-    }
-
     /// `(lhs, rhs)` of every `K ⊑ ∃role.K'` CI, in CI order.
     pub fn exists_on(&self, role: EdgeSym) -> impl Iterator<Item = (&LabelSet, &LabelSet)> {
-        self.layers()
-            .into_iter()
-            .flat_map(move |l| TboxIndex::on_role(&l.exists, &l.exists_by_role, role))
+        let index = &self.base.index;
+        TboxIndex::on_role(&index.exists, &index.exists_by_role, role)
     }
 
     /// `(lhs, rhs)` of every `K ⊑ ∃≤1 role.K'` CI, in CI order.
     pub fn at_most_on(&self, role: EdgeSym) -> impl Iterator<Item = (&LabelSet, &LabelSet)> {
-        self.layers()
-            .into_iter()
-            .flat_map(move |l| TboxIndex::on_role(&l.atmost, &l.atmost_by_role, role))
-    }
-
-    /// `true` iff some `∄`-CI is on `role` or on its inverse.
-    pub fn not_exists_touches(&self, role: EdgeSym) -> bool {
-        self.layers().into_iter().any(|l| {
-            l.notexists_by_role.contains_key(&role) || l.notexists_by_role.contains_key(&role.inv())
-        })
+        let index = &self.base.index;
+        TboxIndex::on_role(&index.atmost, &index.atmost_by_role, role)
     }
 
     /// [`HornTbox::requirements`] of a type's label set.
@@ -255,9 +228,7 @@ impl TypeUniverse {
             }
         }
         let mut out = LabelSet::new();
-        for l in self.layers() {
-            l.propagate_into(set, role, &mut out);
-        }
+        self.base.index.propagate_into(set, role, &mut out);
         let p = Arc::new(out);
         self.propagate_memo.entry(set.clone()).or_default().push((role, Arc::clone(&p)));
         p
@@ -265,7 +236,7 @@ impl TypeUniverse {
 
     /// [`HornTbox::edge_forbidden`], read off the role-grouped `∄` rules.
     pub fn edge_forbidden(&self, src: &LabelSet, role: EdgeSym, tgt: &LabelSet) -> bool {
-        self.layers().into_iter().any(|l| l.edge_forbidden(src, role, tgt))
+        self.base.index.edge_forbidden(src, role, tgt)
     }
 
     /// [`HornTbox::at_most`] over an arbitrary label set.
@@ -273,11 +244,10 @@ impl TypeUniverse {
         self.firing(&self.base.at_most, |l| &l.atmost, set)
     }
 
-    /// The deduplicated `(role, K')` of the `rules` of both layers firing
-    /// on `set`, in CI order: [`HornTbox::requirements`] over `exists`,
-    /// [`HornTbox::at_most`] over `atmost`. The base layer's part comes
-    /// from (and goes into) the base's `shared` lists; the extra layer's
-    /// rules are appended, keeping first occurrences.
+    /// The deduplicated `(role, K')` of the `rules` firing on `set`, in CI
+    /// order: [`HornTbox::requirements`] over `exists`,
+    /// [`HornTbox::at_most`] over `atmost`, memoized in the base's `shared`
+    /// lists.
     fn firing(
         &self,
         shared: &Mutex<FxHashMap<LabelSet, RuleList>>,
@@ -287,30 +257,20 @@ impl TypeUniverse {
         // Each update inserts one finished list, so a poisoned map is
         // still valid.
         let lock = || shared.lock().unwrap_or_else(PoisonError::into_inner);
-        let hit = lock().get(set).cloned();
-        let base = hit.unwrap_or_else(|| {
-            let mut out = Vec::new();
-            push_firing(&mut out, rules(&self.base.index), set);
-            Arc::clone(lock().entry(set.clone()).or_insert_with(|| Arc::new(out)))
-        });
-        let extra = rules(&self.extra);
-        if extra.is_empty() {
-            return base;
+        if let Some(hit) = lock().get(set) {
+            return Arc::clone(hit);
         }
-        let mut out = (*base).clone();
-        push_firing(&mut out, extra, set);
-        Arc::new(out)
+        let mut out = Vec::new();
+        push_firing(&mut out, rules(&self.base.index), set);
+        Arc::clone(lock().entry(set.clone()).or_insert_with(|| Arc::new(out)))
     }
 
-    /// [`HornTbox::closure`] over both layers.
+    /// [`HornTbox::closure`].
     fn closure(&self, seed: &LabelSet) -> Option<LabelSet> {
         let mut cur = seed.clone();
         loop {
-            let mut changed = false;
-            for l in self.layers() {
-                changed |= l.apply_subatoms(&mut cur);
-            }
-            if self.layers().into_iter().any(|l| l.bottom_fires(&cur)) {
+            let changed = self.base.index.apply_subatoms(&mut cur);
+            if self.base.index.bottom_fires(&cur) {
                 return None;
             }
             if !changed {

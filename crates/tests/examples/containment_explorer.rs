@@ -74,14 +74,8 @@ pub fn main() {
     // and show what the completion adds.
     let (choices, _) = rollup_negation(&q, &mut vocab).unwrap();
     let t = HornTbox::merged([&schema.hat_tbox(), &choices[0]]);
-    let fresh = (vocab.fresh_node_label("B"), vocab.fresh_node_label("B"));
-    let completion = complete(
-        &t,
-        &schema.node_label_set(),
-        fresh,
-        &Budget::default(),
-        &CompletionConfig::default(),
-    );
+    let completion =
+        complete(&t, &schema.node_label_set(), &Budget::default(), &CompletionConfig::default());
     println!(
         "\nCompletion of T̂_S ∪ T¬Q: {} concept inclusions added by finmod-cycle reversal:",
         completion.added

@@ -349,7 +349,7 @@ fn finite_satisfiability_agrees_with_enumeration() {
     ];
     for (i, t) in tboxes.iter().enumerate() {
         let (sat, certified) =
-            finitely_satisfiable_modulo_tbox(&query_a, t, &mut v, &Default::default()).unwrap();
+            finitely_satisfiable_modulo_tbox(&query_a, t, &Default::default()).unwrap();
         let brute = finite_model_exists(&query_a, t, 3);
         if certified {
             assert_eq!(sat, brute, "tbox {i}: engine disagrees with enumeration");

@@ -213,14 +213,8 @@ fn example_5_5_cycle_reversal() {
         role: sym.inv(),
         rhs: LabelSet::singleton(a.0),
     });
-    let fresh = (vocab.fresh_node_label("B"), vocab.fresh_node_label("B"));
-    let c = complete(
-        &t,
-        &LabelSet::singleton(a.0),
-        fresh,
-        &Budget::default(),
-        &CompletionConfig::default(),
-    );
+    let c =
+        complete(&t, &LabelSet::singleton(a.0), &Budget::default(), &CompletionConfig::default());
     assert!(c.complete);
     // S* of Figure 2: both the reversed existential and the forward
     // functionality appear.

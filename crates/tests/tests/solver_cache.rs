@@ -1,7 +1,6 @@
 //! Differential tests for solver-context reuse: a context driven through
 //! many decides (as a containment call drives the one over each completed
-//! TBox, and a completion sweep the ones over its extended TBoxes), the
-//! thread-fanned paths, and the session verdict memo must all agree
+//! TBox), the thread-fanned paths, and the session verdict memo must all agree
 //! verdict-for-verdict with the fresh-context decision procedure, and
 //! contexts over different TBoxes must never share state.
 
@@ -11,7 +10,6 @@ use gts_core::sat::{decide, decide_in_ctx, RealizeCtx, TypeUniverse};
 use gts_engine::AnalysisSession;
 use gts_schema::{random_schema, SchemaGenConfig};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 fn set(labels: &[u32]) -> LabelSet {
@@ -123,137 +121,6 @@ fn cached_decide_agrees_with_fresh_on_random_instances() {
     }
 }
 
-/// A universe layered over a shared base by `TypeUniverse::extended`
-/// answers every query exactly like a universe over the base TBox with the
-/// extra CIs pushed onto it — requirement and at-most order included — and
-/// a solver context over it decides like a fresh `decide` over the merged
-/// TBox. Extras span every CI kind, always include an `∃` and an at-most
-/// CI (the kinds whose order shows), and repeat a CI of the base. Two
-/// sibling universes over one base, queried interleaved, each still match
-/// their own pushed TBox: the base's rule lists are shared, so neither
-/// sibling's extra layer may leak into the other's lists.
-#[test]
-fn extended_universe_matches_the_pushed_tbox() {
-    let budget = Budget::default();
-    let subsets: Vec<LabelSet> =
-        (0u32..16).map(|m| LabelSet::from_iter((0..4).filter(|b| m & (1 << b) != 0))).collect();
-    let roles: Vec<EdgeSym> =
-        (0..3).flat_map(|r| [EdgeSym::fwd(EdgeLabel(r)), EdgeSym::bwd(EdgeLabel(r))]).collect();
-    for seed in 300..340u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let base = random_tbox(4, 3, rng.gen_range(3..10), &mut rng);
-        let mut extra: Vec<HornCi> = (0..rng.gen_range(1..4))
-            .map(|_| {
-                let kind = rng.gen_range(0..6);
-                random_ci(kind, 4, 3, &mut rng)
-            })
-            .collect();
-        extra.push(random_ci(3, 4, 3, &mut rng));
-        extra.push(random_ci(5, 4, 3, &mut rng));
-        extra.push(base.cis[rng.gen_range(0..base.len())].clone());
-        extra.shuffle(&mut rng);
-        let mut pushed = base.clone();
-        for ci in &extra {
-            pushed.push(ci.clone());
-        }
-
-        // The base universe is used before it is extended: the extension
-        // must not inherit its interned types or memos.
-        let mut base_u = TypeUniverse::new(&base);
-        for s in &subsets {
-            if let Some(t) = base_u.close(s) {
-                base_u.saturate(t);
-            }
-        }
-        // Odd seeds layer the extras in two steps.
-        let extended = |rng: &mut StdRng| {
-            if seed % 2 == 0 {
-                base_u.extended(extra.iter().cloned())
-            } else {
-                let cut = rng.gen_range(0..=extra.len());
-                base_u.extended(extra[..cut].iter().cloned()).extended(extra[cut..].iter().cloned())
-            }
-        };
-        let mut layered = extended(&mut rng);
-        let mut flat = TypeUniverse::new(&pushed);
-        for s in &subsets {
-            let (a, b) = (layered.close(s), flat.close(s));
-            assert_eq!(a, b, "seed {seed}: close {s:?}");
-            if let Some(t) = a {
-                assert_eq!(layered.labels(t), flat.labels(t), "seed {seed}");
-                assert_eq!(layered.requirements_of(t), flat.requirements_of(t), "seed {seed}");
-                assert_eq!(layered.at_most_of(t), flat.at_most_of(t), "seed {seed}");
-                assert_eq!(layered.saturate(t), flat.saturate(t), "seed {seed}: saturate {s:?}");
-            }
-            for &role in &roles {
-                let p = layered.propagate_set(s, role);
-                assert_eq!(p, flat.propagate_set(s, role), "seed {seed}: propagate {s:?} {role:?}");
-                for tgt in &subsets {
-                    assert_eq!(
-                        layered.edge_forbidden(s, role, tgt),
-                        flat.edge_forbidden(s, role, tgt),
-                        "seed {seed}: edge {s:?} {role:?} {tgt:?}"
-                    );
-                }
-            }
-        }
-        for &role in &roles {
-            assert_eq!(
-                layered.exists_on(role).next().is_some(),
-                flat.exists_on(role).next().is_some()
-            );
-            assert_eq!(layered.at_most_on(role).count() > 0, flat.at_most_on(role).count() > 0);
-            assert_eq!(layered.not_exists_touches(role), flat.not_exists_touches(role));
-        }
-
-        // The second sibling carries only `∀`/`⊥` extras, like the
-        // completion's probe encodings; the first has the `∃`/at-most
-        // extras above. Which sibling asks first alternates per set.
-        let probe_extra: Vec<HornCi> = (0..rng.gen_range(1..4))
-            .map(|_| {
-                let kind = rng.gen_range(1..3);
-                random_ci(kind, 4, 3, &mut rng)
-            })
-            .collect();
-        let mut probe_pushed = base.clone();
-        for ci in &probe_extra {
-            probe_pushed.push(ci.clone());
-        }
-        let mut siblings = [
-            (base_u.extended(extra.iter().cloned()), TypeUniverse::new(&pushed)),
-            (base_u.extended(probe_extra.iter().cloned()), TypeUniverse::new(&probe_pushed)),
-        ];
-        for (i, s) in subsets.iter().enumerate() {
-            for k in [i % 2, 1 - i % 2] {
-                let (layered, flat) = &mut siblings[k];
-                assert_eq!(layered.at_most_set(s), flat.at_most_set(s), "seed {seed} sibling {k}");
-                let (a, b) = (layered.close(s), flat.close(s));
-                assert_eq!(a, b, "seed {seed} sibling {k}: close {s:?}");
-                if let Some(t) = a {
-                    let (lr, fr) = (layered.requirements_of(t), flat.requirements_of(t));
-                    assert_eq!(lr, fr, "seed {seed} sibling {k}: requirements of {s:?}");
-                    let (la, fa) = (layered.at_most_of(t), flat.at_most_of(t));
-                    assert_eq!(la, fa, "seed {seed} sibling {k}: at-most of {s:?}");
-                }
-            }
-        }
-
-        let queries = random_queries(4, 3, &mut rng);
-        let mut ctx = RealizeCtx::new(extended(&mut rng), budget.clone());
-        for pass in 0..2 {
-            for q in &queries {
-                let fresh = decide(&pushed, q, &budget);
-                let warm = decide_in_ctx(&mut ctx, q, &budget);
-                assert_eq!(
-                    std::mem::discriminant(&fresh),
-                    std::mem::discriminant(&warm),
-                    "seed {seed} pass {pass}: fresh {fresh:?} vs layered {warm:?} on {q:?}"
-                );
-            }
-        }
-    }
-}
-
 /// No verdict bleed between contexts: interleaving decides over
 /// contradictory TBoxes, one context each, gives each TBox its own
 /// answers.
@@ -290,7 +157,6 @@ fn cross_tbox_isolation() {
 fn completions_agree_cached_and_threaded() {
     let budget = Budget::default();
     let cfg = Default::default();
-    let fresh = (NodeLabel(40), NodeLabel(41));
     let same_verdicts = |c: &Completion, queries: &[C2rpq], what: &str| {
         let mut handed = RealizeCtx::new(c.universe.clone(), budget.clone());
         let mut rebuilt = RealizeCtx::new(TypeUniverse::new(&c.tbox), budget.clone());
@@ -304,8 +170,8 @@ fn completions_agree_cached_and_threaded() {
         let mut rng = StdRng::seed_from_u64(seed);
         let tbox = random_tbox(4, 2, rng.gen_range(3..9), &mut rng);
         let labels = set(&[0, 1, 2, 3]);
-        let plain = complete(&tbox, &labels, fresh, &budget, &cfg);
-        let threaded = complete_with(&tbox, &labels, fresh, &budget, &cfg, 4);
+        let plain = complete(&tbox, &labels, &budget, &cfg);
+        let threaded = complete_with(&tbox, &labels, &budget, &cfg, 4);
         assert_eq!(plain.tbox, threaded.tbox, "seed {seed}");
         assert_eq!(plain.complete, threaded.complete, "seed {seed}");
         let queries = random_queries(4, 2, &mut rng);
@@ -321,7 +187,7 @@ fn completions_agree_cached_and_threaded() {
     t.push(HornCi::Exists { lhs: set(&[0]), role: s, rhs: set(&[0]) });
     t.push(HornCi::AtMostOne { lhs: set(&[0]), role: s.inv(), rhs: set(&[0]) });
     let capped = CompletionConfig { max_rounds: 1, ..CompletionConfig::default() };
-    let c = complete(&t, &set(&[0]), fresh, &budget, &capped);
+    let c = complete(&t, &set(&[0]), &budget, &capped);
     assert!(!c.complete && c.added > 0, "the cap ends the completion");
     let mut u = c.universe.clone();
     let a = u.close(&set(&[0])).expect("A is consistent");
