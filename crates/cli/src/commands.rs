@@ -6,7 +6,7 @@
 //! gts equiv     FILE --t1 T1 --t2 T2 --source S
 //! gts elicit    FILE --transform T --source S
 //! gts apply     FILE --transform T --graph G [--dot]
-//! gts run       FILE --transform T --instance I [--delta D] [--check-schema S] [--threads N] [--naive] [--dot]
+//! gts run       FILE --transform T --instance I [--delta D] [--check-schema S] [--threads N] [--dot]
 //! gts conform   FILE --graph G --schema S
 //! gts contains  FILE --p Q1 --q Q2 --schema S
 //! gts batch     FILE... [--threads N] [--stats]
@@ -46,7 +46,7 @@ fn usage() -> String {
      \x20 apply     FILE --transform T --graph G [--dot]   run the transformation\n\
      \x20 run       FILE --transform T --instance I        execute on an instance file through\n\
      \x20           [--check-schema S] [--threads N]       the indexed engine (gts-exec);\n\
-     \x20           [--naive] [--dot] [--delta D]          exit 1 if the output violates S;\n\
+     \x20           [--dot] [--delta D]                    exit 1 if the output violates S;\n\
      \x20                                                  --delta D patches the output\n\
      \x20                                                  incrementally from a delta file\n\
      \x20                                                  (`add|del node|edge|label`, chunks\n\
@@ -91,7 +91,6 @@ fn parse_flags(args: &[String]) -> Result<(HashMap<String, String>, Vec<String>)
         let a = &args[i];
         if let Some(name) = a.strip_prefix("--") {
             if name == "dot"
-                || name == "naive"
                 || name == "stats"
                 || name == "allow-linger"
                 || name == "no-cache"
@@ -301,8 +300,6 @@ fn run_inner(
                     ));
                 }
                 inc.output_graph()
-            } else if flags.contains_key("naive") {
-                t.apply(&inst.graph)
             } else {
                 gts_exec::execute_with(&t, &inst.graph, &gts_exec::ExecOptions { threads })
             };

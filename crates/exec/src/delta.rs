@@ -1,15 +1,17 @@
 //! Incremental delta execution: patch a transformation's output instead
 //! of re-running it.
 //!
-//! [`Incremental`] holds a base instance, its index, the per-atom
-//! [`Relation`]s of every rule body, and a reference-counted *fact view*
-//! of the output. Applying a [`GraphDelta`] then costs work proportional
-//! to what the delta can actually influence:
+//! [`Incremental`] holds the instance's index, the per-atom
+//! [`Relation`]s of every rule body, and one reference-counted map per
+//! kind of output fact. The index is the only copy of the instance: no
+//! [`Graph`] is kept beside it. Applying a [`GraphDelta`] then costs work
+//! proportional to what the delta can actually influence:
 //!
-//! 1. the index is patched in place — each changed edge edits one forward
-//!    and one reverse CSR row and its endpoints' degrees
-//!    ([`IndexedGraph`]'s `patch_edges`), node-label bitsets flip
-//!    individual bits;
+//! 1. the delta is applied to the index itself through
+//!    [`GraphDelta::apply_in_place`], the same code that patches a
+//!    [`Graph`] — each changed edge edits one forward and one reverse CSR
+//!    row and its endpoints' degrees, node-label bitsets flip individual
+//!    bits;
 //! 2. for each relation, the **affected sources** are computed by a
 //!    *backward* product-BFS seeded at every (node, NFA-state) pair that
 //!    can take a changed transition — removed edges and labels are
@@ -22,7 +24,8 @@
 //!    supports in place, reporting per-source row diffs ([`RowDiff`]);
 //! 4. row diffs become output diffs: rules whose body is a single-atom
 //!    fast-path shape (the copy/rewire rules that dominate real
-//!    transformations) map pair diffs straight to fact refcount updates;
+//!    transformations) map pair diffs straight to fact refcount updates
+//!    (the live facts are the keys of the refcount maps);
 //!    general multi-atom rules re-join over the patched relations and
 //!    merge-diff against their stored tuples.
 //!
@@ -166,24 +169,21 @@ fn rule_body(rule: &Rule) -> &C2rpq {
     }
 }
 
-/// A transformation pinned to an evolving instance: holds the graph, its
+/// A transformation pinned to an evolving instance: holds the instance's
 /// index, every body atom's relation, and the reference-counted output
-/// fact view, all patched in place by [`Incremental::apply_delta`].
+/// facts, all patched in place by [`Incremental::apply_delta`].
 pub struct Incremental {
     t: Transformation,
-    graph: Graph,
     idx: IndexedGraph,
     rels: Vec<RelEntry>,
     /// The one visited table of every per-delta product search, sized
     /// `num_nodes × max |Q|` over `rels` and grown with new nodes.
     bfs: ProductBfs,
     rules: Vec<RuleState>,
-    /// Fact multiplicity across rules; a fact is live while its count is
-    /// positive.
+    /// Fact multiplicity across rules: the live facts are exactly the
+    /// keys, each with a positive count.
     node_counts: FxHashMap<NodeFact, u32>,
     edge_counts: FxHashMap<EdgeFact, u32>,
-    node_facts: BTreeSet<NodeFact>,
-    edge_facts: BTreeSet<EdgeFact>,
 }
 
 impl Incremental {
@@ -191,44 +191,21 @@ impl Incremental {
     pub fn new(t: &Transformation, g: &Graph) -> Incremental {
         let mut inc = Incremental {
             t: t.clone(),
-            graph: g.clone(),
             idx: IndexedGraph::build(g),
             rels: Vec::new(),
             bfs: ProductBfs::new(0, 0),
             rules: Vec::new(),
             node_counts: FxHashMap::default(),
             edge_counts: FxHashMap::default(),
-            node_facts: BTreeSet::new(),
-            edge_facts: BTreeSet::new(),
         };
         inc.rebuild_derived();
         inc
     }
 
-    /// The current (patched) instance.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// The current (patched) index.
-    pub fn index(&self) -> &IndexedGraph {
-        &self.idx
-    }
-
-    /// Live output node facts, canonically ordered.
-    pub fn node_facts(&self) -> &BTreeSet<NodeFact> {
-        &self.node_facts
-    }
-
-    /// Live output edge facts, canonically ordered.
-    pub fn edge_facts(&self) -> &BTreeSet<EdgeFact> {
-        &self.edge_facts
-    }
-
-    /// The fact view as an owned pair — directly comparable with
+    /// The live output facts, sorted — directly comparable with
     /// [`crate::output_facts`] on the patched instance.
     pub fn output_facts(&self) -> (BTreeSet<NodeFact>, BTreeSet<EdgeFact>) {
-        (self.node_facts.clone(), self.edge_facts.clone())
+        (self.node_counts.keys().cloned().collect(), self.edge_counts.keys().cloned().collect())
     }
 
     /// Assembles the output graph from the current per-rule tuples —
@@ -240,13 +217,20 @@ impl Incremental {
         assemble(&self.t, &per_rule)
     }
 
-    /// Approximate heap footprint of the incremental state (index,
-    /// relations and the resident visited table; the fact view is
-    /// output-sized).
+    /// Approximate heap footprint of the incremental state: the index,
+    /// the relations, the resident visited table, the stored tuples of the
+    /// multi-atom rules and the fact-count maps.
     pub fn approx_bytes(&self) -> usize {
+        let tuples = self.rules.iter().filter_map(|r| r.tuples.as_ref()).map(|ts| {
+            ts.capacity() * std::mem::size_of::<Vec<NodeId>>()
+                + ts.iter().map(ids_bytes).sum::<usize>()
+        });
         self.idx.approx_bytes()
             + self.rels.iter().map(|e| e.rel.approx_bytes()).sum::<usize>()
             + self.bfs.approx_bytes()
+            + tuples.sum::<usize>()
+            + counts_bytes(&self.node_counts, |(_, xs)| ids_bytes(xs))
+            + counts_bytes(&self.edge_counts, |((_, xs), _, (_, ys))| ids_bytes(xs) + ids_bytes(ys))
     }
 
     /// Applies `delta` to the instance and patches the output state,
@@ -265,7 +249,17 @@ impl Incremental {
 
     fn apply_delta_inner(&mut self, delta: &GraphDelta) -> Result<DeltaOutcome, String> {
         let elements = (self.idx.num_nodes() + self.idx.num_edges()).max(1);
-        let fx = delta.apply_in_place(&mut self.graph)?;
+        let fx = {
+            let _span = gts_obs::span("index_patch");
+            let start = gts_obs::enabled().then(std::time::Instant::now);
+            let fx = delta.apply_in_place(&mut self.idx)?;
+            self.idx.fold_touched(&fx).map_err(|e| e.to_string())?;
+            self.bfs.grow(self.idx.num_nodes());
+            if let Some(t0) = start {
+                phase_metrics().index_patch.record(t0.elapsed().as_micros() as u64);
+            }
+            fx
+        };
         let touched = fx.touched();
         if touched == 0 {
             return Ok(DeltaOutcome { touched, ..DeltaOutcome::default() });
@@ -275,8 +269,6 @@ impl Incremental {
         {
             return Ok(self.rebuild_full(touched));
         }
-
-        self.patch_index(&fx)?;
 
         // Affected sources per distinct relation.
         let n = self.idx.num_nodes();
@@ -325,26 +317,18 @@ impl Incremental {
             let shape = self.rules[i].shape;
             let rel0 = self.rules[i].rel_ids.first().copied();
             match shape {
+                // One rule's tuples are distinct facts, so no fact is both
+                // removed and added here, and the diffs apply in any order.
                 Shape::Pairs { swap } => {
-                    let diffs = &diffs_per_rel[rel0.expect("single atom")];
-                    let tuple = |u: u32, v: u32| {
-                        if swap {
-                            vec![NodeId(v), NodeId(u)]
-                        } else {
-                            vec![NodeId(u), NodeId(v)]
+                    for d in &diffs_per_rel[rel0.expect("single atom")] {
+                        let u = NodeId(d.source);
+                        let tuple = |v: &u32| if swap { [NodeId(*v), u] } else { [u, NodeId(*v)] };
+                        for v in &d.removed {
+                            facts_removed += usize::from(self.apply_tuple(i, &tuple(v), false) < 0);
                         }
-                    };
-                    let mut removed: Vec<Vec<NodeId>> = Vec::new();
-                    let mut added: Vec<Vec<NodeId>> = Vec::new();
-                    for d in diffs {
-                        removed.extend(d.removed.iter().map(|&v| tuple(d.source, v)));
-                        added.extend(d.added.iter().map(|&v| tuple(d.source, v)));
-                    }
-                    for t in &removed {
-                        facts_removed += usize::from(self.apply_tuple(i, t, false) < 0);
-                    }
-                    for t in &added {
-                        facts_added += usize::from(self.apply_tuple(i, t, true) > 0);
+                        for v in &d.added {
+                            facts_added += usize::from(self.apply_tuple(i, &tuple(v), true) > 0);
+                        }
                     }
                 }
                 Shape::Diag | Shape::BoolDiag => {
@@ -408,28 +392,18 @@ impl Incremental {
                     let old_tuples = self.rules[i].tuples.take().expect("stored for General");
                     // Merge-diff the sorted tuple lists.
                     let (mut a, mut b) = (0usize, 0usize);
-                    while a < old_tuples.len() || b < new_tuples.len() {
+                    loop {
                         match (old_tuples.get(a), new_tuples.get(b)) {
-                            (Some(x), Some(y)) if x == y => {
+                            (Some(x), Some(y)) if x == y => (a, b) = (a + 1, b + 1),
+                            (Some(x), y) if y.is_none_or(|y| x < y) => {
+                                facts_removed += usize::from(self.apply_tuple(i, x, false) < 0);
                                 a += 1;
+                            }
+                            (_, Some(y)) => {
+                                facts_added += usize::from(self.apply_tuple(i, y, true) > 0);
                                 b += 1;
                             }
-                            (Some(x), Some(y)) if x < y => {
-                                let x = x.clone();
-                                facts_removed += usize::from(self.apply_tuple(i, &x, false) < 0);
-                                a += 1;
-                            }
-                            (Some(_), Some(y)) | (None, Some(y)) => {
-                                let y = y.clone();
-                                facts_added += usize::from(self.apply_tuple(i, &y, true) > 0);
-                                b += 1;
-                            }
-                            (Some(x), None) => {
-                                let x = x.clone();
-                                facts_removed += usize::from(self.apply_tuple(i, &x, false) < 0);
-                                a += 1;
-                            }
-                            (None, None) => unreachable!(),
+                            _ => break, // both lists done
                         }
                     }
                     self.rules[i].tuples = Some(new_tuples);
@@ -447,50 +421,26 @@ impl Incremental {
         })
     }
 
-    /// Patches the index from the effective changes (removals first, so
-    /// a label or edge removed and re-added ends present) and grows the
-    /// visited table with any new nodes.
-    fn patch_index(&mut self, fx: &DeltaEffects) -> Result<(), String> {
-        let _span = gts_obs::span("index_patch");
-        let start = gts_obs::enabled().then(std::time::Instant::now);
-        if fx.added_nodes > 0 {
-            self.idx.grow_nodes(self.graph.num_nodes());
-            self.bfs.grow(self.graph.num_nodes());
-        }
-        self.idx.patch_edges(&fx.removed_edges, &fx.added_edges).map_err(|e| e.to_string())?;
-        for &(u, l) in &fx.removed_labels {
-            self.idx.set_node_label(u.0, l, false);
-        }
-        for &(u, l) in &fx.added_labels {
-            self.idx.set_node_label(u.0, l, true);
-        }
-        if let Some(t0) = start {
-            phase_metrics().index_patch.record(t0.elapsed().as_micros() as u64);
-        }
-        Ok(())
-    }
-
-    /// The crossover fallback: rebuild index, relations, tuples, and fact
-    /// view from the already-patched graph.
+    /// The crossover fallback: rebuild relations, tuples and fact counts
+    /// over the already-patched index.
     fn rebuild_full(&mut self, touched: usize) -> DeltaOutcome {
-        let old_nodes = std::mem::take(&mut self.node_facts);
-        let old_edges = std::mem::take(&mut self.edge_facts);
-        self.idx = IndexedGraph::build(&self.graph);
+        let old_nodes = std::mem::take(&mut self.node_counts);
+        let old_edges = std::mem::take(&mut self.edge_counts);
         self.rebuild_derived();
         DeltaOutcome {
             strategy: DeltaStrategy::FullRebuild,
             touched,
             affected_sources: 0,
             rules_reevaluated: self.rules.len(),
-            facts_added: self.node_facts.difference(&old_nodes).count()
-                + self.edge_facts.difference(&old_edges).count(),
-            facts_removed: old_nodes.difference(&self.node_facts).count()
-                + old_edges.difference(&self.edge_facts).count(),
+            facts_added: new_keys(&old_nodes, &self.node_counts)
+                + new_keys(&old_edges, &self.edge_counts),
+            facts_removed: new_keys(&self.node_counts, &old_nodes)
+                + new_keys(&self.edge_counts, &old_edges),
         }
     }
 
-    /// (Re)builds everything derived from `graph` + `idx`: deduplicated
-    /// relations, the visited table, rule states, and the fact view.
+    /// (Re)builds everything derived from `idx`: deduplicated relations,
+    /// the visited table, rule states, and the fact counts.
     fn rebuild_derived(&mut self) {
         let mut by_regex: FxHashMap<Regex, usize> = FxHashMap::default();
         let mut rels: Vec<RelEntry> = Vec::new();
@@ -531,8 +481,6 @@ impl Incremental {
 
         self.node_counts.clear();
         self.edge_counts.clear();
-        self.node_facts.clear();
-        self.edge_facts.clear();
         for i in 0..self.rules.len() {
             for tuple in self.current_tuples(i) {
                 self.apply_tuple(i, &tuple, true);
@@ -587,32 +535,21 @@ impl Incremental {
     /// otherwise.
     fn apply_tuple(&mut self, rule_i: usize, tuple: &[NodeId], add: bool) -> i32 {
         match &self.t.rules[rule_i] {
-            Rule::Node(r) => {
-                bump(&mut self.node_counts, &mut self.node_facts, (r.label, tuple.to_vec()), add)
-            }
+            Rule::Node(r) => bump(&mut self.node_counts, (r.label, tuple.to_vec()), add),
             Rule::Edge(r) => {
                 let (x, y) = tuple.split_at(r.src_arity);
                 let fact = ((r.src_label, x.to_vec()), r.edge, (r.tgt_label, y.to_vec()));
-                bump(&mut self.edge_counts, &mut self.edge_facts, fact, add)
+                bump(&mut self.edge_counts, fact, add)
             }
         }
     }
 }
 
-fn bump<F: Ord + Clone + std::hash::Hash>(
-    counts: &mut FxHashMap<F, u32>,
-    live: &mut BTreeSet<F>,
-    fact: F,
-    add: bool,
-) -> i32 {
+fn bump<F: Eq + std::hash::Hash>(counts: &mut FxHashMap<F, u32>, fact: F, add: bool) -> i32 {
     if add {
-        let c = counts.entry(fact.clone()).or_insert(0);
+        let c = counts.entry(fact).or_insert(0);
         *c += 1;
-        if *c == 1 {
-            live.insert(fact);
-            return 1;
-        }
-        0
+        i32::from(*c == 1)
     } else {
         match counts.get_mut(&fact) {
             Some(c) if *c > 1 => {
@@ -621,7 +558,6 @@ fn bump<F: Ord + Clone + std::hash::Hash>(
             }
             Some(_) => {
                 counts.remove(&fact);
-                live.remove(&fact);
                 -1
             }
             None => {
@@ -630,6 +566,24 @@ fn bump<F: Ord + Clone + std::hash::Hash>(
             }
         }
     }
+}
+
+/// How many keys of `b` are not keys of `a`.
+fn new_keys<F: Eq + std::hash::Hash>(a: &FxHashMap<F, u32>, b: &FxHashMap<F, u32>) -> usize {
+    b.keys().filter(|f| !a.contains_key(*f)).count()
+}
+
+/// Heap bytes of a node-id list.
+fn ids_bytes(ids: &Vec<NodeId>) -> usize {
+    ids.capacity() * std::mem::size_of::<NodeId>()
+}
+
+/// Heap bytes of a fact-count map: its table (a capacity of `c` holds
+/// about `8c/7` buckets, each an entry plus a control byte) and the
+/// node-id lists `ids` finds in each fact.
+fn counts_bytes<F>(counts: &FxHashMap<F, u32>, ids: impl Fn(&F) -> usize) -> usize {
+    counts.capacity() * 8 / 7 * (std::mem::size_of::<(F, u32)>() + 1)
+        + counts.keys().map(ids).sum::<usize>()
 }
 
 /// Delta-derived lookup structures for the backward product-BFS: changed
@@ -836,13 +790,22 @@ mod tests {
         g
     }
 
+    /// Applies `delta` to the live view and to the mirror `g`, the test's
+    /// own copy of the instance.
+    fn apply(inc: &mut Incremental, g: &mut Graph, delta: &GraphDelta) -> DeltaOutcome {
+        let out = inc.apply_delta(delta).unwrap();
+        delta.apply_in_place(g).unwrap();
+        out
+    }
+
     /// Incremental facts must equal a from-scratch execution on the
-    /// patched graph, and the assembled output graphs must be identical.
-    fn assert_agrees_with_full(inc: &Incremental, t: &Transformation) {
-        let idx = IndexedGraph::build(inc.graph());
+    /// patched mirror `g`, and the assembled output graphs must be
+    /// identical.
+    fn assert_agrees_with_full(inc: &Incremental, t: &Transformation, g: &Graph) {
+        let idx = IndexedGraph::build(g);
         let want = output_facts(&idx, t, &ExecOptions::default());
         assert_eq!(inc.output_facts(), want);
-        let full = crate::exec::execute(t, inc.graph());
+        let full = crate::exec::execute(t, g);
         let out = inc.output_graph();
         assert_eq!(out.num_nodes(), full.num_nodes());
         assert_eq!(out.edges().collect::<Vec<_>>(), full.edges().collect::<Vec<_>>());
@@ -852,33 +815,33 @@ mod tests {
     fn single_edge_deltas_agree_with_full_execution() {
         let mut v = Vocab::new();
         let t = medical_transformation(&mut v);
-        let g = medical_graph(&mut v);
+        let mut g = medical_graph(&mut v);
         let cr = v.find_edge_label("crossReacting").unwrap();
         let mut inc = Incremental::new(&t, &g);
-        assert_agrees_with_full(&inc, &t);
+        assert_agrees_with_full(&inc, &t, &g);
 
         // Cut the chain: a2 -cr-> a3 disappears from the closure.
         let cut =
             GraphDelta { removed_edges: vec![(NodeId(2), cr, NodeId(3))], ..GraphDelta::default() };
-        let out = inc.apply_delta(&cut).unwrap();
+        let out = apply(&mut inc, &mut g, &cut);
         assert_eq!(out.strategy, DeltaStrategy::Incremental);
         assert!(out.facts_removed > 0);
-        assert_agrees_with_full(&inc, &t);
+        assert_agrees_with_full(&inc, &t, &g);
 
         // Re-link it; the closure comes back.
         let relink =
             GraphDelta { added_edges: vec![(NodeId(2), cr, NodeId(3))], ..GraphDelta::default() };
-        let out = inc.apply_delta(&relink).unwrap();
+        let out = apply(&mut inc, &mut g, &relink);
         assert_eq!(out.strategy, DeltaStrategy::Incremental);
         assert!(out.facts_added > 0);
-        assert_agrees_with_full(&inc, &t);
+        assert_agrees_with_full(&inc, &t, &g);
     }
 
     #[test]
     fn node_label_and_fresh_node_deltas_agree() {
         let mut v = Vocab::new();
         let t = medical_transformation(&mut v);
-        let g = medical_graph(&mut v);
+        let mut g = medical_graph(&mut v);
         let antigen = v.find_node_label("Antigen").unwrap();
         let cr = v.find_edge_label("crossReacting").unwrap();
         let mut inc = Incremental::new(&t, &g);
@@ -889,41 +852,48 @@ mod tests {
             added_edges: vec![(NodeId(3), cr, NodeId(5))],
             ..GraphDelta::default()
         };
-        inc.apply_delta(&splice).unwrap();
-        assert_agrees_with_full(&inc, &t);
+        apply(&mut inc, &mut g, &splice);
+        assert_agrees_with_full(&inc, &t, &g);
 
         // Remove a label mid-chain (a2 stops being an Antigen).
         let unlabel =
             GraphDelta { removed_labels: vec![(NodeId(2), antigen)], ..GraphDelta::default() };
-        inc.apply_delta(&unlabel).unwrap();
-        assert_agrees_with_full(&inc, &t);
+        apply(&mut inc, &mut g, &unlabel);
+        assert_agrees_with_full(&inc, &t, &g);
     }
 
     #[test]
     fn tombstone_delta_agrees() {
         let mut v = Vocab::new();
         let t = medical_transformation(&mut v);
-        let g = medical_graph(&mut v);
+        let mut g = medical_graph(&mut v);
         let mut inc = Incremental::new(&t, &g);
         let tomb = GraphDelta { removed_nodes: vec![NodeId(1)], ..GraphDelta::default() };
-        inc.apply_delta(&tomb).unwrap();
-        assert_agrees_with_full(&inc, &t);
+        apply(&mut inc, &mut g, &tomb);
+        assert_agrees_with_full(&inc, &t, &g);
     }
 
     #[test]
     fn oversized_delta_falls_back_to_full_rebuild() {
         let mut v = Vocab::new();
         let t = medical_transformation(&mut v);
-        let g = medical_graph(&mut v);
+        let mut g = medical_graph(&mut v);
         let mut inc = Incremental::new(&t, &g);
         // Tombstone most of the graph: way past the touch crossover.
         let wipe = GraphDelta {
             removed_nodes: vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)],
             ..GraphDelta::default()
         };
-        let out = inc.apply_delta(&wipe).unwrap();
+        let (nodes, edges) = inc.output_facts();
+        let out = apply(&mut inc, &mut g, &wipe);
         assert_eq!(out.strategy, DeltaStrategy::FullRebuild);
-        assert_agrees_with_full(&inc, &t);
+        // The fallback counts facts from the key difference of the maps.
+        let (now_nodes, now_edges) = inc.output_facts();
+        let gone = nodes.difference(&now_nodes).count() + edges.difference(&now_edges).count();
+        let new = now_nodes.difference(&nodes).count() + now_edges.difference(&edges).count();
+        assert!(gone > 0);
+        assert_eq!((out.facts_added, out.facts_removed), (new, gone));
+        assert_agrees_with_full(&inc, &t, &g);
     }
 
     #[test]
@@ -939,8 +909,9 @@ mod tests {
         assert_eq!(inc.output_facts(), before);
     }
 
-    /// The footprint counts the resident visited table and the overlay
-    /// rows a small delta leaves in the index and the relations.
+    /// The footprint counts the resident visited table, the fact counts
+    /// and the overlay rows a small delta leaves in the index and the
+    /// relations.
     #[test]
     fn approx_bytes_counts_the_visited_table_and_overlay_rows() {
         let mut v = Vocab::new();
@@ -960,15 +931,17 @@ mod tests {
         let idx_and_rels =
             inc.idx.approx_bytes() + inc.rels.iter().map(|e| e.rel.approx_bytes()).sum::<usize>();
         assert!(inc.bfs.approx_bytes() >= g.num_nodes() * 4);
-        assert_eq!(inc.approx_bytes(), idx_and_rels + inc.bfs.approx_bytes());
+        let facts = inc.node_counts.len() + inc.edge_counts.len();
+        assert!(facts > 0);
+        assert!(inc.approx_bytes() > idx_and_rels + inc.bfs.approx_bytes() + facts * 8);
         let before = inc.approx_bytes();
         let cr = v.find_edge_label("crossReacting").unwrap();
         let cut =
             GraphDelta { removed_edges: vec![(NodeId(2), cr, NodeId(3))], ..GraphDelta::default() };
-        let out = inc.apply_delta(&cut).unwrap();
+        let out = apply(&mut inc, &mut g, &cut);
         assert_eq!(out.strategy, DeltaStrategy::Incremental);
         assert!(inc.approx_bytes() > before, "{} vs {before}", inc.approx_bytes());
-        assert_agrees_with_full(&inc, &t);
+        assert_agrees_with_full(&inc, &t, &g);
     }
 
     #[test]
@@ -979,6 +952,6 @@ mod tests {
         let mut inc = Incremental::new(&t, &g);
         let bad = GraphDelta { removed_nodes: vec![NodeId(99)], ..GraphDelta::default() };
         assert!(inc.apply_delta(&bad).is_err());
-        assert_agrees_with_full(&inc, &t);
+        assert_agrees_with_full(&inc, &t, &g);
     }
 }

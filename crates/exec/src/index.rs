@@ -7,12 +7,14 @@
 //! the product-BFS of [`crate::rpq`] then walks plain integer slices
 //! instead of filtering hash-backed adjacency lists per step.
 //!
-//! The incremental executor ([`crate::Incremental`]) patches the index in
-//! place per delta: each changed edge edits one forward and one reverse
-//! row through the CSR's overlay of replaced rows, which folds back into
-//! the base arrays once it covers an eighth of the rows. An edit costs
-//! the row's length, not the label's edge count; a freshly built index
-//! has no overlay, and its row lookups skip it.
+//! The incremental executor ([`crate::Incremental`]) keeps no graph beside
+//! the index: it applies each delta to the index itself, through
+//! [`gts_graph::GraphDelta::apply_in_place`] and the index's
+//! [`DeltaTarget`] implementation. Each changed edge edits one forward and
+//! one reverse row through the CSR's overlay of replaced rows, which folds
+//! back into the base arrays once it covers an eighth of the rows. An edit
+//! costs the row's length, not the label's edge count; a freshly built
+//! index has no overlay, and its row lookups skip it.
 //!
 //! Million-node instances get two extra affordances:
 //!
@@ -33,7 +35,9 @@
 //! hubs first — which is where degree ordering actually pays (longest
 //! per-source searches scheduled before the tail).
 
-use gts_graph::{EdgeLabel, EdgeSym, FxHashMap, Graph, LabelSet, NodeId, NodeLabel};
+use gts_graph::{
+    DeltaEffects, DeltaTarget, EdgeLabel, EdgeSym, FxHashMap, Graph, LabelSet, NodeId, NodeLabel,
+};
 
 /// A structured index-construction failure. Carried up to the engine and
 /// rendered as a `bad_request`-style wire error by `gts-serve` instead of
@@ -395,27 +399,21 @@ impl IndexedGraph {
                 by_label[l as usize].insert(u.0);
             }
         }
-        let mut idx = IndexedGraph {
+        let mut degree = vec![0u32; n];
+        for csr in fwd.iter().chain(&rev) {
+            for (u, d) in degree.iter_mut().enumerate() {
+                *d += csr.row(u as u32).len() as u32;
+            }
+        }
+        Ok(IndexedGraph {
             num_nodes: n,
             fwd,
             rev,
             by_label,
             all_nodes: LabelSet::from_iter(0..n as u32),
-            degree: Vec::new(),
+            degree,
             num_edges: g.num_edges(),
-        };
-        idx.recompute_degrees();
-        Ok(idx)
-    }
-
-    fn recompute_degrees(&mut self) {
-        let mut degree = vec![0u32; self.num_nodes];
-        for csr in self.fwd.iter().chain(self.rev.iter()) {
-            for (u, d) in degree.iter_mut().enumerate().take(csr.num_rows()) {
-                *d += csr.row(u as u32).len() as u32;
-            }
-        }
-        self.degree = degree;
+        })
     }
 
     /// Number of nodes in the indexed graph.
@@ -482,76 +480,99 @@ impl IndexedGraph {
         (0..self.num_nodes as u32).map(NodeId)
     }
 
-    // ── in-place patch hooks for the incremental executor ──────────────
-
-    /// Appends empty rows/bits for nodes `num_nodes .. new_num_nodes`.
-    pub(crate) fn grow_nodes(&mut self, new_num_nodes: usize) {
-        for csr in self.fwd.iter_mut().chain(self.rev.iter_mut()) {
-            csr.grow_rows(new_num_nodes);
-        }
-        for u in self.num_nodes..new_num_nodes {
-            self.all_nodes.insert(u as u32);
-            self.degree.push(0);
-        }
-        self.num_nodes = new_num_nodes;
-    }
-
-    /// Applies effective edge changes: `removed` first, then `added`
-    /// (so an edge in both ends present). Each edge edits one forward and
-    /// one reverse row and its endpoints' degree, so a patch costs
-    /// `O(|Δ| · deg)` plus an amortized share of the folds
-    /// ([`Csr::fold_if_due`]). A label past the current maximum gets empty
-    /// CSRs first. On [`IndexError::TooManyEdges`] the index still reads
-    /// correctly; only the fold was refused.
-    pub(crate) fn patch_edges(
-        &mut self,
-        removed: &[(NodeId, EdgeLabel, NodeId)],
-        added: &[(NodeId, EdgeLabel, NodeId)],
-    ) -> Result<(), IndexError> {
-        for &(s, l, t) in removed {
-            let l = l.0 as usize;
-            if l >= self.fwd.len() || !self.fwd[l].remove(s.0, t.0) {
-                continue;
-            }
-            self.rev[l].remove(t.0, s.0);
-            self.degree[s.0 as usize] -= 1;
-            self.degree[t.0 as usize] -= 1;
-            self.num_edges -= 1;
-        }
-        for &(s, l, t) in added {
-            let l = l.0 as usize;
-            while self.fwd.len() <= l {
-                self.fwd.push(Csr::empty(self.num_nodes));
-                self.rev.push(Csr::empty(self.num_nodes));
-            }
-            if !self.fwd[l].insert(s.0, t.0) {
-                continue;
-            }
-            self.rev[l].insert(t.0, s.0);
-            self.degree[s.0 as usize] += 1;
-            self.degree[t.0 as usize] += 1;
-            self.num_edges += 1;
-        }
-        for &(_, EdgeLabel(l), _) in removed.iter().chain(added) {
-            if (l as usize) < self.fwd.len() {
-                self.fwd[l as usize].fold_if_due(l)?;
-                self.rev[l as usize].fold_if_due(l)?;
-            }
+    /// Folds the overlays of the edge labels `fx` changed, once per patch
+    /// ([`Csr::fold_if_due`]). On [`IndexError::TooManyEdges`] only the
+    /// fold was refused; the index still reads correctly.
+    pub(crate) fn fold_touched(&mut self, fx: &DeltaEffects) -> Result<(), IndexError> {
+        for &(_, EdgeLabel(l), _) in fx.removed_edges.iter().chain(&fx.added_edges) {
+            self.fwd[l as usize].fold_if_due(l)?;
+            self.rev[l as usize].fold_if_due(l)?;
         }
         Ok(())
     }
+}
 
-    /// Flips one node's membership in a node-label bitset.
-    pub(crate) fn set_node_label(&mut self, u: u32, label: NodeLabel, present: bool) {
+/// Deltas reach the index through [`gts_graph::GraphDelta::apply_in_place`]:
+/// a changed edge edits one forward and one reverse row and its endpoints'
+/// degrees, `O(|Δ| · deg)` plus a share of the folds. A label past the
+/// current maximum gets empty CSRs or an empty bitset first.
+impl DeltaTarget for IndexedGraph {
+    fn num_nodes(&self) -> usize {
+        self.num_nodes
+    }
+
+    fn add_node(&mut self) -> NodeId {
+        let u = self.num_nodes as u32;
+        self.num_nodes += 1;
+        for csr in self.fwd.iter_mut().chain(self.rev.iter_mut()) {
+            csr.grow_rows(self.num_nodes);
+        }
+        self.all_nodes.insert(u);
+        self.degree.push(0);
+        NodeId(u)
+    }
+
+    fn add_label(&mut self, node: NodeId, label: NodeLabel) -> bool {
         let l = label.0 as usize;
-        while self.by_label.len() <= l {
-            self.by_label.push(LabelSet::new());
+        if self.by_label.len() <= l {
+            self.by_label.resize_with(l + 1, LabelSet::new);
         }
-        if present {
-            self.by_label[l].insert(u);
-        } else {
-            self.by_label[l].remove(u);
+        self.by_label[l].insert(node.0)
+    }
+
+    fn remove_label(&mut self, node: NodeId, label: NodeLabel) -> bool {
+        self.by_label.get_mut(label.0 as usize).is_some_and(|s| s.remove(node.0))
+    }
+
+    fn add_edge(&mut self, s: NodeId, label: EdgeLabel, t: NodeId) -> bool {
+        let l = label.0 as usize;
+        while self.fwd.len() <= l {
+            self.fwd.push(Csr::empty(self.num_nodes));
+            self.rev.push(Csr::empty(self.num_nodes));
         }
+        if !self.fwd[l].insert(s.0, t.0) {
+            return false;
+        }
+        self.rev[l].insert(t.0, s.0);
+        self.degree[s.0 as usize] += 1;
+        self.degree[t.0 as usize] += 1;
+        self.num_edges += 1;
+        true
+    }
+
+    fn remove_edge(&mut self, s: NodeId, label: EdgeLabel, t: NodeId) -> bool {
+        let l = label.0 as usize;
+        if l >= self.fwd.len() || !self.fwd[l].remove(s.0, t.0) {
+            return false;
+        }
+        self.rev[l].remove(t.0, s.0);
+        self.degree[s.0 as usize] -= 1;
+        self.degree[t.0 as usize] -= 1;
+        self.num_edges -= 1;
+        true
+    }
+
+    fn clear_node(&mut self, node: NodeId) -> (LabelSet, Vec<(NodeId, EdgeLabel, NodeId)>) {
+        let u = node.0;
+        let labels: Vec<u32> = self
+            .by_label
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(l, nodes)| nodes.remove(u).then_some(l as u32))
+            .collect();
+        let mut dropped: Vec<(NodeId, EdgeLabel, NodeId)> = Vec::new();
+        for (l, (fwd, rev)) in self.fwd.iter().zip(&self.rev).enumerate() {
+            let l = EdgeLabel(l as u32);
+            dropped.extend(fwd.row(u).iter().map(|&t| (node, l, NodeId(t))));
+            dropped.extend(rev.row(u).iter().map(|&s| (NodeId(s), l, node)));
+        }
+        // A self loop appears in both rows; drop each edge exactly once.
+        dropped.sort_unstable();
+        dropped.dedup();
+        for &(s, l, t) in &dropped {
+            self.remove_edge(s, l, t);
+        }
+        (LabelSet::from_iter(labels), dropped)
     }
 }
 
@@ -584,7 +605,7 @@ fn partition_range(g: &Graph, lo: usize, hi: usize) -> EdgeParts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gts_graph::{EdgeLabel, Vocab};
+    use gts_graph::{GraphDelta, Vocab};
 
     fn fixture() -> (Vocab, Graph) {
         let mut v = Vocab::new();
@@ -701,14 +722,24 @@ mod tests {
         idx.fwd.iter().chain(&idx.rev).map(|c| c.overlay.len()).sum()
     }
 
-    /// Seeded random deltas on 40 nodes, each patched in through
-    /// [`IndexedGraph::patch_edges`] and compared with a fresh build: the
+    /// Applies `d` to the index as the incremental executor does: through
+    /// the shared delta code, then one fold per touched label.
+    fn patch(idx: &mut IndexedGraph, d: &GraphDelta) -> DeltaEffects {
+        let fx = d.apply_in_place(idx).unwrap();
+        idx.fold_touched(&fx).unwrap();
+        fx
+    }
+
+    /// Seeded random deltas on 40 nodes, each applied through
+    /// [`GraphDelta::apply_in_place`] to both a [`Graph`] and an
+    /// [`IndexedGraph`]: the two stores must report the same effects, and
+    /// the patched index must read like a fresh build of the graph. The
     /// edits cross the fold threshold many times, and the mix includes
-    /// self-loops, labels past the current maximum, tombstones (whose
-    /// edges arrive as removals) and fresh nodes ([`IndexedGraph::grow_nodes`]).
+    /// tombstones of self-looped nodes, an edge removed and re-added by
+    /// one delta, edge and node labels past the current maximum, and
+    /// fresh nodes.
     #[test]
-    fn patch_edges_matches_full_rebuild() {
-        use gts_graph::GraphDelta;
+    fn random_deltas_patch_the_index_like_the_graph() {
         use rand::{Rng, SeedableRng};
         let (mut saw_overlay, mut saw_fold) = (false, false);
         for seed in 0..6u64 {
@@ -724,32 +755,39 @@ mod tests {
             let mut idx = IndexedGraph::build(&g);
             for step in 0..60u32 {
                 let n = g.num_nodes() as u32;
-                // Labels 2.. first appear as the steps go on.
+                // Edge and node labels 2.. first appear as the steps go on.
                 let labels = 2 + step / 15;
                 let mut d = GraphDelta::default();
                 if step % 10 == 9 {
-                    d.added_nodes.push(LabelSet::new());
+                    d.added_nodes.push(LabelSet::singleton(rng.gen_range(0..labels)));
                     d.added_edges.push((NodeId(rng.gen_range(0..n)), EdgeLabel(0), NodeId(n)));
                 }
+                // A self loop, and the next step tombstones its node.
+                if step % 7 == 5 {
+                    d.added_edges.push((NodeId(step % n), EdgeLabel(0), NodeId(step % n)));
+                }
                 if step % 7 == 6 {
-                    d.removed_nodes.push(NodeId(rng.gen_range(0..n)));
+                    d.removed_nodes.push(NodeId((step - 1) % n));
+                }
+                if step % 5 == 4 {
+                    let (s, l, t) = g.edges().nth(rng.gen_range(0..g.num_edges())).unwrap();
+                    d.removed_edges.push((s, l, t));
+                    d.added_edges.push((s, l, t));
                 }
                 for _ in 0..rng.gen_range(1..6) {
                     let s = NodeId(rng.gen_range(0..n));
                     let t = if rng.gen_bool(0.2) { s } else { NodeId(rng.gen_range(0..n)) };
-                    let l = EdgeLabel(rng.gen_range(0..labels));
-                    if rng.gen_bool(0.4) {
-                        d.removed_edges.push((s, l, t));
-                    } else {
-                        d.added_edges.push((s, l, t));
+                    let l = rng.gen_range(0..labels);
+                    match rng.gen_range(0..10) {
+                        0..=3 => d.removed_edges.push((s, EdgeLabel(l), t)),
+                        4 => d.added_labels.push((s, NodeLabel(l))),
+                        5 => d.removed_labels.push((s, NodeLabel(l))),
+                        _ => d.added_edges.push((s, EdgeLabel(l), t)),
                     }
                 }
-                let fx = d.apply_in_place(&mut g).unwrap();
                 let before = overlay_rows(&idx);
-                if fx.added_nodes > 0 {
-                    idx.grow_nodes(g.num_nodes());
-                }
-                idx.patch_edges(&fx.removed_edges, &fx.added_edges).unwrap();
+                let fx = d.apply_in_place(&mut g).unwrap();
+                assert_eq!(patch(&mut idx, &d), fx, "seed {seed} step {step}");
                 let after = overlay_rows(&idx);
                 saw_overlay |= after > 0;
                 saw_fold |= after < before;
@@ -766,6 +804,9 @@ mod tests {
                                 "seed {seed} step {step} u={u} {sym:?}"
                             );
                         }
+                        let has = g.has_label(NodeId(u), NodeLabel(l));
+                        assert_eq!(idx.has_label(u, NodeLabel(l)), has, "seed {seed} u={u} l={l}");
+                        assert_eq!(fresh.has_label(u, NodeLabel(l)), has);
                     }
                     assert_eq!(idx.degree(u), fresh.degree(u), "seed {seed} step {step} u={u}");
                 }
@@ -790,19 +831,22 @@ mod tests {
         let mut idx = IndexedGraph::build(&g);
         let fresh_bytes = idx.approx_bytes();
 
+        let remove = |es: &[_]| GraphDelta { removed_edges: es.to_vec(), ..GraphDelta::default() };
+        let add = |es: &[_]| GraphDelta { added_edges: es.to_vec(), ..GraphDelta::default() };
+
         // One edge: one forward and one reverse row in the overlays.
-        idx.patch_edges(&ring[..1], &[]).unwrap();
+        patch(&mut idx, &remove(&ring[..1]));
         assert_eq!(overlay_rows(&idx), 2);
         assert!(idx.approx_bytes() > fresh_bytes);
-        idx.patch_edges(&[], &ring[..1]).unwrap();
+        patch(&mut idx, &add(&ring[..1]));
 
         // Nine edited rows of 64 pass the fold threshold in both
         // directions; the ring is whole again afterwards.
-        idx.patch_edges(&ring[1..9], &[]).unwrap();
+        patch(&mut idx, &remove(&ring[1..9]));
         assert_eq!(overlay_rows(&idx), 0, "both directions folded");
-        idx.patch_edges(&[], &ring[1..9]).unwrap();
+        patch(&mut idx, &add(&ring[1..9]));
         assert_eq!(overlay_rows(&idx), 16, "eight rows per direction stay below it");
-        idx.patch_edges(&ring[9..10], &ring[9..10]).unwrap();
+        patch(&mut idx, &GraphDelta { removed_edges: ring[9..10].to_vec(), ..add(&ring[9..10]) });
         assert_eq!(overlay_rows(&idx), 0);
         assert_eq!(idx.approx_bytes(), fresh_bytes);
         assert_eq!(idx.approx_bytes(), IndexedGraph::build(&g).approx_bytes());
@@ -816,7 +860,7 @@ mod tests {
         let (v, g) = fixture();
         let r = v.find_edge_label("r").unwrap();
         let mut idx = IndexedGraph::build(&g);
-        idx.grow_nodes(5);
+        assert_eq!((idx.add_node(), idx.add_node()), (NodeId(3), NodeId(4)));
         assert_eq!(idx.num_nodes(), 5);
         assert!(idx.successors(4, EdgeSym::fwd(r)).is_empty());
         assert!(idx.all_nodes().contains(4));

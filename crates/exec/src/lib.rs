@@ -9,9 +9,10 @@
 //! NFA product per candidate node pair through hash-backed adjacency.
 //! This crate replaces that hot path with:
 //!
-//! * [`IndexedGraph`] — an immutable CSR-style index built once per
-//!   instance: forward/reverse adjacency per edge label plus per-label
-//!   node bitsets;
+//! * [`IndexedGraph`] — a CSR-style index built once per instance:
+//!   forward/reverse adjacency per edge label plus per-label node
+//!   bitsets, read-only during evaluation (only [`Incremental`], which
+//!   keeps a transformation's output live under deltas, patches it);
 //! * [`Relation`] — RPQ evaluation by frontier-based BFS over the
 //!   product of the graph with the atom's Glushkov automaton
 //!   ([`gts_query::Nfa`]), with [`gts_graph::LabelSet`] bitset

@@ -587,7 +587,7 @@ impl ProductBfs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gts_graph::{FxHashSet, Graph, Vocab};
+    use gts_graph::{DeltaTarget, FxHashSet, Graph, Vocab};
     use gts_query::Regex;
 
     /// Builds the medical chain: vac -dt-> a1 -cr-> a2 -cr-> a3.

@@ -1,4 +1,4 @@
-//! Graph deltas — batched mutations against an existing [`Graph`].
+//! Graph deltas — batched mutations against an existing instance store.
 //!
 //! A [`GraphDelta`] is the unit of change for incremental execution
 //! (`gts-exec`'s `Incremental::apply_delta`, driven by `gts run --delta`):
@@ -13,8 +13,13 @@
 //! nodes are added first (ids `n, n+1, …` in order), then removals (edges,
 //! node tombstones, labels), then additions (labels, edges). An edge both
 //! removed and added by the same delta therefore ends up present.
+//!
+//! [`GraphDelta::apply_in_place`] is the one place that validates a delta,
+//! orders it and filters its no-ops. It runs over any [`DeltaTarget`]: a
+//! [`Graph`](crate::Graph), or `gts-exec`'s CSR index, which the
+//! incremental executor patches directly instead of keeping a graph.
 
-use crate::{EdgeLabel, Graph, LabelSet, NodeId, NodeLabel};
+use crate::{EdgeLabel, LabelSet, NodeId, NodeLabel};
 
 /// A batch of mutations against a base graph. See the module docs for the
 /// tombstone semantics of `removed_nodes` and the application order.
@@ -34,11 +39,31 @@ pub struct GraphDelta {
     pub removed_labels: Vec<(NodeId, NodeLabel)>,
 }
 
+/// The mutation primitives [`GraphDelta::apply_in_place`] drives. Each
+/// returns whether it changed the store.
+pub trait DeltaTarget {
+    /// Number of nodes (tombstones included).
+    fn num_nodes(&self) -> usize;
+    /// Appends an unlabeled node.
+    fn add_node(&mut self) -> NodeId;
+    /// Adds a label; `false` if the node already carried it.
+    fn add_label(&mut self, node: NodeId, label: NodeLabel) -> bool;
+    /// Removes a label; `false` if the node did not carry it.
+    fn remove_label(&mut self, node: NodeId, label: NodeLabel) -> bool;
+    /// Adds an edge; `false` if it was present.
+    fn add_edge(&mut self, src: NodeId, label: EdgeLabel, tgt: NodeId) -> bool;
+    /// Removes an edge; `false` if it was absent.
+    fn remove_edge(&mut self, src: NodeId, label: EdgeLabel, tgt: NodeId) -> bool;
+    /// Tombstones a node, returning the labels and the (deduplicated)
+    /// edges it dropped.
+    fn clear_node(&mut self, node: NodeId) -> (LabelSet, Vec<(NodeId, EdgeLabel, NodeId)>);
+}
+
 /// What a delta application *actually* changed: no-op operations (removing
 /// an absent edge, re-adding a present label) are filtered out, and node
 /// tombstones are expanded into the concrete labels and edges they
 /// dropped. This is the input the incremental executor patches from.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DeltaEffects {
     /// Id of the first freshly added node (`== num_nodes` before the
     /// delta; meaningless when `added_nodes == 0`).
@@ -83,10 +108,9 @@ impl GraphDelta {
     }
 
     /// Applies the delta to `g` in place, returning the effective changes.
-    /// Fails (leaving `g` partially unmodified only in the error case of a
-    /// bad id, detected before any mutation) when an operation references
-    /// a node id outside `0 .. g.num_nodes() + added_nodes`.
-    pub fn apply_in_place(&self, g: &mut Graph) -> Result<DeltaEffects, String> {
+    /// Fails, before any mutation, when an operation references a node id
+    /// outside `0 .. g.num_nodes() + added_nodes`.
+    pub fn apply_in_place<G: DeltaTarget>(&self, g: &mut G) -> Result<DeltaEffects, String> {
         let new_n = g.num_nodes() as u64 + self.added_nodes.len() as u64;
         if new_n > u32::MAX as u64 {
             return Err(format!("delta grows the graph past {} nodes", u32::MAX));
@@ -165,20 +189,12 @@ impl GraphDelta {
         fx.removed_edges.dedup();
         Ok(fx)
     }
-
-    /// Applies the delta to a clone of `g` (the reference semantics the
-    /// incremental executor is checked against).
-    pub fn apply_to(&self, g: &Graph) -> Result<Graph, String> {
-        let mut out = g.clone();
-        self.apply_in_place(&mut out)?;
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Vocab;
+    use crate::{Graph, Vocab};
 
     fn base() -> (Vocab, Graph) {
         let mut v = Vocab::new();
@@ -204,7 +220,8 @@ mod tests {
             removed_edges: vec![(NodeId(0), r, NodeId(1))],
             ..GraphDelta::default()
         };
-        let out = delta.apply_to(&g).unwrap();
+        let mut out = g.clone();
+        delta.apply_in_place(&mut out).unwrap();
         assert_eq!(out.num_nodes(), 3);
         assert_eq!(out.num_edges(), 2);
         assert!(out.has_edge(NodeId(2), r, NodeId(0)));
@@ -260,7 +277,8 @@ mod tests {
             removed_edges: vec![(NodeId(0), r, NodeId(1))],
             ..GraphDelta::default()
         };
-        let out = delta.apply_to(&g).unwrap();
+        let mut out = g.clone();
+        delta.apply_in_place(&mut out).unwrap();
         assert!(out.has_edge(NodeId(0), r, NodeId(1)));
     }
 }

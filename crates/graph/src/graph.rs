@@ -6,7 +6,7 @@
 //! between the same pair of nodes are allowed as long as their labels
 //! differ.
 
-use crate::{EdgeLabel, EdgeSym, FxHashSet, LabelSet, NodeLabel, Vocab};
+use crate::{DeltaTarget, EdgeLabel, EdgeSym, FxHashSet, LabelSet, NodeLabel, Vocab};
 use std::fmt::Write as _;
 
 /// A node identifier — an index into its [`Graph`].
@@ -70,49 +70,6 @@ impl Graph {
     /// `true` iff the edge `src --label--> tgt` exists.
     pub fn has_edge(&self, src: NodeId, label: EdgeLabel, tgt: NodeId) -> bool {
         self.edge_set.contains(&(src, label, tgt))
-    }
-
-    /// Removes the edge `src --label--> tgt`; returns `false` if it was
-    /// not present. `O(deg)` — adjacency order of the surviving edges is
-    /// preserved.
-    pub fn remove_edge(&mut self, src: NodeId, label: EdgeLabel, tgt: NodeId) -> bool {
-        if !self.edge_set.remove(&(src, label, tgt)) {
-            return false;
-        }
-        let out = &mut self.out[src.0 as usize];
-        let pos = out.iter().position(|&e| e == (label, tgt)).expect("edge_set and out agree");
-        out.remove(pos);
-        let inc = &mut self.inc[tgt.0 as usize];
-        let pos = inc.iter().position(|&e| e == (label, src)).expect("edge_set and inc agree");
-        inc.remove(pos);
-        true
-    }
-
-    /// Removes a label from a node; returns `false` if the node did not
-    /// carry it.
-    pub fn remove_label(&mut self, node: NodeId, label: NodeLabel) -> bool {
-        self.labels[node.0 as usize].remove(label.0)
-    }
-
-    /// Clears a node in place — drops all its labels and incident edges,
-    /// leaving an unlabeled isolated node behind. Node ids are indices, so
-    /// "removing" a node tombstones it rather than shifting every id after
-    /// it; [`crate::GraphDelta`] documents these semantics. Returns the
-    /// labels and edges that were actually dropped.
-    pub fn clear_node(&mut self, node: NodeId) -> (LabelSet, Vec<(NodeId, EdgeLabel, NodeId)>) {
-        let labels = std::mem::take(&mut self.labels[node.0 as usize]);
-        let mut dropped: Vec<(NodeId, EdgeLabel, NodeId)> = self.out[node.0 as usize]
-            .iter()
-            .map(|&(l, tgt)| (node, l, tgt))
-            .chain(self.inc[node.0 as usize].iter().map(|&(l, src)| (src, l, node)))
-            .collect();
-        // A self loop appears in both lists; drop each edge exactly once.
-        dropped.sort_unstable();
-        dropped.dedup();
-        for &(src, l, tgt) in &dropped {
-            self.remove_edge(src, l, tgt);
-        }
-        (labels, dropped)
     }
 
     /// `true` iff the node carries the label.
@@ -188,6 +145,60 @@ impl Graph {
         }
         s.push('}');
         s
+    }
+}
+
+/// `Graph`'s side of [`crate::GraphDelta::apply_in_place`]. Removing an
+/// edge is `O(deg)` and keeps the adjacency order of the surviving edges;
+/// clearing a node tombstones it, as [`crate::GraphDelta`] documents.
+impl DeltaTarget for Graph {
+    fn num_nodes(&self) -> usize {
+        Graph::num_nodes(self)
+    }
+
+    fn add_node(&mut self) -> NodeId {
+        Graph::add_node(self)
+    }
+
+    fn add_label(&mut self, node: NodeId, label: NodeLabel) -> bool {
+        Graph::add_label(self, node, label)
+    }
+
+    fn add_edge(&mut self, src: NodeId, label: EdgeLabel, tgt: NodeId) -> bool {
+        Graph::add_edge(self, src, label, tgt)
+    }
+
+    fn remove_edge(&mut self, src: NodeId, label: EdgeLabel, tgt: NodeId) -> bool {
+        if !self.edge_set.remove(&(src, label, tgt)) {
+            return false;
+        }
+        let out = &mut self.out[src.0 as usize];
+        let pos = out.iter().position(|&e| e == (label, tgt)).expect("edge_set and out agree");
+        out.remove(pos);
+        let inc = &mut self.inc[tgt.0 as usize];
+        let pos = inc.iter().position(|&e| e == (label, src)).expect("edge_set and inc agree");
+        inc.remove(pos);
+        true
+    }
+
+    fn remove_label(&mut self, node: NodeId, label: NodeLabel) -> bool {
+        self.labels[node.0 as usize].remove(label.0)
+    }
+
+    fn clear_node(&mut self, node: NodeId) -> (LabelSet, Vec<(NodeId, EdgeLabel, NodeId)>) {
+        let labels = std::mem::take(&mut self.labels[node.0 as usize]);
+        let mut dropped: Vec<(NodeId, EdgeLabel, NodeId)> = self.out[node.0 as usize]
+            .iter()
+            .map(|&(l, tgt)| (node, l, tgt))
+            .chain(self.inc[node.0 as usize].iter().map(|&(l, src)| (src, l, node)))
+            .collect();
+        // A self loop appears in both lists; drop each edge exactly once.
+        dropped.sort_unstable();
+        dropped.dedup();
+        for &(src, l, tgt) in &dropped {
+            self.remove_edge(src, l, tgt);
+        }
+        (labels, dropped)
     }
 }
 

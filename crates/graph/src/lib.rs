@@ -32,7 +32,7 @@ mod graph;
 mod vocab;
 
 pub use bitset::LabelSet;
-pub use delta::{DeltaEffects, GraphDelta};
+pub use delta::{DeltaEffects, DeltaTarget, GraphDelta};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use graph::{Graph, NodeId};
 pub use vocab::{EdgeLabel, EdgeSym, NodeLabel, Vocab};

@@ -9,10 +9,16 @@
 //! (medical, social, stress), over randomly generated conforming
 //! graphs, and with delete-heavy chains that exercise tombstoning and
 //! the full-rebuild fallback.
+//!
+//! The reference is the suite's own mirror [`Graph`], patched through
+//! [`GraphDelta::apply_in_place`] in step with the executor, so it shares
+//! no store with the executor's index.
 
 use gts_core::Transformation;
 use gts_corpus::{scenario, Family, Params};
-use gts_exec::{execute, output_facts, DeltaStrategy, ExecOptions, Incremental, IndexedGraph};
+use gts_exec::{
+    execute, output_facts, DeltaOutcome, DeltaStrategy, ExecOptions, Incremental, IndexedGraph,
+};
 use gts_graph::{EdgeLabel, Graph, GraphDelta, LabelSet, NodeId, NodeLabel, Vocab};
 use gts_schema::random_conforming_graph;
 use proptest::prelude::*;
@@ -24,14 +30,21 @@ use rand::{Rng, SeedableRng};
 /// property below through schema-conforming generation).
 const FAMILIES: [Family; 3] = [Family::Medical, Family::Social, Family::Stress];
 
+/// Applies `delta` to the live view and to the mirror `g`.
+fn apply(inc: &mut Incremental, g: &mut Graph, delta: &GraphDelta, context: &str) -> DeltaOutcome {
+    let out = inc.apply_delta(delta).unwrap_or_else(|e| panic!("{context}: {e}"));
+    delta.apply_in_place(g).unwrap_or_else(|e| panic!("{context}: mirror: {e}"));
+    out
+}
+
 /// Incremental facts and output graph must equal a from-scratch
-/// execution on the patched instance (the exact idiom the in-crate
-/// `gts-exec` unit tests pin, re-applied here over whole delta chains).
-fn assert_agrees_with_full(inc: &Incremental, t: &Transformation, context: &str) {
-    let idx = IndexedGraph::build(inc.graph());
+/// execution on the mirror `g` (the exact idiom the in-crate `gts-exec`
+/// unit tests pin, re-applied here over whole delta chains).
+fn assert_agrees_with_full(inc: &Incremental, t: &Transformation, g: &Graph, context: &str) {
+    let idx = IndexedGraph::build(g);
     let want = output_facts(&idx, t, &ExecOptions::default());
     assert_eq!(inc.output_facts(), want, "{context}: facts diverge from full execution");
-    let full = execute(t, inc.graph());
+    let full = execute(t, g);
     let out = inc.output_graph();
     assert_eq!(out.num_nodes(), full.num_nodes(), "{context}: output node counts diverge");
     assert_eq!(
@@ -101,19 +114,19 @@ fn run_chain(family: Family, seed: u64, steps: usize, delete_heavy: bool) -> (us
         .instance(&sc.primary.instance)
         .unwrap_or_else(|| panic!("{}: missing primary instance", family.name()));
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_DE17A);
-    let mut inc = Incremental::new(t, &inst.graph);
-    assert_agrees_with_full(&inc, t, &format!("{} seed {seed} baseline", family.name()));
+    let mut g = inst.graph.clone();
+    let mut inc = Incremental::new(t, &g);
+    assert_agrees_with_full(&inc, t, &g, &format!("{} seed {seed} baseline", family.name()));
 
     let (mut incremental, mut rebuilds) = (0usize, 0usize);
     for step in 0..steps {
-        let delta = random_delta(inc.graph(), &sc.vocab, &mut rng, delete_heavy);
+        let delta = random_delta(&g, &sc.vocab, &mut rng, delete_heavy);
         let ctx = format!("{} seed {seed} step {step} ({delta:?})", family.name());
-        let out = inc.apply_delta(&delta).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-        match out.strategy {
+        match apply(&mut inc, &mut g, &delta, &ctx).strategy {
             DeltaStrategy::Incremental => incremental += 1,
             DeltaStrategy::FullRebuild => rebuilds += 1,
         }
-        assert_agrees_with_full(&inc, t, &ctx);
+        assert_agrees_with_full(&inc, t, &g, &ctx);
     }
     (incremental, rebuilds)
 }
@@ -153,22 +166,24 @@ fn mass_tombstone_falls_back_to_full_rebuild_and_agrees() {
     let sc = scenario(Family::Medical, &Params { seed: 7, scale: 40 });
     let t = sc.transform(&sc.primary.transform).unwrap();
     let inst = sc.instance(&sc.primary.instance).unwrap();
-    let mut inc = Incremental::new(t, &inst.graph);
+    let mut g = inst.graph.clone();
+    let mut inc = Incremental::new(t, &g);
 
     let delta = GraphDelta {
-        removed_nodes: (0..inst.graph.num_nodes() as u32 / 2).map(NodeId).collect(),
+        removed_nodes: (0..g.num_nodes() as u32 / 2).map(NodeId).collect(),
         ..GraphDelta::default()
     };
-    let out = inc.apply_delta(&delta).unwrap();
+    let out = apply(&mut inc, &mut g, &delta, "mass tombstone");
     assert_eq!(out.strategy, DeltaStrategy::FullRebuild, "touched {}", out.touched);
-    assert_agrees_with_full(&inc, t, "mass tombstone");
+    assert_agrees_with_full(&inc, t, &g, "mass tombstone");
 
     // And the engine keeps working incrementally afterwards.
     let mut rng = StdRng::seed_from_u64(99);
     for step in 0..4 {
-        let delta = random_delta(inc.graph(), &sc.vocab, &mut rng, false);
-        inc.apply_delta(&delta).unwrap();
-        assert_agrees_with_full(&inc, t, &format!("post-rebuild step {step}"));
+        let delta = random_delta(&g, &sc.vocab, &mut rng, false);
+        let ctx = format!("post-rebuild step {step}");
+        apply(&mut inc, &mut g, &delta, &ctx);
+        assert_agrees_with_full(&inc, t, &g, &ctx);
     }
 }
 
@@ -183,7 +198,7 @@ fn empty_delta_is_a_noop() {
     let out = inc.apply_delta(&GraphDelta::default()).unwrap();
     assert_eq!(out.touched, 0);
     assert_eq!(inc.output_facts(), before);
-    assert_agrees_with_full(&inc, t, "empty delta");
+    assert_agrees_with_full(&inc, t, &inst.graph, "empty delta");
 }
 
 /// Deltas referencing out-of-range node ids are rejected without
@@ -199,7 +214,7 @@ fn invalid_delta_is_rejected_and_state_survives() {
         ..GraphDelta::default()
     };
     assert!(inc.apply_delta(&bogus).is_err());
-    assert_agrees_with_full(&inc, t, "after rejected delta");
+    assert_agrees_with_full(&inc, t, &inst.graph, "after rejected delta");
 }
 
 // ───────────────────────── random-graph property ────────────────────────
@@ -222,15 +237,15 @@ proptest! {
         let t = sc.transform(&sc.primary.transform).unwrap();
         let schema = sc.schema(&sc.primary.source).unwrap();
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9));
-        let Some(g) = random_conforming_graph(schema, size, 8, &mut rng) else {
+        let Some(mut g) = random_conforming_graph(schema, size, 8, &mut rng) else {
             return Ok(()); // generator gave up at this seed; nothing to test
         };
         let mut inc = Incremental::new(t, &g);
         for step in 0..3 {
-            let delta = random_delta(inc.graph(), &sc.vocab, &mut rng, delete_heavy);
+            let delta = random_delta(&g, &sc.vocab, &mut rng, delete_heavy);
             let ctx = format!("{} seed {seed} step {step}", family.name());
-            inc.apply_delta(&delta).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-            assert_agrees_with_full(&inc, t, &ctx);
+            apply(&mut inc, &mut g, &delta, &ctx);
+            assert_agrees_with_full(&inc, t, &g, &ctx);
         }
     }
 }
