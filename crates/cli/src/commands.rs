@@ -83,6 +83,14 @@ fn usage() -> String {
         .into()
 }
 
+/// Flags that take the next argument as their value.
+const VALUE_FLAGS: &str = "addr auth cache-dir check-schema deadline-ms delta family fingerprint \
+    flush-ms format graph idle-ms instance literals max-pipeline max-session-mb max-sessions out \
+    p q queue scale schema seed slow-ms source store t1 t2 target threads transform verb";
+
+/// Flags that take no value.
+const SWITCHES: &str = "allow-linger dot no-cache no-metrics pipeline quick stats trace";
+
 fn parse_flags(args: &[String]) -> Result<(HashMap<String, String>, Vec<String>), String> {
     let mut flags = HashMap::new();
     let mut positional = Vec::new();
@@ -90,22 +98,15 @@ fn parse_flags(args: &[String]) -> Result<(HashMap<String, String>, Vec<String>)
     while i < args.len() {
         let a = &args[i];
         if let Some(name) = a.strip_prefix("--") {
-            if name == "dot"
-                || name == "stats"
-                || name == "allow-linger"
-                || name == "no-cache"
-                || name == "quick"
-                || name == "trace"
-                || name == "no-metrics"
-                || name == "pipeline"
-                || name == "chaos"
-            {
+            if SWITCHES.split_whitespace().any(|f| f == name) {
                 flags.insert(name.to_owned(), "true".to_owned());
                 i += 1;
-            } else {
+            } else if VALUE_FLAGS.split_whitespace().any(|f| f == name) {
                 let val = args.get(i + 1).ok_or_else(|| format!("flag --{name} needs a value"))?;
                 flags.insert(name.to_owned(), val.clone());
                 i += 2;
+            } else {
+                return Err(format!("unknown flag --{name}"));
             }
         } else {
             positional.push(a.clone());
@@ -522,11 +523,8 @@ fn run_batch(
         let src = read(path)?;
         let file = GtsFile::parse(&src).map_err(|e| format!("{path}:{e}"))?;
         let mut results_json = Vec::new();
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut entries = 0usize;
-        let mut approx_bytes = 0usize;
-        let mut hydrated = 0u64;
+        // Summed over this file's source sessions.
+        let mut summed = CacheStats::default();
         for (source_name, items) in suite(&file) {
             let source = file.schema(&source_name).expect("suite names file schemas").clone();
             let mut session = AnalysisSession::new(source, file.vocab.clone());
@@ -552,11 +550,11 @@ fn run_batch(
             }
             let (results, session) = batch.run(threads);
             let stats = session.stats();
-            hits += stats.hits;
-            misses += stats.misses;
-            entries += stats.entries;
-            approx_bytes += stats.approx_bytes;
-            hydrated += stats.hydrated;
+            summed.hits += stats.hits;
+            summed.misses += stats.misses;
+            summed.entries += stats.entries;
+            summed.approx_bytes += stats.approx_bytes;
+            summed.hydrated += stats.hydrated;
             for r in results {
                 let mut entry = Json::obj();
                 entry.set("label", r.label.as_str()).set("micros", r.micros);
@@ -589,24 +587,19 @@ fn run_batch(
                 results_json.push(entry);
             }
         }
+        let session = summed.to_json();
         let mut cache = Json::obj();
-        cache
-            .set("hits", hits)
-            .set("misses", misses)
-            .set("hit_rate", CacheStats { hits, misses, ..Default::default() }.hit_rate());
+        for key in ["hits", "misses", "hit_rate"] {
+            cache.set(key, session.get(key).expect("a CacheStats field").clone());
+        }
         let mut fj = Json::obj();
         fj.set("file", path.as_str())
             .set("results", Json::Arr(results_json))
             .set("containment_cache", cache);
         if flags.contains_key("stats") {
             // The occupancy counters the server's session registry
-            // budgets against, summed over this file's source sessions —
-            // same shape as the analyze response's `session` object.
-            let summed = CacheStats { hits, misses, entries, approx_bytes, hydrated };
-            fj.set(
-                "session",
-                gts_engine::snapshot_to_json(&gts_engine::session_cache_snapshot(&summed)),
-            );
+            // budgets against — the analyze response's `session` object.
+            fj.set("session", session);
         }
         files_json.push(fj);
     }

@@ -236,6 +236,30 @@ edge p1 exhibits a2
     }
 
     #[test]
+    fn cli_unknown_flags_are_usage_errors() {
+        // An unknown flag must not swallow the flag after it as its value:
+        // `--dot` here would otherwise be lost and an instance printed.
+        for flag in ["--bogus", "--naive"] {
+            for cmd in [
+                format!("run mem.gts --transform T0 --instance inst.graph {flag} --dot"),
+                format!("run mem.gts --transform T0 --instance inst.graph {flag}"),
+            ] {
+                let out = run(&args(&cmd), &read_two);
+                assert_eq!(out.code, 2, "{cmd}: {}", out.output);
+                assert!(out.output.contains(&format!("unknown flag {flag}")), "{}", out.output);
+            }
+        }
+        // A known switch still stands alone, and a value flag still needs
+        // its value.
+        let dot = run(&args("run mem.gts --transform T0 --instance inst.graph --dot"), &read_two);
+        assert_eq!(dot.code, 0, "{}", dot.output);
+        assert!(dot.output.starts_with("digraph"), "{}", dot.output);
+        let out = run(&args("run mem.gts --instance inst.graph --transform"), &read_two);
+        assert_eq!(out.code, 2, "{}", out.output);
+        assert!(out.output.contains("--transform needs a value"), "{}", out.output);
+    }
+
+    #[test]
     fn cli_run_reports_instance_parse_errors() {
         let read = |path: &str| -> Result<String, String> {
             match path {

@@ -15,8 +15,9 @@
 //!   [`Request::Equivalence`] / [`Request::Elicit`]) executed across a
 //!   `std::thread` worker pool with a work-stealing-free sharded queue,
 //!   all workers warming one memo;
-//! * [`Json`] — a dependency-free JSON builder for machine-readable
-//!   results (`gts batch`, `gts client`).
+//! * [`Json`] — the workspace's one JSON document model (defined in
+//!   `gts-obs`, re-exported here) for machine-readable results
+//!   (`gts batch`, `gts client`, the serve wire protocol).
 //!
 //! ## Quickstart
 //!
@@ -65,12 +66,9 @@
 mod batch;
 pub mod disk;
 pub mod identity;
-mod json;
 mod session;
-pub mod stats;
 
 pub use batch::{Batch, BatchResult, Request, Verdict};
 pub use disk::{DiskBinding, FlushReport, HydrateReport};
-pub use json::{Json, JsonError};
+pub use gts_obs::{Json, JsonError};
 pub use session::{AnalysisSession, CacheStats};
-pub use stats::{session_cache_snapshot, snapshot_to_json};

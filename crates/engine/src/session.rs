@@ -31,6 +31,7 @@ use gts_core::{
     elicit_schema_with, equivalence_with, label_coverage_with, trim_with, type_check_with,
     AnalysisError, ContainmentOracle, Decision, Elicited, Transformation,
 };
+use gts_obs::Json;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
@@ -63,6 +64,20 @@ impl CacheStats {
         } else {
             self.hits as f64 / total as f64
         }
+    }
+
+    /// The one JSON rendering of these counters: the serve `analyze`
+    /// response's `session` object, and `gts batch`'s `session` and
+    /// `containment_cache` objects.
+    pub fn to_json(&self) -> Json {
+        let mut obj = Json::obj();
+        obj.set("hits", self.hits)
+            .set("misses", self.misses)
+            .set("entries", self.entries)
+            .set("approx_bytes", self.approx_bytes)
+            .set("hydrated", self.hydrated)
+            .set("hit_rate", self.hit_rate());
+        obj
     }
 }
 
@@ -374,6 +389,14 @@ fn canonical_c2rpq(q: &C2rpq) -> String {
 mod tests {
     use super::*;
     use gts_core::prelude::*;
+
+    #[test]
+    fn cache_stats_json_shape_is_stable() {
+        let json = CacheStats::default().to_json();
+        let Json::Obj(fields) = &json else { panic!("not an object: {json:?}") };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["hits", "misses", "entries", "approx_bytes", "hydrated", "hit_rate"]);
+    }
 
     fn fixture() -> (Vocab, Schema, Uc2rpq, Uc2rpq) {
         let mut v = Vocab::new();

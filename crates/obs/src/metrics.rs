@@ -50,14 +50,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
-
-    /// Overwrites the value. For *scrape-time synchronization* of a
-    /// counter whose source of truth lives elsewhere (e.g. mirroring an
-    /// existing stats struct into the exposition) — event-driven code
-    /// should use [`Counter::inc`]/[`Counter::add`].
-    pub fn store(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
 }
 
 /// A gauge: a value that can go up and down (occupancy, queue depth).

@@ -9,6 +9,7 @@
 //! bucket math read them directly.
 
 use crate::metrics::{Handle, MetricsRegistry};
+use crate::Json;
 use std::fmt::Write as _;
 
 /// Escapes a HELP text: backslash and newline.
@@ -86,75 +87,45 @@ pub fn render_prometheus(registries: &[&MetricsRegistry]) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the given registries as one JSON document:
 /// `{"metrics":[{name, kind, labels, …value fields…}, …]}`. Histogram
 /// entries carry `count`, `sum`, `mean`, `max`, and `p50`/`p90`/`p99`
 /// extracted server-side.
 pub fn render_json(registries: &[&MetricsRegistry]) -> String {
-    let mut entries: Vec<String> = Vec::new();
+    let mut entries = Vec::new();
     for reg in registries {
         let fams = reg.families.lock().unwrap();
         for (name, fam) in fams.iter() {
             for (labels, handle) in &fam.cells {
-                let mut e = String::from("{");
-                let _ = write!(
-                    e,
-                    "\"name\":\"{}\",\"kind\":\"{}\",\"labels\":{{",
-                    json_escape(name),
-                    fam.kind.as_str()
-                );
-                let pairs: Vec<String> = labels
-                    .iter()
-                    .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
-                    .collect();
-                e.push_str(&pairs.join(","));
-                e.push_str("},");
+                let mut label_obj = Json::obj();
+                for (k, v) in labels {
+                    label_obj.set(k, v.as_str());
+                }
+                let mut e = Json::obj();
+                e.set("name", name.as_str())
+                    .set("kind", fam.kind.as_str())
+                    .set("labels", label_obj);
                 match handle {
-                    Handle::Counter(c) => {
-                        let _ = write!(e, "\"value\":{}", c.get());
-                    }
-                    Handle::Gauge(g) => {
-                        let _ = write!(e, "\"value\":{}", g.get());
-                    }
+                    Handle::Counter(c) => e.set("value", c.get()),
+                    Handle::Gauge(g) => e.set("value", g.get()),
                     Handle::Histogram(h) => {
                         let s = h.snapshot();
-                        let _ = write!(
-                            e,
-                            "\"count\":{},\"sum\":{},\"mean\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{}",
-                            s.count,
-                            s.sum,
-                            s.mean(),
-                            s.max,
-                            s.quantile(0.50),
-                            s.quantile(0.90),
-                            s.quantile(0.99)
-                        );
+                        e.set("count", s.count)
+                            .set("sum", s.sum)
+                            .set("mean", s.mean())
+                            .set("max", s.max)
+                            .set("p50", s.quantile(0.50))
+                            .set("p90", s.quantile(0.90))
+                            .set("p99", s.quantile(0.99))
                     }
-                }
-                e.push('}');
+                };
                 entries.push(e);
             }
         }
     }
-    format!("{{\"metrics\":[{}]}}", entries.join(","))
+    let mut doc = Json::obj();
+    doc.set("metrics", Json::Arr(entries));
+    doc.compact()
 }
 
 #[cfg(test)]
@@ -204,11 +175,16 @@ mod tests {
             h.record(v);
         }
         reg.counter("n_total", "n", &[]).add(7);
-        let json = render_json(&[&reg]);
-        assert!(json.contains("\"name\":\"n_total\""));
-        assert!(json.contains("\"value\":7"));
-        assert!(json.contains("\"verb\":\"analyze\""));
-        assert!(json.contains("\"count\":100"));
-        assert!(json.contains("\"p99\":"));
+        let doc = Json::parse(&render_json(&[&reg])).expect("the JSON mirror parses");
+        let entries = doc.get("metrics").and_then(Json::as_arr).expect("a metrics array");
+        let entry = |name: &str| {
+            entries.iter().find(|e| e.get("name").and_then(Json::as_str) == Some(name)).unwrap()
+        };
+        assert_eq!(entry("n_total").get("value").and_then(Json::as_u64), Some(7));
+        let lat = entry("lat_micros");
+        let verb = lat.get("labels").and_then(|l| l.get("verb")).and_then(Json::as_str);
+        assert_eq!(verb, Some("analyze"));
+        assert_eq!(lat.get("count").and_then(Json::as_u64), Some(100));
+        assert!(lat.get("p99").and_then(Json::as_u64).is_some());
     }
 }

@@ -14,6 +14,7 @@
 //! panic-safe — an unwind pops every open span and uninstalls the
 //! collector, leaving the thread clean for the next trace.
 
+use crate::Json;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -188,29 +189,16 @@ impl SpanNode {
         }
     }
 
-    /// Renders the tree as a compact JSON object:
-    /// `{"name":…,"micros":…,"count":…,"children":[…]}`.
-    pub fn to_json_string(&self) -> String {
-        let mut out = String::new();
-        self.json_into(&mut out);
-        out
-    }
-
-    fn json_into(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"micros\":{},\"count\":{},\"children\":[",
-            self.name.replace('\\', "\\\\").replace('"', "\\\""),
-            self.micros,
-            self.count
-        );
-        for (i, child) in self.children.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            child.json_into(out);
+    /// The tree as a JSON object: `name`, `micros`, `count`, and
+    /// `children` (recursively; omitted on a leaf). The shape of the serve
+    /// protocol's `trace` field.
+    pub fn to_json(&self) -> Json {
+        let mut obj = Json::obj();
+        obj.set("name", self.name.as_str()).set("micros", self.micros).set("count", self.count);
+        if !self.children.is_empty() {
+            obj.set("children", Json::Arr(self.children.iter().map(SpanNode::to_json).collect()));
         }
-        out.push_str("]}");
+        obj
     }
 }
 
@@ -353,8 +341,12 @@ mod tests {
         let rendered = tree.render_tree();
         assert!(rendered.contains("decide \u{00d7}3"), "{rendered}");
         assert!(rendered.starts_with("request"));
-        let json = tree.to_json_string();
-        assert!(json.contains("\"name\":\"decide\",") && json.contains("\"count\":3"));
+        let json = Json::parse(&tree.to_json().compact()).expect("span tree JSON parses");
+        let decide = &json.get("children").and_then(Json::as_arr).expect("children")[1];
+        assert_eq!(decide.get("name").and_then(Json::as_str), Some("decide"));
+        assert_eq!(decide.get("count").and_then(Json::as_u64), Some(3));
+        let probe = &decide.get("children").and_then(Json::as_arr).expect("children")[0];
+        assert!(probe.get("children").is_none(), "a leaf carries no `children`");
         assert!(!tracing_active(), "collector uninstalled after trace");
     }
 

@@ -57,10 +57,6 @@ pub struct RealizeStats {
     pub status_hits: u64,
     /// Candidate verdicts computed by the greatest fixpoint.
     pub status_misses: u64,
-    /// Option sets answered from the memo.
-    pub options_hits: u64,
-    /// Option sets enumerated.
-    pub options_misses: u64,
 }
 
 /// Shared realizability context; memoizes candidate verdicts and option
@@ -320,11 +316,9 @@ impl RealizeCtx {
     /// taint re-raises `uncertain` exactly as recomputing it would.
     fn options_of(&mut self, cand: Cand) -> Result<Vec<Option_>, UnknownReason> {
         if let Some((opts, taint)) = self.options_memo.get(&cand) {
-            self.stats.options_hits += 1;
             self.uncertain |= *taint;
             return Ok(opts.clone());
         }
-        self.stats.options_misses += 1;
         let (child, sym_down, parent) = cand;
         let neighbors = [(sym_down.inv(), parent)];
         let saved = self.uncertain;

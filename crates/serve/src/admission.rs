@@ -24,6 +24,7 @@
 //! has consumed its share.
 
 use gts_net::lock;
+use gts_obs::{Counter, MetricsRegistry};
 use std::collections::HashMap;
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
@@ -78,25 +79,64 @@ impl AdmissionError {
     }
 }
 
-/// Cumulative admission counters plus current gauges.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AdmissionStats {
+/// The admission controller's event counters: cells in a registry the
+/// controller owns, so they are the one record of their events — the
+/// `metrics` verb renders [`AdmissionMetrics::registry`] and the `stats`
+/// verb reads the same cells.
+#[derive(Debug)]
+pub struct AdmissionMetrics {
+    /// The registry holding the cells below.
+    pub registry: MetricsRegistry,
     /// Analyses admitted (granted a permit).
-    pub admitted: u64,
+    pub admitted: Counter,
     /// Frames rejected because the queue was full.
-    pub rejected_overloaded: u64,
+    pub rejected_overloaded: Counter,
     /// Frames whose deadline expired while queued.
-    pub rejected_deadline: u64,
+    pub rejected_deadline: Counter,
     /// Frames rejected during drain.
-    pub rejected_draining: u64,
+    pub rejected_draining: Counter,
     /// Frames rejected because their tenant was over its fair share.
-    pub rejected_quota: u64,
-    /// Highest concurrent in-flight count observed.
-    pub peak_inflight: usize,
+    pub rejected_quota: Counter,
+}
+
+impl AdmissionMetrics {
+    fn new() -> AdmissionMetrics {
+        let registry = MetricsRegistry::new();
+        let rejected = |reason| {
+            registry.counter(
+                "gts_serve_rejected_total",
+                "Analyze frames refused by admission control, by reason",
+                &[("reason", reason)],
+            )
+        };
+        AdmissionMetrics {
+            admitted: registry.counter(
+                "gts_serve_admitted_total",
+                "Analyses granted an admission slot",
+                &[],
+            ),
+            rejected_overloaded: rejected("overloaded"),
+            rejected_deadline: rejected("deadline"),
+            rejected_draining: rejected("draining"),
+            rejected_quota: rejected("quota"),
+            registry,
+        }
+    }
+}
+
+/// The controller's current state, read under its lock: what is running
+/// and waiting now, the in-flight high-water mark, and the tenant table.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct AdmissionStats {
     /// Analyses running right now.
     pub inflight: usize,
     /// Frames waiting for a slot right now.
     pub queued: usize,
+    /// Highest concurrent in-flight count observed.
+    pub peak_inflight: usize,
+    /// Per-tenant figures, sorted by tenant name. Tenants that never
+    /// submitted work do not appear.
+    pub tenants: Vec<TenantStats>,
 }
 
 /// One tenant's view of the admission counters.
@@ -132,8 +172,8 @@ impl TenantEntry {
 struct State {
     inflight: usize,
     queued: usize,
+    peak_inflight: usize,
     draining: bool,
-    stats: AdmissionStats,
     tenants: HashMap<String, TenantEntry>,
 }
 
@@ -179,6 +219,7 @@ pub struct Admission {
     cfg: AdmissionConfig,
     state: Mutex<State>,
     cv: Condvar,
+    metrics: AdmissionMetrics,
 }
 
 /// An admitted analysis slot; releasing is dropping.
@@ -214,12 +255,35 @@ impl Admission {
     /// ≥ 1).
     pub fn new(mut cfg: AdmissionConfig) -> Self {
         cfg.max_inflight = cfg.max_inflight.max(1);
-        Admission { cfg, state: Mutex::new(State::default()), cv: Condvar::new() }
+        Admission {
+            cfg,
+            state: Mutex::new(State::default()),
+            cv: Condvar::new(),
+            metrics: AdmissionMetrics::new(),
+        }
     }
 
     /// The configured bounds.
     pub fn config(&self) -> AdmissionConfig {
         self.cfg
+    }
+
+    /// The event counters.
+    pub fn metrics(&self) -> &AdmissionMetrics {
+        &self.metrics
+    }
+
+    /// Counts a rejection under its reason and returns it.
+    fn reject(&self, e: AdmissionError) -> Result<Permit<'_>, AdmissionError> {
+        let m = &self.metrics;
+        match e {
+            AdmissionError::Overloaded => &m.rejected_overloaded,
+            AdmissionError::DeadlineExceeded => &m.rejected_deadline,
+            AdmissionError::Draining => &m.rejected_draining,
+            AdmissionError::QuotaExceeded => &m.rejected_quota,
+        }
+        .inc();
+        Err(e)
     }
 
     /// Requests a slot for the [`DEFAULT_TENANT`], waiting (up to
@@ -238,8 +302,7 @@ impl Admission {
     ) -> Result<Permit<'_>, AdmissionError> {
         let mut s = lock(&self.state);
         if s.draining {
-            s.stats.rejected_draining += 1;
-            return Err(AdmissionError::Draining);
+            return self.reject(AdmissionError::Draining);
         }
         if s.blocked(&self.cfg, tenant) {
             // Blocked: take a queue slot or bounce, naming the cause —
@@ -247,12 +310,10 @@ impl Admission {
             // quota are `quota_exceeded`.
             if s.queued >= self.cfg.max_queue {
                 if s.inflight >= self.cfg.max_inflight {
-                    s.stats.rejected_overloaded += 1;
-                    return Err(AdmissionError::Overloaded);
+                    return self.reject(AdmissionError::Overloaded);
                 }
-                s.stats.rejected_quota += 1;
                 s.entry(tenant).rejected_quota += 1;
-                return Err(AdmissionError::QuotaExceeded);
+                return self.reject(AdmissionError::QuotaExceeded);
             }
             s.queued += 1;
             s.entry(tenant).queued += 1;
@@ -260,8 +321,7 @@ impl Admission {
                 if s.draining {
                     s.queued -= 1;
                     s.entry(tenant).queued -= 1;
-                    s.stats.rejected_draining += 1;
-                    return Err(AdmissionError::Draining);
+                    return self.reject(AdmissionError::Draining);
                 }
                 if !s.blocked(&self.cfg, tenant) {
                     s.queued -= 1;
@@ -275,8 +335,7 @@ impl Admission {
                         if now >= d {
                             s.queued -= 1;
                             s.entry(tenant).queued -= 1;
-                            s.stats.rejected_deadline += 1;
-                            return Err(AdmissionError::DeadlineExceeded);
+                            return self.reject(AdmissionError::DeadlineExceeded);
                         }
                         let (guard, _timeout) = self
                             .cv
@@ -288,8 +347,8 @@ impl Admission {
             }
         }
         s.inflight += 1;
-        s.stats.admitted += 1;
-        s.stats.peak_inflight = s.stats.peak_inflight.max(s.inflight);
+        self.metrics.admitted.inc();
+        s.peak_inflight = s.peak_inflight.max(s.inflight);
         let e = s.entry(tenant);
         e.inflight += 1;
         e.admitted += 1;
@@ -317,19 +376,10 @@ impl Admission {
         }
     }
 
-    /// Counter snapshot. The `queued` gauge reports *current* waiters
-    /// (the cumulative peak is folded into `peak_inflight`'s sibling
-    /// fields).
+    /// The current state, read under one lock.
     pub fn stats(&self) -> AdmissionStats {
         let s = lock(&self.state);
-        AdmissionStats { inflight: s.inflight, queued: s.queued, ..s.stats }
-    }
-
-    /// Per-tenant counters, sorted by tenant name. Tenants that never
-    /// submitted work do not appear.
-    pub fn tenant_stats(&self) -> Vec<TenantStats> {
-        let s = lock(&self.state);
-        let mut out: Vec<TenantStats> = s
+        let mut tenants: Vec<TenantStats> = s
             .tenants
             .iter()
             .map(|(name, t)| TenantStats {
@@ -340,8 +390,13 @@ impl Admission {
                 rejected_quota: t.rejected_quota,
             })
             .collect();
-        out.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-        out
+        tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
+        AdmissionStats {
+            inflight: s.inflight,
+            queued: s.queued,
+            peak_inflight: s.peak_inflight,
+            tenants,
+        }
     }
 }
 
@@ -362,8 +417,8 @@ mod tests {
         drop(p2);
         drop(p3);
         let stats = adm.stats();
-        assert_eq!(stats.admitted, 3);
-        assert_eq!(stats.rejected_overloaded, 1);
+        assert_eq!(adm.metrics().admitted.get(), 3);
+        assert_eq!(adm.metrics().rejected_overloaded.get(), 1);
         assert_eq!(stats.peak_inflight, 2);
         assert_eq!(stats.inflight, 0);
     }
@@ -390,7 +445,7 @@ mod tests {
             w.join().unwrap();
         }
         let stats = adm.stats();
-        assert_eq!(stats.admitted, 5);
+        assert_eq!(adm.metrics().admitted.get(), 5);
         assert_eq!(stats.inflight, 0);
         assert_eq!(stats.queued, 0);
         assert_eq!(stats.peak_inflight, 1, "never more than one in flight");
@@ -405,7 +460,7 @@ mod tests {
         let err = adm.admit(Some(deadline)).unwrap_err();
         assert_eq!(err, AdmissionError::DeadlineExceeded);
         assert!(start.elapsed() >= Duration::from_millis(25));
-        assert_eq!(adm.stats().rejected_deadline, 1);
+        assert_eq!(adm.metrics().rejected_deadline.get(), 1);
         assert_eq!(adm.stats().queued, 0, "the queue slot was released");
         // An already-expired deadline still rejects (without waiting).
         let err2 = adm.admit(Some(Instant::now() - Duration::from_millis(1))).unwrap_err();
@@ -453,7 +508,7 @@ mod tests {
         let total: u64 = threads.into_iter().map(|t| t.join().unwrap()).sum();
         assert_eq!(total, 16 * 20, "no unbounded queue → but queue of 64 fits 16 waiters");
         let stats = adm.stats();
-        assert_eq!(stats.admitted, total);
+        assert_eq!(adm.metrics().admitted.get(), total);
         assert!(stats.peak_inflight <= 3);
         assert_eq!(stats.inflight, 0);
         assert_eq!(stats.queued, 0);
@@ -468,7 +523,7 @@ mod tests {
         let p2 = adm.admit_for("alice", None).unwrap();
         let p3 = adm.admit_for("alice", None).unwrap();
         assert_eq!(adm.admit_for("alice", None).unwrap_err(), AdmissionError::Overloaded);
-        assert_eq!(adm.stats().rejected_quota, 0);
+        assert_eq!(adm.metrics().rejected_quota.get(), 0);
         drop((p1, p2, p3));
     }
 
@@ -490,7 +545,7 @@ mod tests {
         // newcomer (greedy is over its fair share of 1).
         drop(g1);
         newcomer.join().unwrap().unwrap();
-        let tenants = adm.tenant_stats();
+        let tenants = adm.stats().tenants;
         let patient = tenants.iter().find(|t| t.tenant == "patient").unwrap();
         assert_eq!(patient.admitted, 1);
         // With the other slot still held by greedy, a queue-full quota
@@ -506,7 +561,7 @@ mod tests {
             AdmissionError::QuotaExceeded,
             "free global slot + exhausted share must name the quota"
         );
-        assert_eq!(adm_small.stats().rejected_quota, 1);
+        assert_eq!(adm_small.metrics().rejected_quota.get(), 1);
         drop(g2);
     }
 }

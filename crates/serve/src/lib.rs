@@ -69,12 +69,13 @@ mod registry;
 mod server;
 
 pub use admission::{
-    Admission, AdmissionConfig, AdmissionError, AdmissionStats, Permit, TenantStats, DEFAULT_TENANT,
+    Admission, AdmissionConfig, AdmissionError, AdmissionMetrics, AdmissionStats, Permit,
+    TenantStats, DEFAULT_TENANT,
 };
 pub use client::{Client, ClientError};
 pub use proto::{MIN_PROTO_VERSION, PROTO_VERSION};
 pub use registry::{
-    canonical_key, fingerprint, fingerprint_of, Fingerprint, FlushSummary, RegistryConfig,
-    RegistryStats, SessionRegistry,
+    canonical_key, fingerprint, fingerprint_of, Fingerprint, FlushSummary, PoolMetrics,
+    RegistryConfig, RegistryStats, SessionRegistry,
 };
 pub use server::{Compiled, Frontend, Server, ServerConfig, ServerHandle};

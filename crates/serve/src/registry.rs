@@ -24,6 +24,7 @@ use gts_core::graph::{FxHashMap, Vocab};
 use gts_core::schema::Schema;
 use gts_engine::{AnalysisSession, HydrateReport};
 use gts_net::lock;
+use gts_obs::{Counter, MetricsRegistry};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -87,19 +88,63 @@ impl Default for RegistryConfig {
     }
 }
 
-/// Pool counters and occupancy gauges.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RegistryStats {
-    /// Checkouts served by a resident session.
-    pub hits: u64,
+/// The pool's event counters: cells in a registry the pool owns, so they
+/// are the one record of their events — the `metrics` verb renders
+/// [`PoolMetrics::registry`] and the `stats` verb reads the same cells.
+#[derive(Debug)]
+pub struct PoolMetrics {
+    /// The registry holding the cells below.
+    pub registry: MetricsRegistry,
+    /// Checkouts served by a resident session, and frames the server's
+    /// response memo answered from one.
+    pub hits: Counter,
     /// Checkouts that built a fresh session.
-    pub misses: u64,
+    pub misses: Counter,
     /// Sessions evicted (LRU budget sweeps + explicit evictions).
-    pub evictions: u64,
+    pub evictions: Counter,
     /// Checkouts whose fingerprint matched a resident entry but whose
     /// canonical key did not (64-bit hash collisions; the entry is
     /// replaced, never shared).
-    pub collisions: u64,
+    pub collisions: Counter,
+    /// Records hydrated from on-disk stores when sessions were built
+    /// (0 unless `cache_dir` is configured).
+    pub disk_hydrated: Counter,
+}
+
+impl PoolMetrics {
+    fn new() -> PoolMetrics {
+        let registry = MetricsRegistry::new();
+        let counter = |name, help| registry.counter(name, help, &[]);
+        PoolMetrics {
+            hits: counter("gts_serve_pool_hits_total", "Frames served by a resident session"),
+            misses: counter("gts_serve_pool_misses_total", "Checkouts that built a fresh session"),
+            evictions: counter("gts_serve_pool_evictions_total", "Sessions evicted from the pool"),
+            collisions: counter(
+                "gts_serve_pool_collisions_total",
+                "Checkouts whose fingerprint matched another identity's session",
+            ),
+            disk_hydrated: counter(
+                "gts_serve_pool_disk_hydrated_total",
+                "Verdict records hydrated from on-disk stores into new sessions",
+            ),
+            registry,
+        }
+    }
+
+    /// Fraction of checkouts served from the pool.
+    pub fn hit_rate(&self) -> f64 {
+        let (hits, misses) = (self.hits.get(), self.misses.get());
+        if hits + misses == 0 {
+            0.0
+        } else {
+            hits as f64 / (hits + misses) as f64
+        }
+    }
+}
+
+/// The pool's occupancy, read under its lock.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RegistryStats {
     /// Resident sessions right now.
     pub sessions: usize,
     /// Approximate bytes across resident verdict memos, from the sizes
@@ -112,21 +157,6 @@ pub struct RegistryStats {
     /// oversized memo legitimately outlives the budget — this gauge
     /// reports it instead of letting it blow the budget silently.
     pub oversized: usize,
-    /// Records hydrated from on-disk stores when sessions were built
-    /// (0 unless `cache_dir` is configured).
-    pub disk_hydrated: u64,
-}
-
-impl RegistryStats {
-    /// Fraction of checkouts served from the pool.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 struct Entry {
@@ -148,11 +178,6 @@ struct Inner {
     /// Invariant: the sum of `entries[*].approx_bytes`.
     total_bytes: usize,
     tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    collisions: u64,
-    disk_hydrated: u64,
 }
 
 /// A concurrency-safe LRU pool of [`AnalysisSession`]s keyed by
@@ -160,13 +185,19 @@ struct Inner {
 pub struct SessionRegistry {
     cfg: RegistryConfig,
     inner: Mutex<Inner>,
+    metrics: PoolMetrics,
 }
 
 impl SessionRegistry {
     /// An empty pool under `cfg` (`max_sessions` clamped to ≥ 1).
     pub fn new(mut cfg: RegistryConfig) -> Self {
         cfg.max_sessions = cfg.max_sessions.max(1);
-        SessionRegistry { cfg, inner: Mutex::new(Inner::default()) }
+        SessionRegistry { cfg, inner: Mutex::new(Inner::default()), metrics: PoolMetrics::new() }
+    }
+
+    /// The event counters.
+    pub fn metrics(&self) -> &PoolMetrics {
+        &self.metrics
     }
 
     /// The pool budgets.
@@ -214,12 +245,12 @@ impl SessionRegistry {
         let (session, hit) = match refreshed {
             Some((session, stale, fresh)) => {
                 inner.total_bytes = inner.total_bytes - stale + fresh;
-                inner.hits += 1;
+                self.metrics.hits.inc();
                 (session, true)
             }
             None => {
                 if collided {
-                    inner.collisions += 1;
+                    self.metrics.collisions.inc();
                 }
                 // Build OUTSIDE the lock? Building a session is cheap (no
                 // analysis runs), and holding the lock keeps the pool
@@ -229,9 +260,9 @@ impl SessionRegistry {
                 let mut session = build();
                 if let Some(dir) = &self.cfg.cache_dir {
                     let report = session.attach_disk(dir);
-                    inner.disk_hydrated += report.total() as u64;
+                    self.metrics.disk_hydrated.add(report.total() as u64);
                 }
-                inner.misses += 1;
+                self.metrics.misses.inc();
                 let bytes = session.stats().approx_bytes;
                 let prev = inner.entries.insert(
                     fp.0,
@@ -249,7 +280,7 @@ impl SessionRegistry {
                 (session, false)
             }
         };
-        Self::enforce(&self.cfg, &mut inner);
+        self.enforce(&mut inner);
         drop(inner);
         (session, hit)
     }
@@ -266,7 +297,7 @@ impl SessionRegistry {
         let Some(entry) = inner.entries.get_mut(&fp.0) else { return false };
         inner.tick += 1;
         entry.last_used = inner.tick;
-        inner.hits += 1;
+        self.metrics.hits.inc();
         true
     }
 
@@ -276,7 +307,7 @@ impl SessionRegistry {
         match inner.entries.remove(&fp.0) {
             Some(entry) => {
                 inner.total_bytes -= entry.approx_bytes;
-                inner.evictions += 1;
+                self.metrics.evictions.inc();
                 true
             }
             None => false,
@@ -289,11 +320,11 @@ impl SessionRegistry {
         let n = inner.entries.len();
         inner.entries.clear();
         inner.total_bytes = 0;
-        inner.evictions += n as u64;
+        self.metrics.evictions.add(n as u64);
         n
     }
 
-    /// Counter/occupancy snapshot. Refreshes each entry's cached size
+    /// The occupancy, read under one lock. Refreshes each entry's cached size
     /// from its live memo first (stats calls are rare and observability
     /// wants current numbers); the eviction sweep itself stays on the
     /// cached values so it never touches memo locks per iteration.
@@ -306,10 +337,6 @@ impl SessionRegistry {
         }
         inner.total_bytes = total;
         RegistryStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            collisions: inner.collisions,
             sessions: inner.entries.len(),
             approx_bytes: inner.total_bytes,
             oversized: inner
@@ -317,7 +344,6 @@ impl SessionRegistry {
                 .values()
                 .filter(|e| e.approx_bytes > self.cfg.max_bytes)
                 .count(),
-            disk_hydrated: inner.disk_hydrated,
         }
     }
 
@@ -372,10 +398,10 @@ impl SessionRegistry {
     /// running byte total and the per-entry cached sizes — each step is
     /// O(sessions) with no memo locks, so the whole sweep is O(sessions ·
     /// evictions) instead of the former O(sessions²) rescan.
-    fn enforce(cfg: &RegistryConfig, inner: &mut Inner) {
+    fn enforce(&self, inner: &mut Inner) {
         while inner.entries.len() > 1 {
-            let over_entries = inner.entries.len() > cfg.max_sessions;
-            let over_bytes = inner.total_bytes > cfg.max_bytes;
+            let over_entries = inner.entries.len() > self.cfg.max_sessions;
+            let over_bytes = inner.total_bytes > self.cfg.max_bytes;
             if !over_entries && !over_bytes {
                 return;
             }
@@ -391,7 +417,7 @@ impl SessionRegistry {
                 .expect("non-empty");
             let entry = inner.entries.remove(&oldest).expect("just found");
             inner.total_bytes -= entry.approx_bytes;
-            inner.evictions += 1;
+            self.metrics.evictions.inc();
         }
     }
 
@@ -503,10 +529,10 @@ mod tests {
         let after = s2.stats();
         assert_eq!(after.misses, warmed, "the re-analysis was answered from the shared memo");
         assert!(after.hits > 0);
-        let stats = reg.stats();
-        assert_eq!((stats.hits, stats.misses, stats.sessions), (1, 1, 1));
+        let (stats, pool) = (reg.stats(), reg.metrics());
+        assert_eq!((pool.hits.get(), pool.misses.get(), stats.sessions), (1, 1, 1));
         assert!(stats.approx_bytes > 0);
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-9);
+        assert!((pool.hit_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -524,7 +550,7 @@ mod tests {
         }
         let stats = reg.stats();
         assert_eq!(stats.sessions, 2);
-        assert_eq!(stats.evictions, 1);
+        assert_eq!(reg.metrics().evictions.get(), 1);
         // The least-recently-used (first) fingerprint was the victim.
         let (v0, s0, _) = &fixtures[0];
         let (_, hit) =
@@ -562,7 +588,7 @@ mod tests {
         });
         let stats = reg.stats();
         assert_eq!(stats.sessions, 1);
-        assert!(stats.evictions >= 1);
+        assert!(reg.metrics().evictions.get() >= 1);
     }
 
     #[test]
@@ -599,8 +625,7 @@ mod tests {
             reg.checkout(fp, "identity-B", || AnalysisSession::new(s.clone(), v.clone()));
         assert!(!hit2, "a collision is a miss, never a hit");
         assert_eq!(s2.stats().entries, 0, "the colliding checkout got a fresh memo");
-        let stats = reg.stats();
-        assert_eq!(stats.collisions, 1);
+        assert_eq!(reg.metrics().collisions.get(), 1);
         // Newest wins: identity-B is now resident under that fingerprint.
         let (_, hit3) =
             reg.checkout(fp, "identity-B", || AnalysisSession::new(s.clone(), v.clone()));
@@ -633,8 +658,8 @@ mod tests {
         }
         let stats = reg.stats();
         assert_eq!(stats.sessions, 1, "one fingerprint → one resident session");
-        assert_eq!(stats.hits + stats.misses, 8 * 5);
-        assert_eq!(stats.misses, 1, "exactly one thread built the session");
+        assert_eq!(reg.metrics().hits.get() + reg.metrics().misses.get(), 8 * 5);
+        assert_eq!(reg.metrics().misses.get(), 1, "exactly one thread built the session");
         // All 40 analyses shared one memo. Concurrent first-askers can
         // race on a cold key (the decide runs outside the memo lock), so
         // the structural bound is: at most one miss per (thread, key)
@@ -680,8 +705,8 @@ mod tests {
         }
         let stats = reg.stats();
         assert!(stats.sessions <= 3, "budget holds under concurrency: {stats:?}");
-        assert!(stats.evictions > 0);
-        assert_eq!(stats.hits + stats.misses, 8 * 30);
+        assert!(reg.metrics().evictions.get() > 0);
+        assert_eq!(reg.metrics().hits.get() + reg.metrics().misses.get(), 8 * 30);
     }
 
     #[test]
@@ -767,8 +792,8 @@ mod tests {
         assert_eq!(stats.sessions, 2);
         // 6 schemas cycled through a 2-slot pool 4 times: every round
         // after the first evicts all 6 misses' predecessors.
-        assert!(stats.evictions >= 6, "{stats:?}");
-        assert_eq!(stats.hits + stats.misses, 24);
+        assert!(reg.metrics().evictions.get() >= 6, "{stats:?}");
+        assert_eq!(reg.metrics().hits.get() + reg.metrics().misses.get(), 24);
         let (total, recount) = reg.byte_accounting();
         assert_eq!(total, recount);
         assert_eq!(stats.approx_bytes, total);
@@ -799,7 +824,7 @@ mod tests {
             AnalysisSession::with_options(s.clone(), v.clone(), Default::default())
         });
         assert!(!hit, "new registry, so a build miss");
-        assert!(reg.stats().disk_hydrated > 0, "{:?}", reg.stats());
+        assert!(reg.metrics().disk_hydrated.get() > 0, "{:?}", reg.metrics());
         let before = sess.stats();
         let d = sess.type_check(&t, &s).unwrap();
         assert!(d.holds && d.certified);

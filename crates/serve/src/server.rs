@@ -655,7 +655,7 @@ fn dispatch(shared: &Shared, raw: &str) -> (Json, Control, bool) {
     };
     if want_trace {
         if let Some(tree) = &tree {
-            response.set("trace", span_tree_json(tree));
+            response.set("trace", tree.to_json());
         }
     }
     finish_frame(shared, verb, id, tree, start, response, control, ordered)
@@ -728,7 +728,7 @@ fn finish_frame(
                 line.set("id", id.clone());
             }
             if let Some(tree) = &tree {
-                line.set("spans", span_tree_json(tree));
+                line.set("spans", tree.to_json());
             }
             eprintln!("{}", line.compact());
         }
@@ -742,64 +742,48 @@ fn finish_frame(
     (response, control, ordered)
 }
 
-/// Renders a span tree as a JSON object (`name`, `micros`, `count`,
-/// recursive `children`).
-fn span_tree_json(node: &SpanNode) -> Json {
-    let mut obj = Json::obj();
-    obj.set("name", node.name.as_str()).set("micros", node.micros).set("count", node.count);
-    if !node.children.is_empty() {
-        obj.set("children", Json::Arr(node.children.iter().map(span_tree_json).collect()));
-    }
-    obj
-}
-
 /// The tenant a frame's work is accounted to (its `auth` token, or the
 /// shared default).
 fn tenant_of(frame: &Json) -> &str {
     frame.get("auth").and_then(Json::as_str).unwrap_or(DEFAULT_TENANT)
 }
 
-/// The `metrics` verb: render this server's registry merged with the
-/// process-global one (oracle, executor, and engine series live there)
-/// in Prometheus text exposition (default) or the JSON mirror.
+/// The `metrics` verb: render this server's registries — protocol,
+/// admission and session pool — merged with the process-global one
+/// (oracle, executor, and engine series live there) in Prometheus text
+/// exposition (default) or the JSON mirror.
 ///
-/// Series whose source of truth lives elsewhere — the session pool's
-/// occupancy, admission's gauges and counters, the per-tenant table —
-/// are copied into a registry built for this scrape alone, so a tenant
-/// recycled out of the admission table leaves the exposition with it.
+/// Current-state figures are not events: they are read from their
+/// owners once per scrape, by the same reads `stats` makes, into a
+/// registry built for this scrape alone, so a tenant recycled out of the
+/// admission table leaves the exposition with it.
 fn metrics_frame(shared: &Shared, frame: &Json) -> Json {
-    let synced = MetricsRegistry::new();
-    let gauge =
-        |name, help, labels: &[(&str, &str)], v: i64| synced.gauge(name, help, labels).set(v);
-    let reg = shared.registry.stats();
-    gauge("gts_serve_sessions", "Resident analysis sessions", &[], reg.sessions as i64);
+    let now = MetricsRegistry::new();
+    let gauge = |name, help, labels: &[(&str, &str)], v: i64| now.gauge(name, help, labels).set(v);
+    let pool = shared.registry.stats();
+    gauge("gts_serve_sessions", "Resident analysis sessions", &[], pool.sessions as i64);
     gauge(
         "gts_serve_session_bytes",
         "Approximate bytes held by resident sessions",
         &[],
-        reg.approx_bytes as i64,
+        pool.approx_bytes as i64,
+    );
+    gauge(
+        "gts_serve_pool_oversized",
+        "Resident sessions whose memo alone exceeds the byte budget",
+        &[],
+        pool.oversized as i64,
     );
     let adm = shared.admission.stats();
     gauge("gts_serve_inflight", "Analyses holding an admission slot", &[], adm.inflight as i64);
     gauge("gts_serve_queued", "Analyses waiting for an admission slot", &[], adm.queued as i64);
-    synced
-        .counter("gts_serve_admitted_total", "Analyses granted an admission slot", &[])
-        .store(adm.admitted);
-    for (reason, n) in [
-        ("overloaded", adm.rejected_overloaded),
-        ("deadline", adm.rejected_deadline),
-        ("draining", adm.rejected_draining),
-        ("quota", adm.rejected_quota),
-    ] {
-        synced
-            .counter(
-                "gts_serve_rejected_total",
-                "Analyze frames refused by admission control, by reason",
-                &[("reason", reason)],
-            )
-            .store(n);
-    }
-    for t in shared.admission.tenant_stats() {
+    gauge(
+        "gts_serve_peak_inflight",
+        "Highest number of analyses holding admission slots at once",
+        &[],
+        adm.peak_inflight as i64,
+    );
+    for t in &adm.tenants {
         let labels = &[("tenant", t.tenant.as_str())];
         gauge(
             "gts_serve_tenant_inflight",
@@ -807,14 +791,27 @@ fn metrics_frame(shared: &Shared, frame: &Json) -> Json {
             labels,
             t.inflight as i64,
         );
+        gauge("gts_serve_tenant_queued", "Queued analyses by tenant", labels, t.queued as i64);
         gauge(
             "gts_serve_tenant_admitted",
             "Analyses admitted by tenant",
             labels,
             t.admitted as i64,
         );
+        gauge(
+            "gts_serve_tenant_rejected_quota",
+            "Analyses rejected over the tenant's fair share, by tenant",
+            labels,
+            t.rejected_quota as i64,
+        );
     }
-    let regs: [&MetricsRegistry; 3] = [&shared.obs.registry, &synced, gts_obs::global()];
+    let regs: [&MetricsRegistry; 5] = [
+        &shared.obs.registry,
+        &shared.admission.metrics().registry,
+        &shared.registry.metrics().registry,
+        &now,
+        gts_obs::global(),
+    ];
     let format = frame.get("format").and_then(Json::as_str).unwrap_or("prometheus");
     let body = match format {
         "prometheus" => gts_obs::render_prometheus(&regs),
@@ -833,22 +830,24 @@ fn metrics_frame(shared: &Shared, frame: &Json) -> Json {
 }
 
 /// The uniform statistics document: session registry, admission
-/// controller, server counters. The registry's memo counters are the
-/// numbers `gts batch --stats` reports locally.
+/// controller, server counters. Every counter is read from the cell the
+/// `metrics` verb renders. The registry's memo counters are the numbers
+/// `gts batch --stats` reports locally.
 fn stats_frame(shared: &Shared) -> Json {
     let mut r = proto::ok_frame("stats");
-    let reg = shared.registry.stats();
+    let pool = shared.registry.stats();
+    let m = shared.registry.metrics();
     let mut registry = Json::obj();
     registry
-        .set("sessions", reg.sessions)
-        .set("approx_bytes", reg.approx_bytes)
-        .set("hits", reg.hits)
-        .set("misses", reg.misses)
-        .set("evictions", reg.evictions)
-        .set("collisions", reg.collisions)
-        .set("hit_rate", reg.hit_rate())
-        .set("oversized", reg.oversized)
-        .set("disk_hydrated", reg.disk_hydrated)
+        .set("sessions", pool.sessions)
+        .set("approx_bytes", pool.approx_bytes)
+        .set("hits", m.hits.get())
+        .set("misses", m.misses.get())
+        .set("evictions", m.evictions.get())
+        .set("collisions", m.collisions.get())
+        .set("hit_rate", m.hit_rate())
+        .set("oversized", pool.oversized)
+        .set("disk_hydrated", m.disk_hydrated.get())
         .set("max_sessions", shared.registry.config().max_sessions)
         .set("max_bytes", shared.registry.config().max_bytes);
     if let Some(dir) = shared.registry.cache_dir() {
@@ -856,20 +855,21 @@ fn stats_frame(shared: &Shared) -> Json {
     }
     r.set("registry", registry);
     let adm = shared.admission.stats();
+    let m = shared.admission.metrics();
     let mut admission = Json::obj();
     admission
         .set("inflight", adm.inflight)
         .set("queued", adm.queued)
-        .set("admitted", adm.admitted)
-        .set("rejected_overloaded", adm.rejected_overloaded)
-        .set("rejected_deadline", adm.rejected_deadline)
-        .set("rejected_draining", adm.rejected_draining)
-        .set("rejected_quota", adm.rejected_quota)
+        .set("admitted", m.admitted.get())
+        .set("rejected_overloaded", m.rejected_overloaded.get())
+        .set("rejected_deadline", m.rejected_deadline.get())
+        .set("rejected_draining", m.rejected_draining.get())
+        .set("rejected_quota", m.rejected_quota.get())
         .set("peak_inflight", adm.peak_inflight)
         .set("max_inflight", shared.admission.config().max_inflight)
         .set("max_queue", shared.admission.config().max_queue);
     let mut tenants = Json::obj();
-    for t in shared.admission.tenant_stats() {
+    for t in &adm.tenants {
         let mut entry = Json::obj();
         entry
             .set("inflight", t.inflight)
@@ -1202,7 +1202,7 @@ fn analyze(shared: &Shared, frame: &Json) -> Json {
         .set("source", compiled.schemas[idx].0.as_str())
         .set("pool", if pool_hit { "hit" } else { "miss" })
         .set("results", Json::Arr(results))
-        .set("session", gts_engine::snapshot_to_json(&gts_engine::session_cache_snapshot(&stats)));
+        .set("session", stats.to_json());
     // Store the rendered response for the next identical frame. The
     // stored copy reports `pool: hit` — a memo-served answer *is* the
     // resident state answering. Partially-skipped responses depend on

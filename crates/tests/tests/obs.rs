@@ -8,7 +8,7 @@
 
 use gts_obs::{
     recent_events, record_event, render_json, render_prometheus, span, trace, tracing_active,
-    Histogram, MetricsRegistry,
+    Histogram, Json, MetricsRegistry,
 };
 use proptest::prelude::*;
 
@@ -138,14 +138,20 @@ fn json_mirror_matches_prometheus_counters() {
     for v in 1..=100u64 {
         h.record(v);
     }
-    let json = render_json(&[&reg]);
-    assert!(json.contains("\"name\":\"obs_it_json_total\""));
-    assert!(json.contains("\"kind\":\"counter\""));
-    assert!(json.contains("\"value\":11"));
-    assert!(json.contains("\"count\":100"));
+    let doc = Json::parse(&render_json(&[&reg])).expect("the JSON mirror parses");
+    let entries = doc.get("metrics").and_then(Json::as_arr).expect("a metrics array");
+    let entry = |name: &str| {
+        entries.iter().find(|e| e.get("name").and_then(Json::as_str) == Some(name)).unwrap()
+    };
+    let counter = entry("obs_it_json_total");
+    assert_eq!(counter.get("kind").and_then(Json::as_str), Some("counter"));
+    assert_eq!(counter.get("labels").and_then(|l| l.get("kind")).and_then(Json::as_str), Some("x"));
+    assert_eq!(counter.get("value").and_then(Json::as_u64), Some(11));
+    let hist = entry("obs_it_json_micros");
+    assert_eq!(hist.get("count").and_then(Json::as_u64), Some(100));
     // True p50 of 1..=100 is 50; the log buckets report the containing
     // bucket's upper bound — deterministically 51 (bucket [48, 51]).
-    assert!(json.contains("\"p50\":51"), "{json}");
+    assert_eq!(hist.get("p50").and_then(Json::as_u64), Some(51), "{}", doc.pretty());
 }
 
 #[test]

@@ -265,7 +265,7 @@ fn backpressure_rejects_rather_than_buffers() {
     assert!(ok(&a_resp), "{}", a_resp.pretty());
     let retry = b.roundtrip(&lingering_frame(0)).unwrap();
     assert!(ok(&retry), "{}", retry.pretty());
-    assert!(handle.admission().stats().rejected_overloaded >= 1);
+    assert!(handle.admission().metrics().rejected_overloaded.get() >= 1);
 
     shutdown_and_join(handle);
 }
@@ -338,9 +338,9 @@ fn eviction_correctness_evicted_schemas_reanalyze_to_identical_verdicts() {
             assert_eq!(a.get("schema"), b.get("schema"), "elicited schema changed");
         }
     }
-    let stats = handle.registry().stats();
-    assert_eq!(stats.sessions, 1);
-    assert!(stats.evictions >= 3, "every switch evicted: {stats:?}");
+    assert_eq!(handle.registry().stats().sessions, 1);
+    let pool = handle.registry().metrics();
+    assert!(pool.evictions.get() >= 3, "every switch evicted: {pool:?}");
 
     shutdown_and_join(handle);
 }
@@ -627,10 +627,10 @@ fn corpus_families_analyze_cleanly_through_one_server() {
         assert_eq!(results(&warm)[0].get("holds"), entries[0].get("holds"), "{}", family.name());
     }
     assert_eq!(fingerprints.len(), families.len(), "one distinct session per family");
-    let stats = handle.registry().stats();
+    let (stats, pool) = (handle.registry().stats(), handle.registry().metrics());
     assert_eq!(stats.sessions, families.len(), "{stats:?}");
-    assert_eq!(stats.misses, families.len() as u64, "{stats:?}");
-    assert!(stats.hits >= families.len() as u64, "{stats:?}");
+    assert_eq!(pool.misses.get(), families.len() as u64, "{pool:?}");
+    assert!(pool.hits.get() >= families.len() as u64, "{pool:?}");
     // The stress family's verdicts are uncertified, but its frames still
     // answer `ok`, cold and resident.
     let sc = scenario(Family::Stress, &Params::quick());
@@ -671,10 +671,10 @@ fn concurrent_clients_share_one_resident_session() {
         .collect();
     let verdicts: Vec<bool> = workers.into_iter().map(|w| w.join().unwrap()).collect();
     assert!(verdicts.iter().all(|&v| v), "every client saw the same (true) verdict");
-    let stats = handle.registry().stats();
+    let (stats, pool) = (handle.registry().stats(), handle.registry().metrics());
     assert_eq!(stats.sessions, 1, "one schema → one resident session: {stats:?}");
-    assert_eq!(stats.hits + stats.misses, 6);
-    assert_eq!(stats.misses, 1, "five clients reused the first client's session");
+    assert_eq!(pool.hits.get() + pool.misses.get(), 6);
+    assert_eq!(pool.misses.get(), 1, "five clients reused the first client's session");
     shutdown_and_join(handle);
 }
 
@@ -988,6 +988,94 @@ fn every_stats_counter_equals_its_metrics_series() {
     assert_eq!(value("rejected_overloaded"), 1);
     assert!(value("flushes_total") >= 1);
     assert!(value("connections_total") >= 4);
+    shutdown_and_join(handle);
+}
+
+/// The exposition series backing one integer of the `stats` document's
+/// `registry` or `admission` section (`tenant` for the entries of the
+/// tenant table), `name{labels}` exactly as the server prints it.
+fn series_for(section: &str, key: &str, tenant: &str) -> String {
+    match (section, key) {
+        ("registry", "sessions") => "gts_serve_sessions".into(),
+        ("registry", "approx_bytes") => "gts_serve_session_bytes".into(),
+        ("registry", "oversized") => "gts_serve_pool_oversized".into(),
+        ("registry", k) => format!("gts_serve_pool_{k}_total"),
+        ("admission", "admitted") => "gts_serve_admitted_total".into(),
+        ("admission", k) => match k.strip_prefix("rejected_") {
+            Some(reason) => format!("gts_serve_rejected_total{{reason=\"{reason}\"}}"),
+            None => format!("gts_serve_{k}"),
+        },
+        (_, k) => format!("gts_serve_tenant_{k}{{tenant=\"{tenant}\"}}"),
+    }
+}
+
+#[test]
+fn every_pool_and_admission_figure_in_stats_has_an_equal_metrics_series() {
+    let handle = start(ServerConfig {
+        admission: AdmissionConfig { max_inflight: 1, max_queue: 0 },
+        allow_linger: true,
+        ..Default::default()
+    });
+    let mut client = connect(&handle);
+    // A pool miss, then a pool hit: the same frame again.
+    for _ in 0..2 {
+        let resp = client.analyze(TINY, Some("S"), vec![proto::spec_type_check("T", "S")]).unwrap();
+        assert!(ok(&resp), "{}", resp.pretty());
+    }
+    // An overload rejection: another tenant's frame holds the only slot.
+    let addr = handle.addr();
+    let slow = std::thread::spawn(move || {
+        let mut f = lingering_frame(300);
+        f.set("auth", "slow");
+        Client::connect(addr).unwrap().roundtrip(&f).unwrap()
+    });
+    let t0 = Instant::now();
+    while handle.admission().stats().inflight == 0 {
+        assert!(t0.elapsed() < Duration::from_secs(5), "the slow frame was never admitted");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let resp = client.roundtrip(&lingering_frame(0)).unwrap();
+    assert_eq!(resp.get("error").and_then(Json::as_str), Some(proto::OVERLOADED));
+    assert!(ok(&slow.join().unwrap()));
+
+    let stats = client.stats().unwrap();
+    let body = client.metrics(None).unwrap().get("body").and_then(Json::as_str).unwrap().to_owned();
+    // (series, stats value, metrics value) for every integer figure;
+    // `max_*` are configuration, and floats and strings are not figures.
+    let mut pairs = Vec::new();
+    let mut compare = |section: &str, key: &str, value: &Json, tenant: &str| {
+        if let Json::Int(v) = value {
+            let name = series_for(section, key, tenant);
+            let scraped = series(&body, &name);
+            pairs.push((format!("{section}.{key}"), name, *v, scraped));
+        }
+    };
+    for section in ["registry", "admission"] {
+        let Some(Json::Obj(fields)) = stats.get(section) else {
+            panic!("stats lacks `{section}`: {}", stats.pretty())
+        };
+        for (key, value) in fields.iter().filter(|(k, _)| !k.starts_with("max_")) {
+            let Json::Obj(tenants) = value else {
+                compare(section, key, value, "");
+                continue;
+            };
+            for (tenant, figures) in tenants {
+                let Json::Obj(figures) = figures else { panic!("tenant `{tenant}`: {figures:?}") };
+                for (k, v) in figures {
+                    compare("tenant", k, v, tenant);
+                }
+            }
+        }
+    }
+    for (key, name, stats, metrics) in &pairs {
+        assert_eq!(Some(*stats), *metrics, "`{key}` vs `{name}`:\n{body}");
+    }
+    let value = |key: &str| pairs.iter().find(|p| p.0 == key).map(|p| p.2).unwrap();
+    assert!(value("registry.hits") >= 1);
+    assert_eq!(value("registry.misses"), 1);
+    assert_eq!(value("admission.rejected_overloaded"), 1);
+    assert_eq!(value("admission.peak_inflight"), 1);
+    assert!(pairs.iter().any(|p| p.1 == "gts_serve_tenant_admitted{tenant=\"slow\"}"));
     shutdown_and_join(handle);
 }
 
