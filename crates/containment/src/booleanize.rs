@@ -6,6 +6,12 @@
 //! `∃y_i. (X_i · r_i)(y_i, x_i)` per free variable: a counterexample tuple
 //! is "pinned" by marker nodes that the original regular expressions cannot
 //! traverse.
+//!
+//! The markers are the reserved names `X{i}#` and `rX{i}#`, interned once
+//! per vocabulary: `#` starts a comment in `.gts` text, so no parsed label
+//! is one, and the labels other reductions mint are `{hint}#{n}`. So the
+//! questions of one arity over one schema and vocabulary share one `S°`,
+//! and the preparation of `T̂_{S°}` with it ([`crate::SchemaTboxes`]).
 
 use gts_graph::{EdgeLabel, EdgeSym, NodeLabel, Vocab};
 use gts_query::{Atom, C2rpq, Regex, Uc2rpq, Var};
@@ -40,8 +46,12 @@ pub fn booleanize(p: &Uc2rpq, q: &Uc2rpq, s: &Schema, vocab: &mut Vocab) -> Bool
     let mut markers = Vec::with_capacity(arity);
     let mut marker_edges = Vec::with_capacity(arity);
     for i in 0..arity {
-        let x = vocab.fresh_node_label(&format!("X{i}"));
-        let r = vocab.fresh_edge_label(&format!("rX{i}"));
+        let x = vocab.node_label(&format!("X{i}#"));
+        let r = vocab.edge_label(&format!("rX{i}#"));
+        debug_assert!(
+            !s.node_labels().contains(&x) && !s.edge_labels().contains(&r),
+            "the schema already holds a marker label"
+        );
         markers.push(x);
         marker_edges.push(r);
         schema.add_node_label(x);
@@ -144,6 +154,21 @@ mod tests {
         let boolz = booleanize(&q, &q, &s, &mut v);
         // Every graph conforming to S conforms to S° (markers optional).
         assert!(s.contains_in(&boolz.schema));
+    }
+
+    /// Two questions of one arity share `S°`, and the second interns no
+    /// label.
+    #[test]
+    fn markers_are_interned_once() {
+        let (mut v, s, q) = setup();
+        let first = booleanize(&q, &q, &s, &mut v);
+        let labels = (v.num_node_labels(), v.num_edge_labels());
+        let second = booleanize(&q, &q, &s, &mut v);
+        assert_eq!((v.num_node_labels(), v.num_edge_labels()), labels);
+        assert_eq!(first.schema, second.schema);
+        assert_eq!(first.markers, second.markers);
+        assert_eq!(v.node_name(first.markers[1]), "X1#");
+        assert_eq!(v.edge_name(first.marker_edges[0]), "rX0#");
     }
 
     #[test]

@@ -29,17 +29,26 @@
 //!   settle leaves the round incomplete;
 //! * `cycle_scan` finds a finmod cycle missing its reversal.
 //!
+//! A completion runs over a prepared base ([`complete_over`]): the
+//! containment pipeline's `T̂_{S°}`, indexed once per `S°`
+//! ([`crate::SchemaTboxes`]), with the CIs beyond it — the negation
+//! choice, the auxiliary rules, the reversals — as an overlay. Each round
+//! indexes and copies only the overlay, and reads as the round over the
+//! base's CIs followed by the overlay's. [`complete`] and
+//! [`complete_with`] run the same code over an empty base.
+//!
 //! The round that converges indexed exactly `T*`, so the [`Completion`]
 //! hands its callers an empty universe over that index
 //! ([`Completion::universe`]); only a completion ended by `max_rounds`
-//! indexes `T*` anew. The sweep can fan out over [`gts_obs::par`] shards,
-//! one contiguous run of premises each, merged in order; every answer is
-//! exact, so the result never depends on the shard count. Completions are
-//! not memoized: the negation choices of one question complete distinct
-//! TBoxes, and repeated questions are answered by the session's verdict
-//! memo above this crate.
+//! indexes `T*` (its overlay) anew. The sweep can fan out over
+//! [`gts_obs::par`] shards, one contiguous run of premises each, merged
+//! in order; every answer is exact, so the result never depends on the
+//! shard count. Completions are not memoized: the negation choices of one
+//! question complete distinct TBoxes, and repeated questions are answered
+//! by the session's verdict memo above this crate.
 
 use crate::entail::HornFixpoint;
+use crate::prepared::PreparedTbox;
 use gts_dl::{HornCi, HornTbox};
 use gts_graph::{EdgeSym, FxHashMap, FxHashSet, LabelSet};
 use gts_sat::{Budget, TypeUniverse};
@@ -62,7 +71,10 @@ impl Default for CompletionConfig {
 /// Result of [`complete`].
 #[derive(Clone, Debug)]
 pub struct Completion {
-    /// The completed TBox `T*` (⊇ the input TBox).
+    /// The CIs of the completed TBox `T*` beyond the base, in CI order:
+    /// the overlay and the reversals added to it. Over an empty base, as
+    /// [`complete`] and [`complete_with`] run, this is all of `T*`
+    /// (⊇ the input TBox).
     pub tbox: HornTbox,
     /// Number of concept inclusions added by reversals.
     pub added: usize,
@@ -70,7 +82,7 @@ pub struct Completion {
     /// `T*` may then be missing reversals and answers derived from it are
     /// uncertified.
     pub complete: bool,
-    /// An empty type universe over `tbox` for the caller's decides. When
+    /// An empty type universe over `T*` for the caller's decides. When
     /// the rounds converge it shares the last round's rule index and rule
     /// lists, so `T*` is indexed once; only when `max_rounds` ends the
     /// completion first is `T*` indexed anew.
@@ -90,9 +102,8 @@ pub fn complete(
 
 /// [`complete`] with a shard count for the entailment sweep (`0` = one
 /// shard per core once the sweep has 64 pairs per shard, `1` =
-/// sequential, `n` = `n` shards, at most one per 64 pairs). Runs in a
-/// `completion` span and records its latency in
-/// `gts_containment_completion_micros`.
+/// sequential, `n` = `n` shards, at most one per 64 pairs): the
+/// completion of `tbox` over an empty base ([`complete_over`]).
 pub fn complete_with(
     tbox: &HornTbox,
     schema_labels: &LabelSet,
@@ -100,9 +111,25 @@ pub fn complete_with(
     cfg: &CompletionConfig,
     threads: usize,
 ) -> Completion {
+    complete_over(&PreparedTbox::default(), tbox.clone(), schema_labels, budget, cfg, threads)
+}
+
+/// The completion of the base's CIs followed by `overlay`'s, which must
+/// hold no CI of the base ([`PreparedTbox::overlay`]). Each round indexes
+/// and copies the overlay only; the result's `tbox` is the overlay with
+/// the reversals added. Runs in a `completion` span and records its
+/// latency in `gts_containment_completion_micros`.
+pub fn complete_over(
+    base: &PreparedTbox,
+    overlay: HornTbox,
+    schema_labels: &LabelSet,
+    budget: &Budget,
+    cfg: &CompletionConfig,
+    threads: usize,
+) -> Completion {
     let _span = gts_obs::span("completion");
     let start = gts_obs::enabled().then(std::time::Instant::now);
-    let c = complete_inner(tbox, schema_labels, budget, cfg, threads);
+    let c = complete_inner(base, overlay, schema_labels, budget, cfg, threads);
     if let Some(t0) = start {
         static HIST: std::sync::OnceLock<gts_obs::Histogram> = std::sync::OnceLock::new();
         HIST.get_or_init(|| {
@@ -117,10 +144,22 @@ pub fn complete_with(
     c
 }
 
-/// A completion round as [`record_rounds`] returns it: the round's TBox
-/// and the types of its cycle-search graph.
+/// A completion round as [`record_rounds`] returns it.
 #[doc(hidden)]
-pub type Round = (HornTbox, Vec<LabelSet>);
+#[derive(Clone, Debug)]
+pub struct Round {
+    /// The round's TBox: the base's CIs, then the overlay's.
+    pub tbox: HornTbox,
+    /// How many leading CIs of `tbox` are the base's.
+    pub base: usize,
+    /// The labels the completion seeds its type universe with.
+    pub schema_labels: LabelSet,
+    /// The round's number in its completion, from 0: round 0's TBox is
+    /// the completion's input.
+    pub index: usize,
+    /// The types of the round's cycle-search graph.
+    pub nodes: Vec<LabelSet>,
+}
 
 thread_local! {
     /// The rounds [`record_rounds`] is collecting on this thread, if any.
@@ -138,13 +177,13 @@ pub fn record_rounds<R>(body: impl FnOnce() -> R) -> (R, Vec<Round>) {
 }
 
 fn complete_inner(
-    tbox: &HornTbox,
+    base: &PreparedTbox,
+    mut t: HornTbox,
     schema_labels: &LabelSet,
     budget: &Budget,
     cfg: &CompletionConfig,
     threads: usize,
 ) -> Completion {
-    let mut t = tbox.clone();
     let mut added = 0usize;
     let mut complete = true;
     // H_T edges certified in earlier rounds, by label sets. Rounds only
@@ -152,19 +191,26 @@ fn complete_inner(
     // carry forward and need no re-asking.
     let mut known_edges: FxHashSet<(LabelSet, EdgeSym, LabelSet)> = FxHashSet::default();
 
-    for _round in 0..cfg.max_rounds {
-        let (universe, nodes, universe_complete) = type_universe(&t, schema_labels, cfg.max_nodes);
+    for round in 0..cfg.max_rounds {
+        let roles = base.roles(&t);
+        let (universe, nodes, universe_complete) =
+            type_universe(base, &t, &roles, schema_labels, cfg.max_nodes);
         complete &= universe_complete;
         ROUNDS.with_borrow_mut(|rounds| {
             if let Some(rounds) = rounds {
-                rounds.push((t.clone(), nodes.clone()));
+                rounds.push(Round {
+                    tbox: base.merged(&t),
+                    base: base.len(),
+                    schema_labels: schema_labels.clone(),
+                    index: round,
+                    nodes: nodes.clone(),
+                });
             }
         });
         // The handoff should this round converge: `t` is then `T*`.
         let t_star_universe = universe.fresh();
 
         // Edge relation of the cycle-search graph H_T.
-        let roles = t.used_roles();
         let (edges, sweep_complete) =
             entail_sweep(universe, &nodes, &roles, budget, threads, &known_edges);
         complete &= sweep_complete;
@@ -172,7 +218,7 @@ fn complete_inner(
             known_edges.insert((nodes[i].clone(), role, nodes[j].clone()));
         }
 
-        let new_cis = cycle_scan(&t, &nodes, &edges);
+        let new_cis = cycle_scan(base, &t, &nodes, &edges);
         if new_cis.is_empty() {
             return Completion { tbox: t, added, complete, universe: t_star_universe };
         }
@@ -182,13 +228,19 @@ fn complete_inner(
             }
         }
     }
-    let universe = TypeUniverse::new(&t);
+    let universe = base.universe(&t);
     Completion { tbox: t, added, complete: false, universe }
 }
 
 /// The reversals of the first finmod cycle of H_T (`edges` over `nodes`)
-/// that `t` is missing; empty when every cycle is reversed.
-fn cycle_scan(t: &HornTbox, nodes: &[LabelSet], edges: &[(usize, EdgeSym, usize)]) -> Vec<HornCi> {
+/// that the base and its overlay `t` are missing; empty when every cycle
+/// is reversed.
+fn cycle_scan(
+    base: &PreparedTbox,
+    t: &HornTbox,
+    nodes: &[LabelSet],
+    edges: &[(usize, EdgeSym, usize)],
+) -> Vec<HornCi> {
     let _span = gts_obs::span("cycle_scan");
     let edge_set: FxHashSet<(usize, EdgeSym, usize)> = edges.iter().copied().collect();
     let mut out: Vec<Vec<(EdgeSym, usize)>> = vec![Vec::new(); nodes.len()];
@@ -210,7 +262,7 @@ fn cycle_scan(t: &HornTbox, nodes: &[LabelSet], edges: &[(usize, EdgeSym, usize)
                 let cap =
                     HornCi::AtMostOne { lhs: nodes[a].clone(), role: r, rhs: nodes[b].clone() };
                 for ci in [rev, cap] {
-                    if !t.cis.contains(&ci) {
+                    if !base.holds(&ci) && !t.cis.contains(&ci) {
                         new_cis.push(ci);
                     }
                 }
@@ -307,16 +359,19 @@ fn entail_sweep(
 
 /// The forward-closed type universe: closures of schema-label singletons,
 /// closed under requirement children and edge enrichment. All rule
-/// applications run against a memoizing `TypeUniverse` over `t` (the
-/// construction re-closes and re-propagates the same sets many times),
-/// returned with its nodes for the round's entailment sweep.
+/// applications run against a memoizing `TypeUniverse` over the base and
+/// its overlay `t` (the construction re-closes and re-propagates the same
+/// sets many times), returned with its nodes for the round's entailment
+/// sweep. `roles` are the roles of the base and `t`.
 fn type_universe(
+    base: &PreparedTbox,
     t: &HornTbox,
+    roles: &[EdgeSym],
     schema_labels: &LabelSet,
     cap: usize,
 ) -> (TypeUniverse, Vec<LabelSet>, bool) {
     let _span = gts_obs::span("type_universe");
-    let mut u = TypeUniverse::new(t);
+    let mut u = base.universe(t);
     let mut seen: FxHashMap<LabelSet, ()> = FxHashMap::default();
     let mut nodes: Vec<LabelSet> = Vec::new();
     let push = |set: Option<gts_sat::TypeId>,
@@ -338,15 +393,10 @@ fn type_universe(
         push(c, &u, &mut nodes, &mut seen);
     }
     // Also seed with lhs/rhs of existential and at-most CIs.
-    for ci in &t.cis {
-        if let HornCi::Exists { lhs, rhs, .. } | HornCi::AtMostOne { lhs, rhs, .. } = ci {
-            let cl = u.close(lhs);
-            push(cl, &u, &mut nodes, &mut seen);
-            let cr = u.close(rhs);
-            push(cr, &u, &mut nodes, &mut seen);
-        }
+    for seed in base.seeds(t) {
+        let c = u.close(seed);
+        push(c, &u, &mut nodes, &mut seen);
     }
-    let roles = t.used_roles();
     let mut idx = 0;
     let mut complete = true;
     while idx < nodes.len() {
@@ -366,7 +416,7 @@ fn type_universe(
             push(c, &u, &mut nodes, &mut seen);
         }
         // Edge enrichment: a τ-node pointing at a τ'-node pushes labels.
-        for &role in &roles {
+        for &role in roles {
             let pushset = u.propagate_set(&tau, role);
             if pushset.is_empty() {
                 continue;
@@ -522,7 +572,9 @@ mod tests {
         let mut t = HornTbox::new();
         t.push(HornCi::AllValues { lhs: LabelSet::new(), role: sym(0), rhs: set(&[1]) });
         t.push(HornCi::Exists { lhs: set(&[0]), role: sym(0), rhs: LabelSet::new() });
-        let (_, nodes, complete_flag) = type_universe(&t, &set(&[0]), 64);
+        let base = PreparedTbox::default();
+        let roles = t.used_roles();
+        let (_, nodes, complete_flag) = type_universe(&base, &t, &roles, &set(&[0]), 64);
         assert!(complete_flag);
         assert!(nodes.contains(&set(&[1])));
     }

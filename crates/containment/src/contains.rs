@@ -14,22 +14,30 @@
 //! choices (DESIGN.md §3.4); containment holds iff the final query is
 //! unsatisfiable for *every* disjunct of `P̂` and every choice.
 //!
+//! `T̂_S` depends only on `S°`, so it is prepared once per `S°`
+//! ([`SchemaTboxes`]) and each choice completes only its own CIs over it
+//! ([`crate::complete_over`]). [`contains`] prepares it for its one call;
+//! [`contains_with`] reads it from its caller's [`SchemaTboxes`], which
+//! `gts-engine`'s `AnalysisSession` keeps beside its verdict memo.
+//!
 //! Each choice's completed TBox `T*` gets one solver context, owned by
 //! the call for as long as it runs: every disjunct of `P̂` is decided
 //! through it, so they share interned types and realizability fixpoints
 //! (exact replay, see `gts_sat::decide_in_ctx`). The context's universe
 //! is the one the completion hands over ([`Completion::universe`]),
-//! which reuses the converged round's index and rule lists. Nothing
-//! outlives the call; reuse across questions is the verdict memo of
-//! `gts-engine`'s `AnalysisSession`. Choices are decided one after
+//! which reuses the converged round's index and rule lists. Apart from
+//! the prepared `T̂_S`, nothing outlives the call; reuse of answers
+//! across questions is the verdict memo of `gts-engine`'s
+//! `AnalysisSession`. Choices are decided one after
 //! another, stopping at the first `Sat`; the only parallel section is the
 //! completion's entailment sweep, which shards by its own work-size rule
 //! (see [`ContainmentOptions::threads`]) and merges in order, so verdicts
 //! and witnesses do not depend on the thread count.
 
 use crate::booleanize::booleanize;
-use crate::completion::{complete_with, Completion, CompletionConfig};
+use crate::completion::{complete_over, Completion, CompletionConfig};
 use crate::hatp::hat_union;
+use crate::prepared::SchemaTboxes;
 use crate::rollup::{rollup_negation, RollupError};
 use gts_dl::HornTbox;
 use gts_graph::{Graph, Vocab};
@@ -83,6 +91,8 @@ pub enum ContainmentError {
 }
 
 /// Decides `P(x̄) ⊆_S Q(x̄)` for a UC2RPQ `P` and an *acyclic* UC2RPQ `Q`.
+/// Prepares `T̂_{S°}` for this call alone; [`contains_with`] shares it
+/// across calls.
 pub fn contains(
     p: &Uc2rpq,
     q: &Uc2rpq,
@@ -90,7 +100,20 @@ pub fn contains(
     vocab: &mut Vocab,
     opts: &ContainmentOptions,
 ) -> Result<ContainmentAnswer, ContainmentError> {
-    contains_lowered(p, q, &HornTbox::new(), s, vocab, opts)
+    contains_with(p, q, s, vocab, opts, &SchemaTboxes::default())
+}
+
+/// [`contains`] reading `T̂_{S°}` from `tboxes`, which prepares it on the
+/// first question over `S°` and keeps it for the next ones.
+pub fn contains_with(
+    p: &Uc2rpq,
+    q: &Uc2rpq,
+    s: &Schema,
+    vocab: &mut Vocab,
+    opts: &ContainmentOptions,
+    tboxes: &SchemaTboxes,
+) -> Result<ContainmentAnswer, ContainmentError> {
+    contains_lowered(p, q, &HornTbox::new(), s, vocab, opts, tboxes)
 }
 
 /// The shared pipeline behind [`contains`] and
@@ -104,13 +127,14 @@ pub(crate) fn contains_lowered(
     s: &Schema,
     vocab: &mut Vocab,
     opts: &ContainmentOptions,
+    tboxes: &SchemaTboxes,
 ) -> Result<ContainmentAnswer, ContainmentError> {
     let _span = gts_obs::span("containment");
     if !gts_obs::enabled() {
-        return contains_lowered_inner(p, q, extra, s, vocab, opts);
+        return contains_lowered_inner(p, q, extra, s, vocab, opts, tboxes);
     }
     let start = std::time::Instant::now();
-    let out = contains_lowered_inner(p, q, extra, s, vocab, opts);
+    let out = contains_lowered_inner(p, q, extra, s, vocab, opts, tboxes);
     static HIST: std::sync::OnceLock<gts_obs::Histogram> = std::sync::OnceLock::new();
     HIST.get_or_init(|| {
         gts_obs::global().histogram(
@@ -130,6 +154,7 @@ fn contains_lowered_inner(
     s: &Schema,
     vocab: &mut Vocab,
     opts: &ContainmentOptions,
+    tboxes: &SchemaTboxes,
 ) -> Result<ContainmentAnswer, ContainmentError> {
     if let (Some(ap), Some(aq)) = (p.arity(), q.arity()) {
         if ap != aq {
@@ -154,11 +179,16 @@ fn contains_lowered_inner(
     }
 
     // Lemma D.1: Booleanize.
-    let b = booleanize(&p, q, s, vocab);
+    let b = {
+        let _span = gts_obs::span("booleanize");
+        booleanize(&p, q, s, vocab)
+    };
 
     // Lemma C.2 (+ the disconnected-negation distribution).
-    let (choices, _state_labels) =
-        rollup_negation(&b.q, vocab).map_err(ContainmentError::Rollup)?;
+    let (choices, _state_labels) = {
+        let _span = gts_obs::span("rollup");
+        rollup_negation(&b.q, vocab).map_err(ContainmentError::Rollup)?
+    };
     // Duplicate choices (symmetric Q-components) decide identically; keep
     // the first occurrence only.
     let mut unique_choices: Vec<&HornTbox> = Vec::new();
@@ -168,9 +198,9 @@ fn contains_lowered_inner(
         }
     }
 
-    // Theorem 5.6: relativize P and build T̂_S.
+    // Theorem 5.6: relativize P; T̂_S is prepared once per S°.
     let p_hat = hat_union(&b.p, &b.schema);
-    let hat_ts = b.schema.hat_tbox();
+    let hat_ts = tboxes.get(&b.schema);
     let schema_label_set = b.schema.node_label_set();
 
     // Certification is one-sided in the completion: a *partial* completion
@@ -182,10 +212,17 @@ fn contains_lowered_inner(
     // later choices' completions cannot change a non-containment verdict.
     let mut all_certified = true;
     for choice in unique_choices {
-        let t = HornTbox::merged([&hat_ts, choice, extra]);
-        // Theorem 5.4 / Lemma D.7: complete.
-        let Completion { universe, complete: completion_ok, .. } =
-            complete_with(&t, &schema_label_set, &opts.budget, &opts.completion, opts.threads);
+        // Theorem 5.4 / Lemma D.7: complete T̂_S ∪ T¬Q ∪ extra, indexing
+        // only the CIs beyond T̂_S.
+        let overlay = hat_ts.overlay([choice, extra]);
+        let Completion { universe, complete: completion_ok, .. } = complete_over(
+            &hat_ts,
+            overlay,
+            &schema_label_set,
+            &opts.budget,
+            &opts.completion,
+            opts.threads,
+        );
         let mut ctx = RealizeCtx::new(universe, opts.budget.clone());
         for pd in &p_hat.disjuncts {
             match gts_sat::decide_in_ctx(&mut ctx, pd, &opts.budget) {

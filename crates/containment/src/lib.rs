@@ -9,7 +9,10 @@
 //! * [`hat_union`] — the relativization `P → P̂` of Theorem 5.6;
 //! * [`rollup_negation`] — Lemma C.2 (acyclic queries to Horn TBoxes);
 //! * [`complete`] — finmod-cycle reversal / Theorem 5.4 (finite ↔
-//!   unrestricted satisfiability);
+//!   unrestricted satisfiability), layered over a [`PreparedTbox`] by
+//!   [`complete_over`];
+//! * [`SchemaTboxes`] — `T̂_{S°}` (Theorem 5.6) prepared once per
+//!   Booleanized schema and shared by the completions over it;
 //! * [`HornFixpoint`] — CI entailment read off canonical models, for the
 //!   completion sweep;
 //! * [`contains`] — the top-level decision procedure;
@@ -42,14 +45,18 @@ mod entail;
 mod hatp;
 mod nre;
 mod oracle;
+mod prepared;
 mod rollup;
 mod tbox_containment;
 mod witness;
 
 pub use booleanize::{booleanize, Booleanized};
-pub use completion::{complete, complete_with, record_rounds, Completion, CompletionConfig, Round};
+pub use completion::{
+    complete, complete_over, complete_with, record_rounds, Completion, CompletionConfig, Round,
+};
 pub use contains::{
-    contains, satisfiable_modulo_schema, ContainmentAnswer, ContainmentError, ContainmentOptions,
+    contains, contains_with, satisfiable_modulo_schema, ContainmentAnswer, ContainmentError,
+    ContainmentOptions,
 };
 pub use entail::{HornFixpoint, Successors};
 pub use hatp::{hat_query, hat_regex, hat_union};
@@ -58,6 +65,7 @@ pub use oracle::{
     assert_consistent_with_oracle, counterexample_by_sampling, counterexample_exhaustive,
     is_counterexample,
 };
+pub use prepared::{PreparedTbox, SchemaTboxes};
 pub use rollup::{rollup_component, rollup_negation, Rollup, RollupError};
 pub use tbox_containment::{contains_finite_modulo_tbox, finitely_satisfiable_modulo_tbox};
 pub use witness::{

@@ -27,6 +27,7 @@
 //! only for nests under `*`/`+` on the left.
 
 use crate::contains::{contains_lowered, ContainmentAnswer, ContainmentError, ContainmentOptions};
+use crate::prepared::SchemaTboxes;
 use gts_dl::{HornCi, HornTbox};
 use gts_graph::{LabelSet, Vocab};
 use gts_query::{AtomSym, NestTable, Nfa, NreUc2rpq};
@@ -120,7 +121,7 @@ pub fn contains_nre(
     let p_flat = p.flatten().map_err(ContainmentError::Flatten)?;
     let lowered = q.lower(vocab);
     let (extra, _fresh) = nest_tbox(&lowered.table, vocab);
-    contains_lowered(&p_flat, &lowered.query, &extra, s, vocab, opts)
+    contains_lowered(&p_flat, &lowered.query, &extra, s, vocab, opts, &SchemaTboxes::default())
 }
 
 #[cfg(test)]

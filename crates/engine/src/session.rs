@@ -1,9 +1,11 @@
 //! Per-(schema, vocabulary) analysis sessions with a memoized containment
 //! oracle.
 //!
-//! The verdict memo is the only state a session reuses across questions:
-//! each containment call owns the solver contexts it decides over and
-//! drops them when it returns.
+//! A session reuses two things across questions: the verdict memo, and
+//! the prepared schema TBoxes `T̂_{S°}` of the Booleanized schemas its
+//! questions meet ([`SchemaTboxes`], one per arity and vocabulary), which
+//! every completion layers its own CIs over. Each containment call owns
+//! the solver contexts it decides over and drops them when it returns.
 //!
 //! Every analysis of the paper is a polynomial Turing reduction to
 //! `P ⊆_S Q` for a *fixed* source schema `S`, and the reduction asks many
@@ -23,7 +25,7 @@
 //! the cold path would recompute (the differential suites in
 //! `crates/tests` enforce this).
 
-use gts_core::containment::{contains, ContainmentError, ContainmentOptions};
+use gts_core::containment::{contains_with, ContainmentError, ContainmentOptions, SchemaTboxes};
 use gts_core::graph::{FxHashMap, Vocab};
 use gts_core::query::{C2rpq, Uc2rpq, Var};
 use gts_core::schema::Schema;
@@ -45,9 +47,9 @@ pub struct CacheStats {
     pub misses: u64,
     /// Distinct canonicalized query pairs currently interned.
     pub entries: usize,
-    /// Approximate heap occupancy of the memo in bytes (keys + verdicts +
-    /// table overhead) — the figure the `gts-serve` session registry
-    /// budgets against.
+    /// Approximate heap occupancy in bytes of the memo (keys + verdicts +
+    /// table overhead) and of the prepared schema TBoxes — the figure the
+    /// `gts-serve` session registry budgets against.
     pub approx_bytes: usize,
     /// Verdicts installed from a disk store ([`AnalysisSession::with_disk`]
     /// and friends) rather than decided by this process.
@@ -92,17 +94,21 @@ pub(crate) struct Memo {
 
 /// A reusable analysis context owning the shared state of all analyses
 /// over one source schema: the schema, its vocabulary, the engine
-/// budgets, and the memoized containment oracle.
+/// budgets, the memoized containment oracle, and the prepared schema
+/// TBoxes.
 ///
-/// Cloning a session is cheap in the way that matters: the memo is shared
-/// (behind an [`Arc`]), so clones handed to worker threads of a
-/// [`crate::Batch`] warm one common cache.
+/// Cloning a session is cheap in the way that matters: the memo and the
+/// prepared TBoxes are shared (behind an [`Arc`]), so clones handed to
+/// worker threads of a [`crate::Batch`] warm one common cache. Both drop
+/// with the last clone.
 #[derive(Clone)]
 pub struct AnalysisSession {
     schema: Schema,
     vocab: Vocab,
     opts: ContainmentOptions,
     memo: Arc<Mutex<Memo>>,
+    /// `T̂_{S°}` per Booleanized schema `S°`, shared by the clones.
+    tboxes: SchemaTboxes,
     /// The canonical identity, captured at construction: the analyses
     /// intern reduction-internal fresh labels into the vocabulary as they
     /// run, but cached state stays keyed by the vocabulary the session
@@ -131,6 +137,7 @@ impl AnalysisSession {
             vocab,
             opts,
             memo: Arc::new(Mutex::new(Memo::default())),
+            tboxes: SchemaTboxes::default(),
             identity,
             disk: None,
         }
@@ -162,7 +169,8 @@ impl AnalysisSession {
         let memo = self.memo.lock().unwrap();
         // Per-entry overhead: the `String` header + `Decision` + the hash
         // table's bucket slot, approximated as 64 bytes.
-        let approx_bytes: usize = memo.map.keys().map(|k| k.capacity() + 64).sum();
+        let approx_bytes: usize =
+            memo.map.keys().map(|k| k.capacity() + 64).sum::<usize>() + self.tboxes.approx_bytes();
         CacheStats {
             hits: memo.hits,
             misses: memo.misses,
@@ -262,6 +270,7 @@ impl AnalysisSession {
             vocab: &mut self.vocab,
             opts: &self.opts,
             memo: &self.memo,
+            tboxes: &self.tboxes,
         }
     }
 
@@ -320,6 +329,7 @@ struct SessionOracle<'a> {
     vocab: &'a mut Vocab,
     opts: &'a ContainmentOptions,
     memo: &'a Mutex<Memo>,
+    tboxes: &'a SchemaTboxes,
 }
 
 impl ContainmentOracle for SessionOracle<'_> {
@@ -336,7 +346,7 @@ impl ContainmentOracle for SessionOracle<'_> {
         // The lock is NOT held while deciding: concurrent workers may race
         // to answer the same key, but the procedure is deterministic, so
         // the duplicate insert is idempotent.
-        let ans = contains(p, q, self.schema, self.vocab, self.opts)?;
+        let ans = contains_with(p, q, self.schema, self.vocab, self.opts, self.tboxes)?;
         let d = Decision { holds: ans.holds, certified: ans.certified };
         self.memo.lock().unwrap().map.insert(key, d);
         Ok(d)
@@ -388,6 +398,7 @@ fn canonical_c2rpq(q: &C2rpq) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gts_core::containment::{booleanize, contains};
     use gts_core::prelude::*;
 
     #[test]
@@ -466,12 +477,63 @@ mod tests {
         let d1 = session.contains(&p, &q).unwrap();
         let cold = session.stats();
         assert_eq!((cold.hits, cold.misses, cold.entries), (0, 1, 1));
-        assert!(cold.approx_bytes > 0, "one interned entry occupies memory");
+        // The figure counts the prepared T̂_S° and the memo entry beside it.
+        let tbox_bytes = session.tboxes.approx_bytes();
+        assert!(tbox_bytes > 0, "the prepared schema TBox occupies memory");
+        assert!(cold.approx_bytes > tbox_bytes, "so does one interned entry");
         let d2 = session.contains(&p, &q).unwrap();
         assert_eq!(d1, d2);
         let stats = session.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-9);
+    }
+
+    /// Questions of one arity booleanize to one `S°`: the marker labels
+    /// are interned once, and one prepared T̂_S° serves them all.
+    #[test]
+    fn questions_of_one_arity_share_one_schema_tbox() {
+        let (v, s, p, q) = fixture();
+        let mut session = AnalysisSession::new(s, v);
+        session.contains(&p, &q).unwrap();
+        let labels = session.vocab().num_node_labels();
+        session.contains(&q, &p).unwrap();
+        assert_eq!(session.stats().misses, 2, "both questions ran the procedure");
+        assert_eq!(session.tboxes.len(), 1, "one S°, one prepared TBox");
+        let vocab = session.vocab();
+        let nodes: Vec<&str> = vocab.node_labels().map(|l| vocab.node_name(l)).collect();
+        let edges: Vec<&str> = vocab.edge_labels().map(|l| vocab.edge_name(l)).collect();
+        let marker = |n: &&&str| n.contains('#') && (n.starts_with('X') || n.starts_with("rX"));
+        assert_eq!(nodes.iter().filter(marker).collect::<Vec<_>>(), [&"X0#", &"X1#"]);
+        assert_eq!(edges.iter().filter(marker).collect::<Vec<_>>(), [&"rX0#", &"rX1#"]);
+        assert!(nodes.len() > labels, "only the rolled-up state labels are new");
+    }
+
+    /// Clones own their vocabularies: one that interned a label of its
+    /// own interns the markers at other ids, so its `S°` differs and it
+    /// gets a T̂_S° of its own, never the other's.
+    #[test]
+    fn clones_with_diverged_vocabularies_keep_apart_schema_tboxes() {
+        let (v, s, p, q) = fixture();
+        let session = AnalysisSession::new(s.clone(), v.clone());
+        let (mut a, mut b) = (session.clone(), session.clone());
+        a.vocab_mut().node_label("Diverged");
+        let da = a.contains(&p, &q).unwrap();
+        let db = b.contains(&q, &p).unwrap();
+        assert_eq!(session.tboxes.len(), 2, "the clones share the list, not an entry");
+        let s_deg =
+            |clone: &AnalysisSession| booleanize(&p, &q, &s, &mut clone.vocab().clone()).schema;
+        let (sa, sb) = (s_deg(&a), s_deg(&b));
+        assert_ne!(sa, sb, "the markers sit at other ids");
+        for s_deg in [&sa, &sb] {
+            let prepared = session.tboxes.get(s_deg);
+            assert_eq!(prepared.merged(&Default::default()), s_deg.hat_tbox());
+        }
+        assert_eq!(session.tboxes.len(), 2, "both were found, none was prepared");
+        let direct = |p: &Uc2rpq, q: &Uc2rpq| {
+            let ans = contains(p, q, &s, &mut v.clone(), &ContainmentOptions::default()).unwrap();
+            Decision { holds: ans.holds, certified: ans.certified }
+        };
+        assert_eq!((da, db), (direct(&p, &q), direct(&q, &p)));
     }
 
     #[test]

@@ -46,4 +46,4 @@ pub use budget::{Budget, UnknownReason, Verdict, Witness};
 pub use chase::{ChaseFail, Core};
 pub use engine::{decide, decide_in_ctx, universal_constraints_hold};
 pub use realize::{Cand, RealizeCtx, RealizeStats};
-pub use types::{TypeId, TypeUniverse};
+pub use types::{RuleIndex, TypeId, TypeUniverse};

@@ -18,13 +18,23 @@
 //! universe it hands to the final decides thus derive each list once
 //! between them. `∄`-checks read the role-grouped rules directly and keep
 //! no memo.
+//!
+//! An index can sit on a shared lower layer, a [`RuleIndex`] built once
+//! for a TBox that many others extend ([`TypeUniverse::layered`]): each
+//! universe then indexes only the CIs beyond it, and reads the lower
+//! layer's rules first, so every list keeps the CI order of the two
+//! TBoxes concatenated.
 
 use gts_dl::{HornCi, HornTbox};
-use gts_graph::{EdgeSym, FxHashMap, FxHashSet, LabelSet};
+use gts_graph::{EdgeSym, FxHashMap, FxHashSet, LabelSet, NodeLabel};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// `(role, K')` pairs of the `∃` or at-most rules firing on a label set.
 type RuleList = Arc<Vec<(EdgeSym, LabelSet)>>;
+
+/// A layer's `∃` or at-most CIs as `(role, K, K')` in CI order, with their
+/// positions per role.
+type Lists<'a> = (&'a [(EdgeSym, LabelSet, LabelSet)], &'a FxHashMap<EdgeSym, Vec<usize>>);
 
 /// A TBox's rule index and the rule lists derived from it. Every universe
 /// over this base — a completion round's, each parallel worker's clone,
@@ -40,13 +50,35 @@ struct Base {
     at_most: Mutex<FxHashMap<LabelSet, RuleList>>,
 }
 
+/// Where a CI sits in its layer's lists: its kind and position (within
+/// its role's list where the kind is grouped by role). A layer keeps one
+/// per CI, in CI order, so [`RuleIndex::cis`] reads the CIs back without a
+/// second copy.
+#[derive(Clone, Copy)]
+enum Slot {
+    SubAtom(u32),
+    Bottom(u32),
+    AllValues(EdgeSym, u32),
+    Exists(u32),
+    NotExists(EdgeSym, u32),
+    AtMostOne(u32),
+}
+
 /// CIs of one TBox grouped by kind (and by role where it pays), built once
 /// per TBox so every rule application scans only the relevant rules
 /// instead of the whole CI list; semantics match the corresponding
 /// `HornTbox` methods exactly, including result order (flat lists keep CI
 /// order).
+///
+/// An index may sit on a shared `lower` layer whose CIs come before its
+/// own: every read goes through the lower layer first, so the two read as
+/// the one index of the lower layer's CIs followed by this one's — the CI
+/// order of [`HornTbox::merged`].
 #[derive(Default)]
 struct TboxIndex {
+    lower: Option<Arc<TboxIndex>>,
+    /// This layer's CIs in CI order, as places in the lists below.
+    order: Vec<Slot>,
     subatoms: Vec<(LabelSet, u32)>,
     bottoms: Vec<LabelSet>,
     allvalues_by_role: FxHashMap<EdgeSym, Vec<(LabelSet, LabelSet)>>,
@@ -60,67 +92,247 @@ struct TboxIndex {
 }
 
 impl TboxIndex {
+    /// An index of `cis` over `lower`.
+    fn build<'a>(lower: Option<Arc<TboxIndex>>, cis: impl IntoIterator<Item = &'a HornCi>) -> Self {
+        let mut index = TboxIndex { lower, ..TboxIndex::default() };
+        for ci in cis {
+            index.add(ci.clone());
+        }
+        index
+    }
+
     fn add(&mut self, ci: HornCi) {
-        match ci {
-            HornCi::SubAtom { lhs, rhs } => self.subatoms.push((lhs, rhs.0)),
-            HornCi::Bottom { lhs } => self.bottoms.push(lhs),
+        let at = |len: usize| len as u32;
+        let slot = match ci {
+            HornCi::SubAtom { lhs, rhs } => {
+                self.subatoms.push((lhs, rhs.0));
+                Slot::SubAtom(at(self.subatoms.len() - 1))
+            }
+            HornCi::Bottom { lhs } => {
+                self.bottoms.push(lhs);
+                Slot::Bottom(at(self.bottoms.len() - 1))
+            }
             HornCi::AllValues { lhs, role, rhs } => {
-                self.allvalues_by_role.entry(role).or_default().push((lhs, rhs))
+                let rules = self.allvalues_by_role.entry(role).or_default();
+                rules.push((lhs, rhs));
+                Slot::AllValues(role, at(rules.len() - 1))
             }
             HornCi::Exists { lhs, role, rhs } => {
                 self.exists_by_role.entry(role).or_default().push(self.exists.len());
                 self.exists.push((role, lhs, rhs));
+                Slot::Exists(at(self.exists.len() - 1))
             }
             HornCi::NotExists { lhs, role, rhs } => {
-                self.notexists_by_role.entry(role).or_default().push((lhs, rhs))
+                let rules = self.notexists_by_role.entry(role).or_default();
+                rules.push((lhs, rhs));
+                Slot::NotExists(role, at(rules.len() - 1))
             }
             HornCi::AtMostOne { lhs, role, rhs } => {
                 self.atmost_by_role.entry(role).or_default().push(self.atmost.len());
                 self.atmost.push((role, lhs, rhs));
+                Slot::AtMostOne(at(self.atmost.len() - 1))
             }
-        }
+        };
+        self.order.push(slot);
+    }
+
+    /// The lower layer, if any, then this one.
+    fn layers(&self) -> impl Iterator<Item = &TboxIndex> {
+        self.lower.as_deref().into_iter().chain(std::iter::once(self))
     }
 
     /// One pass of the `K ⊑ A` rules over `cur`; `true` iff it grew.
     fn apply_subatoms(&self, cur: &mut LabelSet) -> bool {
         let mut changed = false;
-        for (lhs, rhs) in &self.subatoms {
-            if lhs.is_subset(cur) && cur.insert(*rhs) {
-                changed = true;
+        for layer in self.layers() {
+            for (lhs, rhs) in &layer.subatoms {
+                if lhs.is_subset(cur) && cur.insert(*rhs) {
+                    changed = true;
+                }
             }
         }
         changed
     }
 
     fn bottom_fires(&self, cur: &LabelSet) -> bool {
-        self.bottoms.iter().any(|lhs| lhs.is_subset(cur))
+        self.layers().any(|layer| layer.bottoms.iter().any(|lhs| lhs.is_subset(cur)))
     }
 
     /// Adds the `∀`-pushes to `out`.
     fn propagate_into(&self, src: &LabelSet, role: EdgeSym, out: &mut LabelSet) {
-        for (lhs, rhs) in self.allvalues_by_role.get(&role).into_iter().flatten() {
-            if lhs.is_subset(src) {
-                out.union_with(rhs);
+        for layer in self.layers() {
+            for (lhs, rhs) in layer.allvalues_by_role.get(&role).into_iter().flatten() {
+                if lhs.is_subset(src) {
+                    out.union_with(rhs);
+                }
             }
         }
     }
 
     fn edge_forbidden(&self, src: &LabelSet, role: EdgeSym, tgt: &LabelSet) -> bool {
         let fires = |role: EdgeSym, from: &LabelSet, to: &LabelSet| {
-            self.notexists_by_role.get(&role).is_some_and(|rules| {
-                rules.iter().any(|(lhs, rhs)| lhs.is_subset(from) && rhs.is_subset(to))
+            self.layers().any(|layer| {
+                layer.notexists_by_role.get(&role).is_some_and(|rules| {
+                    rules.iter().any(|(lhs, rhs)| lhs.is_subset(from) && rhs.is_subset(to))
+                })
             })
         };
         fires(role, src, tgt) || fires(role.inv(), tgt, src)
     }
 
-    /// `(lhs, rhs)` of the rules on `role`, in CI order.
-    fn on_role<'a>(
-        rules: &'a [(EdgeSym, LabelSet, LabelSet)],
-        by_role: &'a FxHashMap<EdgeSym, Vec<usize>>,
+    /// `(lhs, rhs)` of the rules on `role` of every layer, in CI order;
+    /// `kind` picks the `exists` or the `atmost` lists of a layer.
+    fn on_role(
+        &self,
+        kind: fn(&TboxIndex) -> Lists<'_>,
         role: EdgeSym,
-    ) -> impl Iterator<Item = (&'a LabelSet, &'a LabelSet)> {
-        by_role.get(&role).into_iter().flatten().map(|&i| (&rules[i].1, &rules[i].2))
+    ) -> impl Iterator<Item = (&LabelSet, &LabelSet)> {
+        self.layers().flat_map(move |layer| layer.on_layer(kind, role))
+    }
+
+    fn exists_lists(&self) -> Lists<'_> {
+        (&self.exists, &self.exists_by_role)
+    }
+
+    fn atmost_lists(&self) -> Lists<'_> {
+        (&self.atmost, &self.atmost_by_role)
+    }
+
+    /// `true` iff this layer (not its lower one) holds `ci`.
+    fn holds(&self, ci: &HornCi) -> bool {
+        let pair = |rules: Option<&Vec<(LabelSet, LabelSet)>>, lhs: &LabelSet, rhs: &LabelSet| {
+            rules.into_iter().flatten().any(|(l, r)| l == lhs && r == rhs)
+        };
+        match ci {
+            HornCi::SubAtom { lhs, rhs } => {
+                self.subatoms.iter().any(|(l, r)| l == lhs && *r == rhs.0)
+            }
+            HornCi::Bottom { lhs } => self.bottoms.contains(lhs),
+            HornCi::AllValues { lhs, role, rhs } => {
+                pair(self.allvalues_by_role.get(role), lhs, rhs)
+            }
+            HornCi::NotExists { lhs, role, rhs } => {
+                pair(self.notexists_by_role.get(role), lhs, rhs)
+            }
+            HornCi::Exists { lhs, role, rhs } => {
+                self.on_layer(Self::exists_lists, *role).any(|(l, r)| l == lhs && r == rhs)
+            }
+            HornCi::AtMostOne { lhs, role, rhs } => {
+                self.on_layer(Self::atmost_lists, *role).any(|(l, r)| l == lhs && r == rhs)
+            }
+        }
+    }
+
+    /// [`TboxIndex::on_role`] over this layer alone.
+    fn on_layer(
+        &self,
+        kind: fn(&TboxIndex) -> Lists<'_>,
+        role: EdgeSym,
+    ) -> impl Iterator<Item = (&LabelSet, &LabelSet)> {
+        let (rules, by_role) = kind(self);
+        by_role.get(&role).into_iter().flatten().map(move |&i| (&rules[i].1, &rules[i].2))
+    }
+
+    /// This layer's CIs, in CI order.
+    fn cis(&self) -> impl Iterator<Item = HornCi> + '_ {
+        self.order.iter().map(|&slot| match slot {
+            Slot::SubAtom(i) => {
+                let (lhs, rhs) = &self.subatoms[i as usize];
+                HornCi::SubAtom { lhs: lhs.clone(), rhs: NodeLabel(*rhs) }
+            }
+            Slot::Bottom(i) => HornCi::Bottom { lhs: self.bottoms[i as usize].clone() },
+            Slot::AllValues(role, i) => {
+                let (lhs, rhs) = &self.allvalues_by_role[&role][i as usize];
+                HornCi::AllValues { lhs: lhs.clone(), role, rhs: rhs.clone() }
+            }
+            Slot::Exists(i) => {
+                let (role, lhs, rhs) = &self.exists[i as usize];
+                HornCi::Exists { lhs: lhs.clone(), role: *role, rhs: rhs.clone() }
+            }
+            Slot::NotExists(role, i) => {
+                let (lhs, rhs) = &self.notexists_by_role[&role][i as usize];
+                HornCi::NotExists { lhs: lhs.clone(), role, rhs: rhs.clone() }
+            }
+            Slot::AtMostOne(i) => {
+                let (role, lhs, rhs) = &self.atmost[i as usize];
+                HornCi::AtMostOne { lhs: lhs.clone(), role: *role, rhs: rhs.clone() }
+            }
+        })
+    }
+
+    /// Approximate heap bytes of this layer (not its lower one): the
+    /// lists, their label sets, and the role tables.
+    fn approx_bytes(&self) -> usize {
+        let set = |s: &LabelSet| s.approx_bytes();
+        let pair = std::mem::size_of::<(LabelSet, LabelSet)>();
+        let triple = std::mem::size_of::<(EdgeSym, LabelSet, LabelSet)>();
+        // A hash table entry: the key, the value's `Vec` header, and about
+        // one control byte plus load-factor slack.
+        let entry = |value: usize| std::mem::size_of::<EdgeSym>() + value + 8;
+        let by_role_pairs = |m: &FxHashMap<EdgeSym, Vec<(LabelSet, LabelSet)>>| -> usize {
+            m.values()
+                .map(|v| {
+                    entry(std::mem::size_of::<Vec<()>>())
+                        + v.capacity() * pair
+                        + v.iter().map(|(l, r)| set(l) + set(r)).sum::<usize>()
+                })
+                .sum()
+        };
+        let by_role_positions = |m: &FxHashMap<EdgeSym, Vec<usize>>| -> usize {
+            m.values().map(|v| entry(std::mem::size_of::<Vec<()>>()) + v.capacity() * 8).sum()
+        };
+        self.order.capacity() * std::mem::size_of::<Slot>()
+            + self.subatoms.capacity() * std::mem::size_of::<(LabelSet, u32)>()
+            + self.subatoms.iter().map(|(l, _)| set(l)).sum::<usize>()
+            + self.bottoms.capacity() * std::mem::size_of::<LabelSet>()
+            + self.bottoms.iter().map(set).sum::<usize>()
+            + (self.exists.capacity() + self.atmost.capacity()) * triple
+            + self.exists.iter().chain(&self.atmost).map(|(_, l, r)| set(l) + set(r)).sum::<usize>()
+            + by_role_pairs(&self.allvalues_by_role)
+            + by_role_pairs(&self.notexists_by_role)
+            + by_role_positions(&self.exists_by_role)
+            + by_role_positions(&self.atmost_by_role)
+    }
+}
+
+/// The rule index of a fixed TBox, built once and shared: the lower layer
+/// of the universes of every TBox that extends it
+/// ([`TypeUniverse::layered`]). It is the only copy of the TBox it
+/// indexes: [`RuleIndex::cis`] reads the CIs back in order and
+/// [`RuleIndex::holds`] tests membership.
+#[derive(Clone, Default)]
+pub struct RuleIndex(Arc<TboxIndex>);
+
+impl RuleIndex {
+    /// Indexes the CIs of `tbox`.
+    pub fn new(tbox: &HornTbox) -> Self {
+        RuleIndex(Arc::new(TboxIndex::build(None, &tbox.cis)))
+    }
+
+    /// Number of indexed CIs.
+    pub fn len(&self) -> usize {
+        self.0.order.len()
+    }
+
+    /// `true` iff no CI is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.0.order.is_empty()
+    }
+
+    /// `true` iff `ci` is one of the indexed CIs (an exact test: a scan of
+    /// the CIs of its kind, and of its role where they are grouped so).
+    pub fn holds(&self, ci: &HornCi) -> bool {
+        self.0.holds(ci)
+    }
+
+    /// The indexed CIs, in the order of the TBox they were indexed from.
+    pub fn cis(&self) -> impl Iterator<Item = HornCi> + '_ {
+        self.0.cis()
+    }
+
+    /// Approximate heap bytes of the index.
+    pub fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<TboxIndex>() + self.0.approx_bytes()
     }
 }
 
@@ -172,10 +384,15 @@ impl std::fmt::Debug for TypeUniverse {
 impl TypeUniverse {
     /// Creates an empty universe over `tbox`, indexing its CIs.
     pub fn new(tbox: &HornTbox) -> Self {
-        let mut base = Base::default();
-        for ci in &tbox.cis {
-            base.index.add(ci.clone());
-        }
+        Self::layered(&RuleIndex::default(), &tbox.cis)
+    }
+
+    /// Creates an empty universe over the CIs of `lower` followed by
+    /// `upper`, indexing `upper` only: every rule list reads as the one
+    /// [`TypeUniverse::new`] builds over the two concatenated.
+    pub fn layered(lower: &RuleIndex, upper: &[HornCi]) -> Self {
+        let lower = (!lower.is_empty()).then(|| Arc::clone(&lower.0));
+        let base = Base { index: TboxIndex::build(lower, upper), ..Base::default() };
         Self::over(Arc::new(base))
     }
 
@@ -200,19 +417,17 @@ impl TypeUniverse {
 
     /// `(lhs, rhs)` of every `K ⊑ ∃role.K'` CI, in CI order.
     pub fn exists_on(&self, role: EdgeSym) -> impl Iterator<Item = (&LabelSet, &LabelSet)> {
-        let index = &self.base.index;
-        TboxIndex::on_role(&index.exists, &index.exists_by_role, role)
+        self.base.index.on_role(TboxIndex::exists_lists, role)
     }
 
     /// `(lhs, rhs)` of every `K ⊑ ∃≤1 role.K'` CI, in CI order.
     pub fn at_most_on(&self, role: EdgeSym) -> impl Iterator<Item = (&LabelSet, &LabelSet)> {
-        let index = &self.base.index;
-        TboxIndex::on_role(&index.atmost, &index.atmost_by_role, role)
+        self.base.index.on_role(TboxIndex::atmost_lists, role)
     }
 
     /// [`HornTbox::requirements`] of a type's label set.
     pub fn requirements_of(&self, t: TypeId) -> RuleList {
-        self.firing(&self.base.reqs, |l| &l.exists, &self.sets[t.0 as usize])
+        self.firing(&self.base.reqs, TboxIndex::exists_lists, &self.sets[t.0 as usize])
     }
 
     /// [`HornTbox::at_most`] of a type's label set.
@@ -241,17 +456,17 @@ impl TypeUniverse {
 
     /// [`HornTbox::at_most`] over an arbitrary label set.
     pub fn at_most_set(&self, set: &LabelSet) -> RuleList {
-        self.firing(&self.base.at_most, |l| &l.atmost, set)
+        self.firing(&self.base.at_most, TboxIndex::atmost_lists, set)
     }
 
-    /// The deduplicated `(role, K')` of the `rules` firing on `set`, in CI
-    /// order: [`HornTbox::requirements`] over `exists`,
-    /// [`HornTbox::at_most`] over `atmost`, memoized in the base's `shared`
-    /// lists.
+    /// The deduplicated `(role, K')` of the rules of `kind` firing on
+    /// `set`, in CI order across the layers: [`HornTbox::requirements`]
+    /// over the `exists` lists, [`HornTbox::at_most`] over the `atmost`
+    /// lists, memoized in the base's `shared` lists.
     fn firing(
         &self,
         shared: &Mutex<FxHashMap<LabelSet, RuleList>>,
-        rules: fn(&TboxIndex) -> &[(EdgeSym, LabelSet, LabelSet)],
+        kind: fn(&TboxIndex) -> Lists<'_>,
         set: &LabelSet,
     ) -> RuleList {
         // Each update inserts one finished list, so a poisoned map is
@@ -261,7 +476,9 @@ impl TypeUniverse {
             return Arc::clone(hit);
         }
         let mut out = Vec::new();
-        push_firing(&mut out, rules(&self.base.index), set);
+        for layer in self.base.index.layers() {
+            push_firing(&mut out, kind(layer).0, set);
+        }
         Arc::clone(lock().entry(set.clone()).or_insert_with(|| Arc::new(out)))
     }
 
@@ -488,5 +705,88 @@ mod tests {
         // The converged fast path returns the same answer.
         let s2 = u.saturate(a).unwrap();
         assert_eq!(s1, s2);
+    }
+    /// One CI of every kind, over two roles, with a duplicate `(role, K')`
+    /// across kinds: enough to see every list's order.
+    fn mixed_tbox() -> HornTbox {
+        let r = gts_graph::EdgeSym::fwd(gts_graph::EdgeLabel(0));
+        let set = |l: &[u32]| LabelSet::from_iter(l.iter().copied());
+        let cis = vec![
+            HornCi::Exists { lhs: set(&[0]), role: r, rhs: set(&[1]) },
+            HornCi::AtMostOne { lhs: set(&[0]), role: r.inv(), rhs: set(&[2]) },
+            HornCi::NotExists { lhs: set(&[1]), role: r, rhs: set(&[0]) },
+            HornCi::SubAtom { lhs: set(&[1, 2]), rhs: NodeLabel(3) },
+            HornCi::AllValues { lhs: set(&[0]), role: r, rhs: set(&[2]) },
+            HornCi::Bottom { lhs: set(&[2, 3]) },
+            HornCi::Exists { lhs: set(&[2]), role: r, rhs: set(&[1]) },
+            HornCi::AllValues { lhs: set(&[3]), role: r.inv(), rhs: set(&[0]) },
+            HornCi::AtMostOne { lhs: set(&[]), role: r, rhs: set(&[1]) },
+            HornCi::NotExists { lhs: set(&[2]), role: r.inv(), rhs: set(&[2]) },
+            HornCi::Exists { lhs: set(&[0]), role: r.inv(), rhs: set(&[0]) },
+        ];
+        HornTbox { cis }
+    }
+
+    #[test]
+    fn a_rule_index_reads_its_cis_back_in_order_and_tests_membership() {
+        let t = mixed_tbox();
+        let index = RuleIndex::new(&t);
+        assert_eq!(index.len(), t.len());
+        assert_eq!(index.cis().collect::<Vec<_>>(), t.cis);
+        for ci in &t.cis {
+            assert!(index.holds(ci), "{ci:?}");
+        }
+        let r = gts_graph::EdgeSym::fwd(gts_graph::EdgeLabel(0));
+        let absent = HornCi::Exists { lhs: LabelSet::singleton(1), role: r, rhs: LabelSet::new() };
+        assert!(!index.holds(&absent));
+        assert!(!index.holds(&HornCi::Bottom { lhs: LabelSet::singleton(2) }));
+        assert!(index.approx_bytes() > 0);
+    }
+
+    /// Every split of a TBox into a lower layer and an upper one reads as
+    /// the flat index: the same rule lists in the same order, closures,
+    /// pushes and `∄`-checks.
+    #[test]
+    fn a_layered_universe_reads_as_the_flat_one() {
+        let t = mixed_tbox();
+        let r = gts_graph::EdgeSym::fwd(gts_graph::EdgeLabel(0));
+        let sets: Vec<LabelSet> = (0u32..16)
+            .map(|bits| LabelSet::from_iter((0..4).filter(|i| bits & (1 << i) != 0)))
+            .collect();
+        for split in 0..=t.len() {
+            let lower = RuleIndex::new(&HornTbox { cis: t.cis[..split].to_vec() });
+            let mut layered = TypeUniverse::layered(&lower, &t.cis[split..]);
+            let mut flat = TypeUniverse::new(&t);
+            for role in [r, r.inv()] {
+                assert_eq!(
+                    layered.exists_on(role).collect::<Vec<_>>(),
+                    flat.exists_on(role).collect::<Vec<_>>()
+                );
+                assert_eq!(
+                    layered.at_most_on(role).collect::<Vec<_>>(),
+                    flat.at_most_on(role).collect::<Vec<_>>()
+                );
+            }
+            for s in &sets {
+                let (a, b) = (layered.close(s), flat.close(s));
+                assert_eq!(
+                    a.map(|id| layered.labels(id).clone()),
+                    b.map(|id| flat.labels(id).clone())
+                );
+                if let (Some(a), Some(b)) = (a, b) {
+                    assert_eq!(layered.requirements_of(a), flat.requirements_of(b));
+                    assert_eq!(layered.at_most_of(a), flat.at_most_of(b));
+                }
+                for role in [r, r.inv()] {
+                    assert_eq!(layered.propagate_set(s, role), flat.propagate_set(s, role));
+                    for tgt in &sets {
+                        assert_eq!(
+                            layered.edge_forbidden(s, role, tgt),
+                            flat.edge_forbidden(s, role, tgt)
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -119,6 +119,16 @@ impl Schema {
         LabelSet::from_iter(self.node_labels.iter().map(|l| l.0))
     }
 
+    /// Approximate heap bytes: the label lists and the `δ` table (an entry
+    /// per key and value, plus about one control byte and load-factor
+    /// slack).
+    pub fn approx_bytes(&self) -> usize {
+        let entry = std::mem::size_of::<((NodeLabel, EdgeSym, NodeLabel), Mult)>() + 8;
+        self.node_labels.capacity() * std::mem::size_of::<NodeLabel>()
+            + self.edge_labels.capacity() * std::mem::size_of::<EdgeLabel>()
+            + self.delta.capacity() * entry
+    }
+
     /// All symbols in `Σ±_S`.
     pub fn syms(&self) -> impl Iterator<Item = EdgeSym> + '_ {
         self.edge_labels.iter().flat_map(|&l| [EdgeSym::fwd(l), EdgeSym::bwd(l)])

@@ -21,8 +21,17 @@
 //! answers "not entailed" and the engine "entailed", a finite model
 //! search (`finite_model`, independent of both) must find a countermodel;
 //! such questions are counted and printed as refuted engine answers.
+//!
+//! The same rounds check the completion's layering: every completion the
+//! corpus runs over a prepared `T̂_{S°}`, and the random TBoxes split into
+//! a prepared base and an overlay, must complete exactly as the flat
+//! merged TBox does over an empty base — the same rounds in the same
+//! order, the same `T*` CI for CI, the same flags, and the same verdicts.
 
-use gts_core::containment::{complete, record_rounds, CompletionConfig, HornFixpoint, Round};
+use gts_core::containment::{
+    complete, complete_over, record_rounds, Completion, CompletionConfig, HornFixpoint,
+    PreparedTbox, Round,
+};
 use gts_core::prelude::*;
 use gts_core::sat::{decide_in_ctx, RealizeCtx, TypeUniverse, Verdict};
 use gts_corpus::{scenario, Expectation, Family, Params};
@@ -31,6 +40,7 @@ use gts_graph::{FxHashMap, Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 fn set(labels: &[u32]) -> LabelSet {
     LabelSet::from_iter(labels.iter().copied())
@@ -293,14 +303,14 @@ fn check_round(t: &HornTbox, nodes: &[LabelSet]) -> Tally {
 }
 
 /// The distinct rounds among `rounds`.
-fn distinct(rounds: impl IntoIterator<Item = Round>) -> Vec<Round> {
+fn distinct<'a>(rounds: impl IntoIterator<Item = &'a Round>) -> Vec<&'a Round> {
     let mut seen = HashSet::new();
-    rounds.into_iter().filter(|(t, nodes)| seen.insert((t.cis.clone(), nodes.clone()))).collect()
+    rounds.into_iter().filter(|r| seen.insert((r.tbox.cis.clone(), r.nodes.clone()))).collect()
 }
 
 /// [`check_round`] over every round, fanned out, summed.
-fn check_rounds(rounds: &[Round]) -> Tally {
-    gts_obs::par::map(rounds, |(t, nodes)| check_round(t, nodes)).into_iter().fold(
+fn check_rounds(rounds: &[&Round]) -> Tally {
+    gts_obs::par::map(rounds, |r| check_round(&r.tbox, &r.nodes)).into_iter().fold(
         Tally::default(),
         |a, b| Tally {
             rounds: a.rounds + b.rounds,
@@ -314,34 +324,44 @@ fn check_rounds(rounds: &[Round]) -> Tally {
 
 /// Every round of every completion the corpus families' questions run:
 /// each pinned type-check and equivalence, and the elicitation of each
-/// primary transform. Rounds repeated across questions are asked once.
-#[test]
-fn corpus_rounds_agree_with_the_e7_encodings() {
-    // Each family on its own thread, recording the rounds it runs there.
-    let rounds = gts_obs::par::map(Family::ALL, |family| {
-        record_rounds(|| {
-            let sc = scenario(family, &Params::quick());
-            let session = |source: &str| {
-                AnalysisSession::new(sc.schema(source).unwrap().clone(), sc.vocab.clone())
-            };
-            for exp in &sc.expectations {
-                match exp {
-                    Expectation::TypeCheck { transform, source, target, .. } => {
-                        let t = sc.transform(transform).unwrap();
-                        let _ = session(source).type_check(t, sc.schema(target).unwrap());
-                    }
-                    Expectation::Equivalence { left, right, source, .. } => {
-                        let (l, r) = (sc.transform(left).unwrap(), sc.transform(right).unwrap());
-                        let _ = session(source).equivalence(l, r);
+/// primary transform. Recorded once for the tests that share it.
+fn corpus_rounds() -> &'static [Round] {
+    static ROUNDS: OnceLock<Vec<Round>> = OnceLock::new();
+    ROUNDS.get_or_init(|| {
+        // Each family on its own thread, recording the rounds it runs there.
+        let rounds = gts_obs::par::map(Family::ALL, |family| {
+            record_rounds(|| {
+                let sc = scenario(family, &Params::quick());
+                let session = |source: &str| {
+                    AnalysisSession::new(sc.schema(source).unwrap().clone(), sc.vocab.clone())
+                };
+                for exp in &sc.expectations {
+                    match exp {
+                        Expectation::TypeCheck { transform, source, target, .. } => {
+                            let t = sc.transform(transform).unwrap();
+                            let _ = session(source).type_check(t, sc.schema(target).unwrap());
+                        }
+                        Expectation::Equivalence { left, right, source, .. } => {
+                            let (l, r) =
+                                (sc.transform(left).unwrap(), sc.transform(right).unwrap());
+                            let _ = session(source).equivalence(l, r);
+                        }
                     }
                 }
-            }
-            let t = sc.transform(&sc.primary.transform).unwrap();
-            let _ = session(&sc.primary.source).elicit(t);
-        })
-        .1
-    });
-    let tally = check_rounds(&distinct(rounds.into_iter().flatten()));
+                let t = sc.transform(&sc.primary.transform).unwrap();
+                let _ = session(&sc.primary.source).elicit(t);
+            })
+            .1
+        });
+        rounds.into_iter().flatten().collect()
+    })
+}
+
+/// Every corpus round's sweep questions, asked both ways. Rounds repeated
+/// across questions are asked once.
+#[test]
+fn corpus_rounds_agree_with_the_e7_encodings() {
+    let tally = check_rounds(&distinct(corpus_rounds()));
     println!("corpus: {tally:?}");
     assert!(tally.rounds > 0 && tally.questions > 0);
     assert_eq!(tally.engine_refuted, 0, "on the corpus the engine and the fixpoint agree");
@@ -389,9 +409,84 @@ fn random_tbox_rounds_agree_with_the_e7_encodings() {
             complete(&tbox, &set(&[0, 1, 2, 3]), &Budget::default(), &CompletionConfig::default());
         }
     });
-    let tally = check_rounds(&distinct(rounds));
+    let tally = check_rounds(&distinct(&rounds));
     println!("random TBoxes: {tally:?}");
     assert_eq!(tally.fixpoint_unsettled, 0, "the fixpoint settles every random question");
+}
+
+/// Completes the input of `round` (a round 0) twice: layered over its
+/// base prepared, and flat over an empty base. Both must run the same
+/// rounds (TBox and types), reach the same `T*` in the same CI order with
+/// the same flags, and give the same verdict on `∃x.A(x)` for every seed
+/// label `A`. Returns how many rounds the completion ran.
+fn layered_matches_flat(round: &Round) -> usize {
+    let (budget, cfg) = (Budget::default(), CompletionConfig::default());
+    let (labels, base_len) = (&round.schema_labels, round.base);
+    let base = PreparedTbox::new(&HornTbox { cis: round.tbox.cis[..base_len].to_vec() });
+    let overlay = HornTbox { cis: round.tbox.cis[base_len..].to_vec() };
+    let (layered, layered_rounds) =
+        record_rounds(|| complete_over(&base, overlay, labels, &budget, &cfg, 1));
+    let (flat, flat_rounds) = record_rounds(|| complete(&round.tbox, labels, &budget, &cfg));
+    let shape = |rounds: &[Round]| -> Vec<(Vec<HornCi>, usize, Vec<LabelSet>)> {
+        rounds.iter().map(|r| (r.tbox.cis.clone(), r.index, r.nodes.clone())).collect()
+    };
+    assert_eq!(shape(&layered_rounds), shape(&flat_rounds), "the rounds differ");
+    assert_eq!(base.merged(&layered.tbox), flat.tbox, "T* differs");
+    assert_eq!((layered.added, layered.complete), (flat.added, flat.complete));
+    let verdicts = |c: Completion| {
+        let mut ctx = RealizeCtx::new(c.universe, budget.clone());
+        let verdict = |l: u32| {
+            let q = C2rpq::new(
+                1,
+                vec![],
+                vec![Atom { x: Var(0), y: Var(0), regex: Regex::node(NodeLabel(l)) }],
+            );
+            format!("{:?}", decide_in_ctx(&mut ctx, &q, &budget))
+        };
+        labels.iter().map(verdict).collect::<Vec<_>>()
+    };
+    assert_eq!(verdicts(layered), verdicts(flat), "the verdicts differ");
+    flat_rounds.len()
+}
+
+/// Every completion the corpus runs, re-run layered and flat.
+#[test]
+fn corpus_completions_layered_match_flat() {
+    let mut seen = HashSet::new();
+    let inputs: Vec<&Round> = corpus_rounds()
+        .iter()
+        .filter(|r| {
+            r.index == 0 && seen.insert((r.tbox.cis.clone(), r.base, r.schema_labels.clone()))
+        })
+        .collect();
+    assert!(inputs.iter().all(|r| r.base > 0), "every corpus completion runs over T̂_S");
+    let rounds: usize = gts_obs::par::map(&inputs, |r| layered_matches_flat(r)).into_iter().sum();
+    println!("corpus: {} completions, {rounds} rounds, layered = flat", inputs.len());
+}
+
+/// The random TBoxes of the round check, each split at every point into
+/// a prepared base and an overlay.
+#[test]
+fn random_completions_layered_match_flat() {
+    let mut completions = 0;
+    for seed in 100..200u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let tbox = random_tbox(4, 2, rng.gen_range(3..9), &mut rng);
+        for split in 0..=tbox.len() {
+            let base = PreparedTbox::new(&HornTbox { cis: tbox.cis[..split].to_vec() });
+            let overlay = base.overlay([&HornTbox { cis: tbox.cis[split..].to_vec() }]);
+            let round = Round {
+                tbox: base.merged(&overlay),
+                base: base.len(),
+                schema_labels: set(&[0, 1, 2, 3]),
+                index: 0,
+                nodes: Vec::new(),
+            };
+            layered_matches_flat(&round);
+            completions += 1;
+        }
+    }
+    println!("random TBoxes: {completions} completions, layered = flat");
 }
 
 /// The engine's wrong `Unsat` behind the refuted answers, reduced:
