@@ -390,6 +390,23 @@ edge p1 exhibits a2
         assert!(out.output.contains("targets"), "{}", out.output);
     }
 
+    /// Concurrent shards decide each question once: a shard asking a
+    /// question another shard is deciding waits for its verdict, so the
+    /// memo counts the same hits whatever the shard count.
+    #[test]
+    fn cli_batch_shards_decide_each_question_once() {
+        use gts_engine::Json;
+        let cache = |threads: usize| {
+            let out = run(&args(&format!("batch mem.gts --threads {threads}")), &read_mem(MEDICAL));
+            let doc = Json::parse(&out.output).expect("batch prints JSON");
+            let files = doc.get("files").and_then(Json::as_arr).expect("files");
+            files[0].get("containment_cache").expect("the memo counters").clone()
+        };
+        let serial = cache(1);
+        assert!(serial.get("hits").and_then(Json::as_u64).is_some_and(|h| h > 0), "{serial:?}");
+        assert_eq!(cache(4), serial);
+    }
+
     #[test]
     fn cli_batch_stats_emits_the_session_block() {
         let out = run(&args("batch mem.gts --stats"), &read_mem(MEDICAL));

@@ -47,11 +47,10 @@
 //! question complete distinct TBoxes, and repeated questions are answered
 //! by the session's verdict memo above this crate.
 
-use crate::entail::HornFixpoint;
 use crate::prepared::PreparedTbox;
 use gts_dl::{HornCi, HornTbox};
 use gts_graph::{EdgeSym, FxHashMap, FxHashSet, LabelSet};
-use gts_sat::{Budget, TypeUniverse};
+use gts_sat::{Budget, HornFixpoint, TypeUniverse, UnknownReason};
 
 /// Configuration caps for the completion computation.
 #[derive(Clone, Debug)]
@@ -314,14 +313,13 @@ fn entail_sweep(
         let mut edges = Vec::new();
         let mut complete = true;
         for i in rows {
-            let successors = fixpoint.successors(&nodes[i]);
+            let successors = settled(|| fixpoint.successors(&nodes[i]));
             complete &= successors.is_ok();
             for &role in &roles {
                 for (j, kp) in nodes.iter().enumerate() {
                     let edge = known_idx.contains(&(i, role, j))
                         || successors.as_ref().is_ok_and(|s| s.cover(role, kp))
-                            && fixpoint
-                                .entails_at_most_one(kp, role.inv(), &nodes[i])
+                            && settled(|| fixpoint.entails_at_most_one(kp, role.inv(), &nodes[i]))
                                 .unwrap_or_else(|_| {
                                     complete = false;
                                     false
@@ -355,6 +353,26 @@ fn entail_sweep(
         complete &= run_complete;
     }
     (edges, complete)
+}
+
+/// Asks the sweep's fixpoint one question. An unsettled one is counted in
+/// `gts_containment_probe_micros`, with the time it took to give up (none
+/// once the fixpoint is exhausted).
+fn settled<T>(ask: impl FnOnce() -> Result<T, UnknownReason>) -> Result<T, UnknownReason> {
+    let t0 = gts_obs::enabled().then(std::time::Instant::now);
+    let out = ask();
+    if out.is_err() {
+        static HIST: std::sync::OnceLock<gts_obs::Histogram> = std::sync::OnceLock::new();
+        HIST.get_or_init(|| {
+            gts_obs::global().histogram(
+                "gts_containment_probe_micros",
+                "Completion entailment questions the canonical-model fixpoint left unsettled",
+                &[],
+            )
+        })
+        .record(t0.map_or(0, |t0| t0.elapsed().as_micros() as u64));
+    }
+    out
 }
 
 /// The forward-closed type universe: closures of schema-label singletons,

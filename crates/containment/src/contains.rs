@@ -20,12 +20,13 @@
 //! [`contains_with`] reads it from its caller's [`SchemaTboxes`], which
 //! `gts-engine`'s `AnalysisSession` keeps beside its verdict memo.
 //!
-//! Each choice's completed TBox `T*` gets one solver context, owned by
-//! the call for as long as it runs: every disjunct of `P̂` is decided
-//! through it, so they share interned types and realizability fixpoints
-//! (exact replay, see `gts_sat::decide_in_ctx`). The context's universe
-//! is the one the completion hands over ([`Completion::universe`]),
-//! which reuses the converged round's index and rule lists. Apart from
+//! Each choice's completed TBox `T*` gets one canonical-model fixpoint
+//! ([`HornFixpoint`]), owned by the call for as long as it runs: every
+//! disjunct of `P̂` is decided through it, so they share interned types
+//! and canonical-model nodes (see `gts_sat::decide_in_ctx`). The
+//! fixpoint's universe is the one the completion hands over
+//! ([`Completion::universe`]), which reuses the converged round's index
+//! and rule lists. Apart from
 //! the prepared `T̂_S`, nothing outlives the call; reuse of answers
 //! across questions is the verdict memo of `gts-engine`'s
 //! `AnalysisSession`. Choices are decided one after
@@ -42,7 +43,7 @@ use crate::rollup::{rollup_negation, RollupError};
 use gts_dl::HornTbox;
 use gts_graph::{Graph, Vocab};
 use gts_query::{C2rpq, Uc2rpq};
-use gts_sat::{Budget, RealizeCtx, Verdict};
+use gts_sat::{Budget, HornFixpoint, Verdict};
 use gts_schema::Schema;
 
 /// Options for [`contains`].
@@ -223,9 +224,9 @@ fn contains_lowered_inner(
             &opts.completion,
             opts.threads,
         );
-        let mut ctx = RealizeCtx::new(universe, opts.budget.clone());
+        let mut fixpoint = HornFixpoint::new(universe, &opts.budget);
         for pd in &p_hat.disjuncts {
-            match gts_sat::decide_in_ctx(&mut ctx, pd, &opts.budget) {
+            match gts_sat::decide_in_ctx(&mut fixpoint, pd, &opts.budget) {
                 Verdict::Sat(w) => return Ok(finish(false, completion_ok, Some(w.core))),
                 Verdict::Unsat => {}
                 Verdict::Unknown(_) => all_certified = false,

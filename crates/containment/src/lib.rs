@@ -13,8 +13,8 @@
 //!   [`complete_over`];
 //! * [`SchemaTboxes`] — `T̂_{S°}` (Theorem 5.6) prepared once per
 //!   Booleanized schema and shared by the completions over it;
-//! * [`HornFixpoint`] — CI entailment read off canonical models, for the
-//!   completion sweep;
+//! * [`gts_sat::HornFixpoint`] — CI entailment read off canonical models,
+//!   which the completion sweep and every decide of the pipeline share;
 //! * [`contains`] — the top-level decision procedure;
 //! * `oracle` helpers — brute-force finite differential oracles.
 //!
@@ -41,7 +41,6 @@
 mod booleanize;
 mod completion;
 mod contains;
-mod entail;
 mod hatp;
 mod nre;
 mod oracle;
@@ -58,7 +57,6 @@ pub use contains::{
     contains, contains_with, satisfiable_modulo_schema, ContainmentAnswer, ContainmentError,
     ContainmentOptions,
 };
-pub use entail::{HornFixpoint, Successors};
 pub use hatp::{hat_query, hat_regex, hat_union};
 pub use nre::{contains_nre, nest_tbox};
 pub use oracle::{

@@ -24,7 +24,7 @@ use crate::rollup::rollup_negation;
 use gts_dl::HornTbox;
 use gts_graph::Vocab;
 use gts_query::{C2rpq, Uc2rpq};
-use gts_sat::{decide_in_ctx, RealizeCtx, Verdict};
+use gts_sat::{decide_in_ctx, HornFixpoint, Verdict};
 
 /// Decides *finite* containment `P ⊆_T Q` over all finite graphs
 /// satisfying the Horn-ALCIF TBox `T`, for Boolean `P` and Boolean acyclic
@@ -58,9 +58,9 @@ pub fn contains_finite_modulo_tbox(
         let seeds = t.used_labels();
         let Completion { universe, complete: completion_ok, .. } =
             complete_with(&t, &seeds, &opts.budget, &opts.completion, opts.threads);
-        let mut ctx = RealizeCtx::new(universe, opts.budget.clone());
+        let mut fixpoint = HornFixpoint::new(universe, &opts.budget);
         for pd in &p.disjuncts {
-            match decide_in_ctx(&mut ctx, pd, &opts.budget) {
+            match decide_in_ctx(&mut fixpoint, pd, &opts.budget) {
                 Verdict::Sat(w) => {
                     return Ok(finish(false, completion_ok, Some(w.core)));
                 }
@@ -90,8 +90,8 @@ pub fn finitely_satisfiable_modulo_tbox(
     let seeds = tbox.used_labels();
     let Completion { universe, complete: completion_ok, .. } =
         complete_with(tbox, &seeds, &opts.budget, &opts.completion, opts.threads);
-    let mut ctx = RealizeCtx::new(universe, opts.budget.clone());
-    match decide_in_ctx(&mut ctx, p, &opts.budget) {
+    let mut fixpoint = HornFixpoint::new(universe, &opts.budget);
+    match decide_in_ctx(&mut fixpoint, p, &opts.budget) {
         // SAT modulo a partial completion does not yet witness a finite
         // model; UNSAT modulo a partial completion *does* refute one.
         Verdict::Sat(_) => Ok((true, completion_ok)),

@@ -28,7 +28,7 @@ use crate::rollup::rollup_negation;
 use gts_dl::HornTbox;
 use gts_graph::{EdgeSym, FxHashMap, Graph, NodeId, NodeLabel, Vocab};
 use gts_query::Uc2rpq;
-use gts_sat::{decide_in_ctx, RealizeCtx, Verdict};
+use gts_sat::{decide_in_ctx, HornFixpoint, Verdict};
 use gts_schema::{Mult, Schema};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -103,9 +103,9 @@ pub fn finite_counterexample<R: Rng>(
             &opts.completion,
             opts.threads,
         );
-        let mut ctx = RealizeCtx::new(universe, opts.budget.clone());
+        let mut fixpoint = HornFixpoint::new(universe, &opts.budget);
         for pd in &p_hat.disjuncts {
-            match decide_in_ctx(&mut ctx, pd, &opts.budget) {
+            match decide_in_ctx(&mut fixpoint, pd, &opts.budget) {
                 Verdict::Sat(w) => {
                     saw_sat_or_unknown = true;
                     if let Some(cex) =

@@ -237,91 +237,6 @@ impl HornTbox {
         roles
     }
 
-    /// Saturates `set` under the `K ⊑ A` rules; returns `None` if a
-    /// `K ⊑ ⊥` rule fires (the conjunction is inconsistent).
-    pub fn closure(&self, set: &LabelSet) -> Option<LabelSet> {
-        let mut cur = set.clone();
-        loop {
-            let mut changed = false;
-            for ci in &self.cis {
-                match ci {
-                    HornCi::SubAtom { lhs, rhs } if lhs.is_subset(&cur) && cur.insert(rhs.0) => {
-                        changed = true;
-                    }
-                    HornCi::Bottom { lhs } if lhs.is_subset(&cur) => {
-                        return None;
-                    }
-                    _ => {}
-                }
-            }
-            if !changed {
-                return Some(cur);
-            }
-        }
-    }
-
-    /// Labels forced by `∀`-rules on every `role`-successor of a node whose
-    /// label set is `src`.
-    pub fn propagate(&self, src: &LabelSet, role: EdgeSym) -> LabelSet {
-        let mut out = LabelSet::new();
-        for ci in &self.cis {
-            if let HornCi::AllValues { lhs, role: r, rhs } = ci {
-                if *r == role && lhs.is_subset(src) {
-                    out.union_with(rhs);
-                }
-            }
-        }
-        out
-    }
-
-    /// `true` iff an edge between a node of type `src` and a `role`-successor
-    /// of type `tgt` violates a `∄`-rule (checked in both directions).
-    pub fn edge_forbidden(&self, src: &LabelSet, role: EdgeSym, tgt: &LabelSet) -> bool {
-        self.cis.iter().any(|ci| {
-            if let HornCi::NotExists { lhs, role: r, rhs } = ci {
-                (*r == role && lhs.is_subset(src) && rhs.is_subset(tgt))
-                    || (*r == role.inv() && lhs.is_subset(tgt) && rhs.is_subset(src))
-            } else {
-                false
-            }
-        })
-    }
-
-    /// `true` iff the edge `(src) --role--> (tgt)` is locally consistent:
-    /// `∀`-propagation in both directions is absorbed and no `∄`-rule fires.
-    pub fn edge_ok(&self, src: &LabelSet, role: EdgeSym, tgt: &LabelSet) -> bool {
-        self.propagate(src, role).is_subset(tgt)
-            && self.propagate(tgt, role.inv()).is_subset(src)
-            && !self.edge_forbidden(src, role, tgt)
-    }
-
-    /// The `∃`-requirements applicable to a node of type `set`: deduplicated
-    /// `(role, K')` pairs from `K ⊑ ∃R.K'` rules with `K ⊆ set`.
-    pub fn requirements(&self, set: &LabelSet) -> Vec<(EdgeSym, LabelSet)> {
-        let mut reqs: Vec<(EdgeSym, LabelSet)> = Vec::new();
-        for ci in &self.cis {
-            if let HornCi::Exists { lhs, role, rhs } = ci {
-                if lhs.is_subset(set) && !reqs.iter().any(|(r, k)| r == role && k == rhs) {
-                    reqs.push((*role, rhs.clone()));
-                }
-            }
-        }
-        reqs
-    }
-
-    /// The at-most constraints applicable to a node of type `set`.
-    pub fn at_most(&self, set: &LabelSet) -> Vec<(EdgeSym, LabelSet)> {
-        let mut out: Vec<(EdgeSym, LabelSet)> = Vec::new();
-        for ci in &self.cis {
-            if let HornCi::AtMostOne { lhs, role, rhs } = ci {
-                if lhs.is_subset(set) && !out.iter().any(|(r, k)| r == role && k == rhs) {
-                    out.push((*role, rhs.clone()));
-                }
-            }
-        }
-        out
-    }
-
     /// Checks every CI on every node of a finite graph; returns the first
     /// violation found, if any.
     pub fn check_graph(&self, g: &Graph) -> Result<(), Violation> {
@@ -454,47 +369,11 @@ mod tests {
     }
 
     #[test]
-    fn closure_saturates_and_detects_bottom() {
-        let f = fix();
-        let mut t = HornTbox::new();
-        t.push(HornCi::SubAtom { lhs: set(&[f.a]), rhs: f.b });
-        let c = t.closure(&set(&[f.a])).unwrap();
-        assert!(c.contains(f.b.0));
-        t.push(HornCi::Bottom { lhs: set(&[f.a, f.b]) });
-        assert!(t.closure(&set(&[f.a])).is_none());
-        assert!(t.closure(&set(&[f.b])).is_some());
-    }
-
-    #[test]
-    fn propagate_pushes_all_values() {
-        let f = fix();
-        let mut t = HornTbox::new();
-        t.push(HornCi::AllValues { lhs: set(&[f.a]), role: f.r, rhs: set(&[f.b]) });
-        assert_eq!(t.propagate(&set(&[f.a]), f.r), set(&[f.b]));
-        assert!(t.propagate(&set(&[f.b]), f.r).is_empty());
-        assert!(t.propagate(&set(&[f.a]), f.r.inv()).is_empty());
-    }
-
-    #[test]
-    fn edge_ok_respects_propagation_and_denials() {
-        let f = fix();
-        let mut t = HornTbox::new();
-        t.push(HornCi::AllValues { lhs: set(&[f.a]), role: f.r, rhs: set(&[f.b]) });
-        assert!(t.edge_ok(&set(&[f.a]), f.r, &set(&[f.b])));
-        assert!(!t.edge_ok(&set(&[f.a]), f.r, &LabelSet::new()));
-        t.push(HornCi::NotExists { lhs: set(&[f.b]), role: f.r.inv(), rhs: set(&[f.a]) });
-        assert!(!t.edge_ok(&set(&[f.a]), f.r, &set(&[f.b])));
-    }
-
-    #[test]
-    fn requirements_and_at_most_filter_by_lhs() {
+    fn at_most_constraints_are_counted() {
         let f = fix();
         let mut t = HornTbox::new();
         t.push(HornCi::Exists { lhs: set(&[f.a]), role: f.r, rhs: set(&[f.b]) });
         t.push(HornCi::AtMostOne { lhs: set(&[f.a]), role: f.r, rhs: set(&[f.b]) });
-        assert_eq!(t.requirements(&set(&[f.a])).len(), 1);
-        assert_eq!(t.requirements(&set(&[f.b])).len(), 0);
-        assert_eq!(t.at_most(&set(&[f.a])).len(), 1);
         assert_eq!(t.num_at_most(), 1);
     }
 

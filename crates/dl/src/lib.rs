@@ -26,7 +26,7 @@
 //!     role: exhibits,
 //!     rhs: LabelSet::singleton(antigen.0),
 //! });
-//! assert_eq!(tbox.requirements(&LabelSet::singleton(pathogen.0)).len(), 1);
+//! assert_eq!(tbox.used_labels(), LabelSet::from_iter([pathogen.0, antigen.0]));
 //! ```
 
 #![warn(missing_docs)]

@@ -5,7 +5,8 @@
 //! distribution is a *work-stealing-free sharded queue*: requests are
 //! dealt round-robin into shards up front, so shards never contend on a
 //! shared queue — the only shared state is the session's containment
-//! memo, which every shard both reads and warms.
+//! memo, which every shard both reads and warms. The memo is
+//! single-flight, so shards asking one question at once decide it once.
 //!
 //! Results come back in submission order, each with its wall-clock time,
 //! so callers (the `gts batch` subcommand) can attribute cost per
@@ -340,7 +341,8 @@ mod tests {
             serial.push(label.clone(), req.clone());
             threaded.push(label, req);
         }
-        let (rs, _) = serial.run(1);
+        let (rs, serial_session) = serial.run(1);
+        let serial_stats = serial_session.stats();
         let (rt, session) = threaded.run(3);
         for (a, b) in rs.iter().zip(&rt) {
             assert_eq!(a.label, b.label);
@@ -356,8 +358,10 @@ mod tests {
                 other => panic!("verdicts diverged: {other:?}"),
             }
         }
-        // The shared memo saw overlapping questions from the workers.
+        // The shared memo saw overlapping questions from the workers, and
+        // decided each once, as the serial run did.
         let stats = session.stats();
-        assert!(stats.hits + stats.misses > 0);
+        assert!(stats.hits > 0);
+        assert_eq!((stats.hits, stats.misses), (serial_stats.hits, serial_stats.misses));
     }
 }

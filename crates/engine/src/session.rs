@@ -26,7 +26,7 @@
 //! `crates/tests` enforce this).
 
 use gts_core::containment::{contains_with, ContainmentError, ContainmentOptions, SchemaTboxes};
-use gts_core::graph::{FxHashMap, Vocab};
+use gts_core::graph::{FxHashMap, FxHashSet, Vocab};
 use gts_core::query::{C2rpq, Uc2rpq, Var};
 use gts_core::schema::Schema;
 use gts_core::{
@@ -35,7 +35,7 @@ use gts_core::{
 };
 use gts_obs::Json;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Cache-effectiveness counters of one session (cumulative, shared by all
 /// clones of the session).
@@ -90,6 +90,8 @@ pub(crate) struct Memo {
     pub(crate) misses: u64,
     /// Verdicts installed from a disk store rather than decided here.
     pub(crate) hydrated: u64,
+    /// Keys some clone is deciding now; other askers wait for them.
+    in_flight: FxHashSet<String>,
 }
 
 /// A reusable analysis context owning the shared state of all analyses
@@ -100,13 +102,18 @@ pub(crate) struct Memo {
 /// Cloning a session is cheap in the way that matters: the memo and the
 /// prepared TBoxes are shared (behind an [`Arc`]), so clones handed to
 /// worker threads of a [`crate::Batch`] warm one common cache. Both drop
-/// with the last clone.
+/// with the last clone. The memo is single-flight: a question one clone
+/// is deciding is not decided again by another, which waits for the
+/// verdict instead.
 #[derive(Clone)]
 pub struct AnalysisSession {
     schema: Schema,
     vocab: Vocab,
     opts: ContainmentOptions,
     memo: Arc<Mutex<Memo>>,
+    /// Signalled whenever a key leaves `Memo::in_flight`; shared by the
+    /// clones with the memo.
+    landed: Arc<Condvar>,
     /// `T̂_{S°}` per Booleanized schema `S°`, shared by the clones.
     tboxes: SchemaTboxes,
     /// The canonical identity, captured at construction: the analyses
@@ -137,6 +144,7 @@ impl AnalysisSession {
             vocab,
             opts,
             memo: Arc::new(Mutex::new(Memo::default())),
+            landed: Arc::new(Condvar::new()),
             tboxes: SchemaTboxes::default(),
             identity,
             disk: None,
@@ -270,6 +278,7 @@ impl AnalysisSession {
             vocab: &mut self.vocab,
             opts: &self.opts,
             memo: &self.memo,
+            landed: &self.landed,
             tboxes: &self.tboxes,
         }
     }
@@ -329,6 +338,7 @@ struct SessionOracle<'a> {
     vocab: &'a mut Vocab,
     opts: &'a ContainmentOptions,
     memo: &'a Mutex<Memo>,
+    landed: &'a Condvar,
     tboxes: &'a SchemaTboxes,
 }
 
@@ -337,19 +347,48 @@ impl ContainmentOracle for SessionOracle<'_> {
         let key = canonical_pair(p, q);
         {
             let mut memo = self.memo.lock().unwrap();
+            // Single flight: a key another clone is deciding is waited
+            // for, then read as a hit. If that decide fails, the key is
+            // free again and the first waiter to wake decides it.
+            while memo.in_flight.contains(&key) {
+                memo = self.landed.wait(memo).unwrap_or_else(PoisonError::into_inner);
+            }
             if let Some(&d) = memo.map.get(&key) {
                 memo.hits += 1;
                 return Ok(d);
             }
             memo.misses += 1;
+            memo.in_flight.insert(key.clone());
         }
-        // The lock is NOT held while deciding: concurrent workers may race
-        // to answer the same key, but the procedure is deterministic, so
-        // the duplicate insert is idempotent.
+        // The lock is NOT held while deciding; the guard frees the key and
+        // wakes the waiters however the decide ends, a panic included.
+        let flight = InFlight { memo: self.memo, landed: self.landed, key };
         let ans = contains_with(p, q, self.schema, self.vocab, self.opts, self.tboxes)?;
         let d = Decision { holds: ans.holds, certified: ans.certified };
-        self.memo.lock().unwrap().map.insert(key, d);
+        flight.land(d);
         Ok(d)
+    }
+}
+
+/// A key a clone is deciding. Landing it stores the verdict; dropping it
+/// frees the key either way and wakes every clone waiting for it.
+struct InFlight<'a> {
+    memo: &'a Mutex<Memo>,
+    landed: &'a Condvar,
+    key: String,
+}
+
+impl InFlight<'_> {
+    fn land(self, d: Decision) {
+        let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
+        memo.map.insert(self.key.clone(), d);
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner).in_flight.remove(&self.key);
+        self.landed.notify_all();
     }
 }
 
@@ -426,6 +465,42 @@ mod tests {
             vec![Atom { x: Var(0), y: Var(1), regex: Regex::edge(r).or(Regex::node(a)) }],
         ));
         (v, s, p, q)
+    }
+
+    /// A failed decide frees its key: clones asking one erroring question
+    /// at once each get the error, and none waits for ever.
+    #[test]
+    fn a_failed_decide_frees_its_key() {
+        let (v, s, p, _) = fixture();
+        let a = v.find_node_label("A").unwrap();
+        let unary = Uc2rpq::single(C2rpq::new(
+            1,
+            vec![Var(0)],
+            vec![Atom { x: Var(0), y: Var(0), regex: Regex::node(a) }],
+        ));
+        let session = AnalysisSession::new(s, v);
+        let answers = gts_obs::par::map(0..4, |_| session.clone().contains(&p, &unary));
+        assert!(answers.iter().all(|a| *a == Err(ContainmentError::ArityMismatch)), "{answers:?}");
+        let stats = session.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 4, 0));
+    }
+
+    /// A decide that panics frees its key too: the guard's drop runs while
+    /// the panic unwinds, so the next asker decides instead of waiting.
+    #[test]
+    fn a_panicked_decide_frees_its_key() {
+        let (v, s, p, q) = fixture();
+        let mut session = AnalysisSession::new(s, v);
+        let key = canonical_pair(&p, &q);
+        session.memo.lock().unwrap().in_flight.insert(key.clone());
+        let (memo, landed) = (&session.memo, &session.landed);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _flight = InFlight { memo, landed, key };
+            panic!("the decide panics");
+        }));
+        assert!(unwound.is_err());
+        assert!(session.memo.lock().unwrap().in_flight.is_empty());
+        assert!(session.contains(&p, &q).is_ok());
     }
 
     #[test]

@@ -24,10 +24,9 @@ pub struct Budget {
     pub max_words_per_atom: usize,
     /// Cap on chased cores per component.
     pub max_cores: usize,
-    /// Cap on realizability candidates (type, role, parent-type) explored.
+    /// Cap on the nodes of the canonical-model fixpoint
+    /// ([`crate::HornFixpoint`]), counted over every question it serves.
     pub max_candidates: usize,
-    /// Cap on requirement-grouping options enumerated per node.
-    pub max_groupings: usize,
 }
 
 impl Default for Budget {
@@ -38,7 +37,6 @@ impl Default for Budget {
             max_words_per_atom: 600,
             max_cores: 50_000,
             max_candidates: 60_000,
-            max_groupings: 20_000,
         }
     }
 }
@@ -47,14 +45,13 @@ impl Budget {
     /// The budget as a cache-key tuple — every field that bounds the
     /// search, in declaration order. All caches keyed by budget must use
     /// this (adding a field here updates them all at once).
-    pub fn cache_key(&self) -> [usize; 6] {
+    pub fn cache_key(&self) -> [usize; 5] {
         [
             self.max_total_edge_syms,
             self.max_word_syms,
             self.max_words_per_atom,
             self.max_cores,
             self.max_candidates,
-            self.max_groupings,
         ]
     }
 
@@ -66,7 +63,6 @@ impl Budget {
             max_words_per_atom: 4_000,
             max_cores: 500_000,
             max_candidates: 400_000,
-            max_groupings: 100_000,
         }
     }
 }
@@ -81,21 +77,19 @@ pub enum UnknownReason {
     WordBudget,
     /// The core cap was hit.
     CoreBudget,
-    /// The realizability candidate cap was hit.
+    /// The canonical-model fixpoint's node cap was hit.
     CandidateBudget,
-    /// The grouping cap was hit.
-    GroupingBudget,
-    /// A merged-witness option was rejected beyond the saturation's
-    /// guarantees; negative answers cannot be certified.
-    Saturation,
 }
 
 /// A satisfiability witness: the finite core of a `|p|`-sparse model.
 ///
 /// Every node of the core satisfies all universal constraints of the TBox,
-/// and each remaining `∃`-requirement was proved fulfillable by attaching
-/// (possibly infinite, finitely branching) witness trees — the coinductive
-/// check of Lemma E.5/E.6.
+/// and each remaining `∃`-requirement is met by a witness tree of the
+/// canonical-model fixpoint (possibly infinite, finitely branching, folded
+/// into finitely many keyed nodes) hung off the node — the pre-type
+/// elimination of Lemma E.5/E.6 without choices. Witnesses an at-most CI
+/// forces onto a core neighbour are that neighbour, whose labels in the
+/// core include their targets.
 #[derive(Clone, Debug)]
 pub struct Witness {
     /// The core graph (match image plus witnessing paths, after chasing).

@@ -17,7 +17,7 @@
 //! onto the survivor; entries referencing merged-away nodes are resolved
 //! through the union-find on read.
 
-use gts_dl::HornTbox;
+use crate::types::TypeUniverse;
 use gts_graph::{EdgeLabel, EdgeSym, Graph, LabelSet, NodeId};
 
 /// Why a core candidate was rejected.
@@ -125,11 +125,12 @@ impl Core {
         &self.labels[r]
     }
 
-    /// Overwrites a class's labels (used by the saturation loop of the
-    /// engine, which may only grow them).
-    pub fn set_labels(&mut self, node: usize, labels: LabelSet) {
+    /// Adds labels to a node's class; `true` iff it grew.
+    pub fn add_labels(&mut self, node: usize, labels: &LabelSet) -> bool {
         let r = self.find(node);
-        self.labels[r] = labels;
+        let grows = !labels.is_subset(&self.labels[r]);
+        self.labels[r].union_with(labels);
+        grows
     }
 
     /// The distinct `(source-root, label, target-root)` edges of the core,
@@ -185,29 +186,21 @@ impl Core {
         out
     }
 
-    /// Runs the deterministic chase to fixpoint: label closure,
-    /// `∀`-propagation, `∄`-checks, and functionality merges.
-    pub fn chase(&mut self, tbox: &HornTbox) -> Result<(), ChaseFail> {
-        self.chase_steps(&mut PlainOracle { tbox })
-    }
-
-    /// [`Core::chase`] with all TBox rule applications answered by
-    /// `universe`'s memos — the hot path of the satisfiability engine,
-    /// where every candidate core over one TBox closes and propagates the
-    /// same label sets.
-    pub fn chase_in(&mut self, universe: &mut crate::types::TypeUniverse) -> Result<(), ChaseFail> {
-        self.chase_steps(universe)
-    }
-
-    fn chase_steps(&mut self, ops: &mut dyn ChaseOracle) -> Result<(), ChaseFail> {
+    /// Runs the deterministic chase to fixpoint — label closure,
+    /// `∀`-propagation, `∄`-checks, and functionality merges — with every
+    /// TBox rule application answered by `universe`'s memos: every
+    /// candidate core over one TBox closes and propagates the same label
+    /// sets.
+    pub fn chase_in(&mut self, universe: &mut TypeUniverse) -> Result<(), ChaseFail> {
         loop {
             let mut changed = false;
 
             // 1) Close labels under K ⊑ A rules; detect ⊥.
             for root in self.roots() {
-                let closed = ops.close(&self.labels[root]).ok_or(ChaseFail::Inconsistent)?;
-                if closed != self.labels[root] {
-                    self.labels[root] = closed;
+                let closed = universe.close(&self.labels[root]).ok_or(ChaseFail::Inconsistent)?;
+                let closed = universe.labels(closed);
+                if *closed != self.labels[root] {
+                    self.labels[root] = closed.clone();
                     changed = true;
                 }
             }
@@ -215,12 +208,12 @@ impl Core {
             // 2) ∀-propagation along both directions of every edge.
             for (s, l, t) in self.edge_list() {
                 let (s, t) = (self.find(s), self.find(t));
-                let push_fwd = ops.propagate(&self.labels[s], EdgeSym::fwd(l));
+                let push_fwd = universe.propagate_set(&self.labels[s], EdgeSym::fwd(l));
                 if !push_fwd.is_subset(&self.labels[t]) {
                     self.labels[t].union_with(&push_fwd);
                     changed = true;
                 }
-                let push_bwd = ops.propagate(&self.labels[t], EdgeSym::bwd(l));
+                let push_bwd = universe.propagate_set(&self.labels[t], EdgeSym::bwd(l));
                 if !push_bwd.is_subset(&self.labels[s]) {
                     self.labels[s].union_with(&push_bwd);
                     changed = true;
@@ -230,7 +223,7 @@ impl Core {
             // 3) ∄-checks on every edge.
             for (s, l, t) in self.edge_list() {
                 let (s, t) = (self.find(s), self.find(t));
-                if ops.forbidden(&self.labels[s], EdgeSym::fwd(l), &self.labels[t]) {
+                if universe.edge_forbidden(&self.labels[s], EdgeSym::fwd(l), &self.labels[t]) {
                     return Err(ChaseFail::ForbiddenEdge);
                 }
             }
@@ -238,7 +231,7 @@ impl Core {
             // 4) Functionality merges: two distinct K'-successors under an
             //    at-most-one constraint must be identified.
             'merge_scan: for root in self.roots() {
-                let ams = ops.at_most(&self.labels[root]);
+                let ams = universe.at_most_set(&self.labels[root]);
                 for (role, k) in ams.iter() {
                     // Bitset filter: no incident edge with this label means
                     // no successors to count.
@@ -291,55 +284,10 @@ fn insert_sorted(v: &mut Vec<(EdgeLabel, usize)>, item: (EdgeLabel, usize)) {
     }
 }
 
-/// The TBox rule applications the chase needs, abstracted so the engine
-/// can answer them from the per-TBox memos of
-/// [`crate::types::TypeUniverse`] while standalone callers use the TBox
-/// directly.
-trait ChaseOracle {
-    fn close(&mut self, set: &LabelSet) -> Option<LabelSet>;
-    fn propagate(&mut self, set: &LabelSet, role: EdgeSym) -> std::sync::Arc<LabelSet>;
-    fn forbidden(&mut self, src: &LabelSet, role: EdgeSym, tgt: &LabelSet) -> bool;
-    fn at_most(&mut self, set: &LabelSet) -> std::sync::Arc<Vec<(EdgeSym, LabelSet)>>;
-}
-
-struct PlainOracle<'t> {
-    tbox: &'t HornTbox,
-}
-
-impl ChaseOracle for PlainOracle<'_> {
-    fn close(&mut self, set: &LabelSet) -> Option<LabelSet> {
-        self.tbox.closure(set)
-    }
-    fn propagate(&mut self, set: &LabelSet, role: EdgeSym) -> std::sync::Arc<LabelSet> {
-        std::sync::Arc::new(self.tbox.propagate(set, role))
-    }
-    fn forbidden(&mut self, src: &LabelSet, role: EdgeSym, tgt: &LabelSet) -> bool {
-        self.tbox.edge_forbidden(src, role, tgt)
-    }
-    fn at_most(&mut self, set: &LabelSet) -> std::sync::Arc<Vec<(EdgeSym, LabelSet)>> {
-        std::sync::Arc::new(self.tbox.at_most(set))
-    }
-}
-
-impl ChaseOracle for crate::types::TypeUniverse {
-    fn close(&mut self, set: &LabelSet) -> Option<LabelSet> {
-        crate::types::TypeUniverse::close(self, set).map(|t| self.labels(t).clone())
-    }
-    fn propagate(&mut self, set: &LabelSet, role: EdgeSym) -> std::sync::Arc<LabelSet> {
-        self.propagate_set(set, role)
-    }
-    fn forbidden(&mut self, src: &LabelSet, role: EdgeSym, tgt: &LabelSet) -> bool {
-        self.edge_forbidden(src, role, tgt)
-    }
-    fn at_most(&mut self, set: &LabelSet) -> std::sync::Arc<Vec<(EdgeSym, LabelSet)>> {
-        self.at_most_set(set)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gts_dl::HornCi;
+    use gts_dl::{HornCi, HornTbox};
     use gts_graph::NodeLabel;
 
     fn sym(i: u32) -> EdgeSym {
@@ -359,7 +307,7 @@ mod tests {
         let u = c.add_node(set(&[0]));
         let v = c.add_node(LabelSet::new());
         c.add_sym_edge(u, sym(0), v);
-        c.chase(&t).unwrap();
+        c.chase_in(&mut TypeUniverse::new(&t)).unwrap();
         assert!(c.labels_of(u).contains(1));
         assert!(c.labels_of(v).contains(2));
     }
@@ -373,7 +321,7 @@ mod tests {
         let u = c.add_node(LabelSet::new());
         let v = c.add_node(set(&[0]));
         c.add_sym_edge(u, sym(0), v);
-        c.chase(&t).unwrap();
+        c.chase_in(&mut TypeUniverse::new(&t)).unwrap();
         assert!(c.labels_of(u).contains(1));
     }
 
@@ -383,7 +331,7 @@ mod tests {
         t.push(HornCi::Bottom { lhs: set(&[0, 1]) });
         let mut c = Core::new();
         c.add_node(set(&[0, 1]));
-        assert_eq!(c.chase(&t), Err(ChaseFail::Inconsistent));
+        assert_eq!(c.chase_in(&mut TypeUniverse::new(&t)), Err(ChaseFail::Inconsistent));
     }
 
     #[test]
@@ -394,7 +342,7 @@ mod tests {
         let u = c.add_node(set(&[0]));
         let v = c.add_node(set(&[1]));
         c.add_sym_edge(u, sym(0), v);
-        assert_eq!(c.chase(&t), Err(ChaseFail::ForbiddenEdge));
+        assert_eq!(c.chase_in(&mut TypeUniverse::new(&t)), Err(ChaseFail::ForbiddenEdge));
     }
 
     #[test]
@@ -408,7 +356,7 @@ mod tests {
         let v2 = c.add_node(set(&[6]));
         c.add_sym_edge(u, sym(0), v1);
         c.add_sym_edge(u, sym(0), v2);
-        c.chase(&t).unwrap();
+        c.chase_in(&mut TypeUniverse::new(&t)).unwrap();
         assert_eq!(c.find(v1), c.find(v2));
         // Merged node carries both label sets.
         assert!(c.labels_of(v1).contains(5) && c.labels_of(v1).contains(6));
@@ -429,7 +377,7 @@ mod tests {
         let v2 = c.add_node(set(&[2]));
         c.add_sym_edge(u, sym(0), v1);
         c.add_sym_edge(u, sym(0), v2);
-        assert_eq!(c.chase(&t), Err(ChaseFail::Inconsistent));
+        assert_eq!(c.chase_in(&mut TypeUniverse::new(&t)), Err(ChaseFail::Inconsistent));
     }
 
     #[test]
@@ -443,7 +391,7 @@ mod tests {
         let v2 = c.add_node(set(&[9]));
         c.add_sym_edge(u, sym(0), v1);
         c.add_sym_edge(u, sym(0), v2);
-        c.chase(&t).unwrap();
+        c.chase_in(&mut TypeUniverse::new(&t)).unwrap();
         assert_ne!(c.find(v1), c.find(v2));
     }
 

@@ -10,9 +10,12 @@
 //! (Theorem 6.3) rather than the paper's nondeterministic skeleton-guessing
 //! presentation: candidate cores (query match + witnessing paths) are
 //! enumerated and chased deterministically, and the remaining existential
-//! obligations are discharged by a coinductive tree-witness check that is
-//! the paper's pre-type elimination (Lemma E.5/E.6) restated for Horn
-//! TBoxes. See DESIGN.md §3.2 for the complete/certified-answer contract.
+//! obligations are discharged by one Horn reasoner, [`HornFixpoint`]: the
+//! least fixpoint of the TBox's canonical models, which is the paper's
+//! pre-type elimination (Lemma E.5/E.6) without choices — Horn-ALCIF has
+//! canonical models. The completion's entailment sweep asks the same
+//! fixpoint. See DESIGN.md §3.2 for the complete/certified-answer
+//! contract.
 //!
 //! ```
 //! use gts_dl::{HornTbox, HornCi};
@@ -39,11 +42,11 @@
 mod budget;
 mod chase;
 mod engine;
-mod realize;
+mod entail;
 mod types;
 
 pub use budget::{Budget, UnknownReason, Verdict, Witness};
 pub use chase::{ChaseFail, Core};
 pub use engine::{decide, decide_in_ctx, universal_constraints_hold};
-pub use realize::{Cand, RealizeCtx, RealizeStats};
+pub use entail::{HornFixpoint, Successors};
 pub use types::{RuleIndex, TypeId, TypeUniverse};

@@ -2,15 +2,15 @@
 //!
 //! Every node of a candidate model carries a label set closed under the
 //! `K ⊑ A` rules of the TBox and not triggering any `K ⊑ ⊥` rule. The
-//! engine interns these closed sets so that the realizability fixpoint can
-//! key its candidates by small integers.
+//! engine interns these closed sets so that the canonical-model fixpoint
+//! ([`crate::HornFixpoint`]) can key its nodes by small integers.
 //!
 //! The universe holds the TBox only as its rule index, shared behind an
 //! [`Arc`]: it can outlive the `decide` call that built it — this is what
 //! lets one solver context (see [`crate::decide_in_ctx`]) share interned
-//! types, saturation fixpoints, and dead-type verdicts across the decides
-//! its owner runs — and [`TypeUniverse::fresh`] starts an empty universe
-//! over the same index instead of indexing the TBox again.
+//! types across the decides its owner runs — and [`TypeUniverse::fresh`]
+//! starts an empty universe over the same index instead of indexing the
+//! TBox again.
 //!
 //! The index also carries the rule lists derived from it: a label set's
 //! requirement and at-most lists are computed once for every universe
@@ -26,7 +26,7 @@
 //! TBoxes concatenated.
 
 use gts_dl::{HornCi, HornTbox};
-use gts_graph::{EdgeSym, FxHashMap, FxHashSet, LabelSet, NodeLabel};
+use gts_graph::{EdgeSym, FxHashMap, LabelSet, NodeLabel};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// `(role, K')` pairs of the `∃` or at-most rules firing on a label set.
@@ -44,9 +44,9 @@ type Lists<'a> = (&'a [(EdgeSym, LabelSet, LabelSet)], &'a FxHashMap<EdgeSym, Ve
 #[derive(Default)]
 struct Base {
     index: TboxIndex,
-    /// [`HornTbox::requirements`], per label set.
+    /// The `∃`-requirements firing on a label set, per label set.
     reqs: Mutex<FxHashMap<LabelSet, RuleList>>,
-    /// [`HornTbox::at_most`], per label set.
+    /// The at-most CIs firing on a label set, per label set.
     at_most: Mutex<FxHashMap<LabelSet, RuleList>>,
 }
 
@@ -66,9 +66,7 @@ enum Slot {
 
 /// CIs of one TBox grouped by kind (and by role where it pays), built once
 /// per TBox so every rule application scans only the relevant rules
-/// instead of the whole CI list; semantics match the corresponding
-/// `HornTbox` methods exactly, including result order (flat lists keep CI
-/// order).
+/// instead of the whole CI list; flat lists keep CI order.
 ///
 /// An index may sit on a shared `lower` layer whose CIs come before its
 /// own: every read goes through the lower layer first, so the two read as
@@ -354,8 +352,7 @@ fn push_firing(
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct TypeId(pub u32);
 
-/// Interning table of closed types, with a closure memo and the
-/// *saturation* fixpoint (see [`TypeUniverse::saturate`]).
+/// Interning table of closed types, with closure and propagation memos.
 #[derive(Clone)]
 pub struct TypeUniverse {
     /// The rule index of the TBox this universe was built over and its
@@ -364,14 +361,9 @@ pub struct TypeUniverse {
     sets: Vec<LabelSet>,
     by_set: FxHashMap<LabelSet, TypeId>,
     closure_memo: FxHashMap<LabelSet, Option<TypeId>>,
-    /// Current saturation approximation per type (monotonically growing).
-    sat: FxHashMap<TypeId, TypeId>,
-    /// Types whose requirements are unfulfillable (no model has a node of
-    /// this type).
-    dead: FxHashSet<TypeId>,
-    /// `HornTbox::propagate` memo over arbitrary (possibly unclosed) label
-    /// sets — the chase's hottest operation. Keyed by source set first so
-    /// probes hash one set and never clone.
+    /// `∀`-push memo over arbitrary (possibly unclosed) label sets — the
+    /// chase's hottest operation. Keyed by source set first so probes hash
+    /// one set and never clone.
     propagate_memo: FxHashMap<LabelSet, Vec<(EdgeSym, Arc<LabelSet>)>>,
 }
 
@@ -409,8 +401,6 @@ impl TypeUniverse {
             sets: Vec::new(),
             by_set: FxHashMap::default(),
             closure_memo: FxHashMap::default(),
-            sat: FxHashMap::default(),
-            dead: FxHashSet::default(),
             propagate_memo: FxHashMap::default(),
         }
     }
@@ -425,17 +415,20 @@ impl TypeUniverse {
         self.base.index.on_role(TboxIndex::atmost_lists, role)
     }
 
-    /// [`HornTbox::requirements`] of a type's label set.
+    /// The deduplicated `(role, K')` of the `K ⊑ ∃role.K'` CIs firing on a
+    /// type's label set, in CI order.
     pub fn requirements_of(&self, t: TypeId) -> RuleList {
         self.firing(&self.base.reqs, TboxIndex::exists_lists, &self.sets[t.0 as usize])
     }
 
-    /// [`HornTbox::at_most`] of a type's label set.
+    /// The deduplicated `(role, K')` of the `K ⊑ ∃≤1 role.K'` CIs firing
+    /// on a type's label set, in CI order.
     pub fn at_most_of(&self, t: TypeId) -> RuleList {
         self.at_most_set(&self.sets[t.0 as usize])
     }
 
-    /// Memoized [`HornTbox::propagate`] over an arbitrary label set.
+    /// The labels the `∀`-CIs firing on `set` force on every
+    /// `role`-successor, memoized over arbitrary label sets.
     pub fn propagate_set(&mut self, set: &LabelSet, role: EdgeSym) -> Arc<LabelSet> {
         if let Some(rows) = self.propagate_memo.get(set) {
             if let Some((_, p)) = rows.iter().find(|(r, _)| *r == role) {
@@ -449,20 +442,22 @@ impl TypeUniverse {
         p
     }
 
-    /// [`HornTbox::edge_forbidden`], read off the role-grouped `∄` rules.
+    /// `true` iff an edge from a `src`-node to a `role`-successor `tgt`
+    /// violates a `∄`-CI (checked in both directions), read off the
+    /// role-grouped `∄` rules.
     pub fn edge_forbidden(&self, src: &LabelSet, role: EdgeSym, tgt: &LabelSet) -> bool {
         self.base.index.edge_forbidden(src, role, tgt)
     }
 
-    /// [`HornTbox::at_most`] over an arbitrary label set.
+    /// [`TypeUniverse::at_most_of`] over an arbitrary label set.
     pub fn at_most_set(&self, set: &LabelSet) -> RuleList {
         self.firing(&self.base.at_most, TboxIndex::atmost_lists, set)
     }
 
     /// The deduplicated `(role, K')` of the rules of `kind` firing on
-    /// `set`, in CI order across the layers: [`HornTbox::requirements`]
-    /// over the `exists` lists, [`HornTbox::at_most`] over the `atmost`
-    /// lists, memoized in the base's `shared` lists.
+    /// `set`, in CI order across the layers: the requirements over the
+    /// `exists` lists, the at-most CIs over the `atmost` lists, memoized
+    /// in the base's `shared` lists.
     fn firing(
         &self,
         shared: &Mutex<FxHashMap<LabelSet, RuleList>>,
@@ -482,7 +477,8 @@ impl TypeUniverse {
         Arc::clone(lock().entry(set.clone()).or_insert_with(|| Arc::new(out)))
     }
 
-    /// [`HornTbox::closure`].
+    /// `seed` closed under the `K ⊑ A` CIs; `None` when a `K ⊑ ⊥` CI
+    /// fires.
     fn closure(&self, seed: &LabelSet) -> Option<LabelSet> {
         let mut cur = seed.clone();
         loop {
@@ -521,127 +517,6 @@ impl TypeUniverse {
     /// The label set of a type.
     pub fn labels(&self, id: TypeId) -> &LabelSet {
         &self.sets[id.0 as usize]
-    }
-
-    /// *Saturates* a type: the least fixpoint adding every label that is
-    /// forced on a node of this type in **every** model. A `K ⊑ ∃R.K'`
-    /// requirement forces *some* `R`-successor `w ⊇ close(K' ∪ ∀-push)`,
-    /// and `∀R⁻`-rules firing on (the saturation of) that minimal witness
-    /// push labels back onto the node itself. Returns `None` when the
-    /// requirements are unfulfillable (an inconsistent forced witness):
-    /// no model contains a node of this type.
-    ///
-    /// Soundness of the lower bound: any actual witness `w` has at least
-    /// the minimal witness's labels, saturation is monotone, and
-    /// `propagate` is monotone — so the absorbed push-back is forced.
-    ///
-    /// The per-type result depends only on the TBox and the type itself
-    /// (the fixpoint merely amortizes shared children), so cached
-    /// saturations replay exactly across `decide` calls.
-    ///
-    /// Registered types are always at their fixpoint between calls, so a
-    /// repeat `saturate` is a hash lookup; a new type runs the fixpoint
-    /// over the *new cohort* only (itself plus children registered during
-    /// this call). Existing entries cannot be affected: any type whose
-    /// requirement-closure child is `c` registered `c` when it was itself
-    /// saturated, so a newly registered type is never a child of an
-    /// already-saturated one.
-    pub fn saturate(&mut self, t: TypeId) -> Option<TypeId> {
-        if self.sat.contains_key(&t) {
-            return if self.dead.contains(&t) { None } else { Some(self.sat[&t]) };
-        }
-        // Memo miss: run (and time) the actual fixpoint computation.
-        let _span = gts_obs::span("saturate");
-        if !gts_obs::enabled() {
-            return self.saturate_fixpoint(t);
-        }
-        let start = std::time::Instant::now();
-        let out = self.saturate_fixpoint(t);
-        static HIST: std::sync::OnceLock<gts_obs::Histogram> = std::sync::OnceLock::new();
-        HIST.get_or_init(|| {
-            gts_obs::global().histogram(
-                "gts_sat_saturate_micros",
-                "Latency of type-saturation fixpoint computations (memo misses)",
-                &[],
-            )
-        })
-        .record(start.elapsed().as_micros() as u64);
-        out
-    }
-
-    fn saturate_fixpoint(&mut self, t: TypeId) -> Option<TypeId> {
-        let mut cohort: Vec<TypeId> = vec![t];
-        self.sat.insert(t, t);
-        loop {
-            let mut changed = false;
-            let before = cohort.len();
-            for idx in 0.. {
-                if idx >= cohort.len() {
-                    break;
-                }
-                let orig = cohort[idx];
-                if self.dead.contains(&orig) {
-                    continue;
-                }
-                let cur = self.sat[&orig];
-                let labels = self.labels(cur).clone();
-                let mut grown = labels.clone();
-                let mut died = false;
-                let reqs = self.requirements_of(cur);
-                for (role, kp) in reqs.iter() {
-                    let role = *role;
-                    let mut seed = (*self.propagate_set(&labels, role)).clone();
-                    seed.union_with(kp);
-                    let child = match self.close(&seed) {
-                        Some(c) => c,
-                        None => {
-                            died = true;
-                            break;
-                        }
-                    };
-                    // Register the child; use its current approximation.
-                    if let std::collections::hash_map::Entry::Vacant(e) = self.sat.entry(child) {
-                        e.insert(child);
-                        cohort.push(child);
-                    }
-                    if self.dead.contains(&child) {
-                        died = true;
-                        break;
-                    }
-                    let child_cur = self.sat[&child];
-                    let child_labels = self.labels(child_cur).clone();
-                    let push_back = self.propagate_set(&child_labels, role.inv());
-                    grown.union_with(&push_back);
-                }
-                if died {
-                    self.dead.insert(orig);
-                    changed = true;
-                    continue;
-                }
-                // `cur` is interned (hence closed), so the closure changed
-                // the labels iff it changed the type id.
-                match self.close(&grown) {
-                    None => {
-                        self.dead.insert(orig);
-                        changed = true;
-                    }
-                    Some(closed_id) => {
-                        if closed_id != cur {
-                            self.sat.insert(orig, closed_id);
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if !changed && cohort.len() == before {
-                break;
-            }
-        }
-        if self.dead.contains(&t) {
-            None
-        } else {
-            Some(self.sat[&t])
-        }
     }
 
     /// Number of interned types.
@@ -684,28 +559,6 @@ mod tests {
         assert!(u.close(&LabelSet::singleton(0)).is_none());
     }
 
-    #[test]
-    fn repeat_saturation_is_stable() {
-        // A ⊑ ∃r.B, B ⊑ ∀r⁻.C : saturating A absorbs C.
-        let mut t = HornTbox::new();
-        t.push(HornCi::Exists {
-            lhs: LabelSet::singleton(0),
-            role: gts_graph::EdgeSym::fwd(gts_graph::EdgeLabel(0)),
-            rhs: LabelSet::singleton(1),
-        });
-        t.push(HornCi::AllValues {
-            lhs: LabelSet::singleton(1),
-            role: gts_graph::EdgeSym::bwd(gts_graph::EdgeLabel(0)),
-            rhs: LabelSet::singleton(2),
-        });
-        let mut u = TypeUniverse::new(&t);
-        let a = u.close(&LabelSet::singleton(0)).unwrap();
-        let s1 = u.saturate(a).unwrap();
-        assert!(u.labels(s1).contains(2));
-        // The converged fast path returns the same answer.
-        let s2 = u.saturate(a).unwrap();
-        assert_eq!(s1, s2);
-    }
     /// One CI of every kind, over two roles, with a duplicate `(role, K')`
     /// across kinds: enough to see every list's order.
     fn mixed_tbox() -> HornTbox {

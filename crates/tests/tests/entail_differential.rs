@@ -14,13 +14,14 @@
 //! engine is certain. The fixpoint must settle every question; the count
 //! of questions the engine leaves `Unknown` is printed.
 //!
-//! The engine can certify a wrong `Unsat`: its realizability check gives
-//! a witness's neighbours fixed types, so a witness an at-most CI forces
-//! onto a neighbour that would have to grow is rejected outright (see
-//! `sat_engine_certifies_unsat_for_a_one_node_model`). Where the fixpoint
-//! answers "not entailed" and the engine "entailed", a finite model
-//! search (`finite_model`, independent of both) must find a countermodel;
-//! such questions are counted and printed as refuted engine answers.
+//! The engine decides through the same canonical-model fixpoint, but on
+//! another TBox and another query shape, so the two answers are not one
+//! computation. Where the fixpoint answers "not entailed" and the engine
+//! "entailed", a finite model search (`finite_model`, independent of
+//! both) looks for a countermodel; such questions are counted as refuted
+//! engine answers, and there must be none. The same search checks every
+//! certified `Unsat` the engine gives a seed label of a converged corpus
+//! completion.
 //!
 //! The same rounds check the completion's layering: every completion the
 //! corpus runs over a prepared `T̂_{S°}`, and the random TBoxes split into
@@ -29,11 +30,10 @@
 //! order, the same `T*` CI for CI, the same flags, and the same verdicts.
 
 use gts_core::containment::{
-    complete, complete_over, record_rounds, Completion, CompletionConfig, HornFixpoint,
-    PreparedTbox, Round,
+    complete, complete_over, record_rounds, Completion, CompletionConfig, PreparedTbox, Round,
 };
 use gts_core::prelude::*;
-use gts_core::sat::{decide_in_ctx, RealizeCtx, TypeUniverse, Verdict};
+use gts_core::sat::{decide_in_ctx, HornFixpoint, TypeUniverse, Verdict};
 use gts_corpus::{scenario, Expectation, Family, Params};
 use gts_engine::AnalysisSession;
 use gts_graph::{FxHashMap, Graph, NodeId};
@@ -46,15 +46,15 @@ fn set(labels: &[u32]) -> LabelSet {
     LabelSet::from_iter(labels.iter().copied())
 }
 
-/// The Corollary E.7 encodings over one TBox, one solver context per
+/// The Corollary E.7 encodings over one TBox, one engine fixpoint per
 /// extended TBox (`(R, K')` for `∃`, one for at-most).
 struct Oracle {
     /// The TBox with the clash `B ⊓ B' ⊑ ⊥` pushed onto it.
     clashed: HornTbox,
     fresh: (NodeLabel, NodeLabel),
     budget: Budget,
-    exists_ctxs: FxHashMap<(EdgeSym, LabelSet), RealizeCtx>,
-    at_most_ctx: Option<RealizeCtx>,
+    exists_ctxs: FxHashMap<(EdgeSym, LabelSet), HornFixpoint>,
+    at_most_ctx: Option<HornFixpoint>,
 }
 
 impl Oracle {
@@ -76,7 +76,7 @@ impl Oracle {
     }
 
     /// `Some(entailed)`, or `None` when the engine is not certain.
-    fn answer(ctx: &mut RealizeCtx, q: &C2rpq, budget: &Budget) -> Option<bool> {
+    fn answer(ctx: &mut HornFixpoint, q: &C2rpq, budget: &Budget) -> Option<bool> {
         match decide_in_ctx(ctx, q, budget) {
             Verdict::Unsat => Some(true),
             Verdict::Sat(_) => Some(false),
@@ -93,7 +93,7 @@ impl Oracle {
         let ctx = self.exists_ctxs.entry((role, kp.clone())).or_insert_with(|| {
             let mut t = self.clashed.clone();
             t.push(HornCi::AllValues { lhs: kp.clone(), role: role.inv(), rhs: set(&[b2.0]) });
-            RealizeCtx::new(TypeUniverse::new(&t), self.budget.clone())
+            HornFixpoint::new(TypeUniverse::new(&t), &self.budget)
         });
         Self::answer(ctx, &q, &self.budget)
     }
@@ -114,7 +114,7 @@ impl Oracle {
             ],
         );
         let ctx = self.at_most_ctx.get_or_insert_with(|| {
-            RealizeCtx::new(TypeUniverse::new(&self.clashed), self.budget.clone())
+            HornFixpoint::new(TypeUniverse::new(&self.clashed), &self.budget)
         });
         Self::answer(ctx, &q, &self.budget)
     }
@@ -368,6 +368,62 @@ fn corpus_rounds_agree_with_the_e7_encodings() {
     assert_eq!(tally.fixpoint_unsettled, 0, "the fixpoint settles every corpus question");
 }
 
+/// Every converged completion of the corpus — the last round of each
+/// recorded completion, whose TBox is its `T*` — asked `∃x.A(x)` for each
+/// seed label `A`. A certified `Unsat` must survive a finite model search
+/// of `T*` (at most 4 nodes, from one `A`-node): such a model would be a
+/// finite model of the completed TBox with an `A`-node, refuting it.
+#[test]
+fn corpus_seed_label_refutations_have_no_small_model() {
+    let rounds = corpus_rounds();
+    let next_index = rounds.iter().skip(1).map(|r| r.index).chain([0]);
+    let mut seen = HashSet::new();
+    let finals: Vec<&Round> = rounds
+        .iter()
+        .zip(next_index)
+        .filter(|(r, next)| {
+            *next == 0 && seen.insert((r.tbox.cis.clone(), r.schema_labels.clone()))
+        })
+        .map(|(r, _)| r)
+        .collect();
+    let max_rounds = CompletionConfig::default().max_rounds;
+    assert!(finals.iter().all(|r| r.index + 1 < max_rounds), "every corpus completion converges");
+    let budget = Budget::default();
+    let tallies = gts_obs::par::map(&finals, |round| {
+        let mut fixpoint = HornFixpoint::new(TypeUniverse::new(&round.tbox), &budget);
+        let (mut asked, mut refuted, mut unknown) = (0, 0, 0);
+        for l in round.schema_labels.iter() {
+            let q = C2rpq::new(
+                1,
+                vec![],
+                vec![Atom { x: Var(0), y: Var(0), regex: Regex::node(NodeLabel(l)) }],
+            );
+            asked += 1;
+            match decide_in_ctx(&mut fixpoint, &q, &budget) {
+                Verdict::Unsat => {
+                    refuted += 1;
+                    let mut g = Graph::new();
+                    g.add_labeled_node([NodeLabel(l)]);
+                    let mut steps = 20_000;
+                    let model = finite_model(&round.tbox, g, 4, &|_| true, &mut steps);
+                    assert!(model.is_none(), "∃x.{l}(x) has a finite model of {:?}", round.tbox);
+                }
+                Verdict::Unknown(_) => unknown += 1,
+                Verdict::Sat(_) => {}
+            }
+        }
+        (asked, refuted, unknown)
+    });
+    let (asked, refuted, unknown) =
+        tallies.into_iter().fold((0, 0, 0), |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2));
+    println!(
+        "corpus: {} converged completions, {asked} seed labels, {refuted} certified unsatisfiable \
+         (none with a model of at most 4 nodes), {unknown} unknown",
+        finals.len()
+    );
+    assert!(asked > 0);
+}
+
 /// A random Horn TBox as in `solver_cache.rs`: every CI kind, inverse
 /// roles, conjunctions of up to two names.
 fn random_tbox<R: Rng>(num_labels: u32, num_roles: u32, num_cis: usize, rng: &mut R) -> HornTbox {
@@ -411,7 +467,9 @@ fn random_tbox_rounds_agree_with_the_e7_encodings() {
     });
     let tally = check_rounds(&distinct(&rounds));
     println!("random TBoxes: {tally:?}");
+    println!("random TBoxes: the engine left {} questions unknown", tally.engine_unknown);
     assert_eq!(tally.fixpoint_unsettled, 0, "the fixpoint settles every random question");
+    assert_eq!(tally.engine_refuted, 0, "no finite countermodel refutes an engine answer");
 }
 
 /// Completes the input of `round` (a round 0) twice: layered over its
@@ -434,7 +492,7 @@ fn layered_matches_flat(round: &Round) -> usize {
     assert_eq!(base.merged(&layered.tbox), flat.tbox, "T* differs");
     assert_eq!((layered.added, layered.complete), (flat.added, flat.complete));
     let verdicts = |c: Completion| {
-        let mut ctx = RealizeCtx::new(c.universe, budget.clone());
+        let mut ctx = HornFixpoint::new(c.universe, &budget);
         let verdict = |l: u32| {
             let q = C2rpq::new(
                 1,
@@ -489,15 +547,14 @@ fn random_completions_layered_match_flat() {
     println!("random TBoxes: {completions} completions, layered = flat");
 }
 
-/// The engine's wrong `Unsat` behind the refuted answers, reduced:
 /// `⊤ ⊑ A, A ⊑ ∃r.(B⊓C), A⊓C ⊑ ∃r⁻.(A⊓C), A⊓C ⊑ ∃≤1 r.(A⊓C)` has the
-/// one-node model `{A, B, C}` with an `r`-loop, yet the engine certifies
-/// `∃x.A(x)` unsatisfiable. A `C`-node's `∃r⁻`-witness must take the
-/// `C`-node itself as its `∃r`-witness, which then gains `B`; the fixed
-/// neighbour types of its realizability check cannot express that. This
-/// pins the fault until the engine is fixed; the fixpoint gets it right.
+/// one-node model `{A, B, C}` with an `r`-loop. A `C`-node's
+/// `∃r⁻`-witness must take the `C`-node itself as its `∃r`-witness, which
+/// then gains `B`: a witness merging into a neighbour that grows. The
+/// engine, which fixed its neighbours' types before it decided through
+/// the canonical-model fixpoint, certified `∃x.A(x)` unsatisfiable here.
 #[test]
-fn sat_engine_certifies_unsat_for_a_one_node_model() {
+fn sat_engine_finds_the_one_node_model() {
     let r = EdgeSym::fwd(EdgeLabel(0));
     let [a, b, c] = [0, 1, 2];
     let mut t = HornTbox::new();
@@ -514,10 +571,7 @@ fn sat_engine_certifies_unsat_for_a_one_node_model() {
         vec![],
         vec![Atom { x: Var(0), y: Var(0), regex: Regex::node(NodeLabel(a)) }],
     );
-    assert!(
-        gts_core::sat::decide(&t, &q, &Budget::default()).is_unsat(),
-        "the engine fault is pinned"
-    );
+    assert!(gts_core::sat::decide(&t, &q, &Budget::default()).is_sat(), "∃x.A(x) has a model");
     // The fixpoint: A is satisfiable, with an r-successor {A, B, C}.
     let mut fix = HornFixpoint::new(TypeUniverse::new(&t), &Budget::default());
     assert_eq!(fix.entails_exists(&set(&[a]), r, &set(&[a, b, c])), Ok(true));
@@ -525,9 +579,9 @@ fn sat_engine_certifies_unsat_for_a_one_node_model() {
     assert!(refutes_engine(&t, &set(&[a]), r.inv(), &LabelSet::new(), false));
 }
 
-/// The three shapes plain saturation gets wrong, each against the oracle
-/// too: the engine agrees on the two it decides, and leaves the
-/// functional merge `Unknown`.
+/// The three shapes plain saturation (the engine's old realizability
+/// check) got wrong, each against the oracle too: the engine decides all
+/// three.
 #[test]
 fn saturation_gaps_match_the_oracle() {
     let r = EdgeSym::fwd(EdgeLabel(0));
@@ -557,7 +611,7 @@ fn saturation_gaps_match_the_oracle() {
     t.push(HornCi::AtMostOne { lhs: set(&[a]), role: r, rhs: LabelSet::new() });
     let (mut fix, mut oracle) = ask(&t);
     assert_eq!(fix.entails_exists(&set(&[a]), r, &set(&[b, c])), Ok(true));
-    assert_eq!(oracle.exists(&set(&[a]), r, &set(&[b, c])), None, "the engine cannot merge");
+    assert_eq!(oracle.exists(&set(&[a]), r, &set(&[b, c])), Some(true), "the engine merges");
 
     // Joint at-most: B ⊑ ∀r⁻.M, M ⊑ ∃≤1 r.B ⊨ A ⊑ ∃≤1 r.B.
     let [a, b, m] = [0, 1, 2];

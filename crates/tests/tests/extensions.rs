@@ -182,7 +182,6 @@ fn starved_budget() -> Budget {
         max_words_per_atom: 2,
         max_cores: 4,
         max_candidates: 8,
-        max_groupings: 2,
     }
 }
 

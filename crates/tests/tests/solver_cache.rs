@@ -6,7 +6,7 @@
 
 use gts_core::containment::{complete, complete_with, Completion, CompletionConfig};
 use gts_core::prelude::*;
-use gts_core::sat::{decide, decide_in_ctx, RealizeCtx, TypeUniverse};
+use gts_core::sat::{decide, decide_in_ctx, HornFixpoint, TypeUniverse};
 use gts_engine::AnalysisSession;
 use gts_schema::{random_schema, SchemaGenConfig};
 use rand::rngs::StdRng;
@@ -106,7 +106,7 @@ fn cached_decide_agrees_with_fresh_on_random_instances() {
         let mut rng = StdRng::seed_from_u64(seed);
         let tbox = random_tbox(4, 3, rng.gen_range(3..10), &mut rng);
         let queries = random_queries(4, 3, &mut rng);
-        let mut ctx = RealizeCtx::new(TypeUniverse::new(&tbox), budget.clone());
+        let mut ctx = HornFixpoint::new(TypeUniverse::new(&tbox), &budget);
         for pass in 0..2 {
             for q in &queries {
                 let fresh = decide(&tbox, q, &budget);
@@ -138,8 +138,8 @@ fn cross_tbox_isolation() {
         vec![],
         vec![Atom { x: Var(0), y: Var(0), regex: Regex::node(NodeLabel(0)) }],
     );
-    let mut contexts: Vec<RealizeCtx> =
-        [&t1, &t2, &t3].map(|t| RealizeCtx::new(TypeUniverse::new(t), budget.clone())).into();
+    let mut contexts: Vec<HornFixpoint> =
+        [&t1, &t2, &t3].map(|t| HornFixpoint::new(TypeUniverse::new(t), &budget)).into();
     for _ in 0..3 {
         assert!(decide_in_ctx(&mut contexts[0], &q, &budget).is_unsat());
         assert!(decide_in_ctx(&mut contexts[1], &q, &budget).is_sat());
@@ -158,8 +158,8 @@ fn completions_agree_cached_and_threaded() {
     let budget = Budget::default();
     let cfg = Default::default();
     let same_verdicts = |c: &Completion, queries: &[C2rpq], what: &str| {
-        let mut handed = RealizeCtx::new(c.universe.clone(), budget.clone());
-        let mut rebuilt = RealizeCtx::new(TypeUniverse::new(&c.tbox), budget.clone());
+        let mut handed = HornFixpoint::new(c.universe.clone(), &budget);
+        let mut rebuilt = HornFixpoint::new(TypeUniverse::new(&c.tbox), &budget);
         for q in queries {
             let (h, r) =
                 (decide_in_ctx(&mut handed, q, &budget), decide_in_ctx(&mut rebuilt, q, &budget));
