@@ -43,9 +43,12 @@
 //! indexes `T*` (its overlay) anew. The sweep can fan out over
 //! [`gts_obs::par`] shards, one contiguous run of premises each, merged
 //! in order; every answer is exact, so the result never depends on the
-//! shard count. Completions are not memoized: the negation choices of one
-//! question complete distinct TBoxes, and repeated questions are answered
-//! by the session's verdict memo above this crate.
+//! shard count. This module memoizes nothing; the containment pipeline
+//! asks for its completions through [`PreparedTbox::complete`], which
+//! keeps each `T*` overlay beside its base, keyed by the input overlay,
+//! the seed labels and the options that bound the run, and answers a
+//! repeat from it. `T¬Q` depends on `Q°` alone, so the many `P` of one
+//! question against one `Q°` complete it once.
 
 use crate::prepared::PreparedTbox;
 use gts_dl::{HornCi, HornTbox};

@@ -19,15 +19,19 @@
 //! ([`crate::complete_over`]). [`contains`] prepares it for its one call;
 //! [`contains_with`] reads it from its caller's [`SchemaTboxes`], which
 //! `gts-engine`'s `AnalysisSession` keeps beside its verdict memo.
+//! `T¬Q` and so `T*` do not depend on `P`, and the prepared `T̂_S`
+//! memoizes the completions over it ([`crate::PreparedTbox`]): a question
+//! that asks another `P` against a `Q°` met before completes nothing.
 //!
 //! Each choice's completed TBox `T*` gets one canonical-model fixpoint
 //! ([`HornFixpoint`]), owned by the call for as long as it runs: every
 //! disjunct of `P̂` is decided through it, so they share interned types
 //! and canonical-model nodes (see `gts_sat::decide_in_ctx`). The
-//! fixpoint's universe is the one the completion hands over
-//! ([`Completion::universe`]), which reuses the converged round's index
-//! and rule lists. Apart from
-//! the prepared `T̂_S`, nothing outlives the call; reuse of answers
+//! fixpoint's universe is the one a completion hands over
+//! ([`crate::Completion::universe`]), which reuses the converged round's
+//! index and rule lists, or, for a memoized `T*`, a universe indexing
+//! its CIs over `T̂_S`. Apart from the prepared `T̂_S` and its memoized
+//! completions, nothing outlives the call; reuse of answers
 //! across questions is the verdict memo of `gts-engine`'s
 //! `AnalysisSession`. Choices are decided one after
 //! another, stopping at the first `Sat`; the only parallel section is the
@@ -36,7 +40,7 @@
 //! and witnesses do not depend on the thread count.
 
 use crate::booleanize::booleanize;
-use crate::completion::{complete_over, Completion, CompletionConfig};
+use crate::completion::CompletionConfig;
 use crate::hatp::hat_union;
 use crate::prepared::SchemaTboxes;
 use crate::rollup::{rollup_negation, RollupError};
@@ -214,16 +218,9 @@ fn contains_lowered_inner(
     let mut all_certified = true;
     for choice in unique_choices {
         // Theorem 5.4 / Lemma D.7: complete T̂_S ∪ T¬Q ∪ extra, indexing
-        // only the CIs beyond T̂_S.
-        let overlay = hat_ts.overlay([choice, extra]);
-        let Completion { universe, complete: completion_ok, .. } = complete_over(
-            &hat_ts,
-            overlay,
-            &schema_label_set,
-            &opts.budget,
-            &opts.completion,
-            opts.threads,
-        );
+        // only the CIs beyond T̂_S, or find it completed.
+        let (universe, completion_ok) =
+            hat_ts.complete(hat_ts.overlay([choice, extra]), &schema_label_set, opts);
         let mut fixpoint = HornFixpoint::new(universe, &opts.budget);
         for pd in &p_hat.disjuncts {
             match gts_sat::decide_in_ctx(&mut fixpoint, pd, &opts.budget) {

@@ -11,23 +11,85 @@
 //! so far. [`SchemaTboxes`] keeps one prepared TBox per `S°` for its
 //! owner, an `AnalysisSession` or a single [`crate::contains`] call; it
 //! drops with its owner.
+//!
+//! A completion is a function of its base, its overlay and the options
+//! that bound it, and the questions of one analysis ask many `P` against
+//! few `Q°`; with state labels named by their place in `Q°`
+//! ([`crate::rollup_negation`]) their overlays repeat. So each prepared
+//! TBox also memoizes the completions over it ([`PreparedTbox::complete`]):
+//! the `T*` overlay and its `complete` flag, not the type universe, which
+//! a hit rebuilds over the memoized CIs.
 
+use crate::completion::{complete_over, Completion};
+use crate::contains::ContainmentOptions;
 use gts_dl::{HornCi, HornTbox};
-use gts_graph::{EdgeSym, FxHashSet, LabelSet};
+use gts_graph::{EdgeSym, FxHashSet, FxHasher, LabelSet};
 use gts_sat::{RuleIndex, TypeUniverse};
 use gts_schema::Schema;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// A TBox prepared as the shared base of many completions: its rule index
 /// (the one copy of its CIs), the distinct left- and right-hand sides of
-/// its `∃` and at-most CIs in CI order, and its roles in CI order. A
-/// completion over it works on an *overlay*, the CIs beyond the base, and
-/// reads as the completion of the base's CIs followed by the overlay's.
+/// its `∃` and at-most CIs in CI order, its roles in CI order, and the
+/// completions run over it. A completion over it works on an *overlay*,
+/// the CIs beyond the base, and reads as the completion of the base's CIs
+/// followed by the overlay's.
 #[derive(Default)]
 pub struct PreparedTbox {
     index: RuleIndex,
     seeds: Vec<LabelSet>,
     roles: Vec<EdgeSym>,
+    completions: Mutex<Vec<Completed>>,
+}
+
+/// At most this many completions are memoized per prepared TBox; past the
+/// cap the oldest goes.
+const MEMO_CAP: usize = 64;
+
+/// A memoized completion. Its key is the input overlay, which is the
+/// first `input` CIs of `t_star` (a completion only appends reversals),
+/// with the seed labels and the options that bound the completion; its
+/// value is the `T*` overlay and its `complete` flag.
+struct Completed {
+    hash: u64,
+    input: usize,
+    schema_labels: LabelSet,
+    bounds: Bounds,
+    t_star: Arc<HornTbox>,
+    complete: bool,
+}
+
+/// The options that shape a completion: the budget of its fixpoints and
+/// its caps. The shard count does not change the result.
+type Bounds = ([usize; 5], usize, usize);
+
+fn bounds(opts: &ContainmentOptions) -> Bounds {
+    (opts.budget.cache_key(), opts.completion.max_nodes, opts.completion.max_rounds)
+}
+
+impl Completed {
+    fn is(&self, hash: u64, overlay: &[HornCi], labels: &LabelSet, bounds: &Bounds) -> bool {
+        self.hash == hash
+            && self.bounds == *bounds
+            && self.t_star.cis[..self.input] == *overlay
+            && self.schema_labels == *labels
+    }
+
+    fn approx_bytes(&self) -> usize {
+        let ci_sides = |ci: &HornCi| match ci {
+            HornCi::SubAtom { lhs, .. } | HornCi::Bottom { lhs } => lhs.approx_bytes(),
+            HornCi::AllValues { lhs, rhs, .. }
+            | HornCi::NotExists { lhs, rhs, .. }
+            | HornCi::Exists { lhs, rhs, .. }
+            | HornCi::AtMostOne { lhs, rhs, .. } => lhs.approx_bytes() + rhs.approx_bytes(),
+        };
+        // The `Arc`'s block holds its two counts and the TBox.
+        self.schema_labels.approx_bytes()
+            + std::mem::size_of::<(usize, usize, HornTbox)>()
+            + self.t_star.cis.capacity() * std::mem::size_of::<HornCi>()
+            + self.t_star.cis.iter().map(ci_sides).sum::<usize>()
+    }
 }
 
 impl PreparedTbox {
@@ -35,7 +97,12 @@ impl PreparedTbox {
     pub fn new(tbox: &HornTbox) -> Self {
         let mut seen: FxHashSet<&LabelSet> = FxHashSet::default();
         let seeds = quantified(&tbox.cis).filter(|s| seen.insert(s)).cloned().collect();
-        PreparedTbox { index: RuleIndex::new(tbox), seeds, roles: tbox.used_roles() }
+        PreparedTbox {
+            index: RuleIndex::new(tbox),
+            seeds,
+            roles: tbox.used_roles(),
+            completions: Mutex::default(),
+        }
     }
 
     /// Number of CIs of the base.
@@ -92,14 +159,87 @@ impl PreparedTbox {
         roles
     }
 
-    /// Approximate heap bytes.
+    /// The completion of `overlay` over this base ([`complete_over`]) as
+    /// an empty type universe over `T*` and the completion's `complete`
+    /// flag. A completion asked before with the same overlay, seed labels
+    /// and bounding options is not run again: its `T*` overlay is indexed
+    /// anew over the base. Counts each lookup in
+    /// `gts_containment_completion_cache_total{outcome}`.
+    pub(crate) fn complete(
+        &self,
+        overlay: HornTbox,
+        schema_labels: &LabelSet,
+        opts: &ContainmentOptions,
+    ) -> (TypeUniverse, bool) {
+        let bounds = bounds(opts);
+        let mut hasher = FxHasher::default();
+        overlay.cis.hash(&mut hasher);
+        let hash = hasher.finish();
+        // Each update inserts or removes one finished entry, so a poisoned
+        // memo is still valid.
+        let lock = || self.completions.lock().unwrap_or_else(PoisonError::into_inner);
+        let find = |memo: &[Completed], overlay: &[HornCi]| {
+            memo.iter()
+                .find(|c| c.is(hash, overlay, schema_labels, &bounds))
+                .map(|c| (Arc::clone(&c.t_star), c.complete))
+        };
+        let hit = find(&lock(), &overlay.cis);
+        count_lookup(hit.is_some());
+        if let Some((t_star, complete)) = hit {
+            return (self.universe(&t_star), complete);
+        }
+        let input = overlay.len();
+        let Completion { tbox: t_star, complete, universe, .. } = complete_over(
+            self,
+            overlay,
+            schema_labels,
+            &opts.budget,
+            &opts.completion,
+            opts.threads,
+        );
+        let mut memo = lock();
+        // Another caller may have completed it meanwhile.
+        if find(&memo, &t_star.cis[..input]).is_none() {
+            if memo.len() == MEMO_CAP {
+                memo.remove(0);
+            }
+            let (schema_labels, t_star) = (schema_labels.clone(), Arc::new(t_star));
+            memo.push(Completed { hash, input, schema_labels, bounds, t_star, complete });
+        }
+        (universe, complete)
+    }
+
+    /// Number of memoized completions.
+    pub fn completions(&self) -> usize {
+        self.completions.lock().unwrap_or_else(PoisonError::into_inner).len()
+    }
+
+    /// Approximate heap bytes, the memoized completions included.
     pub fn approx_bytes(&self) -> usize {
+        let memo = self.completions.lock().unwrap_or_else(PoisonError::into_inner);
         std::mem::size_of::<Self>()
             + self.index.approx_bytes()
             + self.seeds.capacity() * std::mem::size_of::<LabelSet>()
             + self.seeds.iter().map(LabelSet::approx_bytes).sum::<usize>()
             + self.roles.capacity() * std::mem::size_of::<EdgeSym>()
+            + memo.capacity() * std::mem::size_of::<Completed>()
+            + memo.iter().map(Completed::approx_bytes).sum::<usize>()
     }
+}
+
+/// Counts one memo lookup of [`PreparedTbox::complete`].
+fn count_lookup(hit: bool) {
+    static CELLS: std::sync::OnceLock<[gts_obs::Counter; 2]> = std::sync::OnceLock::new();
+    let [hits, misses] = CELLS.get_or_init(|| {
+        let name = "gts_containment_completion_cache_total";
+        let help = "Completion memo lookups by outcome";
+        let reg = gts_obs::global();
+        [
+            reg.counter(name, help, &[("outcome", "hit")]),
+            reg.counter(name, help, &[("outcome", "miss")]),
+        ]
+    });
+    if hit { hits } else { misses }.inc();
 }
 
 /// The left- and right-hand sides of the `∃` and at-most CIs of `cis`, in
@@ -121,10 +261,11 @@ fn quantified(cis: &[HornCi]) -> impl Iterator<Item = &LabelSet> {
 const CAP: usize = 8;
 
 /// The prepared `T̂_{S°}` of each Booleanized schema `S°` its owner's
-/// containment calls met, keyed by `S°` itself: clones of a session own
-/// separate vocabularies and may intern the marker labels at different
-/// ids, so an `S°` of one never finds a TBox over the other's ids. Clones
-/// of a `SchemaTboxes` share its entries.
+/// containment calls met, with the completions memoized over it, keyed
+/// by `S°` itself: clones of a session own separate vocabularies and may
+/// intern the marker labels at different ids, so an `S°` of one never
+/// finds a TBox over the other's ids. Clones of a `SchemaTboxes` share
+/// its entries.
 #[derive(Clone, Default)]
 pub struct SchemaTboxes(Arc<Mutex<Vec<Entry>>>);
 
@@ -170,7 +311,8 @@ impl SchemaTboxes {
         self.len() == 0
     }
 
-    /// Approximate heap bytes of the kept TBoxes and their keys.
+    /// Approximate heap bytes of the kept TBoxes, their memoized
+    /// completions and their keys.
     pub fn approx_bytes(&self) -> usize {
         let entries = self.0.lock().unwrap_or_else(PoisonError::into_inner);
         entries.capacity() * std::mem::size_of::<Entry>()
@@ -238,5 +380,48 @@ mod tests {
             tboxes.get(&other);
         }
         assert_eq!(tboxes.len(), CAP, "the oldest entries went");
+    }
+
+    /// More distinct `Q°` over one `S°` than the memo holds leave it full,
+    /// and a memoized or evicted completion decides as a fresh call does.
+    #[test]
+    fn the_completion_memo_keeps_its_cap_and_its_verdicts() {
+        use crate::contains::{contains, contains_with};
+        use gts_graph::Vocab;
+        use gts_query::{Atom, C2rpq, Regex, Uc2rpq, Var};
+        use gts_schema::Mult;
+
+        let mut v = Vocab::new();
+        let a = v.node_label("A");
+        let r = v.edge_label("r");
+        let mut s = Schema::new();
+        s.set_edge(a, r, a, Mult::Star, Mult::Star);
+        // The Boolean query "an r-path of n edges".
+        let path = |n: u32| {
+            let atoms = (0..n).map(|i| Atom { x: Var(i), y: Var(i + 1), regex: Regex::edge(r) });
+            Uc2rpq::single(C2rpq::new(n + 1, vec![], atoms.collect()))
+        };
+        let p = path(2);
+        let tboxes = SchemaTboxes::default();
+        let opts = ContainmentOptions::default();
+        let mut ask = |n: u32| {
+            let q = path(n);
+            let memo = contains_with(&p, &q, &s, &mut v, &opts, &tboxes).unwrap();
+            let fresh = contains(&p, &q, &s, &mut v.clone(), &opts).unwrap();
+            assert_eq!((memo.holds, memo.certified), (fresh.holds, fresh.certified), "n = {n}");
+            memo.holds
+        };
+        // n = 2 is P itself, settled without a completion.
+        let lengths: Vec<u32> = (1..=MEMO_CAP as u32 + 4).filter(|&n| n != 2).collect();
+        let verdicts: Vec<bool> = lengths.iter().map(|&n| ask(n)).collect();
+        assert!(verdicts[0] && !verdicts[1], "a shorter path holds, a longer one does not");
+        // Boolean questions leave S° = S.
+        let prepared = tboxes.get(&s);
+        assert_eq!(prepared.completions(), MEMO_CAP, "the oldest completions went");
+        // The newest are hits, the oldest are completed again: same verdicts.
+        for &n in lengths.iter().rev().take(3).chain(&lengths[..3]) {
+            ask(n);
+        }
+        assert_eq!(prepared.completions(), MEMO_CAP);
     }
 }

@@ -1,11 +1,21 @@
 //! Rolling-up acyclic queries into Horn TBoxes (Lemma C.2, Appendix C).
 //!
 //! For a Boolean acyclic *connected* C2RPQ `C`, we build a Horn-ALCIF TBox
-//! `T¬C` over fresh concept names (one per Glushkov automaton state) such
-//! that a graph admits a valuation of the fresh names satisfying `T¬C` iff
+//! `T¬C` over new concept names (one per Glushkov automaton state) such
+//! that a graph admits a valuation of the new names satisfying `T¬C` iff
 //! it does **not** satisfy `C`. The construction orients the query tree
 //! toward a leaf variable and simulates each atom's automaton along the
 //! tree, exactly as in Example C.1.
+//!
+//! The state names are reserved names given by their place in `Q`:
+//! `q{d}.{c}.{e}.{s}#` is NFA state `s` of expression `e` of component `c`
+//! of disjunct `d`, interned once per vocabulary (`#` starts a comment in
+//! `.gts` text, as for [`crate::booleanize`]'s markers). So `T¬Q` is a
+//! function of `Q` alone: a repeated `Q°` rolls up to the same TBox, which
+//! lets [`crate::PreparedTbox`] reuse its completion, and re-asking adds no
+//! label to the vocabulary. Two queries share names, which is sound as
+//! long as no TBox holds the states of two roll-ups: each containment call
+//! rolls up one `Q°` and completes one choice of it at a time.
 //!
 //! Implementation notes beyond the paper (DESIGN.md §3.4):
 //! * rule (3) needs one Horn CI per element of the product of the
@@ -37,13 +47,14 @@ pub enum RollupError {
     TooManyChoices,
 }
 
-/// The rolled-up TBox of one connected component, with its fresh concept
+/// The rolled-up TBox of one connected component, with its state concept
 /// names.
 #[derive(Clone, Debug)]
 pub struct Rollup {
     /// The Horn TBox `T¬C`.
     pub tbox: HornTbox,
-    /// The fresh automaton-state concept names.
+    /// The automaton-state concept names: the reserved names of the
+    /// component's place, the same on every call for the same query.
     pub state_labels: LabelSet,
 }
 
@@ -62,11 +73,14 @@ struct Expr {
 }
 
 /// Rolls up the negation of one connected component of a Boolean acyclic
-/// C2RPQ, given the component's variables and atom indices.
+/// C2RPQ, given the component's variables and atom indices. `place` is
+/// the component's `(disjunct, component)` position in its UC2RPQ, which
+/// names its states.
 pub fn rollup_component(
     q: &C2rpq,
     vars: &[Var],
     atom_idxs: &[usize],
+    place: (usize, usize),
     vocab: &mut Vocab,
 ) -> Result<Rollup, RollupError> {
     let mut tbox = HornTbox::new();
@@ -153,12 +167,13 @@ pub fn rollup_component(
         exprs.push(Expr { source: v, target: v, regex: re.clone(), decoration: true });
     }
 
-    // Automata and fresh state concepts per expression.
+    // Automata and state concepts per expression.
     let nfas: Vec<Nfa> = exprs.iter().map(|e| Nfa::from_regex(&e.regex)).collect();
     let mut states: FxHashMap<(usize, usize), NodeLabel> = FxHashMap::default();
+    let (d, c) = place;
     for (ei, nfa) in nfas.iter().enumerate() {
         for s in 0..nfa.num_states() {
-            let l = vocab.fresh_node_label("q");
+            let l = vocab.node_label(&format!("q{d}.{c}.{ei}.{s}#"));
             state_labels.insert(l.0);
             states.insert((ei, s), l);
         }
@@ -280,8 +295,8 @@ fn deny_combos(
 /// Rolls up the negation `¬Q` of a Boolean acyclic UC2RPQ as a *set of
 /// Horn TBoxes*: `¬Q` holds (together with other constraints) iff some
 /// returned TBox is satisfied. Each TBox refutes one choice of component
-/// per disjunct; the fresh state labels of all components are pooled in
-/// the second result.
+/// per disjunct; the state labels of all components are pooled in the
+/// second result.
 pub fn rollup_negation(
     q: &Uc2rpq,
     vocab: &mut Vocab,
@@ -292,10 +307,10 @@ pub fn rollup_negation(
     let mut all_states = LabelSet::new();
     // Per disjunct, the rolled-up TBox of each of its components.
     let mut per_disjunct: Vec<Vec<HornTbox>> = Vec::new();
-    for d in &q.disjuncts {
+    for (di, d) in q.disjuncts.iter().enumerate() {
         let mut comp_tboxes = Vec::new();
-        for (vars, atom_idxs) in d.connected_components() {
-            let rolled = rollup_component(d, &vars, &atom_idxs, vocab)?;
+        for (ci, (vars, atom_idxs)) in d.connected_components().into_iter().enumerate() {
+            let rolled = rollup_component(d, &vars, &atom_idxs, (di, ci), vocab)?;
             all_states.union_with(&rolled.state_labels);
             comp_tboxes.push(rolled.tbox);
         }

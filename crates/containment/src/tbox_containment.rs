@@ -16,7 +16,10 @@
 //!   Lemma 5.7 does not apply — the `certified` flag reports honestly
 //!   whether the caps sufficed;
 //! * queries must be Boolean (the marker construction of Lemma D.1 is
-//!   schema-specific; Booleanize against a schema first if needed).
+//!   schema-specific; Booleanize against a schema first if needed);
+//! * the TBox must not mention the roll-up's reserved state names
+//!   (`q{d}.{c}.{e}.{s}#`, see [`crate::rollup_negation`]), which `Q`'s
+//!   roll-up reuses: pass no rolled-up TBox of another query as `T`.
 
 use crate::completion::{complete_with, Completion};
 use crate::contains::{ContainmentAnswer, ContainmentError, ContainmentOptions};

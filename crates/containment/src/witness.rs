@@ -20,12 +20,11 @@
 //! configured effort", never "no counterexample exists".
 
 use crate::booleanize::booleanize;
-use crate::completion::Completion;
 use crate::contains::{ContainmentError, ContainmentOptions};
 use crate::hatp::hat_union;
 use crate::oracle::is_counterexample;
+use crate::prepared::PreparedTbox;
 use crate::rollup::rollup_negation;
-use gts_dl::HornTbox;
 use gts_graph::{EdgeSym, FxHashMap, Graph, NodeId, NodeLabel, Vocab};
 use gts_query::Uc2rpq;
 use gts_sat::{decide_in_ctx, HornFixpoint, Verdict};
@@ -86,23 +85,18 @@ pub fn finite_counterexample<R: Rng>(
     }
 
     // Replicate the containment pipeline, keeping the Booleanization's
-    // marker labels in scope so the engine core can be decoded.
+    // marker labels in scope so the engine core can be decoded; each
+    // choice completes over T̂_S as `contains` does, and a repeated choice
+    // is found in the prepared TBox's memo.
     let b = booleanize(&p_pruned, q, s, vocab);
     let (choices, _states) = rollup_negation(&b.q, vocab).map_err(ContainmentError::Rollup)?;
     let p_hat = hat_union(&b.p, &b.schema);
-    let hat_ts = b.schema.hat_tbox();
+    let hat_ts = PreparedTbox::new(&b.schema.hat_tbox());
     let schema_label_set = b.schema.node_label_set();
 
     let mut saw_sat_or_unknown = false;
     for choice in &choices {
-        let t = HornTbox::merged([&hat_ts, choice]);
-        let Completion { universe, .. } = crate::completion::complete_with(
-            &t,
-            &schema_label_set,
-            &opts.budget,
-            &opts.completion,
-            opts.threads,
-        );
+        let (universe, _) = hat_ts.complete(hat_ts.overlay([choice]), &schema_label_set, opts);
         let mut fixpoint = HornFixpoint::new(universe, &opts.budget);
         for pd in &p_hat.disjuncts {
             match decide_in_ctx(&mut fixpoint, pd, &opts.budget) {

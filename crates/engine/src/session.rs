@@ -4,8 +4,10 @@
 //! A session reuses two things across questions: the verdict memo, and
 //! the prepared schema TBoxes `T̂_{S°}` of the Booleanized schemas its
 //! questions meet ([`SchemaTboxes`], one per arity and vocabulary), which
-//! every completion layers its own CIs over. Each containment call owns
-//! the solver contexts it decides over and drops them when it returns.
+//! every completion layers its own CIs over and which memoize those
+//! completions, so questions of one `Q°` complete it once. Each
+//! containment call owns the solver contexts it decides over and drops
+//! them when it returns.
 //!
 //! Every analysis of the paper is a polynomial Turing reduction to
 //! `P ⊆_S Q` for a *fixed* source schema `S`, and the reduction asks many
@@ -20,7 +22,7 @@
 //!
 //! Correctness of the memo rests on two properties of the decision
 //! procedure: its verdict depends only on `(P, Q, S)` and the engine
-//! budgets (the vocabulary merely names fresh labels), and it is
+//! budgets (the vocabulary merely names auxiliary labels), and it is
 //! deterministic for fixed budgets — so a cached verdict is exactly what
 //! the cold path would recompute (the differential suites in
 //! `crates/tests` enforce this).
@@ -48,7 +50,8 @@ pub struct CacheStats {
     /// Distinct canonicalized query pairs currently interned.
     pub entries: usize,
     /// Approximate heap occupancy in bytes of the memo (keys + verdicts +
-    /// table overhead) and of the prepared schema TBoxes — the figure the
+    /// table overhead) and of the prepared schema TBoxes with their
+    /// memoized completions — the figure the
     /// `gts-serve` session registry budgets against.
     pub approx_bytes: usize,
     /// Verdicts installed from a disk store ([`AnalysisSession::with_disk`]
@@ -564,7 +567,9 @@ mod tests {
     }
 
     /// Questions of one arity booleanize to one `S°`: the marker labels
-    /// are interned once, and one prepared T̂_S° serves them all.
+    /// are interned once, and one prepared T̂_S° serves them all. The
+    /// roll-up's state labels are named by their place in `Q°`, so the
+    /// second question adds no node label either.
     #[test]
     fn questions_of_one_arity_share_one_schema_tbox() {
         let (v, s, p, q) = fixture();
@@ -580,7 +585,7 @@ mod tests {
         let marker = |n: &&&str| n.contains('#') && (n.starts_with('X') || n.starts_with("rX"));
         assert_eq!(nodes.iter().filter(marker).collect::<Vec<_>>(), [&"X0#", &"X1#"]);
         assert_eq!(edges.iter().filter(marker).collect::<Vec<_>>(), [&"rX0#", &"rX1#"]);
-        assert!(nodes.len() > labels, "only the rolled-up state labels are new");
+        assert_eq!(nodes.len(), labels, "the roll-up states are named by their place in Q°");
     }
 
     /// Clones own their vocabularies: one that interned a label of its

@@ -97,8 +97,8 @@ impl Interner {
 ///
 /// All structures in this workspace store label *ids*; a `Vocab` is needed
 /// only when translating to or from human-readable names. Fresh auxiliary
-/// labels (e.g. the automaton-state concept names introduced by rolling-up,
-/// Lemma C.2) are minted with [`Vocab::fresh_node_label`].
+/// labels (e.g. the nest labels of the NRE lowering) are minted with
+/// [`Vocab::fresh_node_label`].
 #[derive(Default, Clone)]
 pub struct Vocab {
     nodes: Interner,

@@ -204,3 +204,44 @@ fn threaded_batch_matches_cold_path_on_medical() {
     // while deciding), so entries can undercut misses — never exceed them.
     assert!(stats.entries <= stats.misses as usize, "stats: {stats:?}");
 }
+
+/// The roll-up names its states by their place in `Q°`, so a corpus
+/// family's whole question list, asked again in fresh sessions that run
+/// the procedure anew, adds no node label to the vocabulary the first
+/// pass left.
+#[test]
+fn re_asking_a_family_adds_no_node_label() {
+    let sc = gts_corpus::scenario(gts_corpus::Family::Medical, &gts_corpus::Params::quick());
+    let schema = |name: &str| sc.schema(name).expect("a corpus schema").clone();
+    let transform = |name: &str| sc.transform(name).expect("a corpus transform").clone();
+    let mut questions: Vec<(Schema, Request)> = sc
+        .expectations
+        .iter()
+        .map(|e| match e {
+            gts_corpus::Expectation::TypeCheck { transform: t, source, target, .. } => (
+                schema(source),
+                Request::TypeCheck { transform: transform(t), target: schema(target) },
+            ),
+            gts_corpus::Expectation::Equivalence { left, right, source, .. } => (
+                schema(source),
+                Request::Equivalence { left: transform(left), right: transform(right) },
+            ),
+        })
+        .collect();
+    questions.push((
+        schema(&sc.primary.source),
+        Request::Elicit { transform: transform(&sc.primary.transform) },
+    ));
+    let pass = |vocab: Vocab| {
+        questions.iter().fold(vocab, |vocab, (source, request)| {
+            let mut session = AnalysisSession::new(source.clone(), vocab);
+            request.clone().run(&mut session).expect("a corpus question");
+            assert!(session.stats().misses > 0, "the question ran the procedure");
+            session.vocab().clone()
+        })
+    };
+    let first = pass(sc.vocab.clone());
+    assert!(first.num_node_labels() > sc.vocab.num_node_labels(), "markers and states are added");
+    let second = pass(first.clone());
+    assert_eq!(second.num_node_labels(), first.num_node_labels());
+}
